@@ -8,9 +8,9 @@ reproducible data pipeline, and evaluation/analysis tooling behind a CLI.
 from .autodiff import (
     Rng, Tape, Tensor, abs_, add, add_bias, backward, causal_conv1d,
     channel_linear, dropout, grad_check, grad_check_params, graph_mix,
-    last_step, log, matmul, mean, mul, neg, permute, relu, reshape,
+    last_step, log, matmul, mean, mix_hop, mul, neg, permute, relu, reshape,
     row_normalize, set_debug, sigmoid, stack_last, sub, sum_, tanh,
-    time_index, transpose,
+    tanh_sigmoid_gate, time_index, transpose,
 )
 from .baselines import (
     ArEnsemble, ArModel, GruConfig, GruModel, GruParams, MlpSpec, TcnConfig,
@@ -75,13 +75,14 @@ __all__ = [
     "graph_mix", "gru_cell", "init_adam", "init_graph_learn_params",
     "init_node_embeddings", "invert_predictions", "last_step",
     "learn_adjacency", "load_checkpoint", "load_csv", "log", "log_transform",
-    "mae", "make_windows", "mape", "matmul", "mean", "mix_hop_graph_conv",
-    "mul", "neg", "normalize", "normalized_propagation_matrix", "out_degree",
+    "mae", "make_windows", "mape", "matmul", "mean", "mix_hop",
+    "mix_hop_graph_conv", "mul", "neg", "normalize",
+    "normalized_propagation_matrix", "out_degree",
     "per_series_metrics", "permute", "persistence_predictions", "predict_ar",
     "rank_influence", "read_adjacency_csv", "relu", "reshape", "rmse",
     "row_normalize", "rse", "run_comparison", "run_pipeline",
     "save_checkpoint", "set_debug", "sigmoid", "snapshot_adjacency",
     "spearman", "spearman_matrix", "stack_last", "sub", "sum_", "tanh",
-    "time_index", "top_k_row_mask", "train", "transpose", "write_adjacency_csv",
-    "write_history_csv", "write_labeled_matrix_csv", "write_trace_csv",
+    "tanh_sigmoid_gate", "time_index", "top_k_row_mask", "train", "transpose",
+    "write_adjacency_csv", "write_history_csv", "write_labeled_matrix_csv", "write_trace_csv",
 ]

@@ -497,6 +497,9 @@ def row_normalize(a: Tensor) -> Tensor:
 
 
 # -- convolution and graph mixing ----------------------------------------------
+#
+# Every contraction below is a broadcast matmul over the [B, C, N, T] layout,
+# which numpy hands to BLAS one batch slice at a time.
 
 def _conv_core(x: Tensor, w: Tensor, dilation: int) -> Tensor:
     B, C_in, N, T = x.shape
@@ -505,21 +508,28 @@ def _conv_core(x: Tensor, w: Tensor, dilation: int) -> Tensor:
         raise ShapeError(f"kernel expects {kC_in} input channels, data has {C_in}")
     pad = (K - 1) * dilation
     xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad, 0)))
-    out = np.zeros((B, C_out, N, T))
     offs = [(K - 1 - j) * dilation for j in range(K)]
-    for j, off in enumerate(offs):
-        out += np.einsum("oi,bint->bont", w.data[:, :, j], xp[:, :, :, off:off + T])
+    taps = np.ascontiguousarray(np.moveaxis(w.data, 2, 0))  # [K, C_out, C_in]
+
+    def segment(off):
+        # Tap input as [B, C_in, N*T]; the undelayed tap reads x itself.
+        seg = x.data if off == pad else np.ascontiguousarray(xp[..., off:off + T])
+        return seg.reshape(B, C_in, N * T)
+
+    out = taps[0] @ segment(offs[0])
+    for j in range(1, K):
+        out += taps[j] @ segment(offs[j])
 
     def back(g):
+        g = g.reshape(B, C_out, N * T)
         dw = np.empty_like(w.data)
         dxp = np.zeros_like(xp)
         for j, off in enumerate(offs):
-            seg = xp[:, :, :, off:off + T]
-            dw[:, :, j] = np.einsum("bont,bint->oi", g, seg)
-            dxp[:, :, :, off:off + T] += np.einsum("oi,bont->bint", w.data[:, :, j], g)
-        return dxp[:, :, :, pad:], dw
+            dw[:, :, j] = np.matmul(g, segment(off).transpose(0, 2, 1)).sum(axis=0)
+            dxp[..., off:off + T] += (taps[j].T @ g).reshape(B, C_in, N, T)
+        return dxp[..., pad:], dw
 
-    return _record(out, (x, w), back)
+    return _record(out.reshape(B, C_out, N, T), (x, w), back)
 
 
 def causal_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
@@ -553,35 +563,96 @@ def channel_linear(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"weight must be [C, D], got {w.shape}")
     if x.ndim not in (3, 4) or x.shape[1] != w.shape[0]:
         raise ShapeError(f"cannot mix channels of {x.shape} with weight {w.shape}")
-    if x.ndim == 4:
-        spec, gspec_x, gspec_w = "bcnt,cd->bdnt", "cd,bdnt->bcnt", "bcnt,bdnt->cd"
-    else:
-        spec, gspec_x, gspec_w = "bcn,cd->bdn", "cd,bdn->bcn", "bcn,bdn->cd"
+    B, C = x.shape[:2]
+    D = w.shape[1]
+    xf = x.data.reshape(B, C, -1)
 
     def back(g):
-        return np.einsum(gspec_x, w.data, g), np.einsum(gspec_w, x.data, g)
+        gf = g.reshape(B, D, -1)
+        dw = np.matmul(xf, gf.transpose(0, 2, 1)).sum(axis=0)
+        return (w.data @ gf).reshape(x.shape), dw
 
-    return _record(np.einsum(spec, x.data, w.data), (x, w), back)
+    return _record((w.data.T @ xf).reshape((B, D) + x.shape[2:]), (x, w), back)
 
 
 def graph_mix(a: Tensor, x: Tensor) -> Tensor:
     """Aggregate node features along edges: out[v] = sum_w a[v,w] * x[w].
 
-    a is [N, N]; x is [B, C, N, T]. Differentiable in both arguments so the
-    learned adjacency receives gradient through every propagation step.
+    a is [M, N]; x is [B, C, N, T]; the result is [B, C, M, T]. Differentiable
+    in both arguments so the learned adjacency receives gradient through every
+    propagation step.
     """
     a, x = _lift(a), _lift(x)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.shape}")
-    if x.ndim != 4 or x.shape[2] != a.shape[0]:
+    if a.ndim != 2:
+        raise ShapeError(f"adjacency must be a matrix, got {a.shape}")
+    if x.ndim != 4 or x.shape[2] != a.shape[1]:
         raise ShapeError(f"node axis of {x.shape} does not match adjacency {a.shape}")
 
     def back(g):
-        da = np.einsum("bcvt,bcwt->vw", g, x.data)
-        dx = np.einsum("vw,bcvt->bcwt", a.data, g)
-        return da, dx
+        return _node_outer(g, x.data), a.data.T @ g
 
-    return _record(np.einsum("vw,bcwt->bcvt", a.data, x.data), (a, x), back)
+    return _record(a.data @ x.data, (a, x), back)
+
+
+def _node_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum over b, c, t of g[b, c, v, t] * x[b, c, w, t], as an [M, N] matrix."""
+    return np.tensordot(g, x, axes=([0, 1, 3], [0, 1, 3]))
+
+
+def mix_hop(h: Tensor, props: Tensor, w: Tensor) -> Tensor:
+    """Mix-hop graph convolution as one op: sum_k channel_linear(props[k] @ h, w[k]).
+
+    h is [B, C, N, T], props is [S, N, N] (one propagation matrix per hop),
+    w is [S, C, D]; the result is [B, D, N, T]. The hop states props[k] @ h
+    are recomputed in backward instead of being kept, so the tape holds no
+    copy of h beyond the input itself.
+    """
+    h, props, w = _lift(h), _lift(props), _lift(w)
+    if h.ndim != 4:
+        raise ShapeError(f"mix_hop expects [B, C, N, T] features, got {h.shape}")
+    B, C, N, T = h.shape
+    if props.ndim != 3 or props.shape[0] < 1 or props.shape[1:] != (N, N):
+        raise ShapeError(f"propagation stack must be [S, {N}, {N}], got {props.shape}")
+    S = props.shape[0]
+    if w.ndim != 3 or w.shape[:2] != (S, C):
+        raise ShapeError(f"hop weights must be [{S}, {C}, D], got {w.shape}")
+    D = w.shape[2]
+
+    def hop(k):
+        return (props.data[k] @ h.data).reshape(B, C, N * T)
+
+    out = w.data[0].T @ hop(0)
+    for k in range(1, S):
+        out += w.data[k].T @ hop(k)
+
+    def back(g):
+        gf = g.reshape(B, D, N * T)
+        dh = np.zeros_like(h.data)
+        dprops = np.empty_like(props.data)
+        dw = np.empty_like(w.data)
+        for k in range(S):
+            dw[k] = np.matmul(hop(k), gf.transpose(0, 2, 1)).sum(axis=0)
+            dhop = (w.data[k] @ gf).reshape(B, C, N, T)
+            dprops[k] = _node_outer(dhop, h.data)
+            dh += props.data[k].T @ dhop
+        return dh, dprops, dw
+
+    return _record(out.reshape(B, D, N, T), (h, props, w), back)
+
+
+def tanh_sigmoid_gate(a: Tensor) -> Tensor:
+    """tanh(a[:, :C]) * sigmoid(a[:, C:]) for a with 2*C channels on axis 1."""
+    a = _lift(a)
+    if a.ndim < 2 or a.shape[1] % 2:
+        raise ShapeError(f"gate needs an even channel count on axis 1, got shape {a.shape}")
+    C = a.shape[1] // 2
+    f = np.tanh(a.data[:, :C])
+    s = 0.5 * (1.0 + np.tanh(0.5 * a.data[:, C:]))
+
+    def back(g):
+        return (np.concatenate((g * s * (1.0 - f * f), g * f * s * (1.0 - s)), axis=1),)
+
+    return _record(f * s, (a,), back)
 
 
 # -- verification ---------------------------------------------------------------

@@ -14,9 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (
-    Rng, Tensor, add_bias, causal_conv1d, channel_linear, dropout, graph_mix,
-    last_step, mul, permute, relu, reshape, row_normalize, sigmoid, tanh,
-    transpose,
+    Rng, Tensor, add_bias, causal_conv1d, channel_linear, dropout, last_step,
+    matmul, mix_hop, mul, permute, relu, reshape, row_normalize, stack_last,
+    tanh_sigmoid_gate,
 )
 from .errors import ConfigError, ShapeError
 from .graph import (
@@ -83,17 +83,27 @@ class MtgnnConfig:
         return self.k if self.k is not None else min(5, self.num_nodes - 1)
 
 
-def _mix_hop_core(h: Tensor, a_norm: Tensor, depth: int, beta: float,
-                  weights: Sequence[Tensor]) -> Tensor:
-    """out = sum_k H(k) W(k) with H(0)=H, H(k) = beta*H + (1-beta)*A_norm H(k-1)."""
-    if len(weights) != depth + 1:
-        raise ShapeError(f"need {depth + 1} hop weights, got {len(weights)}")
-    out = channel_linear(h, weights[0])
-    hk = h
-    for k in range(1, depth + 1):
-        hk = mul(h, beta) + mul(graph_mix(a_norm, hk), 1.0 - beta)
-        out = out + channel_linear(hk, weights[k])
-    return out
+def hop_stack(a_norms: Sequence[Tensor], depth: int, beta: float) -> Tensor:
+    """Propagation matrices of every hop, stacked to [len(a_norms)*(depth+1), N, N].
+
+    For each A_norm in turn: P(0) = I and P(k) = beta*I + (1-beta)*A_norm P(k-1),
+    so P(k) H is the k-th hop state of the rule
+    H(k) = beta*H + (1-beta)*A_norm H(k-1) with H(0) = H.
+    """
+    eye = Tensor(np.eye(a_norms[0].shape[0]))
+    mats = []
+    for a_norm in a_norms:
+        p = eye
+        mats.append(p)
+        for _ in range(depth):
+            p = mul(eye, beta) + mul(matmul(a_norm, p), 1.0 - beta)
+            mats.append(p)
+    return permute(stack_last(mats), (2, 0, 1))
+
+
+def _mix_hop_core(h: Tensor, props: Tensor, weights: Tensor) -> Tensor:
+    """out = sum_k (props[k] H) weights[k], for one layer and every direction."""
+    return mix_hop(h, props, weights)
 
 
 def normalized_propagation_matrix(a) -> Tensor:
@@ -109,38 +119,47 @@ def normalized_propagation_matrix(a) -> Tensor:
 
 def mix_hop_graph_conv(h: Tensor, a, depth: int, beta: float,
                        weights: Sequence[Tensor]) -> Tensor:
-    """Mix-hop propagation over the graph; accepts [N, C] or [B, C, N, T] features."""
+    """Mix-hop propagation over the graph; accepts [N, C] or [B, C, N, T] features.
+
+    weights holds one [C, D] matrix per hop, depth + 1 in all.
+    """
     if depth < 0:
         raise ConfigError(f"depth must be nonnegative, got {depth}")
+    if len(weights) != depth + 1:
+        raise ShapeError(f"need {depth + 1} hop weights, got {len(weights)}")
     a_norm = normalized_propagation_matrix(a)
     n = a_norm.shape[0]
+    props = hop_stack([a_norm], depth, beta)
+    w = permute(stack_last(list(weights)), (2, 0, 1))
     if isinstance(h, np.ndarray):
         h = Tensor(h)
     if h.ndim == 2:
         if h.shape[0] != n:
             raise ShapeError(f"{h.shape[0]} feature rows vs {n} nodes")
         wide = reshape(permute(h, (1, 0)), (1, h.shape[1], n, 1))
-        out = _mix_hop_core(wide, a_norm, depth, beta, weights)
+        out = _mix_hop_core(wide, props, w)
         return permute(reshape(out, (out.shape[1], n)), (1, 0))
     if h.ndim == 4:
         if h.shape[2] != n:
             raise ShapeError(f"node axis of {h.shape} vs {n} nodes")
-        return _mix_hop_core(h, a_norm, depth, beta, weights)
+        return _mix_hop_core(h, props, w)
     raise ShapeError(f"expected [N, C] or [B, C, N, T] features, got {h.shape}")
 
 
-def gated_temporal_conv(x: Tensor, filter_kernel: Tensor, gate_kernel: Tensor,
-                        dilation: int, filter_bias: Tensor | None = None,
-                        gate_bias: Tensor | None = None) -> Tensor:
-    """tanh(conv(x)) * sigmoid(conv(x)), both branches causal and dilated."""
-    f = causal_conv1d(x, filter_kernel, dilation)
-    g = causal_conv1d(x, gate_kernel, dilation)
-    bias_axis = 0 if f.ndim == 2 else 1
-    if filter_bias is not None:
-        f = add_bias(f, filter_bias, bias_axis)
-    if gate_bias is not None:
-        g = add_bias(g, gate_bias, bias_axis)
-    return tanh(f) * sigmoid(g)
+def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int,
+                        bias: Tensor | None = None) -> Tensor:
+    """tanh(filter) * sigmoid(gate) from one causal, dilated convolution.
+
+    kernel is [2C, C_in, K]: rows [:C] are the filter, rows [C:] the gate;
+    bias, if given, is [2C] in the same order. Accepts [C_in, T] or
+    [B, C_in, N, T] input.
+    """
+    wide = reshape(x, (1, x.shape[0], 1, x.shape[1])) if x.ndim == 2 else x
+    a = causal_conv1d(wide, kernel, dilation)
+    if bias is not None:
+        a = add_bias(a, bias, 1)
+    out = tanh_sigmoid_gate(a)
+    return reshape(out, (out.shape[1], x.shape[1])) if x.ndim == 2 else out
 
 
 class MtgnnModel:
@@ -179,18 +198,17 @@ class MtgnnModel:
         self.layers = []
         K = c.kernel_size
         for i, dil in enumerate(c.dilations):
-            fan = c.residual_channels * K
+            # One draw per stacked tensor consumes the stream exactly as the
+            # separate filter/gate and per-hop draws would.
             layer = {
                 "dilation": dil,
-                "filter.w": weight(f"layer{i}.filter.w", (c.conv_channels, c.residual_channels, K), fan),
-                "filter.b": bias(f"layer{i}.filter.b", c.conv_channels),
-                "gate.w": weight(f"layer{i}.gate.w", (c.conv_channels, c.residual_channels, K), fan),
-                "gate.b": bias(f"layer{i}.gate.b", c.conv_channels),
+                "gated.w": weight(f"layer{i}.gated.w", (2 * c.conv_channels, c.residual_channels, K),
+                                  c.residual_channels * K),
+                "gated.b": bias(f"layer{i}.gated.b", 2 * c.conv_channels),
                 "skip.w": weight(f"layer{i}.skip.w", (c.conv_channels, c.skip_channels), c.conv_channels),
-                "mix_fwd": [weight(f"layer{i}.mix_fwd.{k}", (c.conv_channels, c.residual_channels), c.conv_channels)
-                            for k in range(c.gc_depth + 1)],
-                "mix_bwd": [weight(f"layer{i}.mix_bwd.{k}", (c.conv_channels, c.residual_channels), c.conv_channels)
-                            for k in range(c.gc_depth + 1)],
+                # forward hops 0..gc_depth, then backward hops 0..gc_depth
+                "mix.w": weight(f"layer{i}.mix.w", (2 * (c.gc_depth + 1), c.conv_channels,
+                                                    c.residual_channels), c.conv_channels),
             }
             self.layers.append(layer)
 
@@ -241,24 +259,22 @@ class MtgnnModel:
             raise ShapeError(f"input window {P} is shorter than the receptive field {c.receptive_field}")
 
         a = self.adjacency()
-        eye = Tensor(np.eye(N))
-        a_fwd = row_normalize(a + eye)
-        a_bwd = row_normalize(permute(a, (1, 0)) + eye)
+        a_fwd = normalized_propagation_matrix(a)
+        a_bwd = normalized_propagation_matrix(permute(a, (1, 0)))
+        props = hop_stack([a_fwd, a_bwd], c.gc_depth, c.retain_ratio)
 
         v = reshape(x, (B, 1, N, P))
         v = add_bias(channel_linear(v, self.start_w), self.start_b, 1)
 
         skip_sum = None
         for layer in self.layers:
-            h = gated_temporal_conv(v, layer["filter.w"], layer["gate.w"],
-                                    layer["dilation"], layer["filter.b"], layer["gate.b"])
+            h = gated_temporal_conv(v, layer["gated.w"], layer["dilation"], layer["gated.b"])
             if collect is not None:
                 collect.append(h)
             h = dropout(h, c.dropout, training=training, rng=rng)
             s = channel_linear(last_step(h), layer["skip.w"])
             skip_sum = s if skip_sum is None else skip_sum + s
-            z = (_mix_hop_core(h, a_fwd, c.gc_depth, c.retain_ratio, layer["mix_fwd"])
-                 + _mix_hop_core(h, a_bwd, c.gc_depth, c.retain_ratio, layer["mix_bwd"]))
+            z = _mix_hop_core(h, props, layer["mix.w"])
             v = z + v if c.use_residual else z
 
         skip_sum = skip_sum + channel_linear(last_step(v), self.skip_end_w)

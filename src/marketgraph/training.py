@@ -17,7 +17,7 @@ from .baselines import (
     fit_var_mlp, persistence_predictions,
 )
 from .data import NormStats, PipelineResult, WindowSet, WindowSpec, invert_predictions
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged
 from .graph import AdjacencyMatrix, snapshot_adjacency
 from .metrics import MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
@@ -269,7 +269,9 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
                    spec: ComparisonSpec = ComparisonSpec()) -> ComparisonResult:
     """Fit every requested model on identical splits and score the test windows.
 
-    A failing model is recorded under `errors` and the rest still run.
+    A model that fails with a toolkit error or a singular linear system is
+    recorded under `errors` and the rest still run; any other exception is a
+    bug and propagates.
     """
     labels = pipeline.train.columns
     n = len(labels)
@@ -323,7 +325,7 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
                 histories[name] = result.history
                 score(name, result.model, {k: v for k, v in asdict(cfg).items()
                                            if k != "num_nodes"})
-        except Exception as exc:  # noqa: BLE001 - per-model isolation is the contract
+        except (MarketGraphError, np.linalg.LinAlgError) as exc:
             errors[name] = f"{type(exc).__name__}: {exc}"
 
     flags = _rank_flags(tuple(labels), reports)

@@ -128,6 +128,7 @@ def test_criterion_3_gradient_correctness():
         GEN.uniform(size=(3, 4)) < 0.5, -1.0, 1.0))
     x4 = Tensor(GEN.normal(size=(2, 3, 4, 6)))
     kern = Tensor(GEN.normal(size=(3, 3, 2)))
+    gated_kern = Tensor(np.concatenate([kern.data, kern.data]))
     lin = Tensor(GEN.normal(size=(3, 5)))
     bias = Tensor(GEN.normal(size=5))
     adjacency = Tensor(GEN.uniform(0.1, 1.0, size=(4, 4)))
@@ -158,7 +159,7 @@ def test_criterion_3_gradient_correctness():
         "channel_linear_w": (lambda t: mean(channel_linear(x4, t)), lin),
         "graph_mix_a": (lambda t: mean(graph_mix(t, x4)), adjacency),
         "graph_mix_x": (lambda t: mean(graph_mix(adjacency, t)), x4),
-        "gated_conv": (lambda t: mean(gated_temporal_conv(t, kern, kern, 1)), x4),
+        "gated_conv": (lambda t: mean(gated_temporal_conv(t, gated_kern, 1)), x4),
     }
     worst = {}
     for name, (f, x) in checks.items():
@@ -243,8 +244,9 @@ def test_criterion_5_causality():
     # gated temporal convolution
     fk = Tensor(GEN.normal(size=(4, 3, 2)))
     gk = Tensor(GEN.normal(size=(4, 3, 2)))
-    base = gated_temporal_conv(Tensor(x), fk, gk, 1).data
-    moved = gated_temporal_conv(Tensor(x_future), fk, gk, 1).data
+    kernel = Tensor(np.concatenate([fk.data, gk.data]))
+    base = gated_temporal_conv(Tensor(x), kernel, 1).data
+    moved = gated_temporal_conv(Tensor(x_future), kernel, 1).data
     np.testing.assert_array_equal(base[..., :cut], moved[..., :cut])
 
     # TCN residual stack, per-block feature maps ([B, N, P] input)

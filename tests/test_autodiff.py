@@ -5,8 +5,9 @@ import pytest
 from marketgraph import (
     DomainError, Rng, ShapeError, Tape, TapeError, Tensor, abs_, add, add_bias,
     backward, causal_conv1d, channel_linear, dropout, grad_check, graph_mix,
-    last_step, log, matmul, mean, mul, permute, relu, reshape, row_normalize,
-    sigmoid, stack_last, sub, sum_, tanh, time_index, transpose,
+    last_step, log, matmul, mean, mix_hop, mul, permute, relu, reshape,
+    row_normalize, sigmoid, stack_last, sub, sum_, tanh, tanh_sigmoid_gate,
+    time_index, transpose,
 )
 
 GEN = np.random.default_rng(99)
@@ -280,6 +281,87 @@ def test_grad_graph_mix_both_arguments():
     x0 = GEN.normal(size=(2, 3, 4, 5))
     check(lambda t: sum_(mul(graph_mix(t, Tensor(x0)), 0.3)), a0)
     check(lambda t: sum_(mul(graph_mix(Tensor(a0), t), 0.3)), x0)
+
+
+def weighted(t):
+    """sum(t * R) for a fixed random R, so every output coordinate probes the gradient."""
+    r = np.random.default_rng(t.size).normal(size=t.shape)
+    return sum_(mul(t, Tensor(r)))
+
+
+def test_grad_causal_conv_three_taps_dilated():
+    k = Tensor(GEN.normal(size=(4, 2, 3)))
+    x4 = GEN.normal(size=(2, 2, 3, 9))
+    check(lambda t: weighted(causal_conv1d(t, k, dilation=2)), x4)
+    check(lambda t: weighted(causal_conv1d(Tensor(x4), t, dilation=2)), k.data)
+    x2 = GEN.normal(size=(2, 9))
+    check(lambda t: weighted(causal_conv1d(t, k, dilation=2)), x2)
+    check(lambda t: weighted(causal_conv1d(Tensor(x2), t, dilation=2)), k.data)
+
+
+def test_grad_channel_linear_3d_and_4d_weighted():
+    w = GEN.normal(size=(3, 5))
+    for shape in ((2, 3, 4), (2, 3, 4, 6)):
+        x = GEN.normal(size=shape)
+        check(lambda t: weighted(channel_linear(t, Tensor(w))), x)
+        check(lambda t: weighted(channel_linear(Tensor(x), t)), w)
+
+
+def test_grad_graph_mix_rectangular():
+    a0 = GEN.normal(size=(3, 5))
+    x0 = GEN.normal(size=(2, 2, 5, 4))
+    assert graph_mix(Tensor(a0), Tensor(x0)).shape == (2, 2, 3, 4)
+    check(lambda t: weighted(graph_mix(t, Tensor(x0))), a0)
+    check(lambda t: weighted(graph_mix(Tensor(a0), t)), x0)
+
+
+def test_grad_mix_hop_every_argument():
+    h0 = GEN.normal(size=(2, 3, 4, 5))
+    p0 = GEN.normal(size=(3, 4, 4))
+    w0 = GEN.normal(size=(3, 3, 2))
+    check(lambda t: weighted(mix_hop(t, Tensor(p0), Tensor(w0))), h0)
+    check(lambda t: weighted(mix_hop(Tensor(h0), t, Tensor(w0))), p0)
+    check(lambda t: weighted(mix_hop(Tensor(h0), Tensor(p0), t)), w0)
+
+
+def test_mix_hop_matches_sequential_rule():
+    # H(0) = H, H(k) = beta*H + (1-beta) A H(k-1), out = sum_k H(k) W(k),
+    # with the propagation stack built as the model builds it.
+    from marketgraph.mtgnn import hop_stack
+    B, C, N, T, D, depth, beta = 2, 3, 5, 6, 4, 3, 0.2
+    h = GEN.normal(size=(B, C, N, T))
+    a = GEN.uniform(0.1, 1.0, size=(N, N))
+    a /= a.sum(axis=1, keepdims=True)
+    w = GEN.normal(size=(depth + 1, C, D))
+    out = mix_hop(Tensor(h), hop_stack([Tensor(a)], depth, beta), Tensor(w)).data
+    hk = h
+    expected = np.einsum("bcnt,cd->bdnt", h, w[0])
+    for k in range(1, depth + 1):
+        hk = beta * h + (1.0 - beta) * np.einsum("vw,bcwt->bcvt", a, hk)
+        expected += np.einsum("bcnt,cd->bdnt", hk, w[k])
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+def test_mix_hop_validates_shapes():
+    h = Tensor(np.ones((1, 2, 3, 4)))
+    with pytest.raises(ShapeError):
+        mix_hop(h, Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 2, 2))))
+    with pytest.raises(ShapeError):
+        mix_hop(h, Tensor(np.ones((2, 3, 3))), Tensor(np.ones((3, 2, 2))))
+    with pytest.raises(ShapeError):
+        mix_hop(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 3))), Tensor(np.ones((2, 2, 2))))
+    with pytest.raises(ShapeError):
+        mix_hop(h, Tensor(np.ones((0, 3, 3))), Tensor(np.ones((0, 2, 2))))
+
+
+def test_tanh_sigmoid_gate_value_and_gradient():
+    a0 = GEN.normal(size=(2, 6, 3, 4))
+    out = tanh_sigmoid_gate(Tensor(a0)).data
+    np.testing.assert_allclose(out, np.tanh(a0[:, :3]) / (1.0 + np.exp(-a0[:, 3:])),
+                               rtol=0, atol=1e-15)
+    check(lambda t: weighted(tanh_sigmoid_gate(t)), a0)
+    with pytest.raises(ShapeError):
+        tanh_sigmoid_gate(Tensor(np.ones((2, 3, 4))))
 
 
 # -- dropout ----------------------------------------------------------------------

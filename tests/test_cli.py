@@ -335,6 +335,19 @@ def test_forecast_too_many_steps_exits_2(trained_run, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_forecast_malformed_checkpoint_exits_2(trained_run, tmp_path, capsys):
+    csv_path, checkpoint = trained_run
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    name = next(iter(doc["params"]))
+    del doc["params"][name]["shape"]
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--out", str(tmp_path / "fc")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert name in err
+
+
 def test_forecast_actuals_match_source_prices(trained_run, tmp_path, capsys):
     csv_path, checkpoint = trained_run
     out = tmp_path / "fc_all"

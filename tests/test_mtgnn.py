@@ -113,7 +113,7 @@ def test_gated_conv_is_tanh_times_sigmoid():
     from marketgraph import causal_conv1d
     f = causal_conv1d(x, fk).data
     g = causal_conv1d(x, gk).data
-    out = gated_temporal_conv(x, fk, gk, dilation=1)
+    out = gated_temporal_conv(x, Tensor(np.concatenate([fk.data, gk.data])), dilation=1)
     np.testing.assert_allclose(out.data, np.tanh(f) / (1.0 + np.exp(-g)), atol=1e-12)
     assert np.all(np.abs(out.data) <= 1.0)
 
@@ -122,10 +122,11 @@ def test_gated_conv_causal():
     x0 = GEN.normal(size=(2, 3, 4, 12))
     fk = Tensor(GEN.normal(size=(3, 3, 2)))
     gk = Tensor(GEN.normal(size=(3, 3, 2)))
-    base = gated_temporal_conv(Tensor(x0), fk, gk, dilation=2).data
+    kernel = Tensor(np.concatenate([fk.data, gk.data]))
+    base = gated_temporal_conv(Tensor(x0), kernel, dilation=2).data
     x1 = x0.copy()
     x1[..., 7:] = 50.0
-    bumped = gated_temporal_conv(Tensor(x1), fk, gk, dilation=2).data
+    bumped = gated_temporal_conv(Tensor(x1), kernel, dilation=2).data
     np.testing.assert_array_equal(base[..., :7], bumped[..., :7])
 
 
@@ -274,15 +275,57 @@ def test_checkpoint_version_and_kind_checked(tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["kind"] == "mtgnn"
 
-    doc_bad = dict(doc)
-    doc_bad["format_version"] = 99
-    bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(doc_bad), encoding="utf-8")
-    with pytest.raises(DataError):
-        MtgnnModel.load(bad_path)
+    for version in (1, 99):
+        doc_bad = dict(doc)
+        doc_bad["format_version"] = version
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc_bad), encoding="utf-8")
+        with pytest.raises(DataError):
+            MtgnnModel.load(bad_path)
+
+
+def test_checkpoint_names_stacked_parameters(tmp_path):
+    cfg = tiny_config()
+    state = MtgnnModel(cfg, Rng(13)).state_dict()
+    C, K, S = cfg.conv_channels, cfg.kernel_size, 2 * (cfg.gc_depth + 1)
+    assert state["layer0.gated.w"].shape == (2 * C, cfg.residual_channels, K)
+    assert state["layer0.gated.b"].shape == (2 * C,)
+    assert state["layer0.mix.w"].shape == (S, C, cfg.residual_channels)
+
+
+@pytest.mark.parametrize("damage", ["no_shape", "no_data", "wrong_length"])
+def test_malformed_checkpoint_entry_is_a_data_error(tmp_path, damage):
+    import json
+    from marketgraph import DataError
+    path = tmp_path / "model.json"
+    MtgnnModel(tiny_config(), Rng(14)).save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    entry = doc["params"]["head2.w"]
+    if damage == "no_shape":
+        del entry["shape"]
+    elif damage == "no_data":
+        del entry["data"]
+    else:
+        entry["data"] = entry["data"][:-1]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="head2.w"):
+        MtgnnModel.load(path)
+
+
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
+    from marketgraph import save_checkpoint
+    path = tmp_path / "model.json"
+    model = MtgnnModel(tiny_config(), Rng(15))
+    model.save(path)
+    good = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_checkpoint(path, kind="mtgnn", config={}, params=model.state_dict(),
+                        extra={"not_json": object()})
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_load_state_dict_validates_names_and_shapes():

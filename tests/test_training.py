@@ -248,6 +248,31 @@ def test_comparison_isolates_model_failures():
     assert "ar" in result.errors and result.errors["ar"]
 
 
+def test_comparison_propagates_programming_errors(monkeypatch):
+    import marketgraph.training as training
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a model")
+
+    monkeypatch.setattr(training, "fit_ar_ensemble", broken)
+    spec = ComparisonSpec(train=TrainConfig(epochs=1, seed=0), include=("persistence", "ar"))
+    with pytest.raises(TypeError, match="bug in a model"):
+        run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+
+
+def test_comparison_records_divergence(monkeypatch):
+    import marketgraph.training as training
+
+    def diverged(*args, **kwargs):
+        raise TrainingDiverged(3)
+
+    monkeypatch.setattr(training, "fit_ar_ensemble", diverged)
+    spec = ComparisonSpec(train=TrainConfig(epochs=1, seed=0), include=("persistence", "ar"))
+    result = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert "persistence" in result.reports
+    assert result.errors == {"ar": "TrainingDiverged: non-finite loss at epoch 3"}
+
+
 def test_comparison_streams_do_not_depend_on_include_subset():
     pipeline = toy_pipeline()
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5)

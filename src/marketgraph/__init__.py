@@ -9,13 +9,13 @@ from .autodiff import (
     Rng, Tape, Tensor, abs_, add, add_bias, backward, causal_conv1d,
     channel_linear, dropout, grad_check, grad_check_params, graph_mix,
     last_step, log, matmul, mean, mix_hop, mul, neg, permute, relu, reshape,
-    row_normalize, set_debug, sigmoid, stack_last, sub, sum_, tanh,
-    tanh_sigmoid_gate, time_index, transpose,
+    row_normalize, sigmoid, stack_last, sub, sum_, tanh, tanh_sigmoid_gate,
+    time_index, transpose,
 )
 from .baselines import (
     ArEnsemble, ArModel, GruConfig, GruModel, GruParams, MlpSpec, TcnConfig,
-    TcnModel, VarMlpModel, fit_ar, fit_ar_ensemble, fit_gru, fit_tcn, fit_var,
-    fit_var_mlp, gru_cell, persistence_predictions, predict_ar,
+    TcnModel, VarMlpModel, fit_ar, fit_ar_ensemble, fit_var, fit_var_mlp,
+    gru_cell, persistence_predictions, predict_ar,
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
@@ -30,11 +30,10 @@ from .errors import (
     TapeError, TrainingDiverged,
 )
 from .graph import (
-    AdjacencyMatrix, DEFAULT_NODE_ORDER, G7_COUNTRIES, GraphLearnParams,
-    MINT_COUNTRIES, NodeEmbeddings, init_graph_learn_params,
-    init_node_embeddings, learn_adjacency, out_degree, rank_influence,
-    read_adjacency_csv, snapshot_adjacency, top_k_row_mask,
-    write_adjacency_csv,
+    AdjacencyMatrix, G7_COUNTRIES, GraphLearnParams, MINT_COUNTRIES,
+    NodeEmbeddings, init_graph_learn_params, init_node_embeddings,
+    learn_adjacency, out_degree, rank_influence, read_adjacency_csv,
+    snapshot_adjacency, top_k_row_mask, write_adjacency_csv,
 )
 from .metrics import (
     MetricsReport, average_ranks, dtw_distance, dtw_matrix, mae, mape,
@@ -42,8 +41,7 @@ from .metrics import (
     write_labeled_matrix_csv,
 )
 from .mtgnn import (
-    MtgnnConfig, MtgnnModel, gated_temporal_conv, mix_hop_graph_conv,
-    normalized_propagation_matrix,
+    MtgnnConfig, MtgnnModel, gated_temporal_conv, normalized_propagation_matrix,
 )
 from .optim import Adam, AdamState, adam_step, init_adam
 from .synthetic import SyntheticSystem, coupled_var_system, edge_precision
@@ -57,32 +55,31 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "AdamState", "AdjacencyMatrix", "ArEnsemble", "ArModel",
     "Checkpoint", "ComparisonResult", "ComparisonSpec", "ConfigError",
-    "DEFAULT_NODE_ORDER", "DataError", "DomainError", "EvalResult",
-    "G7_COUNTRIES", "GraphLearnParams", "GruConfig", "GruModel", "GruParams",
-    "MINT_COUNTRIES", "MarketGraphError", "MetricsReport", "MlpSpec",
-    "MtgnnConfig", "MtgnnModel", "NodeEmbeddings", "NormStats",
-    "PipelineResult", "RebaseRule", "Rng", "ShapeError", "SplitSpec",
-    "SyntheticSystem", "Tape", "TapeError", "TcnConfig", "TcnModel",
-    "Tensor", "TimeSeriesFrame", "TrainConfig", "TrainResult",
-    "TrainingDiverged", "VarMlpModel", "WindowSet", "WindowSpec", "abs_",
-    "add", "add_bias", "adam_step", "adjust_rebased_series", "average_ranks",
-    "backward", "causal_conv1d", "channel_linear", "chronological_split",
-    "compute_norm_stats", "coupled_var_system", "denormalize",
-    "denormalize_values", "descriptive_stats", "dropout", "dtw_distance",
-    "dtw_matrix", "edge_precision", "evaluate", "exp_transform", "fit_ar",
-    "fit_ar_ensemble", "fit_gru", "fit_tcn", "fit_var", "fit_var_mlp",
-    "frame_hash", "gated_temporal_conv", "grad_check", "grad_check_params",
-    "graph_mix", "gru_cell", "init_adam", "init_graph_learn_params",
-    "init_node_embeddings", "invert_predictions", "last_step",
-    "learn_adjacency", "load_checkpoint", "load_csv", "log", "log_transform",
-    "mae", "make_windows", "mape", "matmul", "mean", "mix_hop",
-    "mix_hop_graph_conv", "mul", "neg", "normalize",
-    "normalized_propagation_matrix", "out_degree",
-    "per_series_metrics", "permute", "persistence_predictions", "predict_ar",
-    "rank_influence", "read_adjacency_csv", "relu", "reshape", "rmse",
-    "row_normalize", "rse", "run_comparison", "run_pipeline",
-    "save_checkpoint", "set_debug", "sigmoid", "snapshot_adjacency",
-    "spearman", "spearman_matrix", "stack_last", "sub", "sum_", "tanh",
+    "DataError", "DomainError", "EvalResult", "G7_COUNTRIES",
+    "GraphLearnParams", "GruConfig", "GruModel", "GruParams", "MINT_COUNTRIES",
+    "MarketGraphError", "MetricsReport", "MlpSpec", "MtgnnConfig",
+    "MtgnnModel", "NodeEmbeddings", "NormStats", "PipelineResult",
+    "RebaseRule", "Rng", "ShapeError", "SplitSpec", "SyntheticSystem", "Tape",
+    "TapeError", "TcnConfig", "TcnModel", "Tensor", "TimeSeriesFrame",
+    "TrainConfig", "TrainResult", "TrainingDiverged", "VarMlpModel",
+    "WindowSet", "WindowSpec", "abs_", "add", "add_bias", "adam_step",
+    "adjust_rebased_series", "average_ranks", "backward", "causal_conv1d",
+    "channel_linear", "chronological_split", "compute_norm_stats",
+    "coupled_var_system", "denormalize", "denormalize_values",
+    "descriptive_stats", "dropout", "dtw_distance", "dtw_matrix",
+    "edge_precision", "evaluate", "exp_transform", "fit_ar", "fit_ar_ensemble",
+    "fit_var", "fit_var_mlp", "frame_hash", "gated_temporal_conv",
+    "grad_check", "grad_check_params", "graph_mix", "gru_cell", "init_adam",
+    "init_graph_learn_params", "init_node_embeddings", "invert_predictions",
+    "last_step", "learn_adjacency", "load_checkpoint", "load_csv", "log",
+    "log_transform", "mae", "make_windows", "mape", "matmul", "mean",
+    "mix_hop", "mul", "neg", "normalize", "normalized_propagation_matrix",
+    "out_degree", "per_series_metrics", "permute", "persistence_predictions",
+    "predict_ar", "rank_influence", "read_adjacency_csv", "relu", "reshape",
+    "rmse", "row_normalize", "rse", "run_comparison", "run_pipeline",
+    "save_checkpoint", "sigmoid", "snapshot_adjacency", "spearman",
+    "spearman_matrix", "stack_last", "sub", "sum_", "tanh",
     "tanh_sigmoid_gate", "time_index", "top_k_row_mask", "train", "transpose",
-    "write_adjacency_csv", "write_history_csv", "write_labeled_matrix_csv", "write_trace_csv",
+    "write_adjacency_csv", "write_history_csv", "write_labeled_matrix_csv",
+    "write_trace_csv",
 ]

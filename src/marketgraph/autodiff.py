@@ -17,14 +17,6 @@ from .errors import DomainError, ShapeError, TapeError
 
 _state = threading.local()
 
-_debug_checks = False
-
-
-def set_debug(enabled: bool) -> None:
-    """Toggle after-every-op finiteness checks (slow; meant for tests)."""
-    global _debug_checks
-    _debug_checks = enabled
-
 
 def _tape_stack() -> list:
     stack = getattr(_state, "tapes", None)
@@ -96,8 +88,6 @@ class Tensor:
         out.requires_grad = False
         out.grad = None
         out._tape = None
-        if _debug_checks and not np.all(np.isfinite(out.data)):
-            raise FloatingPointError("non-finite value produced by an op")
         return out
 
     @property

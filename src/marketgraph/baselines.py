@@ -6,7 +6,7 @@ than optimization differences.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ from .autodiff import (
     last_step, mean, permute, relu, reshape, sigmoid, stack_last, tanh,
     time_index,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import NeuralModel, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DomainError, ShapeError
 from .optim import Adam
 
@@ -341,40 +341,28 @@ class GruConfig:
             raise ConfigError("num_series, hidden_size, and horizon must be positive")
 
 
-class GruModel:
+class GruModel(NeuralModel):
     """Single-layer multivariate GRU with a linear readout of the final state."""
 
     kind = "gru"
+    config_class = GruConfig
 
     def __init__(self, config: GruConfig, rng: Rng):
-        self.config = config
+        super().__init__(config)
         n, h = config.num_series, config.hidden_size
         init = rng.split()
+        cell = {}
+        for gate in "zrh":
+            cell[f"w_{gate}"] = self.weight(init, f"cell.w_{gate}", (n, h), n)
+            cell[f"u_{gate}"] = self.weight(init, f"cell.u_{gate}", (h, h), h)
+            cell[f"b_{gate}"] = self.bias(f"cell.b_{gate}", h)
+        self.cell = GruParams(**cell)
+        self.read_w = self.weight(init, "read.w", (h, n), h)
+        self.read_b = self.bias("read.b", n)
 
-        def w(shape, fan):
-            return Tensor(init.normal(shape, 1.0 / np.sqrt(fan)), requires_grad=True)
-
-        def b(width):
-            return Tensor(np.zeros(width), requires_grad=True)
-
-        self.cell = GruParams(
-            w_z=w((n, h), n), u_z=w((h, h), h), b_z=b(h),
-            w_r=w((n, h), n), u_r=w((h, h), h), b_r=b(h),
-            w_h=w((n, h), n), u_h=w((h, h), h), b_h=b(h),
-        )
-        self.read_w = w((h, n), h)
-        self.read_b = b(n)
-        self._names = {
-            "cell.w_z": self.cell.w_z, "cell.u_z": self.cell.u_z, "cell.b_z": self.cell.b_z,
-            "cell.w_r": self.cell.w_r, "cell.u_r": self.cell.u_r, "cell.b_r": self.cell.b_r,
-            "cell.w_h": self.cell.w_h, "cell.u_h": self.cell.u_h, "cell.b_h": self.cell.b_h,
-            "read.w": self.read_w, "read.b": self.read_b,
-        }
-
-    def parameters(self) -> list[Tensor]:
-        return list(self._names.values())
-
-    def forward_batch(self, x, training: bool = False, rng: Rng | None = None) -> Tensor:
+    def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
+                      collect: list | None = None) -> Tensor:
+        """[B, N, P] -> [B, N, Q]; collects the hidden state after each input step."""
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         if x.ndim != 3 or x.shape[1] != self.config.num_series:
@@ -383,41 +371,13 @@ class GruModel:
         h = Tensor(np.zeros((B, self.config.hidden_size)))
         for t in range(P):
             h = gru_cell(time_index(x, t), h, self.cell)
+            if collect is not None:
+                collect.append(h)
         preds = [add_bias(h @ self.read_w, self.read_b, 1)]
         for _ in range(1, self.config.horizon):
             h = gru_cell(preds[-1], h, self.cell)
             preds.append(add_bias(h @ self.read_w, self.read_b, 1))
         return stack_last(preds)
-
-    def predict_windows(self, x: np.ndarray, horizon: int | None = None,
-                        chunk: int = 256) -> np.ndarray:
-        if horizon is not None and horizon != self.config.horizon:
-            raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
-        x = np.asarray(x, dtype=np.float64)
-        parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
-        return np.concatenate(parts, axis=0)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self._names.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for k, t in self._names.items():
-            arr = np.asarray(state[k], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"{k}: shape {arr.shape} does not match {t.data.shape}")
-            t.data = arr.copy()
-
-    def save(self, path) -> None:
-        save_checkpoint(path, kind=self.kind, config=asdict(self.config), params=self.state_dict())
-
-    @classmethod
-    def load(cls, path) -> "GruModel":
-        ckpt = load_checkpoint(path)
-        if ckpt.kind != cls.kind:
-            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {cls.kind}")
-        model = cls(GruConfig(**ckpt.config), Rng(0))
-        model.load_state_dict(ckpt.params)
-        return model
 
 
 # -- temporal convolutional network ---------------------------------------------
@@ -444,44 +404,38 @@ class TcnConfig:
         return 1 + (self.kernel_size - 1) * sum(self.dilations)
 
 
-class TcnModel:
+class TcnModel(NeuralModel):
     """Stacked residual blocks of dilated causal convolutions, shared across series."""
 
     kind = "tcn"
+    config_class = TcnConfig
 
     def __init__(self, config: TcnConfig, rng: Rng):
         dil = config.dilations
         if any(b <= a for a, b in zip(dil, dil[1:])):
             raise ConfigError(f"dilations must strictly increase, got {dil}")
-        self.config = config
+        super().__init__(config)
         c, K = config.channels, config.kernel_size
         init = rng.split()
-
-        def w(shape, fan):
-            return Tensor(init.normal(shape, 1.0 / np.sqrt(fan)), requires_grad=True)
-
-        def b(width):
-            return Tensor(np.zeros(width), requires_grad=True)
-
-        self.start_w = w((1, c), 1)
-        self.start_b = b(c)
-        self.blocks = [{"dilation": d, "w": w((c, c, K), c * K), "b": b(c)} for d in dil]
-        self.head_w = w((c, config.horizon), c)
-        self.head_b = b(config.horizon)
-        self._names = {"start.w": self.start_w, "start.b": self.start_b,
-                       "head.w": self.head_w, "head.b": self.head_b}
-        for i, blk in enumerate(self.blocks):
-            self._names[f"block{i}.w"] = blk["w"]
-            self._names[f"block{i}.b"] = blk["b"]
+        self.start_w = self.weight(init, "start.w", (1, c), 1)
+        self.start_b = self.bias("start.b", c)
+        # Block kernels are drawn before the head but registered after it,
+        # which fixes both the initial values and the checkpoint entry order.
+        kernels = [init.normal((c, c, K), 1.0 / np.sqrt(c * K)) for _ in dil]
+        self.head_w = self.weight(init, "head.w", (c, config.horizon), c)
+        self.head_b = self.bias("head.b", config.horizon)
+        self.blocks = [{"dilation": d,
+                        "w": self.register(f"block{i}.w", Tensor(k, requires_grad=True)),
+                        "b": self.bias(f"block{i}.b", c)}
+                       for i, (d, k) in enumerate(zip(dil, kernels))]
 
     @property
     def receptive_field(self) -> int:
         return self.config.receptive_field
 
-    def parameters(self) -> list[Tensor]:
-        return list(self._names.values())
-
-    def forward_batch(self, x, training: bool = False, rng: Rng | None = None) -> Tensor:
+    def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
+                      collect: list | None = None) -> Tensor:
+        """[B, N, P] -> [B, N, Q]; collects each block's residual state."""
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         if x.ndim != 3:
@@ -493,53 +447,10 @@ class TcnModel:
         for blk in self.blocks:
             h = relu(add_bias(causal_conv1d(v, blk["w"], blk["dilation"]), blk["b"], 1))
             v = h + v
+            if collect is not None:
+                collect.append(v)
         out = add_bias(channel_linear(last_step(v), self.head_w), self.head_b, 1)
         return permute(out, (0, 2, 1))
-
-    def temporal_features(self, x) -> list[np.ndarray]:
-        """Per-block residual states, for causality inspection."""
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
-        if x.ndim == 2:
-            x = reshape(x, (1, x.shape[0], x.shape[1]))
-        B, N, P = x.shape
-        v = add_bias(channel_linear(reshape(x, (B, 1, N, P)), self.start_w), self.start_b, 1)
-        collected = []
-        for blk in self.blocks:
-            h = relu(add_bias(causal_conv1d(v, blk["w"], blk["dilation"]), blk["b"], 1))
-            v = h + v
-            collected.append(v.data.copy())
-        return collected
-
-    def predict_windows(self, x: np.ndarray, horizon: int | None = None,
-                        chunk: int = 256) -> np.ndarray:
-        if horizon is not None and horizon != self.config.horizon:
-            raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
-        x = np.asarray(x, dtype=np.float64)
-        parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
-        return np.concatenate(parts, axis=0)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self._names.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for k, t in self._names.items():
-            arr = np.asarray(state[k], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"{k}: shape {arr.shape} does not match {t.data.shape}")
-            t.data = arr.copy()
-
-    def save(self, path) -> None:
-        save_checkpoint(path, kind=self.kind, config=asdict(self.config), params=self.state_dict())
-
-    @classmethod
-    def load(cls, path) -> "TcnModel":
-        ckpt = load_checkpoint(path)
-        if ckpt.kind != cls.kind:
-            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {cls.kind}")
-        model = cls(TcnConfig(**ckpt.config), Rng(0))
-        model.load_state_dict(ckpt.params)
-        return model
 
 
 # -- naive floor ---------------------------------------------------------------
@@ -551,20 +462,3 @@ def persistence_predictions(x: np.ndarray, horizon: int = 1) -> np.ndarray:
         raise ShapeError(f"expected [batch, series, steps] windows, got {x.shape}")
     return np.repeat(x[:, :, -1:], horizon, axis=2)
 
-
-def fit_gru(train_windows, val_windows, gru_config: GruConfig, train_config,
-            rng: Rng):
-    """Train a GRU with the shared mini-batch harness; returns (model, history)."""
-    from .training import train
-    model = GruModel(gru_config, rng.split())
-    result = train(model, train_windows, val_windows, train_config, rng=rng.split())
-    return result.model, result.history
-
-
-def fit_tcn(train_windows, val_windows, tcn_config: TcnConfig, train_config,
-            rng: Rng):
-    """Train a TCN with the shared mini-batch harness; returns (model, history)."""
-    from .training import train
-    model = TcnModel(tcn_config, rng.split())
-    result = train(model, train_windows, val_windows, train_config, rng=rng.split())
-    return result.model, result.history

@@ -1,13 +1,15 @@
-"""Self-describing JSON checkpoint container shared by every model kind."""
+"""Self-describing JSON checkpoint container shared by every model kind, and
+the parameter-registry base of the gradient-trained models."""
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .autodiff import Rng, Tensor, reshape
+from .errors import ConfigError, DataError, ShapeError
 
 FORMAT_VERSION = 2
 
@@ -70,3 +72,101 @@ def load_checkpoint(path) -> Checkpoint:
                             f"{type(exc).__name__}: {exc}") from None
     return Checkpoint(kind=doc["kind"], config=doc["config"], params=params,
                       extra=doc.get("extra", {}))
+
+
+class NeuralModel:
+    """Named parameters, strict state loading, chunked prediction and
+    checkpoint save/load for the gradient-trained models.
+
+    A subclass sets `kind`, `config_class` (a dataclass with a `horizon`
+    field) and `predict_chunk`, takes `(config, rng)` in its constructor,
+    registers every learnable tensor while building itself, and defines
+    `forward_batch(x, training, rng, collect)`, which appends the per-layer
+    states worth inspecting to `collect` when it is a list.
+    """
+
+    kind: str
+    config_class: type
+    predict_chunk = 256
+
+    def __init__(self, config):
+        self.config = config
+        self._params: dict[str, Tensor] = {}
+
+    def register(self, name: str, t: Tensor) -> Tensor:
+        if name in self._params:
+            raise ConfigError(f"duplicate parameter name {name!r}")
+        self._params[name] = t
+        return t
+
+    def weight(self, init: Rng, name: str, shape, fan_in: int) -> Tensor:
+        """A N(0, 1/fan_in) draw from `init`, registered under `name`."""
+        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)),
+                                          requires_grad=True))
+
+    def bias(self, name: str, width: int) -> Tensor:
+        return self.register(name, Tensor(np.zeros(width), requires_grad=True))
+
+    def parameters(self) -> list[Tensor]:
+        return list(self._params.values())
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return dict(self._params)
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {name: t.data.copy() for name, t in self._params.items()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        missing = set(self._params) - set(state)
+        surplus = set(state) - set(self._params)
+        if missing or surplus:
+            raise ShapeError(f"parameter names do not match (missing {sorted(missing)}, surplus {sorted(surplus)})")
+        for name, t in self._params.items():
+            arr = np.asarray(state[name], dtype=np.float64)
+            if arr.shape != t.data.shape:
+                raise ShapeError(f"{name}: shape {arr.shape} does not match {t.data.shape}")
+            t.data = arr.copy()
+
+    def predict_windows(self, x: np.ndarray, horizon: int | None = None,
+                        chunk: int | None = None) -> np.ndarray:
+        """Eval-mode predictions for stacked windows [B, N, P] -> [B, N, Q]."""
+        if horizon is not None and horizon != self.config.horizon:
+            raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
+        x = np.asarray(x, dtype=np.float64)
+        chunk = chunk or self.predict_chunk
+        parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
+        return np.concatenate(parts, axis=0)
+
+    def temporal_features(self, x) -> list[np.ndarray]:
+        """Eval-mode per-layer states for [N, P] or [B, N, P] input, for causality inspection."""
+        if isinstance(x, np.ndarray):
+            x = Tensor(x)
+        if x.ndim == 2:
+            x = reshape(x, (1, x.shape[0], x.shape[1]))
+        collected: list[Tensor] = []
+        self.forward_batch(x, collect=collected)
+        return [t.data.copy() for t in collected]
+
+    def save(self, path, extra: dict | None = None) -> None:
+        save_checkpoint(path, kind=self.kind, config=asdict(self.config),
+                        params=self.state_dict(), extra=extra)
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_checkpoint(load_checkpoint(path), path)
+
+    @classmethod
+    def from_checkpoint(cls, ckpt: Checkpoint, path):
+        """Rebuild a model from a parsed checkpoint; `path` names it in errors."""
+        if ckpt.kind != cls.kind:
+            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {cls.kind}")
+        try:
+            config = cls.config_class(**ckpt.config)
+        except (TypeError, ConfigError) as exc:
+            raise DataError(f"{path}: unusable {cls.kind} checkpoint config: {exc}") from None
+        model = cls(config, Rng(0))
+        try:
+            model.load_state_dict(ckpt.params)
+        except ShapeError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        return model

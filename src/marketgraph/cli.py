@@ -13,13 +13,15 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Rng
+from .baselines import MlpSpec
 from .charts import svg_heatmap, svg_line_chart
+from .checkpoint import load_checkpoint
 from .data import (
     RebaseRule, SplitSpec, WindowSpec, adjust_rebased_series, descriptive_stats,
     load_csv, log_transform, make_windows, normalize, run_pipeline,
@@ -31,12 +33,11 @@ from .graph import (
     write_adjacency_csv,
 )
 from .metrics import dtw_matrix, spearman_matrix, write_labeled_matrix_csv
-from .mtgnn import MtgnnConfig, MtgnnModel
+from .mtgnn import MtgnnModel
 from .training import (
-    ComparisonSpec, TrainConfig, evaluate, run_comparison, train,
+    MODEL_BUILDERS, ComparisonSpec, TrainConfig, evaluate, run_comparison,
     write_history_csv, write_trace_csv,
 )
-from .baselines import MlpSpec
 
 _MODEL_OVERRIDE_KEYS = {
     "num_layers", "conv_channels", "residual_channels", "skip_channels",
@@ -156,21 +157,12 @@ def _require_dataset(cfg: RunConfig) -> str:
 
 
 def _comparison_spec(cfg: RunConfig, train_cfg: TrainConfig) -> ComparisonSpec:
-    b = cfg.baselines
-    mlp = MlpSpec(hidden=b.get("mlp_hidden", 32), epochs=b.get("mlp_epochs", 100))
-    kwargs = {
-        "train": train_cfg,
-        "ar_order": b.get("ar_order", 5),
-        "var_order": b.get("var_order", 5),
-        "mlp": mlp,
-        "gru_hidden": b.get("gru_hidden", 64),
-        "tcn_channels": b.get("tcn_channels", 16),
-        "tcn_blocks": b.get("tcn_blocks", 3),
-        "mtgnn": dict(cfg.model),
-    }
-    if "include" in b:
-        kwargs["include"] = tuple(b["include"])
-    return ComparisonSpec(**kwargs)
+    """Pass on only the keys the document sets; the defaults live in the specs."""
+    mlp = MlpSpec(**{k[len("mlp_"):]: v for k, v in cfg.baselines.items() if k.startswith("mlp_")})
+    given = {k: v for k, v in cfg.baselines.items() if not k.startswith("mlp_")}
+    if "include" in given:
+        given["include"] = tuple(given["include"])
+    return ComparisonSpec(train=train_cfg, mlp=mlp, mtgnn=dict(cfg.model), **given)
 
 
 # -- commands ------------------------------------------------------------------
@@ -223,26 +215,16 @@ def cmd_train(args) -> int:
     cfg = parse_run_config(args.config)
     dataset = _require_dataset(cfg)
     seed = _resolve_seed(cfg.seed)
-    train_cfg = TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-                            loss=cfg.train.loss, learning_rate=cfg.train.learning_rate,
-                            l2_coefficient=cfg.train.l2_coefficient, seed=seed)
+    train_cfg = replace(cfg.train, seed=seed)
     out = _out_dir(args.out)
 
     pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
     labels = pipeline.train.columns
-    model_cfg = MtgnnConfig(num_nodes=len(labels), input_window=cfg.window.P,
-                            horizon=cfg.window.Q, **cfg.model)
-    root = Rng(seed)
-    model = MtgnnModel(model_cfg, root.split())
-    result = train(model, pipeline.train_windows, pipeline.validation_windows,
-                   train_cfg, rng=root.split(), labels=labels)
+    spec = ComparisonSpec(train=train_cfg, mtgnn=dict(cfg.model))
+    model, result, _ = MODEL_BUILDERS["mtgnn"](pipeline, cfg.window, spec, Rng(seed))
 
     ckpt_path = out / "checkpoint.json"
-    from .checkpoint import save_checkpoint
-    from dataclasses import asdict
-    save_checkpoint(ckpt_path, kind="mtgnn", config=asdict(model_cfg),
-                    params=result.model.state_dict(),
-                    extra=_checkpoint_extra(pipeline, cfg))
+    model.save(ckpt_path, extra=_checkpoint_extra(pipeline, cfg))
     _emit(ckpt_path)
 
     hist_path = out / "history.csv"
@@ -253,15 +235,12 @@ def cmd_train(args) -> int:
     write_adjacency_csv(result.adjacency, adj_path)
     _emit(adj_path)
 
-    eval_result = evaluate(result.model, pipeline.test_windows, pipeline.stats, labels,
+    eval_result = evaluate(model, pipeline.test_windows, pipeline.stats, labels,
                            seed=seed, config={"epochs": train_cfg.epochs})
     report_path = out / "report.json"
     report_path.write_text(json.dumps({
         "pipeline": pipeline.report,
-        "train": {"epochs": train_cfg.epochs, "batch_size": train_cfg.batch_size,
-                  "loss": train_cfg.loss, "learning_rate": train_cfg.learning_rate,
-                  "l2_coefficient": train_cfg.l2_coefficient, "seed": seed,
-                  "best_epoch": result.best_epoch},
+        "train": {**asdict(train_cfg), "best_epoch": result.best_epoch},
         "test_metrics": eval_result.report.to_dict(),
     }, indent=2), encoding="utf-8")
     _emit(report_path)
@@ -272,9 +251,7 @@ def cmd_compare(args) -> int:
     cfg = parse_run_config(args.config)
     dataset = _require_dataset(cfg)
     seed = _resolve_seed(cfg.seed)
-    train_cfg = TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-                            loss=cfg.train.loss, learning_rate=cfg.train.learning_rate,
-                            l2_coefficient=cfg.train.l2_coefficient, seed=seed)
+    train_cfg = replace(cfg.train, seed=seed)
     out = _out_dir(args.out)
 
     pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
@@ -304,9 +281,9 @@ def cmd_influence(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model = MtgnnModel.load(args.checkpoint)
-    from .checkpoint import load_checkpoint
-    extra = load_checkpoint(args.checkpoint).extra
+    ckpt = load_checkpoint(args.checkpoint)
+    model = MtgnnModel.from_checkpoint(ckpt, args.checkpoint)
+    extra = ckpt.extra
     for key in ("labels", "norm_stats", "window"):
         if key not in extra:
             raise ConfigError(f"{args.checkpoint}: checkpoint lacks {key!r} metadata; "
@@ -407,13 +384,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MarketGraphError as exc:

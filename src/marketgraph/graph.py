@@ -10,10 +10,6 @@ import numpy as np
 from .autodiff import Rng, Tensor, mul, relu, tanh, transpose
 from .errors import DataError, DomainError, ShapeError
 
-DEFAULT_NODE_ORDER = (
-    "Italy", "Türkiye", "France", "UK", "Germany", "US",
-    "Canada", "Indonesia", "Mexico", "Japan", "Nigeria",
-)
 G7_COUNTRIES = ("Italy", "France", "UK", "Germany", "US", "Canada", "Japan")
 MINT_COUNTRIES = ("Mexico", "Indonesia", "Nigeria", "Türkiye")
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -198,9 +197,6 @@ class MetricsReport:
             "split": self.split,
             "seed": self.seed,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render_table(self) -> str:
         """Fixed-width text table; MAPE shown as a one-decimal percentage."""

@@ -18,10 +18,10 @@ from .autodiff import (
     matmul, mix_hop, mul, permute, relu, reshape, row_normalize, stack_last,
     tanh_sigmoid_gate,
 )
+from .checkpoint import NeuralModel
 from .errors import ConfigError, ShapeError
 from .graph import (
-    AdjacencyMatrix, GraphLearnParams, NodeEmbeddings, init_graph_learn_params,
-    init_node_embeddings, learn_adjacency,
+    AdjacencyMatrix, init_graph_learn_params, init_node_embeddings, learn_adjacency,
 )
 
 
@@ -117,35 +117,6 @@ def normalized_propagation_matrix(a) -> Tensor:
     return row_normalize(a + Tensor(np.eye(a.shape[0])))
 
 
-def mix_hop_graph_conv(h: Tensor, a, depth: int, beta: float,
-                       weights: Sequence[Tensor]) -> Tensor:
-    """Mix-hop propagation over the graph; accepts [N, C] or [B, C, N, T] features.
-
-    weights holds one [C, D] matrix per hop, depth + 1 in all.
-    """
-    if depth < 0:
-        raise ConfigError(f"depth must be nonnegative, got {depth}")
-    if len(weights) != depth + 1:
-        raise ShapeError(f"need {depth + 1} hop weights, got {len(weights)}")
-    a_norm = normalized_propagation_matrix(a)
-    n = a_norm.shape[0]
-    props = hop_stack([a_norm], depth, beta)
-    w = permute(stack_last(list(weights)), (2, 0, 1))
-    if isinstance(h, np.ndarray):
-        h = Tensor(h)
-    if h.ndim == 2:
-        if h.shape[0] != n:
-            raise ShapeError(f"{h.shape[0]} feature rows vs {n} nodes")
-        wide = reshape(permute(h, (1, 0)), (1, h.shape[1], n, 1))
-        out = _mix_hop_core(wide, props, w)
-        return permute(reshape(out, (out.shape[1], n)), (1, 0))
-    if h.ndim == 4:
-        if h.shape[2] != n:
-            raise ShapeError(f"node axis of {h.shape} vs {n} nodes")
-        return _mix_hop_core(h, props, w)
-    raise ShapeError(f"expected [N, C] or [B, C, N, T] features, got {h.shape}")
-
-
 def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int,
                         bias: Tensor | None = None) -> Tensor:
     """tanh(filter) * sigmoid(gate) from one causal, dilated convolution.
@@ -162,38 +133,28 @@ def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int,
     return reshape(out, (out.shape[1], x.shape[1])) if x.ndim == 2 else out
 
 
-class MtgnnModel:
+class MtgnnModel(NeuralModel):
     """The full network; owns every learnable tensor, keyed by name."""
 
     kind = "mtgnn"
+    config_class = MtgnnConfig
+    predict_chunk = 64
 
     def __init__(self, config: MtgnnConfig, rng: Rng):
-        self.config = config
+        super().__init__(config)
         c = config
-        self._params: dict[str, Tensor] = {}
 
         self.embeddings = init_node_embeddings(c.num_nodes, c.embedding_dim, rng.split())
         self.graph_params = init_graph_learn_params(c.embedding_dim, rng.split(),
                                                     alpha=c.alpha, k=c.sparsity)
-        self._add("emb.e1", self.embeddings.e1)
-        self._add("emb.e2", self.embeddings.e2)
-        self._add("graph.theta1", self.graph_params.theta1)
-        self._add("graph.theta2", self.graph_params.theta2)
+        self.register("emb.e1", self.embeddings.e1)
+        self.register("emb.e2", self.embeddings.e2)
+        self.register("graph.theta1", self.graph_params.theta1)
+        self.register("graph.theta2", self.graph_params.theta2)
 
         init = rng.split()
-
-        def weight(name, shape, fan_in):
-            t = Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)), requires_grad=True)
-            self._add(name, t)
-            return t
-
-        def bias(name, width):
-            t = Tensor(np.zeros(width), requires_grad=True)
-            self._add(name, t)
-            return t
-
-        self.start_w = weight("start.w", (1, c.residual_channels), 1)
-        self.start_b = bias("start.b", c.residual_channels)
+        self.start_w = self.weight(init, "start.w", (1, c.residual_channels), 1)
+        self.start_b = self.bias("start.b", c.residual_channels)
 
         self.layers = []
         K = c.kernel_size
@@ -202,53 +163,36 @@ class MtgnnModel:
             # separate filter/gate and per-hop draws would.
             layer = {
                 "dilation": dil,
-                "gated.w": weight(f"layer{i}.gated.w", (2 * c.conv_channels, c.residual_channels, K),
-                                  c.residual_channels * K),
-                "gated.b": bias(f"layer{i}.gated.b", 2 * c.conv_channels),
-                "skip.w": weight(f"layer{i}.skip.w", (c.conv_channels, c.skip_channels), c.conv_channels),
+                "gated.w": self.weight(init, f"layer{i}.gated.w",
+                                       (2 * c.conv_channels, c.residual_channels, K),
+                                       c.residual_channels * K),
+                "gated.b": self.bias(f"layer{i}.gated.b", 2 * c.conv_channels),
+                "skip.w": self.weight(init, f"layer{i}.skip.w", (c.conv_channels, c.skip_channels),
+                                      c.conv_channels),
                 # forward hops 0..gc_depth, then backward hops 0..gc_depth
-                "mix.w": weight(f"layer{i}.mix.w", (2 * (c.gc_depth + 1), c.conv_channels,
-                                                    c.residual_channels), c.conv_channels),
+                "mix.w": self.weight(init, f"layer{i}.mix.w",
+                                     (2 * (c.gc_depth + 1), c.conv_channels, c.residual_channels),
+                                     c.conv_channels),
             }
             self.layers.append(layer)
 
-        self.skip_end_w = weight("skip_end.w", (c.residual_channels, c.skip_channels), c.residual_channels)
-        self.head1_w = weight("head1.w", (c.skip_channels, c.skip_channels), c.skip_channels)
-        self.head1_b = bias("head1.b", c.skip_channels)
-        self.head2_w = weight("head2.w", (c.skip_channels, c.horizon), c.skip_channels)
-        self.head2_b = bias("head2.b", c.horizon)
-
-    def _add(self, name: str, t: Tensor) -> None:
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        self._params[name] = t
-
-    def parameters(self) -> list[Tensor]:
-        return list(self._params.values())
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        surplus = set(state) - set(self._params)
-        if missing or surplus:
-            raise ShapeError(f"parameter names do not match (missing {sorted(missing)}, surplus {sorted(surplus)})")
-        for name, t in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"{name}: shape {arr.shape} does not match {t.data.shape}")
-            t.data = arr.copy()
+        self.skip_end_w = self.weight(init, "skip_end.w", (c.residual_channels, c.skip_channels),
+                                      c.residual_channels)
+        self.head1_w = self.weight(init, "head1.w", (c.skip_channels, c.skip_channels), c.skip_channels)
+        self.head1_b = self.bias("head1.b", c.skip_channels)
+        self.head2_w = self.weight(init, "head2.w", (c.skip_channels, c.horizon), c.skip_channels)
+        self.head2_b = self.bias("head2.b", c.horizon)
 
     def adjacency(self) -> Tensor:
         """Current belief about the series graph, recomputed from embeddings."""
         return learn_adjacency(self.embeddings, self.graph_params)
 
-    def _run(self, x: Tensor, training: bool, rng: Rng | None,
-             collect: list | None = None) -> Tensor:
+    def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
+                      collect: list | None = None) -> Tensor:
+        """[B, N, P] normalized inputs -> [B, N, Q] predictions; collects each
+        layer's gated-convolution output."""
+        if isinstance(x, np.ndarray):
+            x = Tensor(x)
         c = self.config
         if x.ndim != 3:
             raise ShapeError(f"expected [batch, nodes, steps] input, got {x.shape}")
@@ -283,12 +227,6 @@ class MtgnnModel:
         out = add_bias(channel_linear(out, self.head2_w), self.head2_b, 1)
         return permute(out, (0, 2, 1))
 
-    def forward_batch(self, x, training: bool = False, rng: Rng | None = None) -> Tensor:
-        """[B, N, P] normalized inputs -> [B, N, Q] predictions."""
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
-        return self._run(x, training, rng)
-
     def forward(self, x) -> Tensor:
         """[N, P] -> [N, Q], eval mode (deterministic)."""
         if isinstance(x, np.ndarray):
@@ -296,39 +234,5 @@ class MtgnnModel:
         if x.ndim != 2:
             raise ShapeError(f"expected [nodes, steps] input, got {x.shape}")
         N, P = x.shape
-        out = self._run(reshape(x, (1, N, P)), training=False, rng=None)
+        out = self.forward_batch(reshape(x, (1, N, P)))
         return reshape(out, (N, self.config.horizon))
-
-    def temporal_features(self, x) -> list[np.ndarray]:
-        """Per-layer gated-convolution outputs, for causality inspection."""
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
-        if x.ndim == 2:
-            x = reshape(x, (1, x.shape[0], x.shape[1]))
-        collected: list[Tensor] = []
-        self._run(x, training=False, rng=None, collect=collected)
-        return [t.data.copy() for t in collected]
-
-    def predict_windows(self, x: np.ndarray, horizon: int | None = None,
-                        chunk: int = 64) -> np.ndarray:
-        """Eval-mode predictions for stacked windows [B, N, P] -> [B, N, Q]."""
-        if horizon is not None and horizon != self.config.horizon:
-            raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
-        x = np.asarray(x, dtype=np.float64)
-        parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
-        return np.concatenate(parts, axis=0)
-
-    def save(self, path) -> None:
-        from dataclasses import asdict
-        from .checkpoint import save_checkpoint
-        save_checkpoint(path, kind="mtgnn", config=asdict(self.config), params=self.state_dict())
-
-    @classmethod
-    def load(cls, path) -> "MtgnnModel":
-        from .checkpoint import load_checkpoint
-        ckpt = load_checkpoint(path)
-        if ckpt.kind != "mtgnn":
-            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not mtgnn")
-        model = cls(MtgnnConfig(**ckpt.config), Rng(0))
-        model.load_state_dict(ckpt.params)
-        return model

@@ -152,10 +152,7 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
         raise DataError("empty evaluation window set")
     labels = tuple(labels) if labels is not None else tuple(stats.columns)
     horizon = windows.y.shape[2]
-    if hasattr(model, "predict_windows"):
-        pred = model.predict_windows(windows.x, horizon=horizon)
-    else:
-        pred = model.forward_batch(windows.x).data
+    pred = model.predict_windows(windows.x, horizon=horizon)
     if pred.shape != windows.y.shape:
         raise DataError(f"prediction shape {pred.shape} does not match targets {windows.y.shape}")
 
@@ -190,6 +187,64 @@ class _PersistenceModel:
         return persistence_predictions(x, horizon or self.horizon)
 
 
+# -- model builders ---------------------------------------------------------------
+#
+# Each builder fits one model kind on the pipeline's training split and
+# returns (model, TrainResult or None, the config recorded in its report).
+# `rng` is that kind's own stream; gradient-trained kinds split it once for
+# initialization, then once for training.
+
+def _build_persistence(pipeline, window, spec, rng):
+    return _PersistenceModel(window.Q), None, {}
+
+
+def _build_ar(pipeline, window, spec, rng):
+    return fit_ar_ensemble(pipeline.train.values, spec.ar_order), None, {"order": spec.ar_order}
+
+
+def _build_var_mlp(pipeline, window, spec, rng):
+    model = fit_var_mlp(pipeline.train.values, spec.var_order, spec.mlp, rng)
+    return model, None, {"order": spec.var_order, "hidden": spec.mlp.hidden,
+                         "epochs": spec.mlp.epochs}
+
+
+def _train_new(model_class, config, pipeline, spec, rng) -> TrainResult:
+    return train(model_class(config, rng.split()), pipeline.train_windows,
+                 pipeline.validation_windows, spec.train, rng=rng.split(),
+                 labels=pipeline.train.columns)
+
+
+def _build_gru(pipeline, window, spec, rng):
+    config = GruConfig(num_series=len(pipeline.train.columns), hidden_size=spec.gru_hidden,
+                       horizon=window.Q)
+    result = _train_new(GruModel, config, pipeline, spec, rng)
+    return result.model, result, {"hidden": spec.gru_hidden}
+
+
+def _build_tcn(pipeline, window, spec, rng):
+    config = TcnConfig(channels=spec.tcn_channels, num_blocks=spec.tcn_blocks, horizon=window.Q)
+    result = _train_new(TcnModel, config, pipeline, spec, rng)
+    return result.model, result, {"channels": spec.tcn_channels, "blocks": spec.tcn_blocks}
+
+
+def _build_mtgnn(pipeline, window, spec, rng):
+    config = MtgnnConfig(num_nodes=len(pipeline.train.columns), input_window=window.P,
+                         horizon=window.Q, **spec.mtgnn)
+    result = _train_new(MtgnnModel, config, pipeline, spec, rng)
+    return result.model, result, {k: v for k, v in asdict(config).items() if k != "num_nodes"}
+
+
+# The only list of model kinds; its order is also the stream spawn order.
+MODEL_BUILDERS = {
+    "persistence": _build_persistence,
+    "ar": _build_ar,
+    "var_mlp": _build_var_mlp,
+    "gru": _build_gru,
+    "tcn": _build_tcn,
+    "mtgnn": _build_mtgnn,
+}
+
+
 @dataclass(frozen=True)
 class ComparisonSpec:
     """Which models to run and with what knobs; shared training protocol."""
@@ -202,11 +257,10 @@ class ComparisonSpec:
     tcn_channels: int = 16
     tcn_blocks: int = 3
     mtgnn: dict = field(default_factory=dict)
-    include: tuple[str, ...] = ("persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn")
+    include: tuple[str, ...] = tuple(MODEL_BUILDERS)
 
     def __post_init__(self):
-        known = {"persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn"}
-        bad = set(self.include) - known
+        bad = set(self.include) - set(MODEL_BUILDERS)
         if bad:
             raise ConfigError(f"unknown model kind(s) in include: {sorted(bad)}")
 
@@ -274,57 +328,21 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
     bug and propagates.
     """
     labels = pipeline.train.columns
-    n = len(labels)
     root = Rng(spec.train.seed)
     # Fixed spawn order keeps per-model streams stable however `include` is set.
-    streams = {name: root.split() for name in ("persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn")}
+    streams = {name: root.split() for name in MODEL_BUILDERS}
 
     reports: dict[str, MetricsReport] = {}
     errors: dict[str, str] = {}
     histories: dict[str, list[dict]] = {}
-
-    def score(name, model, extra_config=None):
-        result = evaluate(model, pipeline.test_windows, pipeline.stats, labels,
-                          seed=spec.train.seed, config=extra_config or {})
-        reports[name] = result.report
-
     for name in spec.include:
         try:
-            if name == "persistence":
-                score(name, _PersistenceModel(window_spec.Q))
-            elif name == "ar":
-                model = fit_ar_ensemble(pipeline.train.values, spec.ar_order)
-                score(name, model, {"order": spec.ar_order})
-            elif name == "var_mlp":
-                model = fit_var_mlp(pipeline.train.values, spec.var_order, spec.mlp,
-                                    streams[name])
-                score(name, model, {"order": spec.var_order, "hidden": spec.mlp.hidden,
-                                    "epochs": spec.mlp.epochs})
-            elif name == "gru":
-                model = GruModel(GruConfig(num_series=n, hidden_size=spec.gru_hidden,
-                                           horizon=window_spec.Q), streams[name].split())
-                result = train(model, pipeline.train_windows, pipeline.validation_windows,
-                               spec.train, rng=streams[name].split())
+            model, result, report_config = MODEL_BUILDERS[name](pipeline, window_spec, spec,
+                                                                streams[name])
+            if result is not None:
                 histories[name] = result.history
-                score(name, result.model, {"hidden": spec.gru_hidden})
-            elif name == "tcn":
-                model = TcnModel(TcnConfig(channels=spec.tcn_channels,
-                                           num_blocks=spec.tcn_blocks,
-                                           horizon=window_spec.Q), streams[name].split())
-                result = train(model, pipeline.train_windows, pipeline.validation_windows,
-                               spec.train, rng=streams[name].split())
-                histories[name] = result.history
-                score(name, result.model, {"channels": spec.tcn_channels,
-                                           "blocks": spec.tcn_blocks})
-            elif name == "mtgnn":
-                cfg = MtgnnConfig(num_nodes=n, input_window=window_spec.P,
-                                  horizon=window_spec.Q, **spec.mtgnn)
-                model = MtgnnModel(cfg, streams[name].split())
-                result = train(model, pipeline.train_windows, pipeline.validation_windows,
-                               spec.train, rng=streams[name].split(), labels=labels)
-                histories[name] = result.history
-                score(name, result.model, {k: v for k, v in asdict(cfg).items()
-                                           if k != "num_nodes"})
+            reports[name] = evaluate(model, pipeline.test_windows, pipeline.stats, labels,
+                                     seed=spec.train.seed, config=report_config).report
         except (MarketGraphError, np.linalg.LinAlgError) as exc:
             errors[name] = f"{type(exc).__name__}: {exc}"
 

@@ -1,0 +1,95 @@
+"""Checkpoints of every gradient-trained model kind: metadata, malformed files, features."""
+import json
+
+import numpy as np
+import pytest
+
+from marketgraph import (
+    ConfigError, DataError, GruConfig, GruModel, MtgnnConfig, MtgnnModel, Rng,
+    TcnConfig, TcnModel,
+)
+
+GEN = np.random.default_rng(53)
+
+# (model class, config, input windows [B, N, P]) per kind
+KINDS = {
+    "gru": (GruModel, GruConfig(num_series=3, hidden_size=4, horizon=2), (2, 3, 6)),
+    "tcn": (TcnModel, TcnConfig(channels=4, num_blocks=2, horizon=2), (2, 3, 6)),
+    "mtgnn": (MtgnnModel, MtgnnConfig(num_nodes=3, num_layers=2, conv_channels=4,
+                                      residual_channels=4, skip_channels=6, embedding_dim=4,
+                                      dropout=0.0, input_window=6, horizon=2, k=2), (2, 3, 6)),
+}
+
+
+def saved_doc(tmp_path, kind):
+    cls, config, _ = KINDS[kind]
+    path = tmp_path / f"{kind}.json"
+    cls(config, Rng(1)).save(path)
+    return cls, path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def rewrite(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_save_writes_extra_metadata(tmp_path, kind):
+    cls, config, _ = KINDS[kind]
+    path = tmp_path / "model.json"
+    cls(config, Rng(3)).save(path, extra={"labels": ["a", "b", "c"]})
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["kind"] == kind
+    assert doc["extra"] == {"labels": ["a", "b", "c"]}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_missing_parameter_is_a_data_error(tmp_path, kind):
+    cls, path, doc = saved_doc(tmp_path, kind)
+    name = list(doc["params"])[-1]
+    del doc["params"][name]
+    with pytest.raises(DataError, match=name):
+        cls.load(rewrite(path, doc))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_surplus_parameter_is_a_data_error(tmp_path, kind):
+    cls, path, doc = saved_doc(tmp_path, kind)
+    doc["params"]["stray.w"] = {"shape": [1], "data": [0.0]}
+    with pytest.raises(DataError, match="stray.w"):
+        cls.load(rewrite(path, doc))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("config", [{"bogus": 1}, [1, 2], "gru", {"horizon": "two"}],
+                         ids=["unknown_key", "list", "string", "bad_value"])
+def test_unusable_config_is_a_data_error_naming_the_path(tmp_path, kind, config):
+    cls, path, doc = saved_doc(tmp_path, kind)
+    if isinstance(config, dict):
+        config = {**doc["config"], **config}
+    doc["config"] = config
+    with pytest.raises(DataError, match=path.name):
+        cls.load(rewrite(path, doc))
+
+
+def test_checkpoint_of_another_kind_is_rejected(tmp_path):
+    _, path, _ = saved_doc(tmp_path, "gru")
+    with pytest.raises(ConfigError, match="'gru'"):
+        TcnModel.load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_temporal_features_ignore_later_inputs(kind):
+    cls, config, shape = KINDS[kind]
+    model = cls(config, Rng(4))
+    x = GEN.normal(size=shape)
+    moved = x.copy()
+    moved[..., 4:] += 100.0
+    clean, bumped = model.temporal_features(x), model.temporal_features(moved)
+    assert len(clean) == len(bumped) > 0
+    if kind == "gru":  # one [B, hidden] state per input step: stack them along time
+        clean, bumped = [np.stack(clean, axis=-1)], [np.stack(bumped, axis=-1)]
+    for a, b in zip(clean, bumped):
+        assert a.shape[-1] == shape[2]
+        np.testing.assert_array_equal(a[..., :4], b[..., :4])
+        assert not np.array_equal(a[..., 4:], b[..., 4:])

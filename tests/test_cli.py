@@ -100,6 +100,23 @@ def test_parse_run_config_rejects_bad_documents(tmp_path, doc):
         parse_run_config(path)
 
 
+def test_comparison_spec_takes_only_the_keys_the_document_sets(tmp_path):
+    from dataclasses import replace
+
+    from marketgraph import ComparisonSpec, MlpSpec, TrainConfig
+    from marketgraph.cli import _comparison_spec
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"model": {"num_layers": 2},
+                                "baselines": {"mlp_epochs": 3, "ar_order": 2,
+                                              "include": ["ar", "tcn"]}}),
+                    encoding="utf-8")
+    cfg = parse_run_config(path)
+    train_cfg = TrainConfig(epochs=1)
+    spec = _comparison_spec(cfg, train_cfg)
+    assert spec == replace(ComparisonSpec(), train=train_cfg, mlp=MlpSpec(epochs=3), ar_order=2,
+                           include=("ar", "tcn"), mtgnn={"num_layers": 2})
+
+
 def test_parse_run_config_missing_or_malformed_file(tmp_path):
     with pytest.raises(ConfigError):
         parse_run_config(tmp_path / "absent.json")
@@ -346,6 +363,18 @@ def test_forecast_malformed_checkpoint_exits_2(trained_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "internal error" not in err
     assert name in err
+
+
+def test_forecast_checkpoint_with_unknown_config_key_exits_2(trained_run, tmp_path, capsys):
+    csv_path, checkpoint = trained_run
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    doc["config"]["bogus"] = 1
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--out", str(tmp_path / "fc")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "bogus" in err and str(checkpoint) in err
 
 
 def test_forecast_actuals_match_source_prices(trained_run, tmp_path, capsys):

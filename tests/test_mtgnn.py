@@ -4,9 +4,10 @@ import pytest
 
 from marketgraph import (
     ConfigError, MtgnnConfig, MtgnnModel, Rng, ShapeError, Tensor,
-    gated_temporal_conv, grad_check_params, mix_hop_graph_conv,
+    gated_temporal_conv, grad_check_params, mix_hop,
     normalized_propagation_matrix, read_adjacency_csv, sum_,
 )
+from marketgraph.mtgnn import hop_stack
 
 GEN = np.random.default_rng(31)
 
@@ -67,16 +68,22 @@ def test_normalized_propagation_rows_sum_to_one(fixtures_dir):
     assert np.all(p.data >= 0)
 
 
+def mix_hop_rows(h, a, depth, beta, weights):
+    """One direction of a layer's mix-hop on [N, C] features, built as the model builds it."""
+    props = hop_stack([normalized_propagation_matrix(a)], depth, beta)
+    wide = Tensor(h.T[None, :, :, None])  # [1, C, N, 1]
+    return mix_hop(wide, props, Tensor(np.stack(weights))).data[0, :, :, 0].T
+
+
 def test_mix_hop_identity_graph_depth_math():
     # With A = 0 the propagation matrix is I, so every hop equals H and the
     # output collapses to H @ (W0 + W1 + ... ).
     n, c, d = 4, 3, 2
     h = GEN.normal(size=(n, c))
-    weights = [Tensor(GEN.normal(size=(c, d))) for _ in range(3)]
-    out = mix_hop_graph_conv(Tensor(h), np.zeros((n, n)), depth=2, beta=0.3,
-                             weights=weights)
-    expected = h @ (weights[0].data + weights[1].data + weights[2].data)
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    weights = [GEN.normal(size=(c, d)) for _ in range(3)]
+    out = mix_hop_rows(h, np.zeros((n, n)), depth=2, beta=0.3, weights=weights)
+    expected = h @ (weights[0] + weights[1] + weights[2])
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_mix_hop_depth_zero_is_plain_linear():
@@ -84,9 +91,9 @@ def test_mix_hop_depth_zero_is_plain_linear():
     h = GEN.normal(size=(n, c))
     a = GEN.uniform(0.1, 1.0, size=(n, n))
     np.fill_diagonal(a, 0.0)
-    w0 = Tensor(GEN.normal(size=(c, c)))
-    out = mix_hop_graph_conv(Tensor(h), a, depth=0, beta=0.5, weights=[w0])
-    np.testing.assert_allclose(out.data, h @ w0.data, atol=1e-12)
+    w0 = GEN.normal(size=(c, c))
+    out = mix_hop_rows(h, a, depth=0, beta=0.5, weights=[w0])
+    np.testing.assert_allclose(out, h @ w0, atol=1e-12)
 
 
 def test_mix_hop_retention_blends_self_and_neighbors():
@@ -95,15 +102,8 @@ def test_mix_hop_retention_blends_self_and_neighbors():
     h = GEN.normal(size=(n, c))
     a = GEN.uniform(0.5, 1.0, size=(n, n))
     np.fill_diagonal(a, 0.0)
-    w = [Tensor(np.eye(c)), Tensor(np.eye(c))]
-    out = mix_hop_graph_conv(Tensor(h), a, depth=1, beta=1.0, weights=w)
-    np.testing.assert_allclose(out.data, 2.0 * h, atol=1e-12)
-
-
-def test_mix_hop_weight_count_enforced():
-    with pytest.raises(ShapeError):
-        mix_hop_graph_conv(Tensor(GEN.normal(size=(3, 2))), np.zeros((3, 3)),
-                           depth=2, beta=0.1, weights=[Tensor(np.eye(2))])
+    out = mix_hop_rows(h, a, depth=1, beta=1.0, weights=[np.eye(c), np.eye(c)])
+    np.testing.assert_allclose(out, 2.0 * h, atol=1e-12)
 
 
 def test_gated_conv_is_tanh_times_sigmoid():

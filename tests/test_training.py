@@ -305,6 +305,13 @@ def test_comparison_spec_rejects_unknown_models():
         ComparisonSpec(include=("persistence", "arima"))
 
 
+def test_model_registry_is_the_default_include_in_stream_order():
+    from marketgraph.training import MODEL_BUILDERS
+    kinds = ("persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn")
+    assert tuple(MODEL_BUILDERS) == kinds
+    assert ComparisonSpec().include == kinds
+
+
 # -- csv writers --------------------------------------------------------------------
 
 

@@ -16,8 +16,8 @@ from .autodiff import (
     last_step, mean, permute, relu, reshape, sigmoid, stack_last, tanh,
     time_index,
 )
-from .checkpoint import NeuralModel, load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError, DomainError, ShapeError
+from .checkpoint import NeuralModel, load_exact, save_checkpoint
+from .errors import ConfigError, DataError, DomainError, ShapeError, check_int_fields
 from .optim import Adam
 
 
@@ -114,15 +114,17 @@ class ArEnsemble:
         save_checkpoint(path, kind="ar", config={"order": self.order, "num_series": len(self.models)},
                         params=params)
 
+    @staticmethod
+    def _shapes(order: int, num_series: int) -> dict[str, tuple]:
+        return {f"series{j}.{part}": shape for j in range(num_series)
+                for part, shape in (("intercept", (1,)), ("coeffs", (order,)))}
+
     @classmethod
     def load(cls, path) -> "ArEnsemble":
-        ckpt = load_checkpoint(path)
-        if ckpt.kind != "ar":
-            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not ar")
-        n, p = ckpt.config["num_series"], ckpt.config["order"]
-        return cls([ArModel(order=p,
-                            intercept=float(ckpt.params[f"series{j}.intercept"][0]),
-                            coeffs=ckpt.params[f"series{j}.coeffs"]) for j in range(n)])
+        ckpt = load_exact(path, cls.kind, ("order", "num_series"), cls._shapes)
+        p = ckpt.params
+        return cls([ArModel(order=ckpt.config["order"], intercept=float(p[f"series{j}.intercept"][0]),
+                            coeffs=p[f"series{j}.coeffs"]) for j in range(ckpt.config["num_series"])])
 
 
 def fit_ar_ensemble(values: np.ndarray, p: int) -> ArEnsemble:
@@ -175,6 +177,7 @@ class MlpSpec:
     batch_size: int = 32
 
     def __post_init__(self):
+        check_int_fields(self, "hidden", "epochs", "batch_size")
         if self.hidden < 1 or self.batch_size < 1:
             raise ConfigError("hidden width and batch size must be positive")
         if self.epochs < 0:
@@ -251,11 +254,14 @@ class VarMlpModel:
                                 "mlp.w1": self.w1.data, "mlp.b1": self.b1.data,
                                 "mlp.w2": self.w2.data, "mlp.b2": self.b2.data})
 
+    @staticmethod
+    def _shapes(p: int, n: int, h: int) -> dict[str, tuple]:
+        return {"var.intercept": (n,), "var.coef": (p, n, n), "mlp.w1": (n * p, h),
+                "mlp.b1": (h,), "mlp.w2": (h, n), "mlp.b2": (n,)}
+
     @classmethod
     def load(cls, path) -> "VarMlpModel":
-        ckpt = load_checkpoint(path)
-        if ckpt.kind != cls.kind:
-            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {cls.kind}")
+        ckpt = load_exact(path, cls.kind, ("order", "num_series", "hidden"), cls._shapes)
         p = ckpt.params
         return cls(order=ckpt.config["order"], intercept=p["var.intercept"], coef=p["var.coef"],
                    w1=Tensor(p["mlp.w1"], requires_grad=True), b1=Tensor(p["mlp.b1"], requires_grad=True),

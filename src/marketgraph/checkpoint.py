@@ -74,6 +74,39 @@ def load_checkpoint(path) -> Checkpoint:
                       extra=doc.get("extra", {}))
 
 
+def _check_kind(ckpt: Checkpoint, path, kind: str) -> None:
+    if ckpt.kind != kind:
+        raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {kind}")
+
+
+def _check_state(state: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
+    """ShapeError unless `state` holds exactly the named parameters at these shapes."""
+    missing = set(shapes) - set(state)
+    surplus = set(state) - set(shapes)
+    if missing or surplus:
+        raise ShapeError(f"parameter names do not match (missing {sorted(missing)}, surplus {sorted(surplus)})")
+    for name, shape in shapes.items():
+        if np.shape(state[name]) != tuple(shape):
+            raise ShapeError(f"{name}: shape {np.shape(state[name])} does not match {tuple(shape)}")
+
+
+def load_exact(path, kind: str, keys: tuple[str, ...], shapes_of) -> Checkpoint:
+    """A `kind` checkpoint whose config is exactly `keys`, each a positive int,
+    and whose parameters are exactly `shapes_of(*those ints)`: {name: shape}."""
+    ckpt = load_checkpoint(path)
+    _check_kind(ckpt, path, kind)
+    config = ckpt.config
+    if (not isinstance(config, dict) or set(config) != set(keys)
+            or not all(type(config[k]) is int and config[k] > 0 for k in keys)):
+        raise DataError(f"{path}: unusable {kind} checkpoint config {config!r}: "
+                        f"needs exactly {', '.join(keys)}, each a positive integer")
+    try:
+        _check_state(ckpt.params, shapes_of(*(config[k] for k in keys)))
+    except ShapeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return ckpt
+
+
 class NeuralModel:
     """Named parameters, strict state loading, chunked prediction and
     checkpoint save/load for the gradient-trained models.
@@ -117,15 +150,9 @@ class NeuralModel:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        surplus = set(state) - set(self._params)
-        if missing or surplus:
-            raise ShapeError(f"parameter names do not match (missing {sorted(missing)}, surplus {sorted(surplus)})")
+        _check_state(state, {name: t.data.shape for name, t in self._params.items()})
         for name, t in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"{name}: shape {arr.shape} does not match {t.data.shape}")
-            t.data = arr.copy()
+            t.data = np.array(state[name], dtype=np.float64)
 
     def predict_windows(self, x: np.ndarray, horizon: int | None = None,
                         chunk: int | None = None) -> np.ndarray:
@@ -158,8 +185,7 @@ class NeuralModel:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint, path):
         """Rebuild a model from a parsed checkpoint; `path` names it in errors."""
-        if ckpt.kind != cls.kind:
-            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {cls.kind}")
+        _check_kind(ckpt, path, cls.kind)
         try:
             config = cls.config_class(**ckpt.config)
         except (TypeError, ConfigError) as exc:

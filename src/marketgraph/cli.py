@@ -160,8 +160,6 @@ def _comparison_spec(cfg: RunConfig, train_cfg: TrainConfig) -> ComparisonSpec:
     """Pass on only the keys the document sets; the defaults live in the specs."""
     mlp = MlpSpec(**{k[len("mlp_"):]: v for k, v in cfg.baselines.items() if k.startswith("mlp_")})
     given = {k: v for k, v in cfg.baselines.items() if not k.startswith("mlp_")}
-    if "include" in given:
-        given["include"] = tuple(given["include"])
     return ComparisonSpec(train=train_cfg, mlp=mlp, mtgnn=dict(cfg.model), **given)
 
 

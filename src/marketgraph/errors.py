@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer-field check of the
+configuration dataclasses."""
 
 
 class MarketGraphError(Exception):
@@ -31,3 +32,10 @@ class TrainingDiverged(MarketGraphError):
     def __init__(self, epoch: int, message: str = ""):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
+
+
+def check_int_fields(obj, *names: str) -> None:
+    """ConfigError unless each named field of `obj` is an int (a bool is not)."""
+    for name in names:
+        if type(getattr(obj, name)) is not int:
+            raise ConfigError(f"{name} must be an integer, got {getattr(obj, name)!r}")

@@ -57,16 +57,31 @@ def average_ranks(x) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # A tie run spans sorted positions start..end; every member gets the mean position.
+    change = np.flatnonzero(sorted_x[1:] != sorted_x[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [x.size])) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
+
+
+def _centered_ranks(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Average ranks minus their mean, and the norm of that vector."""
+    if x.size < 3:
+        raise DataError("rank correlation needs at least 3 observations")
+    r = average_ranks(x)
+    r = r - r.mean()
+    s = float(np.sqrt(np.sum(r * r)))
+    if s == 0.0:
+        raise DataError("rank correlation undefined for a constant series")
+    return r, s
+
+
+def _rank_correlation(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    (rx, sx), (ry, sy) = a, b
+    return float(np.clip(np.dot(rx, ry) / (sx * sy), -1.0, 1.0))
 
 
 def spearman(x, y) -> float:
@@ -75,79 +90,86 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.shape != y.shape:
         raise ShapeError(f"length mismatch: {x.shape} vs {y.shape}")
-    if x.size < 3:
-        raise DataError("rank correlation needs at least 3 observations")
-    rx, ry = average_ranks(x), average_ranks(y)
-    rx = rx - rx.mean()
-    ry = ry - ry.mean()
-    sx = float(np.sqrt(np.sum(rx * rx)))
-    sy = float(np.sqrt(np.sum(ry * ry)))
-    if sx == 0.0 or sy == 0.0:
-        raise DataError("rank correlation undefined for a constant series")
-    return float(np.clip(np.dot(rx, ry) / (sx * sy), -1.0, 1.0))
+    return _rank_correlation(_centered_ranks(x), _centered_ranks(y))
 
 
 def spearman_matrix(frame: TimeSeriesFrame) -> np.ndarray:
-    """Pairwise rank correlations of the frame's columns; symmetric, unit diagonal."""
+    """Pairwise rank correlations of the frame's columns; symmetric, unit diagonal.
+
+    Each column is ranked once; only the correlation itself is per pair.
+    """
     n = frame.num_series
     out = np.eye(n)
+    if n < 2:
+        return out
+    cols = [_centered_ranks(frame.values[:, i]) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            out[i, j] = out[j, i] = spearman(frame.values[:, i], frame.values[:, j])
+            out[i, j] = out[j, i] = _rank_correlation(cols[i], cols[j])
     return out
+
+
+def _dtw_wavefront(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Warping distances of P pairs at once: x is [P, n], y is [P, m] -> [P].
+
+    The cost table is swept by anti-diagonals d = i + j, every pair in step.
+    A diagonal is held by row i in column i + 1 of a [P, n + 1] buffer whose
+    column 0 is a permanent inf pad, so on diagonal d, prev[i + 1] is the
+    left neighbor (i, j - 1), prev[i] the upper one (i - 1, j) and prev2[i]
+    the upper-left one (i - 1, j - 1). Each diagonal writes only its band of
+    rows. The band's last row never decreases, so the cells past it are still
+    the initial inf; the stale cells before it are never read.
+    """
+    num_pairs, n = x.shape
+    m = y.shape[1]
+    if n == 0 or m == 0:
+        raise ShapeError("dynamic time warping needs nonempty series")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DataError("dynamic time warping needs finite inputs")
+    y_rev = y[:, ::-1]  # y[d - i] for i = lo..hi is one slice of y_rev
+    prev2, prev, cur = (np.full((num_pairs, n + 1), np.inf) for _ in range(3))
+    for d in range(n + m - 1):
+        lo = max(0, d - m + 1)
+        hi = min(n - 1, d)
+        local = np.abs(x[:, lo:hi + 1] - y_rev[:, m - 1 - d + lo:m - d + hi])
+        if d == 0:
+            cur[:, 1] = local[:, 0]
+        else:
+            best = np.minimum(prev[:, lo + 1:hi + 2],
+                              np.minimum(prev[:, lo:hi + 1], prev2[:, lo:hi + 1]))
+            cur[:, lo + 1:hi + 2] = local + best
+        prev2, prev, cur = prev, cur, prev2
+    return prev[:, n]
 
 
 def dtw_distance(x, y) -> float:
     """Minimum cumulative |a-b| alignment cost with match/insert/delete steps.
 
-    Unconstrained window, both endpoints anchored. Computed over anti-diagonal
-    wavefronts so the inner loop is vectorized; cells are addressed by row, so
-    prev[i] is the left neighbor and prev[i-1] the upper one.
+    Unconstrained window, both endpoints anchored; one pair of the batched
+    wavefront that `dtw_matrix` runs.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.size == 0 or y.size == 0:
-        raise ShapeError("dynamic time warping needs nonempty series")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DataError("dynamic time warping needs finite inputs")
-    n, m = x.size, y.size
-    inf = np.inf
-    prev2 = np.full(n, inf)
-    prev = np.full(n, inf)
-    cur = np.full(n, inf)
-    for d in range(n + m - 1):
-        lo = max(0, d - m + 1)
-        hi = min(n - 1, d)
-        rows = np.arange(lo, hi + 1)
-        local = np.abs(x[rows] - y[d - rows])
-        cur.fill(inf)
-        if d == 0:
-            cur[0] = local[0]
-        else:
-            shifted_prev = np.concatenate(([inf], prev[:-1]))
-            shifted_prev2 = np.concatenate(([inf], prev2[:-1]))
-            best = np.minimum(prev, np.minimum(shifted_prev, shifted_prev2))
-            cur[rows] = local + best[rows]
-        prev2, prev, cur = prev, cur, prev2
-    return float(prev[n - 1])
+    return float(_dtw_wavefront(x[None, :], y[None, :])[0])
 
 
 def dtw_matrix(frame: TimeSeriesFrame) -> np.ndarray:
     """Pairwise warping distances between z-scored columns.
 
     Columns are standardized first so the comparison is scale-free; a constant
-    column has no shape to compare and is rejected.
+    column has no shape to compare and is rejected. All pairs share one
+    wavefront.
     """
     std = frame.values.std(axis=0)
     if np.any(std == 0):
         bad = frame.columns[int(np.argmax(std == 0))]
         raise DataError(f"constant column {bad!r} cannot be z-scored for warping distances")
-    z = (frame.values - frame.values.mean(axis=0)) / std
+    z = ((frame.values - frame.values.mean(axis=0)) / std).T
     n = frame.num_series
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = dtw_distance(z[:, i], z[:, j])
+    first, second = np.triu_indices(n, 1)
+    if first.size:
+        out[first, second] = out[second, first] = _dtw_wavefront(z[first], z[second])
     return out
 
 

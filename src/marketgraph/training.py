@@ -17,7 +17,7 @@ from .baselines import (
     fit_var_mlp, persistence_predictions,
 )
 from .data import NormStats, PipelineResult, WindowSet, WindowSpec, invert_predictions
-from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged
+from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_int_fields
 from .graph import AdjacencyMatrix, snapshot_adjacency
 from .metrics import MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
@@ -260,6 +260,10 @@ class ComparisonSpec:
     include: tuple[str, ...] = tuple(MODEL_BUILDERS)
 
     def __post_init__(self):
+        check_int_fields(self, "ar_order", "var_order", "gru_hidden", "tcn_channels", "tcn_blocks")
+        if not isinstance(self.include, (list, tuple)) or not all(isinstance(k, str) for k in self.include):
+            raise ConfigError(f"include must be a list of model kinds, got {self.include!r}")
+        object.__setattr__(self, "include", tuple(self.include))
         bad = set(self.include) - set(MODEL_BUILDERS)
         if bad:
             raise ConfigError(f"unknown model kind(s) in include: {sorted(bad)}")

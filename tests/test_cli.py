@@ -303,6 +303,20 @@ def test_compare_reports_per_model_failures(tmp_path, capsys):
     assert "ar" in payload["errors"]
 
 
+@pytest.mark.parametrize("baselines", [{"ar_order": "2"}, {"tcn_blocks": True},
+                                       {"include": "ar"}, {"mlp_hidden": 2.5}],
+                         ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden"])
+def test_compare_mistyped_baseline_knob_exits_2(tmp_path, capsys, baselines):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path,
+                          baselines={"include": ["persistence", "ar"], **baselines})
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "internal error" not in err
+    assert not (tmp_path / "cmp" / "comparison.json").exists()
+
+
 # -- forecast -------------------------------------------------------------------------
 
 

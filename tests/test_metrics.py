@@ -1,6 +1,8 @@
 """Forecast error metrics, rank correlation, and warping distance."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketgraph import (
     DataError, DomainError, MetricsReport, ShapeError, average_ranks,
@@ -146,6 +148,48 @@ def test_spearman_range_and_validation():
         spearman(np.ones(5), np.arange(5.0))
 
 
+def average_ranks_reference(x):
+    """Loop over the sorted values, one tie run at a time."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x))
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_equal_loop_reference_on_many_ties():
+    gen = np.random.default_rng(11)
+    for size in (1, 2, 7, 50, 300):
+        for high in (1, 2, 4, 10):
+            x = gen.integers(0, high, size=size).astype(np.float64)
+            assert np.array_equal(average_ranks(x), average_ranks_reference(x))
+    assert average_ranks([]).shape == (0,)
+
+
+def test_spearman_matrix_cells_equal_pairwise_spearman():
+    values = np.random.default_rng(12).normal(size=(45, 5))
+    values[:, 3] = np.round(values[:, 3])  # a column with ties
+    frame = build_frame(values)
+    m = spearman_matrix(frame)
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                assert m[i, j] == spearman(values[:, i], values[:, j])
+
+
+def test_spearman_matrix_errors_only_when_a_pair_is_correlated():
+    assert np.array_equal(spearman_matrix(build_frame(np.array([[1.0], [2.0]]))), np.eye(1))
+    with pytest.raises(DataError, match="at least 3"):
+        spearman_matrix(build_frame(np.array([[1.0, 2.0], [2.0, 1.0]])))
+    with pytest.raises(DataError, match="constant"):
+        spearman_matrix(build_frame(np.hstack([np.arange(6.0)[:, None], np.ones((6, 1))])))
+
+
 def test_spearman_matrix_diagonal_and_symmetry():
     frame = build_frame(np.random.default_rng(5).normal(size=(30, 4)))
     m = spearman_matrix(frame)
@@ -199,6 +243,27 @@ def test_dtw_matches_reference_dp():
     for n, m in ((5, 5), (8, 3), (1, 7), (20, 20), (13, 17)):
         x, y = gen.normal(size=n), gen.normal(size=m)
         assert abs(dtw_distance(x, y) - dtw_reference(x, y)) < T
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_dtw_distance_equals_reference_dp_exactly(x, y):
+    assert dtw_distance(x, y) == dtw_reference(x, y)
+
+
+def test_dtw_matrix_cells_equal_pairwise_distance():
+    frame = build_frame(np.random.default_rng(13).normal(size=(35, 5)))
+    z = (frame.values - frame.values.mean(axis=0)) / frame.values.std(axis=0)
+    m = dtw_matrix(frame)
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                assert m[i, j] == dtw_distance(z[:, i], z[:, j])
+
+
+def test_dtw_matrix_single_column_is_zero():
+    assert np.array_equal(dtw_matrix(build_frame(np.arange(4.0))), np.zeros((1, 1)))
 
 
 def test_dtw_validation():

@@ -305,6 +305,24 @@ def test_comparison_spec_rejects_unknown_models():
         ComparisonSpec(include=("persistence", "arima"))
 
 
+@pytest.mark.parametrize("field,value", [("ar_order", "2"), ("var_order", 2.0), ("gru_hidden", None),
+                                         ("tcn_channels", True), ("tcn_blocks", [3])])
+def test_comparison_spec_rejects_non_integer_knobs(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ComparisonSpec(**{field: value})
+
+
+@pytest.mark.parametrize("include", ["ar", 5, ("ar", 1), None])
+def test_comparison_spec_include_must_be_a_sequence_of_strings(include):
+    with pytest.raises(ConfigError, match="include"):
+        ComparisonSpec(include=include)
+
+
+def test_comparison_spec_keeps_range_checks_for_the_run():
+    spec = ComparisonSpec(ar_order=0, include=["persistence", "ar"])
+    assert spec.ar_order == 0 and spec.include == ("persistence", "ar")
+
+
 def test_model_registry_is_the_default_include_in_stream_order():
     from marketgraph.training import MODEL_BUILDERS
     kinds = ("persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn")

@@ -13,9 +13,9 @@ from .autodiff import (
     time_index, transpose,
 )
 from .baselines import (
-    ArEnsemble, ArModel, GruConfig, GruModel, GruParams, MlpSpec, TcnConfig,
-    TcnModel, VarMlpModel, fit_ar, fit_ar_ensemble, fit_var, fit_var_mlp,
-    gru_cell, persistence_predictions, predict_ar,
+    ArEnsemble, ArModel, GruConfig, GruModel, GruParams, MlpSpec,
+    PersistenceModel, TcnConfig, TcnModel, VarMlpModel, fit_ar,
+    fit_ar_ensemble, fit_var, fit_var_mlp, gru_cell,
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (
@@ -43,7 +43,7 @@ from .metrics import (
 from .mtgnn import (
     MtgnnConfig, MtgnnModel, gated_temporal_conv, normalized_propagation_matrix,
 )
-from .optim import Adam, AdamState, adam_step, init_adam
+from .optim import Adam
 from .synthetic import SyntheticSystem, coupled_var_system, edge_precision
 from .training import (
     ComparisonResult, ComparisonSpec, EvalResult, TrainConfig, TrainResult,
@@ -53,29 +53,28 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "AdamState", "AdjacencyMatrix", "ArEnsemble", "ArModel",
-    "Checkpoint", "ComparisonResult", "ComparisonSpec", "ConfigError",
-    "DataError", "DomainError", "EvalResult", "G7_COUNTRIES",
-    "GraphLearnParams", "GruConfig", "GruModel", "GruParams", "MINT_COUNTRIES",
-    "MarketGraphError", "MetricsReport", "MlpSpec", "MtgnnConfig",
-    "MtgnnModel", "NodeEmbeddings", "NormStats", "PipelineResult",
-    "RebaseRule", "Rng", "ShapeError", "SplitSpec", "SyntheticSystem", "Tape",
-    "TapeError", "TcnConfig", "TcnModel", "Tensor", "TimeSeriesFrame",
-    "TrainConfig", "TrainResult", "TrainingDiverged", "VarMlpModel",
-    "WindowSet", "WindowSpec", "abs_", "add", "add_bias", "adam_step",
-    "adjust_rebased_series", "average_ranks", "backward", "causal_conv1d",
-    "channel_linear", "chronological_split", "compute_norm_stats",
-    "coupled_var_system", "denormalize", "denormalize_values",
-    "descriptive_stats", "dropout", "dtw_distance", "dtw_matrix",
-    "edge_precision", "evaluate", "exp_transform", "fit_ar", "fit_ar_ensemble",
-    "fit_var", "fit_var_mlp", "frame_hash", "gated_temporal_conv",
-    "grad_check", "grad_check_params", "graph_mix", "gru_cell", "init_adam",
-    "init_graph_learn_params", "init_node_embeddings", "invert_predictions",
-    "last_step", "learn_adjacency", "load_checkpoint", "load_csv", "log",
-    "log_transform", "mae", "make_windows", "mape", "matmul", "mean",
-    "mix_hop", "mul", "neg", "normalize", "normalized_propagation_matrix",
-    "out_degree", "per_series_metrics", "permute", "persistence_predictions",
-    "predict_ar", "rank_influence", "read_adjacency_csv", "relu", "reshape",
+    "Adam", "AdjacencyMatrix", "ArEnsemble", "ArModel", "Checkpoint",
+    "ComparisonResult", "ComparisonSpec", "ConfigError", "DataError",
+    "DomainError", "EvalResult", "G7_COUNTRIES", "GraphLearnParams",
+    "GruConfig", "GruModel", "GruParams", "MINT_COUNTRIES", "MarketGraphError",
+    "MetricsReport", "MlpSpec", "MtgnnConfig", "MtgnnModel", "NodeEmbeddings",
+    "NormStats", "PersistenceModel", "PipelineResult", "RebaseRule", "Rng",
+    "ShapeError", "SplitSpec", "SyntheticSystem", "Tape", "TapeError",
+    "TcnConfig", "TcnModel", "Tensor", "TimeSeriesFrame", "TrainConfig",
+    "TrainResult", "TrainingDiverged", "VarMlpModel", "WindowSet",
+    "WindowSpec", "abs_", "add", "add_bias", "adjust_rebased_series",
+    "average_ranks", "backward", "causal_conv1d", "channel_linear",
+    "chronological_split", "compute_norm_stats", "coupled_var_system",
+    "denormalize", "denormalize_values", "descriptive_stats", "dropout",
+    "dtw_distance", "dtw_matrix", "edge_precision", "evaluate",
+    "exp_transform", "fit_ar", "fit_ar_ensemble", "fit_var", "fit_var_mlp",
+    "frame_hash", "gated_temporal_conv", "grad_check", "grad_check_params",
+    "graph_mix", "gru_cell", "init_graph_learn_params", "init_node_embeddings",
+    "invert_predictions", "last_step", "learn_adjacency", "load_checkpoint",
+    "load_csv", "log", "log_transform", "mae", "make_windows", "mape",
+    "matmul", "mean", "mix_hop", "mul", "neg", "normalize",
+    "normalized_propagation_matrix", "out_degree", "per_series_metrics",
+    "permute", "rank_influence", "read_adjacency_csv", "relu", "reshape",
     "rmse", "row_normalize", "rse", "run_comparison", "run_pipeline",
     "save_checkpoint", "sigmoid", "snapshot_adjacency", "spearman",
     "spearman_matrix", "stack_last", "sub", "sum_", "tanh",

@@ -650,42 +650,20 @@ def tanh_sigmoid_gate(a: Tensor) -> Tensor:
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
     """Compare reverse-mode gradients of f at x against central differences.
 
-    f must map a tensor to a scalar tensor and be deterministic. Returns the
-    max over coordinates of |g_ad - g_fd| / max(1, |g_ad|, |g_fd|).
+    f must map a tensor to a scalar tensor and be deterministic. This is
+    grad_check_params over a fresh leaf holding a copy of x.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
     leaf = Tensor(x.data.copy(), requires_grad=True)
-    tape = Tape()
-    with tape:
-        out = f(leaf)
-    if out.data.size != 1:
-        raise TapeError("grad_check needs a scalar-valued function")
-    tape.backward(out)
-    g_ad = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
-
-    g_fd = np.zeros_like(leaf.data)
-    flat = leaf.data.reshape(-1)
-    fd_flat = g_fd.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(Tensor(leaf.data)).item()
-        flat[i] = orig - eps
-        lo = f(Tensor(leaf.data)).item()
-        flat[i] = orig
-        fd_flat[i] = (hi - lo) / (2.0 * eps)
-
-    denom = np.maximum(1.0, np.maximum(np.abs(g_ad), np.abs(g_fd)))
-    return float(np.max(np.abs(g_ad - g_fd) / denom))
+    return grad_check_params(lambda: f(leaf), [leaf], eps)
 
 
 def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5) -> float:
-    """grad_check over a set of parameter leaves instead of a single input.
+    """Compare reverse-mode gradients of loss_fn() against central differences.
 
     loss_fn closes over the params, which are perturbed in place for the
-    finite-difference probes. Returns the worst relative error across every
-    coordinate of every parameter.
+    finite-difference probes. Returns the worst relative error
+    |g_ad - g_fd| / max(1, |g_ad|, |g_fd|) across every coordinate of every
+    parameter.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -695,7 +673,7 @@ def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], e
     with tape:
         out = loss_fn()
     if out.data.size != 1:
-        raise TapeError("grad_check_params needs a scalar-valued loss")
+        raise TapeError("a gradient check needs a scalar-valued loss")
     tape.backward(out)
 
     worst = 0.0

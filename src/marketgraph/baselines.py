@@ -1,4 +1,5 @@
-"""Reference forecasters: per-series AR, VAR-MLP hybrid, multivariate GRU, TCN.
+"""Reference forecasters: per-series AR, VAR-MLP hybrid, multivariate GRU, TCN,
+persistence.
 
 The neural baselines are built on the same tensor engine and trained by the
 same harness as the graph model, so comparisons isolate architecture rather
@@ -17,7 +18,7 @@ from .autodiff import (
     time_index,
 )
 from .checkpoint import NeuralModel, load_exact, save_checkpoint
-from .errors import ConfigError, DataError, DomainError, ShapeError, check_int_fields
+from .errors import ConfigError, DataError, DomainError, ShapeError, check_field_types
 from .optim import Adam
 
 
@@ -62,21 +63,6 @@ def fit_ar(series, p: int) -> ArModel:
     return ArModel(order=p, intercept=float(coef[0]), coeffs=coef[1:])
 
 
-def predict_ar(model: ArModel, history, steps: int) -> np.ndarray:
-    """Recursive one-step forecasts; earlier forecasts feed later ones."""
-    h = list(np.asarray(history, dtype=np.float64).reshape(-1))
-    if steps < 0:
-        raise DomainError(f"steps must be nonnegative, got {steps}")
-    if len(h) < model.order:
-        raise DataError(f"history of {len(h)} values is shorter than order {model.order}")
-    out = []
-    for _ in range(steps):
-        recent = h[:-model.order - 1:-1]
-        out.append(model.intercept + float(np.dot(model.coeffs, recent)))
-        h.append(out[-1])
-    return np.array(out)
-
-
 class ArEnsemble:
     """Independent AR fits, one per series, behind the shared window API."""
 
@@ -96,6 +82,8 @@ class ArEnsemble:
         B, N, P = x.shape
         if N != len(self.models):
             raise ShapeError(f"{N} series but {len(self.models)} fitted models")
+        if P < self.order:
+            raise DataError(f"window of {P} steps is shorter than AR order {self.order}")
         out = np.zeros((B, N, horizon))
         for j, m in enumerate(self.models):
             h = x[:, j, :]
@@ -177,7 +165,7 @@ class MlpSpec:
     batch_size: int = 32
 
     def __post_init__(self):
-        check_int_fields(self, "hidden", "epochs", "batch_size")
+        check_field_types(type(self), vars(self))
         if self.hidden < 1 or self.batch_size < 1:
             raise ConfigError("hidden width and batch size must be positive")
         if self.epochs < 0:
@@ -209,29 +197,6 @@ class VarMlpModel:
     def num_series(self) -> int:
         return self.intercept.shape[0]
 
-    def _var_step(self, lag_rows: np.ndarray) -> np.ndarray:
-        # lag_rows[..., lag-1, :] is x_{t-lag}; contributions sum over lags.
-        out = np.tensordot(lag_rows, self.coef, axes=([-2, -1], [0, 1]))
-        return self.intercept + out
-
-    def _mlp_correction(self, lag_vec: np.ndarray) -> np.ndarray:
-        h = np.tanh(lag_vec @ self.w1.data + self.b1.data)
-        return h @ self.w2.data + self.b2.data
-
-    def predict(self, history: np.ndarray, steps: int) -> np.ndarray:
-        """history is [rows >= order, N] in time order; returns [steps, N]."""
-        hist = np.asarray(history, dtype=np.float64)
-        if hist.ndim != 2 or hist.shape[0] < self.order:
-            raise DataError(f"history must be [rows >= {self.order}, {self.num_series}]")
-        rows = [hist[i] for i in range(hist.shape[0])]
-        out = []
-        for _ in range(max(steps, 0)):
-            lags = np.stack([rows[-lag] for lag in range(1, self.order + 1)])
-            pred = self._var_step(lags) + self._mlp_correction(lags.reshape(-1))
-            out.append(pred)
-            rows.append(pred)
-        return np.array(out) if out else np.zeros((0, self.num_series))
-
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         B, N, P = x.shape
@@ -240,8 +205,11 @@ class VarMlpModel:
         out = np.zeros((B, N, horizon))
         hist = np.swapaxes(x, 1, 2)  # [B, P, N]
         for q in range(horizon):
+            # lags[:, lag-1, :] is x_{t-lag}; the VAR sums its contributions over lags.
             lags = np.stack([hist[:, hist.shape[1] - lag, :] for lag in range(1, self.order + 1)], axis=1)
-            pred = self._var_step(lags) + self._mlp_correction(lags.reshape(B, -1))
+            hidden = np.tanh(lags.reshape(B, -1) @ self.w1.data + self.b1.data)
+            pred = ((self.intercept + np.tensordot(lags, self.coef, axes=([-2, -1], [0, 1])))
+                    + (hidden @ self.w2.data + self.b2.data))
             out[:, :, q] = pred
             hist = np.concatenate([hist, pred[:, None, :]], axis=1)
         return out
@@ -343,6 +311,7 @@ class GruConfig:
     horizon: int = 1
 
     def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if self.num_series < 1 or self.hidden_size < 1 or self.horizon < 1:
             raise ConfigError("num_series, hidden_size, and horizon must be positive")
 
@@ -396,6 +365,7 @@ class TcnConfig:
     horizon: int = 1
 
     def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if self.channels < 1 or self.num_blocks < 1 or self.horizon < 1:
             raise ConfigError("channels, num_blocks, and horizon must be positive")
         if self.kernel_size < 2:
@@ -461,10 +431,14 @@ class TcnModel(NeuralModel):
 
 # -- naive floor ---------------------------------------------------------------
 
-def persistence_predictions(x: np.ndarray, horizon: int = 1) -> np.ndarray:
-    """Repeat each window's last observed value for every forecast step."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected [batch, series, steps] windows, got {x.shape}")
-    return np.repeat(x[:, :, -1:], horizon, axis=2)
+class PersistenceModel:
+    """Windows in, each window's last observed value out for every forecast
+    step; the no-learning floor."""
 
+    kind = "persistence"
+
+    def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3:
+            raise ShapeError(f"expected [batch, series, steps] windows, got {x.shape}")
+        return np.repeat(x[:, :, -1:], horizon, axis=2)

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +24,17 @@ from .baselines import MlpSpec
 from .charts import svg_heatmap, svg_line_chart
 from .checkpoint import load_checkpoint
 from .data import (
-    RebaseRule, SplitSpec, WindowSpec, adjust_rebased_series, descriptive_stats,
-    load_csv, log_transform, make_windows, normalize, run_pipeline,
+    NormStats, RebaseRule, SplitSpec, WindowSpec, adjust_rebased_series,
+    descriptive_stats, invert_predictions, load_csv, log_transform,
+    make_windows, normalize, run_pipeline,
 )
-from .data import NormStats
-from .errors import ConfigError, DataError, MarketGraphError
+from .errors import ConfigError, DataError, DomainError, MarketGraphError, check_field_types
 from .graph import (
     G7_COUNTRIES, MINT_COUNTRIES, rank_influence, read_adjacency_csv,
     write_adjacency_csv,
 )
 from .metrics import dtw_matrix, spearman_matrix, write_labeled_matrix_csv
-from .mtgnn import MtgnnModel
+from .mtgnn import MtgnnConfig, MtgnnModel
 from .training import (
     MODEL_BUILDERS, ComparisonSpec, TrainConfig, evaluate, run_comparison,
     write_history_csv, write_trace_csv,
@@ -62,66 +63,77 @@ class RunConfig:
     baselines: dict = field(default_factory=dict)
 
 
-def _reject_unknown(section: str, given: dict, allowed: set[str]) -> None:
+def _object(where: str, given, allowed: set[str]) -> dict:
+    """`given`, which must be a JSON object holding only `allowed` keys."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be an object, got {given!r}")
     unknown = set(given) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    return given
+
+
+def _not_a_number(name: str):
+    raise ConfigError(f"{name} is not a JSON number")
 
 
 def parse_run_config(path) -> RunConfig:
+    """The run document at `path`; every problem with it is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_not_a_number)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    _reject_unknown("config", doc, {"dataset", "seed", "split", "window", "rebase",
-                                    "train", "model", "baselines"})
-
-    split_doc = doc.get("split", {})
-    _reject_unknown("split", split_doc, {"train", "validation", "test"})
-    window_doc = doc.get("window", {})
-    _reject_unknown("window", window_doc, {"P", "Q"})
-    train_doc = doc.get("train", {})
-    _reject_unknown("train", train_doc,
-                    {"epochs", "batch_size", "loss", "learning_rate", "l2_coefficient"})
-    model_doc = doc.get("model", {})
-    _reject_unknown("model", model_doc, _MODEL_OVERRIDE_KEYS)
-    baselines_doc = doc.get("baselines", {})
-    _reject_unknown("baselines", baselines_doc, _BASELINE_KEYS)
-
-    rebase_rules = []
-    for i, entry in enumerate(doc.get("rebase", [])):
-        _reject_unknown(f"rebase[{i}]", entry, {"column", "cutoff", "divisor"})
-        try:
-            from datetime import date
-            cutoff = date.fromisoformat(entry["cutoff"])
-        except (KeyError, ValueError):
-            raise ConfigError(f"rebase[{i}] needs a cutoff in YYYY-MM-DD form") from None
-        if "column" not in entry:
-            raise ConfigError(f"rebase[{i}] needs a column name")
-        rebase_rules.append(RebaseRule(column=entry["column"], cutoff=cutoff,
-                                       divisor=float(entry.get("divisor", 100.0))))
+    _object("config", doc, {"dataset", "seed", "split", "window", "rebase",
+                            "train", "model", "baselines"})
+    check_field_types(RunConfig, doc)
+    split_doc = _object("split", doc.get("split", {}), {"train", "validation", "test"})
+    check_field_types(SplitSpec, split_doc, "split")
+    window_doc = _object("window", doc.get("window", {}), {"P", "Q"})
+    check_field_types(WindowSpec, window_doc, "window")
+    train_doc = _object("train", doc.get("train", {}),
+                        {"epochs", "batch_size", "loss", "learning_rate", "l2_coefficient"})
+    model_doc = _object("model", doc.get("model", {}), _MODEL_OVERRIDE_KEYS)
+    check_field_types(MtgnnConfig, model_doc, "model")
+    baselines_doc = _object("baselines", doc.get("baselines", {}), _BASELINE_KEYS)
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     try:
         return RunConfig(
             dataset=doc.get("dataset"),
             seed=seed,
             split=SplitSpec(**split_doc),
             window=WindowSpec(**window_doc),
-            rebase=tuple(rebase_rules),
+            rebase=_rebase_rules(doc.get("rebase", [])),
             train=TrainConfig(seed=seed, **train_doc),
             model=dict(model_doc),
             baselines=dict(baselines_doc),
         )
-    except TypeError as exc:
+    except (DomainError, OverflowError) as exc:  # a range error, or a number too large
         raise ConfigError(f"{path}: {exc}") from None
+
+
+def _rebase_rules(doc) -> tuple[RebaseRule, ...]:
+    if not isinstance(doc, list):
+        raise ConfigError(f"rebase must be a list of objects, got {doc!r}")
+    rules = []
+    for i, entry in enumerate(doc):
+        where = f"rebase[{i}]"
+        _object(where, entry, {"column", "cutoff", "divisor"})
+        try:
+            cutoff = date.fromisoformat(entry["cutoff"])
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"{where} needs a cutoff in YYYY-MM-DD form") from None
+        if "column" not in entry:
+            raise ConfigError(f"{where} needs a column name")
+        check_field_types(RebaseRule, entry, where)
+        divisor = float(entry.get("divisor", 100.0))
+        if not divisor > 0:
+            raise ConfigError(f"{where}.divisor must be positive, got {divisor}")
+        rules.append(RebaseRule(column=entry["column"], cutoff=cutoff, divisor=divisor))
+    return tuple(rules)
 
 
 def _resolve_seed(config_seed: int) -> int:
@@ -316,7 +328,6 @@ def cmd_forecast(args) -> int:
     starts = windows.start_indices[-steps:]
     pred = model.predict_windows(x, horizon=Q)[:, :, 0]
 
-    from .data import invert_predictions
     actual_price = invert_predictions(y, stats)
     pred_price = invert_predictions(pred, stats)
     dates = [frame.dates[s + P] for s in starts]

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the integer-field check of the
+"""Exception types shared across the toolkit, and the field-type check of the
 configuration dataclasses."""
+from dataclasses import fields
 
 
 class MarketGraphError(Exception):
@@ -34,8 +35,33 @@ class TrainingDiverged(MarketGraphError):
         super().__init__(message or f"non-finite loss at epoch {epoch}")
 
 
-def check_int_fields(obj, *names: str) -> None:
-    """ConfigError unless each named field of `obj` is an int (a bool is not)."""
-    for name in names:
-        if type(getattr(obj, name)) is not int:
-            raise ConfigError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+# What a field annotated with each of these names accepts, and how to say so.
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "None": ((type(None),), "null"),
+}
+
+
+def check_field_types(cls, values, where: str = "") -> None:
+    """ConfigError unless every entry of `values` (a mapping) that names a field
+    of the dataclass `cls` holds that field's declared type.
+
+    The type is read from the annotation: `int`, `float`, `bool`, `str` and
+    unions of them with `None`. A bool counts only for a `bool` field, and
+    a `float` field also takes an int. Fields of other types are not checked.
+    `where` prefixes the field name in the message.
+    """
+    for f in fields(cls):
+        text = getattr(f.type, "__name__", str(f.type))
+        parts = [part.strip() for part in text.split("|")]
+        if f.name not in values or not all(part in _FIELD_TYPES for part in parts):
+            continue
+        value = values[f.name]
+        allowed = tuple(t for part in parts for t in _FIELD_TYPES[part][0])
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            name = f"{where}.{f.name}" if where else f.name
+            wanted = " or ".join(_FIELD_TYPES[part][1] for part in parts)
+            raise ConfigError(f"{name} must be {wanted}, got {value!r}")

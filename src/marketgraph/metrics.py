@@ -220,18 +220,6 @@ class MetricsReport:
             "seed": self.seed,
         }
 
-    def render_table(self) -> str:
-        """Fixed-width text table; MAPE shown as a one-decimal percentage."""
-        header = f"{'series':<12} {'RSE':>10} {'RMSE':>10} {'MAE':>10} {'MAPE':>8}"
-        lines = [f"model: {self.model_kind}", header, "-" * len(header)]
-        for name in self.series:
-            m = self.per_series[name]
-            lines.append(
-                f"{name:<12} {m['rse']:>10.3f} {m['rmse']:>10.3f} "
-                f"{m['mae']:>10.3f} {100.0 * m['mape']:>7.1f}%"
-            )
-        return "\n".join(lines)
-
 
 def per_series_metrics(y_true: np.ndarray, y_pred: np.ndarray,
                        labels: Sequence[str]) -> dict[str, dict[str, float]]:

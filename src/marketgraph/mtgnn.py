@@ -19,7 +19,7 @@ from .autodiff import (
     tanh_sigmoid_gate,
 )
 from .checkpoint import NeuralModel
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_field_types
 from .graph import (
     AdjacencyMatrix, init_graph_learn_params, init_node_embeddings, learn_adjacency,
 )
@@ -48,6 +48,7 @@ class MtgnnConfig:
     use_residual: bool = True
 
     def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if self.num_nodes < 2:
             raise ConfigError(f"need at least 2 nodes, got {self.num_nodes}")
         for name in ("num_layers", "conv_channels", "residual_channels",
@@ -226,13 +227,3 @@ class MtgnnModel(NeuralModel):
         out = relu(add_bias(channel_linear(out, self.head1_w), self.head1_b, 1))
         out = add_bias(channel_linear(out, self.head2_w), self.head2_b, 1)
         return permute(out, (0, 2, 1))
-
-    def forward(self, x) -> Tensor:
-        """[N, P] -> [N, Q], eval mode (deterministic)."""
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
-        if x.ndim != 2:
-            raise ShapeError(f"expected [nodes, steps] input, got {x.shape}")
-        N, P = x.shape
-        out = self.forward_batch(reshape(x, (1, N, P)))
-        return reshape(out, (N, self.config.horizon))

@@ -1,75 +1,28 @@
 """First-moment/second-moment adaptive gradient descent (Adam)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import DomainError, ShapeError
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment buffers plus the shared step counter."""
+class Adam:
+    """Bias-corrected Adam (Kingma & Ba, 2015) that reads .grad off each parameter.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-
-
-def init_adam(params) -> AdamState:
-    """Fresh zeroed moments for a list of Tensors or raw arrays."""
-    bufs = [p.data if isinstance(p, Tensor) else p for p in params]
-    return AdamState(m=[np.zeros_like(b) for b in bufs],
-                     v=[np.zeros_like(b) for b in bufs])
-
-
-def adam_step(
-    params: list,
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float = 0.001,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """Apply one bias-corrected update in place (Tensors or raw arrays).
-
-    Any regularization term (e.g. l2 weight decay) must already be folded
-    into `grads` by the caller; this routine only does the moment updates
+    A parameter without a gradient counts as having a zero one. The l2
+    penalty lambda*sum(p^2) enters as grad += 2*lambda*p before the moment
+    update, matching an explicit penalty term in the loss. Each step then does
         m <- b1*m + (1-b1)*g        v <- b2*v + (1-b2)*g^2
         p <- p - lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
-    """
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} params but {len(grads)} grads")
-    if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-        raise DomainError("betas must lie in [0, 1)")
-    if lr <= 0 or eps <= 0:
-        raise DomainError("lr and eps must be positive")
-    state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        buf = p.data if isinstance(p, Tensor) else p
-        if g.shape != buf.shape:
-            raise ShapeError(f"grad shape {g.shape} does not match param shape {buf.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        buf -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
-class Adam:
-    """Stateful wrapper that reads .grad off each parameter.
-
-    l2 penalty lambda*sum(p^2) enters as grad += 2*lambda*p before the
-    moment update, matching an explicit penalty term in the loss.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 0.001, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, l2: float = 0.0):
+        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
+            raise DomainError("betas must lie in [0, 1)")
+        if lr <= 0 or eps <= 0:
+            raise DomainError("lr and eps must be positive")
         if l2 < 0:
             raise DomainError("l2 coefficient must be nonnegative")
         self.params = list(params)
@@ -78,17 +31,25 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.l2 = l2
-        self.state = init_adam(self.params)
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self) -> None:
-        grads = []
-        for p in self.params:
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise ShapeError(f"grad shape {p.grad.shape} does not match param shape {p.data.shape}")
             g = np.zeros_like(p.data) if p.grad is None else p.grad
             if self.l2:
                 g = g + 2.0 * self.l2 * p.data
-            grads.append(g)
-        adam_step(self.params, grads, self.state,
-                  lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self) -> None:
         for p in self.params:

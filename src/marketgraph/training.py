@@ -13,11 +13,11 @@ import numpy as np
 
 from .autodiff import Rng, Tape, Tensor, abs_, mean
 from .baselines import (
-    GruConfig, GruModel, MlpSpec, TcnConfig, TcnModel, fit_ar_ensemble,
-    fit_var_mlp, persistence_predictions,
+    GruConfig, GruModel, MlpSpec, PersistenceModel, TcnConfig, TcnModel,
+    fit_ar_ensemble, fit_var_mlp,
 )
 from .data import NormStats, PipelineResult, WindowSet, WindowSpec, invert_predictions
-from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_int_fields
+from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_field_types
 from .graph import AdjacencyMatrix, snapshot_adjacency
 from .metrics import MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
@@ -36,6 +36,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(type(self), vars(self))
         if self.epochs < 0:
             raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size < 1:
@@ -46,6 +47,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.l2_coefficient < 0:
             raise ConfigError(f"l2_coefficient must be nonnegative, got {self.l2_coefficient}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -175,18 +178,6 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
     )
 
 
-class _PersistenceModel:
-    """Windows in, last observed value out; the no-learning floor."""
-
-    kind = "persistence"
-
-    def __init__(self, horizon: int):
-        self.horizon = horizon
-
-    def predict_windows(self, x: np.ndarray, horizon: int | None = None) -> np.ndarray:
-        return persistence_predictions(x, horizon or self.horizon)
-
-
 # -- model builders ---------------------------------------------------------------
 #
 # Each builder fits one model kind on the pipeline's training split and
@@ -195,7 +186,7 @@ class _PersistenceModel:
 # initialization, then once for training.
 
 def _build_persistence(pipeline, window, spec, rng):
-    return _PersistenceModel(window.Q), None, {}
+    return PersistenceModel(), None, {}
 
 
 def _build_ar(pipeline, window, spec, rng):
@@ -260,7 +251,7 @@ class ComparisonSpec:
     include: tuple[str, ...] = tuple(MODEL_BUILDERS)
 
     def __post_init__(self):
-        check_int_fields(self, "ar_order", "var_order", "gru_hidden", "tcn_channels", "tcn_blocks")
+        check_field_types(type(self), vars(self))
         if not isinstance(self.include, (list, tuple)) or not all(isinstance(k, str) for k in self.include):
             raise ConfigError(f"include must be a list of model kinds, got {self.include!r}")
         object.__setattr__(self, "include", tuple(self.include))

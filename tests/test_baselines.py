@@ -3,16 +3,22 @@ import numpy as np
 import pytest
 
 from marketgraph import (
-    ArModel, DataError, DomainError, GruConfig, GruModel, GruParams, MlpSpec,
-    Rng, ShapeError, TcnConfig, TcnModel, Tensor, VarMlpModel, fit_ar,
-    fit_ar_ensemble, fit_var, fit_var_mlp, grad_check_params, gru_cell, mean,
-    persistence_predictions, predict_ar, abs_,
+    ArEnsemble, ArModel, DataError, DomainError, GruConfig, GruModel, GruParams,
+    MlpSpec, PersistenceModel, Rng, ShapeError, TcnConfig, TcnModel, Tensor,
+    VarMlpModel, fit_ar, fit_ar_ensemble, fit_var, fit_var_mlp,
+    grad_check_params, gru_cell, mean, abs_,
 )
 
 GEN = np.random.default_rng(44)
 
 
 # -- AR -----------------------------------------------------------------------------
+
+def ar_forecast(model: ArModel, history, steps: int) -> np.ndarray:
+    """The ensemble's recursive forecasts for one series from one window."""
+    window = np.asarray(history, dtype=np.float64)[None, None, :]
+    return ArEnsemble([model]).predict_windows(window, horizon=steps)[0, 0]
+
 
 def test_ar_recovers_known_coefficient():
     # x_t = 0.7 x_{t-1} + eps; the phi estimate has sampling error of roughly
@@ -41,19 +47,19 @@ def test_ar_constant_series_uses_intercept_only():
     model = fit_ar(np.full(30, 5.0), 3)
     assert model.intercept == 5.0
     np.testing.assert_array_equal(model.coeffs, np.zeros(3))
-    np.testing.assert_allclose(predict_ar(model, np.full(5, 5.0), 4), np.full(4, 5.0))
+    np.testing.assert_allclose(ar_forecast(model, np.full(5, 5.0), 4), np.full(4, 5.0))
 
 
 def test_ar_recursion_fixture():
     # phi=0.5, no intercept, start from history [2] -> 1, 0.5, 0.25
     model = ArModel(order=1, intercept=0.0, coeffs=np.array([0.5]))
-    np.testing.assert_allclose(predict_ar(model, np.array([2.0]), 3), [1.0, 0.5, 0.25])
+    np.testing.assert_allclose(ar_forecast(model, np.array([2.0]), 3), [1.0, 0.5, 0.25])
 
 
 def test_ar_prediction_uses_most_recent_values_first():
     model = ArModel(order=2, intercept=0.0, coeffs=np.array([1.0, 0.0]))
     # coeff[0] weights the most recent observation
-    np.testing.assert_allclose(predict_ar(model, np.array([5.0, 9.0]), 1), [9.0])
+    np.testing.assert_allclose(ar_forecast(model, np.array([5.0, 9.0]), 1), [9.0])
 
 
 def test_ar_residual_orthogonality():
@@ -80,6 +86,9 @@ def test_ar_validation():
         fit_ar(np.arange(10.0), 0)
     with pytest.raises(DataError):
         fit_ar(np.arange(4.0), 5)
+    ens = ArEnsemble([ArModel(order=3, intercept=0.0, coeffs=np.zeros(3))])
+    with pytest.raises(DataError, match="shorter than AR order 3"):
+        ens.predict_windows(np.zeros((1, 1, 2)))
 
 
 def test_ar_ensemble_windows_and_round_trip(tmp_path):
@@ -140,7 +149,9 @@ def test_zero_epoch_hybrid_equals_pure_var():
     intercept, coef = fit_var(values, 2)
 
     hist = values[-10:]
-    got = model.predict(hist, steps=3)
+    got = model.predict_windows(hist.T[None], horizon=3)[0].T
+    with pytest.raises(DataError, match="shorter than VAR order 2"):
+        model.predict_windows(hist[-1:].T[None])
     # reference recursion: pure VAR
     buf = hist.copy()
     expected = []
@@ -166,8 +177,10 @@ def test_trained_hybrid_reduces_training_residuals():
                         spec=MlpSpec(hidden=16, epochs=60, learning_rate=0.005),
                         rng=Rng(1))
 
+    windows = np.stack([x[t - 1:t].T for t in range(200, rows)])  # the order-1 lag of each step
+
     def one_step_mae(model):
-        preds = np.array([model.predict(x[:t], 1)[0] for t in range(200, rows)])
+        preds = model.predict_windows(windows)[:, :, 0]
         return np.abs(preds - x[200:]).mean()
 
     assert one_step_mae(tuned) < one_step_mae(plain)
@@ -295,7 +308,9 @@ def test_tcn_shapes_and_round_trip(tmp_path):
 
 def test_persistence_repeats_last_value():
     x = GEN.normal(size=(3, 2, 5))
-    pred = persistence_predictions(x, horizon=3)
+    pred = PersistenceModel().predict_windows(x, horizon=3)
     assert pred.shape == (3, 2, 3)
     for q in range(3):
         np.testing.assert_array_equal(pred[:, :, q], x[:, :, -1])
+    with pytest.raises(ShapeError):
+        PersistenceModel().predict_windows(x[0])

@@ -1,14 +1,17 @@
 """Command-line behavior: config parsing, artifacts, exit codes, manifests."""
 import csv
 import json
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import build_frame, write_frame_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketgraph import ConfigError
-from marketgraph.cli import main, parse_run_config
+from marketgraph.cli import _BASELINE_KEYS, _MODEL_OVERRIDE_KEYS, RunConfig, main, parse_run_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -124,6 +127,40 @@ def test_parse_run_config_missing_or_malformed_file(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError):
         parse_run_config(bad)
+
+
+# Any JSON value, and run documents that use the real section names with
+# random contents, so that both shapes reach every stage of the parser.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=10)
+    | st.integers(-2, 40) | st.floats(0, 1),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+SECTION_KEYS = {
+    "split": ["train", "validation", "test"], "window": ["P", "Q"],
+    "train": ["epochs", "batch_size", "loss", "learning_rate", "l2_coefficient"],
+    "model": sorted(_MODEL_OVERRIDE_KEYS), "baselines": sorted(_BASELINE_KEYS),
+}
+REBASE_VALUES = JSON_VALUES | st.dates().map(date.isoformat)
+RUN_DOCS = st.fixed_dictionaries({}, optional={
+    "dataset": st.text(max_size=10) | JSON_VALUES, "seed": st.integers(0, 99) | JSON_VALUES,
+    "rebase": JSON_VALUES | st.lists(
+        JSON_VALUES | st.dictionaries(st.sampled_from(["column", "cutoff", "divisor"]), REBASE_VALUES),
+        max_size=2),
+    **{name: JSON_VALUES | st.dictionaries(st.sampled_from(keys), JSON_VALUES)
+       for name, keys in SECTION_KEYS.items()},
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=JSON_VALUES | RUN_DOCS)
+def test_parse_run_config_returns_a_config_or_raises_config_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        assert isinstance(parse_run_config(path), RunConfig)
+    except ConfigError:
+        pass
 
 
 # -- analyze --------------------------------------------------------------------------
@@ -254,6 +291,10 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run2")]) == 2
     assert "MARKETGRAPH_SEED" in capsys.readouterr().err
 
+    monkeypatch.setenv("MARKETGRAPH_SEED", "-1")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run3")]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
 
 def test_train_bad_config_and_missing_dataset_exit_2(tmp_path, capsys):
     config = tmp_path / "run.json"
@@ -268,6 +309,40 @@ def test_train_bad_config_and_missing_dataset_exit_2(tmp_path, capsys):
     config.write_text(json.dumps({"seed": 1}), encoding="utf-8")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "no dataset path" in capsys.readouterr().err
+
+
+MALFORMED_CONFIGS = {
+    "model_str_num_layers": {"model": {**TINY_MODEL, "num_layers": "2"}},
+    "model_str_dropout": {"model": {**TINY_MODEL, "dropout": "0.3"}},
+    "model_float_k": {"model": {**TINY_MODEL, "k": 1.0}},
+    "model_str_use_residual": {"model": {**TINY_MODEL, "use_residual": "no"}},
+    "train_float_epochs": {"train": {"epochs": 1.5, "batch_size": 16}},
+    "split_list": {"split": [1, 2]},
+    "train_number": {"train": 5},
+    "rebase_number": {"rebase": 5},
+    "rebase_entry_number": {"rebase": [5]},
+    "rebase_str_divisor": {"rebase": [{"column": "us", "cutoff": "2020-01-10", "divisor": "x"}]},
+    "dataset_number": {"dataset": 5},
+    "window_zero_P": {"window": {"P": 0, "Q": 1}},
+    "split_zero_train": {"split": {"train": 0.0, "validation": 0.5, "test": 0.5}},
+    "negative_seed": {"seed": -1},
+    "nan_fraction": {"split": {"train": float("nan"), "validation": 0.2, "test": 0.2}},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("overrides", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_run_config_exits_2(tmp_path, capsys, command, overrides):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path)
+    doc = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(json.dumps({**doc, **overrides}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "internal error" not in err
+    assert not out.exists()
 
 
 # -- compare --------------------------------------------------------------------------
@@ -301,6 +376,18 @@ def test_compare_reports_per_model_failures(tmp_path, capsys):
     payload = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))
     assert set(payload["models"]) == {"persistence"}
     assert "ar" in payload["errors"]
+
+
+def test_compare_ar_order_beyond_the_window_is_a_recorded_data_error(tmp_path, capsys):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path,
+                          baselines={"include": ["persistence", "ar"], "ar_order": 20})
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")]) == 0
+    assert "model ar failed" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))
+    assert set(payload["models"]) == {"persistence"}
+    assert payload["errors"]["ar"].startswith("DataError: window of 8 steps is shorter than AR order 20")
 
 
 @pytest.mark.parametrize("baselines", [{"ar_order": "2"}, {"tcn_blocks": True},

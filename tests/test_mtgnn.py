@@ -139,7 +139,7 @@ def test_forward_shapes_and_determinism():
     out2 = model.forward_batch(x).data
     assert out1.shape == (5, 3, 2)
     np.testing.assert_array_equal(out1, out2)
-    single = model.forward(x[0]).data
+    single = model.forward_batch(x[:1]).data[0]
     assert single.shape == (3, 2)
     np.testing.assert_allclose(single, out1[0], atol=1e-12)
 
@@ -151,7 +151,7 @@ def test_forward_validates_input():
     with pytest.raises(ShapeError):
         model.forward_batch(GEN.normal(size=(2, 3, 3)))  # below receptive field
     with pytest.raises(ShapeError):
-        model.forward(GEN.normal(size=(2, 3, 8)))
+        model.forward_batch(GEN.normal(size=(2, 3, 8))[0])  # one window without its batch axis
 
 
 def test_dropout_changes_training_forward_only():
@@ -206,9 +206,12 @@ def test_temporal_features_causal_per_layer():
 
 def test_gradients_flow_to_every_parameter():
     from marketgraph import Tape, mean, abs_, sub
+    # head2.b's l1 gradient is the mean of the residual signs, which an even
+    # number of output cells can balance to exactly 0; 3 x 3 cells cannot.
+    gen = np.random.default_rng(207)
     model = MtgnnModel(tiny_config(), Rng(4))
-    x = Tensor(GEN.normal(size=(4, 3, 8)))
-    y = Tensor(GEN.normal(size=(4, 3, 1)))
+    x = Tensor(gen.normal(size=(3, 3, 8)))
+    y = Tensor(gen.normal(size=(3, 3, 1)))
     with Tape() as tape:
         loss = mean(abs_(sub(model.forward_batch(x), y)))
     tape.backward(loss)

@@ -1,63 +1,60 @@
-"""Adam update rule against hand arithmetic, plus the Tensor-level wrapper."""
+"""Adam update rule against hand arithmetic, and how it reads Tensor gradients."""
 import numpy as np
 import pytest
 
-from marketgraph import (
-    Adam, DomainError, ShapeError, Tape, Tensor, adam_step, init_adam, mul,
-    sum_,
-)
+from marketgraph import Adam, DomainError, ShapeError, Tape, Tensor, mul, sum_
 
 
 def test_first_step_matches_hand_computation():
     # With zero-initialized moments, step 1 moves by lr * g/|g| elementwise
     # (up to eps), independent of the gradient magnitude.
-    theta = [np.array([1.0, -2.0])]
-    grads = [np.array([0.5, -4.0])]
-    state = init_adam(theta)
-    adam_step(theta, grads, state, lr=0.1, eps=1e-8)
+    p = Tensor([1.0, -2.0], requires_grad=True)
+    p.grad = np.array([0.5, -4.0])
+    opt = Adam([p], lr=0.1, eps=1e-8)
+    opt.step()
 
-    m = 0.1 * grads[0]
-    v = 0.001 * grads[0] ** 2
+    m = 0.1 * p.grad
+    v = 0.001 * p.grad ** 2
     m_hat = m / (1 - 0.9)
     v_hat = v / (1 - 0.999)
     expected = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
-    np.testing.assert_allclose(theta[0], expected, rtol=1e-12)
-    assert state.t == 1
+    np.testing.assert_allclose(p.data, expected, rtol=1e-12)
+    assert opt.t == 1
 
 
 def test_two_steps_track_reference_implementation():
-    theta = [np.array([0.3])]
-    state = init_adam(theta)
+    p = Tensor([0.3], requires_grad=True)
+    opt = Adam([p], lr=0.05)
     m = v = 0.0
     x = 0.3
     for t in (1, 2):
         g = 2.0 * x  # d/dx of x^2 evaluated at the reference copy
-        adam_step(theta, [np.array([2.0 * theta[0][0]])], state, lr=0.05)
+        p.grad = np.array([2.0 * p.data[0]])
+        opt.step()
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         x -= 0.05 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-    np.testing.assert_allclose(theta[0], [x], rtol=1e-12)
+    np.testing.assert_allclose(p.data, [x], rtol=1e-12)
 
 
 def test_adam_step_validates_arguments():
-    theta = [np.zeros(2)]
-    state = init_adam(theta)
+    p = Tensor(np.zeros(2), requires_grad=True)
+    p.grad = np.zeros(3)
     with pytest.raises(ShapeError):
-        adam_step(theta, [np.zeros(3)], state)
-    with pytest.raises(DomainError):
-        adam_step(theta, [np.zeros(2)], state, lr=0.0)
-    with pytest.raises(DomainError):
-        adam_step(theta, [np.zeros(2)], state, beta1=1.0)
-    with pytest.raises(ShapeError):
-        adam_step(theta, [np.zeros(2), np.zeros(2)], state)
+        Adam([p]).step()
+    for bad in (dict(lr=0.0), dict(eps=0.0), dict(beta1=1.0), dict(beta2=1.0),
+                dict(beta1=-0.1), dict(l2=-1.0)):
+        with pytest.raises(DomainError):
+            Adam([p], **bad)
 
 
 def test_adam_converges_on_quadratic():
-    theta = [np.array([5.0, -3.0])]
-    state = init_adam(theta)
+    p = Tensor([5.0, -3.0], requires_grad=True)
+    opt = Adam([p], lr=0.05)
     for _ in range(800):
-        adam_step(theta, [2.0 * theta[0]], state, lr=0.05)
-    np.testing.assert_allclose(theta[0], [0.0, 0.0], atol=1e-4)
+        p.grad = 2.0 * p.data
+        opt.step()
+    np.testing.assert_allclose(p.data, [0.0, 0.0], atol=1e-4)
 
 
 def test_wrapper_reads_tensor_grads():

@@ -8,7 +8,8 @@ from conftest import build_frame
 
 from marketgraph import (
     ComparisonSpec, ConfigError, DataError, GruConfig, GruModel, MetricsReport,
-    NormStats, Rng, TcnConfig, TcnModel, TrainConfig, TrainingDiverged,
+    MlpSpec, MtgnnConfig, NormStats, Rng, TcnConfig, TcnModel, TrainConfig,
+    TrainingDiverged,
     WindowSet, WindowSpec, evaluate, invert_predictions, mae, mape,
     make_windows, rmse, rse, run_comparison, run_pipeline, train,
     write_history_csv, write_trace_csv,
@@ -41,6 +42,30 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(l2_coefficient=-1e-4)
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-1)
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (MtgnnConfig, "num_layers", "2"), (MtgnnConfig, "num_layers", True),
+    (MtgnnConfig, "dropout", "0.3"), (MtgnnConfig, "dropout", False),
+    (MtgnnConfig, "k", 1.0), (MtgnnConfig, "k", True),
+    (MtgnnConfig, "use_residual", "no"), (MtgnnConfig, "use_residual", 1),
+    (GruConfig, "hidden_size", 8.0), (TcnConfig, "channels", "16"),
+    (TcnConfig, "kernel_size", True), (TrainConfig, "epochs", 1.5),
+    (TrainConfig, "learning_rate", "0.01"), (TrainConfig, "loss", 1),
+    (TrainConfig, "seed", None), (MlpSpec, "learning_rate", True),
+])
+def test_config_fields_must_hold_their_declared_type(cls, field, value):
+    required = {MtgnnConfig: {"num_nodes": 3}, GruConfig: {"num_series": 2}}.get(cls, {})
+    with pytest.raises(ConfigError, match=field):
+        cls(**required, **{field: value})
+
+
+def test_float_fields_take_integers_and_k_takes_none():
+    cfg = MtgnnConfig(num_nodes=3, dropout=0, retain_ratio=1, alpha=3, k=None)
+    assert (cfg.dropout, cfg.alpha, cfg.k) == (0, 3, None)
+    assert TrainConfig(learning_rate=1, l2_coefficient=0).learning_rate == 1
 
 
 def test_train_config_defaults():
@@ -296,6 +321,10 @@ def test_comparison_markdown_marks_best_and_second():
     assert "| model | RSE | RMSE | MAE | MAPE |" in text
     for series in result.series:
         assert f"### {series}" in text
+    for name, report in result.reports.items():
+        assert f"| {name} | " in text
+        for series in result.series:  # MAPE shown as a one-decimal percent
+            assert f"{100.0 * report.per_series[series]['mape']:.1f}%" in text
     payload = result.to_dict()
     assert set(payload) == {"series", "models", "errors", "flags"}
 

@@ -59,9 +59,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def integers(self, low, high) -> int:
-        return int(self._gen.integers(low, high))
-
 
 class Tensor:
     """Immutable-by-convention dense array that can sit on a gradient tape.
@@ -110,9 +107,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -135,33 +129,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def tanh(self):
-        return tanh(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def relu(self):
-        return relu(self)
-
-    def log(self):
-        return log(self)
-
-    def abs(self):
-        return abs_(self)
-
-    def sum(self):
-        return sum_(self)
-
-    def mean(self):
-        return mean(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def permute(self, axes):
-        return permute(self, axes)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -193,13 +160,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def reset(self) -> None:
-        self._entries.clear()
-        self._consumed = False
-
     def backward(self, loss: Tensor) -> None:
         if self._consumed:
-            raise TapeError("backward on a consumed tape; call reset() or use a fresh tape")
+            raise TapeError("backward on a consumed tape; use a fresh tape")
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         if loss._tape is not self:
@@ -220,13 +183,6 @@ class Tape:
                     if inp.grad is None:
                         inp.grad = np.zeros_like(inp.data)
                     inp.grad += gin
-
-
-def backward(loss: Tensor) -> None:
-    """Run the backward pass of the tape that recorded `loss`."""
-    if loss._tape is None:
-        raise TapeError("loss is not attached to a tape; run the forward pass inside `with Tape():`")
-    loss._tape.backward(loss)
 
 
 def _record(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -334,17 +290,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask,)
 
     return _record(np.where(mask, a.data, 0.0), (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    a = _lift(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log of a nonpositive value")
-
-    def back(g):
-        return (g / a.data,)
-
-    return _record(np.log(a.data), (a,), back)
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -527,23 +472,18 @@ def causal_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
 
     Tap j of the kernel reads x at t - j*dilation; the input is left-padded
     with (K-1)*dilation zeros so the output keeps the input length and never
-    sees a future sample. Accepts [C_in, T] or [B, C_in, N, T].
+    sees a future sample. x is [B, C_in, N, T].
     """
     x, kernel = _lift(x), _lift(kernel)
     if dilation < 1:
         raise DomainError(f"dilation must be >= 1, got {dilation}")
     if kernel.ndim != 3 or kernel.shape[2] < 1:
         raise ShapeError(f"kernel must be [C_out, C_in, K] with K >= 1, got {kernel.shape}")
+    if x.ndim != 4:
+        raise ShapeError(f"causal_conv1d expects [B, C, N, T], got shape {x.shape}")
     if x.size == 0:
         raise ShapeError("empty input")
-    if x.ndim == 2:
-        C_in, T = x.shape
-        wide = reshape(x, (1, C_in, 1, T))
-        out = _conv_core(wide, kernel, dilation)
-        return reshape(out, (kernel.shape[0], T))
-    if x.ndim == 4:
-        return _conv_core(x, kernel, dilation)
-    raise ShapeError(f"causal_conv1d expects [C,T] or [B,C,N,T], got shape {x.shape}")
+    return _conv_core(x, kernel, dilation)
 
 
 def channel_linear(x: Tensor, w: Tensor) -> Tensor:

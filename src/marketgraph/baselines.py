@@ -289,10 +289,6 @@ class GruParams:
     u_h: Tensor
     b_h: Tensor
 
-    def all(self) -> list[Tensor]:
-        return [self.w_z, self.u_z, self.b_z, self.w_r, self.u_r, self.b_r,
-                self.w_h, self.u_h, self.b_h]
-
 
 def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     """One recurrence step: h' = (1-z) * h + z * tanh-candidate."""
@@ -405,10 +401,6 @@ class TcnModel(NeuralModel):
                         "b": self.bias(f"block{i}.b", c)}
                        for i, (d, k) in enumerate(zip(dil, kernels))]
 
-    @property
-    def receptive_field(self) -> int:
-        return self.config.receptive_field
-
     def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:
         """[B, N, P] -> [B, N, Q]; collects each block's residual state."""
@@ -417,8 +409,9 @@ class TcnModel(NeuralModel):
         if x.ndim != 3:
             raise ShapeError(f"expected [batch, series, steps] input, got {x.shape}")
         B, N, P = x.shape
-        if P < self.receptive_field:
-            raise ShapeError(f"input window {P} is shorter than the receptive field {self.receptive_field}")
+        if P < self.config.receptive_field:
+            raise ShapeError(f"input window {P} is shorter than the receptive field "
+                             f"{self.config.receptive_field}")
         v = add_bias(channel_linear(reshape(x, (B, 1, N, P)), self.start_w), self.start_b, 1)
         for blk in self.blocks:
             h = relu(add_bias(causal_conv1d(v, blk["w"], blk["dilation"]), blk["b"], 1))

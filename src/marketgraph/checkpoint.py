@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Rng, Tensor, reshape
+from .autodiff import Rng, Tensor
 from .errors import ConfigError, DataError, ShapeError
 
 FORMAT_VERSION = 2
@@ -53,6 +53,8 @@ def load_checkpoint(path) -> Checkpoint:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not a valid checkpoint: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a valid checkpoint: top level is not an object")
     version = doc.get("format_version")
@@ -143,9 +145,6 @@ class NeuralModel:
     def parameters(self) -> list[Tensor]:
         return list(self._params.values())
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
@@ -154,22 +153,18 @@ class NeuralModel:
         for name, t in self._params.items():
             t.data = np.array(state[name], dtype=np.float64)
 
-    def predict_windows(self, x: np.ndarray, horizon: int | None = None,
-                        chunk: int | None = None) -> np.ndarray:
-        """Eval-mode predictions for stacked windows [B, N, P] -> [B, N, Q]."""
+    def predict_windows(self, x: np.ndarray, horizon: int | None = None) -> np.ndarray:
+        """Eval-mode predictions for stacked windows [B, N, P] -> [B, N, Q],
+        `predict_chunk` windows per forward pass."""
         if horizon is not None and horizon != self.config.horizon:
             raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
         x = np.asarray(x, dtype=np.float64)
-        chunk = chunk or self.predict_chunk
+        chunk = self.predict_chunk
         parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
         return np.concatenate(parts, axis=0)
 
     def temporal_features(self, x) -> list[np.ndarray]:
-        """Eval-mode per-layer states for [N, P] or [B, N, P] input, for causality inspection."""
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
-        if x.ndim == 2:
-            x = reshape(x, (1, x.shape[0], x.shape[1]))
+        """Eval-mode per-layer states for [B, N, P] input, for causality inspection."""
         collected: list[Tensor] = []
         self.forward_batch(x, collect=collected)
         return [t.data.copy() for t in collected]

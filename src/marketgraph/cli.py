@@ -3,7 +3,8 @@
 Full runs are driven by a JSON config document rather than a pile of flags,
 so a run is reproducible from one file; flags cover paths and small
 overrides only. Every artifact written is echoed to stdout as a manifest
-line. Exit codes: 0 success, 1 runtime/model failure, 2 usage/config error.
+line. Exit codes: 0 success, 1 runtime/model failure, 2 usage/config error
+or an unusable input path or checkpoint.
 """
 from __future__ import annotations
 
@@ -28,7 +29,9 @@ from .data import (
     descriptive_stats, invert_predictions, load_csv, log_transform,
     make_windows, normalize, run_pipeline,
 )
-from .errors import ConfigError, DataError, DomainError, MarketGraphError, check_field_types
+from .errors import (
+    ConfigError, DataError, DomainError, MarketGraphError, ShapeError, check_field_types,
+)
 from .graph import (
     G7_COUNTRIES, MINT_COUNTRIES, rank_influence, read_adjacency_csv,
     write_adjacency_csv,
@@ -290,22 +293,37 @@ def cmd_influence(args) -> int:
     return 0
 
 
+def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[RebaseRule, ...]]:
+    """The normalization, window and rebasing that `train` stores in a
+    checkpoint; any problem with them is a DataError naming the checkpoint."""
+    try:
+        if not isinstance(extra, dict) or not {"labels", "norm_stats", "window"} <= set(extra):
+            raise ConfigError("needs labels, norm_stats and window; re-train with the current tooling")
+        parts = {"norm_stats": {"columns", "mean", "std"}, "window": {"P", "Q"}}
+        for where, keys in parts.items():
+            if set(_object(where, extra[where], keys)) != keys:
+                raise ConfigError(f"{where} needs {', '.join(sorted(keys))}")
+        check_field_types(WindowSpec, extra["window"], "window")
+        norm = extra["norm_stats"]
+        stats = NormStats(columns=tuple(norm["columns"]), mean=np.array(norm["mean"]),
+                          std=np.array(norm["std"]))
+        return stats, WindowSpec(**extra["window"]), _rebase_rules(extra.get("rebase", []))
+    except (ConfigError, DataError, DomainError, ShapeError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: unusable checkpoint metadata: {exc}") from None
+
+
 def cmd_forecast(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = MtgnnModel.from_checkpoint(ckpt, args.checkpoint)
-    extra = ckpt.extra
-    for key in ("labels", "norm_stats", "window"):
-        if key not in extra:
-            raise ConfigError(f"{args.checkpoint}: checkpoint lacks {key!r} metadata; "
-                              "re-train with the current tooling")
-    stats = NormStats(columns=tuple(extra["norm_stats"]["columns"]),
-                      mean=np.array(extra["norm_stats"]["mean"]),
-                      std=np.array(extra["norm_stats"]["std"]))
-    P, Q = extra["window"]["P"], extra["window"]["Q"]
+    stats, window, rebase = _forecast_metadata(ckpt.extra, args.checkpoint)
+    P, Q = window.P, window.Q
+    if Q != model.config.horizon:
+        raise DataError(f"{args.checkpoint}: window Q={Q} but the model forecasts "
+                        f"{model.config.horizon} step(s)")
 
     frame = load_csv(args.csv)
-    for rule in extra.get("rebase", []):
-        frame = adjust_rebased_series(frame, rule["column"], rule["cutoff"], rule["divisor"])
+    for rule in rebase:
+        frame = adjust_rebased_series(frame, rule.column, rule.cutoff, rule.divisor)
     frame = normalize(log_transform(frame), stats)
     out = _out_dir(args.out)
 
@@ -317,7 +335,7 @@ def cmd_forecast(args) -> int:
         _emit(trace_path)
         return 0
 
-    windows = make_windows(frame, WindowSpec(P=P, Q=Q))
+    windows = make_windows(frame, window)
     steps = len(windows) if args.steps is None else args.steps
     if steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {steps}")
@@ -393,7 +411,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, OSError) as exc:  # OSError: an unusable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MarketGraphError as exc:

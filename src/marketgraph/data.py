@@ -79,8 +79,11 @@ def _parse_date(text: str, where: str) -> date:
 
 
 def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -171,10 +174,6 @@ def log_transform(frame: TimeSeriesFrame) -> TimeSeriesFrame:
     return TimeSeriesFrame(frame.dates, frame.columns, np.log(frame.values))
 
 
-def exp_transform(frame: TimeSeriesFrame) -> TimeSeriesFrame:
-    return TimeSeriesFrame(frame.dates, frame.columns, np.exp(frame.values))
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Chronological train/validation/test fractions."""
@@ -239,12 +238,6 @@ def normalize(frame: TimeSeriesFrame, stats: NormStats) -> TimeSeriesFrame:
     return TimeSeriesFrame(frame.dates, frame.columns, (frame.values - stats.mean) / stats.std)
 
 
-def denormalize(frame: TimeSeriesFrame, stats: NormStats) -> TimeSeriesFrame:
-    if frame.columns != stats.columns:
-        raise DataError("frame columns do not match normalization stats")
-    return TimeSeriesFrame(frame.dates, frame.columns, frame.values * stats.std + stats.mean)
-
-
 def denormalize_values(values: np.ndarray, stats: NormStats, axis: int = -1) -> np.ndarray:
     """Undo z-scoring on a bare array whose `axis` runs over the columns."""
     values = np.asarray(values, dtype=np.float64)
@@ -294,19 +287,17 @@ class WindowSet:
         return self.x.shape[0]
 
 
-def make_windows(frame: TimeSeriesFrame, spec: WindowSpec, stride: int = 1) -> WindowSet:
-    """Slide a (P in, Q out) window over one split.
+def make_windows(frame: TimeSeriesFrame, spec: WindowSpec) -> WindowSet:
+    """Slide a (P in, Q out) window over one split, one window per start row.
 
     Splits are windowed independently, so no sample ever straddles a split
-    boundary. At stride 1 the count is rows - P - Q + 1.
+    boundary. The count is rows - P - Q + 1.
     """
-    if stride < 1:
-        raise DomainError(f"stride must be at least 1, got {stride}")
     rows = frame.num_rows
     span = spec.P + spec.Q
     if rows < span:
         raise DataError(f"{rows} rows cannot fit a window of P+Q={span}")
-    starts = range(0, rows - span + 1, stride)
+    starts = range(rows - span + 1)
     series_major = frame.values.T
     xs = np.stack([series_major[:, s:s + spec.P] for s in starts])
     ys = np.stack([series_major[:, s + spec.P:s + span] for s in starts])
@@ -357,7 +348,7 @@ class PipelineResult:
 
 
 def run_pipeline(source, window_spec: WindowSpec, split_spec: SplitSpec = SplitSpec(),
-                 rebase_rules: Sequence[RebaseRule] = (), stride: int = 1) -> PipelineResult:
+                 rebase_rules: Sequence[RebaseRule] = ()) -> PipelineResult:
     """Apply the full stage chain to a CSV path or an already-loaded frame.
 
     Stage order is fixed: adjust, log, split, normalize with train stats,
@@ -384,7 +375,7 @@ def run_pipeline(source, window_spec: WindowSpec, split_spec: SplitSpec = SplitS
     train_n, val_n, test_n = (normalize(f, stats) for f in (train, val, test))
     stages.append({"stage": "normalize", "hash": frame_hash(train_n)})
 
-    windows = tuple(make_windows(f, window_spec, stride) for f in (train_n, val_n, test_n))
+    windows = tuple(make_windows(f, window_spec) for f in (train_n, val_n, test_n))
     digest = hashlib.sha256()
     for ws in windows:
         digest.update(ws.x.tobytes())
@@ -408,7 +399,7 @@ def run_pipeline(source, window_spec: WindowSpec, split_spec: SplitSpec = SplitS
             "norm_stats": {"columns": list(stats.columns),
                            "mean": [float(m) for m in stats.mean],
                            "std": [float(s) for s in stats.std]},
-            "window": {"P": window_spec.P, "Q": window_spec.Q, "stride": stride},
+            "window": {"P": window_spec.P, "Q": window_spec.Q, "stride": 1},
         },
     )
     return result

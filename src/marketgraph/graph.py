@@ -33,9 +33,6 @@ class NodeEmbeddings:
     def dim(self) -> int:
         return self.e1.shape[1]
 
-    def parameters(self) -> list[Tensor]:
-        return [self.e1, self.e2]
-
 
 def init_node_embeddings(num_nodes: int, dim: int, rng: Rng, scale: float = 1.0) -> NodeEmbeddings:
     if num_nodes < 2 or dim < 1:
@@ -64,9 +61,6 @@ class GraphLearnParams:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
-
-    def parameters(self) -> list[Tensor]:
-        return [self.theta1, self.theta2]
 
 
 def init_graph_learn_params(dim: int, rng: Rng, alpha: float = 3.0, k: int = 5) -> GraphLearnParams:
@@ -146,10 +140,6 @@ class AdjacencyMatrix:
         if np.any(np.diagonal(v) != 0):
             raise DataError("self-edges are not allowed (diagonal must be zero)")
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.labels)
-
 
 def snapshot_adjacency(emb: NodeEmbeddings, params: GraphLearnParams,
                        labels: Sequence[str] | None = None) -> AdjacencyMatrix:
@@ -201,8 +191,11 @@ def write_adjacency_csv(adj: AdjacencyMatrix, path) -> None:
 
 
 def read_adjacency_csv(path) -> AdjacencyMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows or len(rows[0]) < 2:
         raise DataError(f"{path}: expected a header row of node labels")
     labels = tuple(rows[0][1:])

@@ -20,9 +20,7 @@ from .autodiff import (
 )
 from .checkpoint import NeuralModel
 from .errors import ConfigError, ShapeError, check_field_types
-from .graph import (
-    AdjacencyMatrix, init_graph_learn_params, init_node_embeddings, learn_adjacency,
-)
+from .graph import init_graph_learn_params, init_node_embeddings, learn_adjacency
 
 
 @dataclass(frozen=True)
@@ -107,31 +105,20 @@ def _mix_hop_core(h: Tensor, props: Tensor, weights: Tensor) -> Tensor:
     return mix_hop(h, props, weights)
 
 
-def normalized_propagation_matrix(a) -> Tensor:
+def normalized_propagation_matrix(a: Tensor) -> Tensor:
     """Row-normalized (A + I): each row mixes a node with its in-edges."""
-    if isinstance(a, AdjacencyMatrix):
-        a = Tensor(a.values)
-    elif not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=np.float64))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"adjacency must be square, got {a.shape}")
     return row_normalize(a + Tensor(np.eye(a.shape[0])))
 
 
-def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int,
-                        bias: Tensor | None = None) -> Tensor:
+def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int, bias: Tensor) -> Tensor:
     """tanh(filter) * sigmoid(gate) from one causal, dilated convolution.
 
-    kernel is [2C, C_in, K]: rows [:C] are the filter, rows [C:] the gate;
-    bias, if given, is [2C] in the same order. Accepts [C_in, T] or
-    [B, C_in, N, T] input.
+    x is [B, C_in, N, T]; kernel is [2C, C_in, K] and bias [2C]: rows [:C]
+    are the filter, rows [C:] the gate.
     """
-    wide = reshape(x, (1, x.shape[0], 1, x.shape[1])) if x.ndim == 2 else x
-    a = causal_conv1d(wide, kernel, dilation)
-    if bias is not None:
-        a = add_bias(a, bias, 1)
-    out = tanh_sigmoid_gate(a)
-    return reshape(out, (out.shape[1], x.shape[1])) if x.ndim == 2 else out
+    return tanh_sigmoid_gate(add_bias(causal_conv1d(x, kernel, dilation), bias, 1))
 
 
 class MtgnnModel(NeuralModel):

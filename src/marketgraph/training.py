@@ -65,7 +65,8 @@ def _batch_loss(model, x: np.ndarray, y: np.ndarray, training: bool,
     return mean(abs_(pred - Tensor(y)))
 
 
-def _validation_loss(model, windows: WindowSet, chunk: int = 128) -> float:
+def _validation_loss(model, windows: WindowSet) -> float:
+    chunk = 128  # windows per forward pass
     total, count = 0.0, 0
     for lo in range(0, len(windows), chunk):
         x = windows.x[lo:lo + chunk]

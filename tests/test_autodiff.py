@@ -2,12 +2,11 @@
 import numpy as np
 import pytest
 
-from marketgraph import (
-    DomainError, Rng, ShapeError, Tape, TapeError, Tensor, abs_, add, add_bias,
-    backward, causal_conv1d, channel_linear, dropout, grad_check, graph_mix,
-    last_step, log, matmul, mean, mix_hop, mul, permute, relu, reshape,
-    row_normalize, sigmoid, stack_last, sub, sum_, tanh, tanh_sigmoid_gate,
-    time_index, transpose,
+from marketgraph import DomainError, Rng, ShapeError, Tape, TapeError, Tensor, grad_check
+from marketgraph.autodiff import (
+    abs_, add, add_bias, causal_conv1d, channel_linear, dropout, graph_mix, last_step,
+    matmul, mean, mix_hop, mul, permute, relu, reshape, row_normalize,
+    sigmoid, stack_last, sub, sum_, tanh, tanh_sigmoid_gate, time_index, transpose,
 )
 
 GEN = np.random.default_rng(99)
@@ -52,7 +51,7 @@ def test_no_tape_means_no_tracking():
     y = mul(x, x)
     assert y._tape is None
     with pytest.raises(TapeError):
-        backward(sum_(y))
+        Tape().backward(sum_(y))
 
 
 def test_backward_accumulates_into_leaves():
@@ -79,8 +78,6 @@ def test_tape_consumed_once():
     tape.backward(loss)
     with pytest.raises(TapeError):
         tape.backward(loss)
-    tape.reset()
-    assert len(tape) == 0
 
 
 def test_backward_requires_scalar_loss():
@@ -111,7 +108,7 @@ def test_grad_does_not_leak_without_requires_grad():
     np.testing.assert_allclose(y.grad, x.data)
 
 
-def test_zero_grad_and_detach():
+def test_zero_grad_clears_the_gradient():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
         loss = sum_(x)
@@ -119,9 +116,6 @@ def test_zero_grad_and_detach():
     assert x.grad is not None
     x.zero_grad()
     assert x.grad is None
-    d = x.detach()
-    assert not d.requires_grad
-    assert d.data is not x.data
 
 
 # -- hand-computed derivatives ----------------------------------------------------
@@ -142,13 +136,6 @@ def test_matmul_rejects_bad_shapes():
         matmul(Tensor(GEN.normal(size=(2, 3))), Tensor(GEN.normal(size=(2, 3))))
     with pytest.raises(ShapeError):
         matmul(Tensor(GEN.normal(size=(2, 3, 1))), Tensor(GEN.normal(size=(3, 2))))
-
-
-def test_log_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        log(Tensor([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        log(Tensor([-1.0]))
 
 
 def test_sigmoid_exact_at_zero_and_bounded():
@@ -201,10 +188,6 @@ def test_grad_relu_off_kink():
     x = GEN.normal(size=(8,))
     x[np.abs(x) < 0.1] = 0.5
     check(lambda t: sum_(relu(t)), x)
-
-
-def test_grad_log():
-    check(lambda t: sum_(log(t)), GEN.uniform(0.5, 3.0, size=(7,)))
 
 
 def test_grad_abs_off_kink():
@@ -294,7 +277,7 @@ def test_grad_causal_conv_three_taps_dilated():
     x4 = GEN.normal(size=(2, 2, 3, 9))
     check(lambda t: weighted(causal_conv1d(t, k, dilation=2)), x4)
     check(lambda t: weighted(causal_conv1d(Tensor(x4), t, dilation=2)), k.data)
-    x2 = GEN.normal(size=(2, 9))
+    x2 = GEN.normal(size=(1, 2, 1, 9))
     check(lambda t: weighted(causal_conv1d(t, k, dilation=2)), x2)
     check(lambda t: weighted(causal_conv1d(Tensor(x2), t, dilation=2)), k.data)
 
@@ -404,23 +387,23 @@ def test_dropout_gradient_uses_same_mask():
 
 def test_causal_conv_pure_lag():
     # kernel weights: tap 0 = current sample, tap 1 = one step back
-    x = Tensor(np.array([[1.0, 2.0, 3.0]]))
+    x = Tensor(np.array([[[[1.0, 2.0, 3.0]]]]))
     k = Tensor(np.array([[[0.0, 1.0]]]))
     y = causal_conv1d(x, k)
-    np.testing.assert_allclose(y.data, [[0.0, 1.0, 2.0]])
+    np.testing.assert_allclose(y.data, [[[[0.0, 1.0, 2.0]]]])
 
 
 def test_causal_conv_identity_kernel():
-    x = Tensor(GEN.normal(size=(1, 9)))
+    x = Tensor(GEN.normal(size=(1, 1, 1, 9)))
     k = Tensor(np.array([[[1.0, 0.0]]]))
     np.testing.assert_allclose(causal_conv1d(x, k, dilation=3).data, x.data)
 
 
 def test_causal_conv_dilation_reaches_back():
-    x = Tensor(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]))
+    x = Tensor(np.array([[[[1.0, 2.0, 3.0, 4.0, 5.0]]]]))
     k = Tensor(np.array([[[0.0, 1.0]]]))
     y = causal_conv1d(x, k, dilation=2)
-    np.testing.assert_allclose(y.data, [[0.0, 0.0, 1.0, 2.0, 3.0]])
+    np.testing.assert_allclose(y.data, [[[[0.0, 0.0, 1.0, 2.0, 3.0]]]])
 
 
 def test_causal_conv_never_reads_future():
@@ -435,11 +418,13 @@ def test_causal_conv_never_reads_future():
 
 def test_causal_conv_validates_inputs():
     with pytest.raises(DomainError):
-        causal_conv1d(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1, 2))), dilation=0)
+        causal_conv1d(Tensor(np.ones((1, 1, 1, 4))), Tensor(np.ones((1, 1, 2))), dilation=0)
     with pytest.raises(ShapeError):
-        causal_conv1d(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 2))))
+        causal_conv1d(Tensor(np.ones((1, 1, 1, 4))), Tensor(np.ones((1, 2))))
     with pytest.raises(ShapeError):
-        causal_conv1d(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 3, 2))))
+        causal_conv1d(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1, 2))))
+    with pytest.raises(ShapeError):
+        causal_conv1d(Tensor(np.ones((1, 2, 1, 4))), Tensor(np.ones((1, 3, 2))))
 
 
 def test_row_normalize_rows_sum_to_one():

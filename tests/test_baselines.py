@@ -3,10 +3,13 @@ import numpy as np
 import pytest
 
 from marketgraph import (
-    ArEnsemble, ArModel, DataError, DomainError, GruConfig, GruModel, GruParams,
-    MlpSpec, PersistenceModel, Rng, ShapeError, TcnConfig, TcnModel, Tensor,
-    VarMlpModel, fit_ar, fit_ar_ensemble, fit_var, fit_var_mlp,
-    grad_check_params, gru_cell, mean, abs_,
+    DataError, DomainError, GruModel, PersistenceModel, Rng, ShapeError, TcnModel,
+    Tensor, fit_ar_ensemble, fit_var_mlp, grad_check_params,
+)
+from marketgraph.autodiff import abs_, mean
+from marketgraph.baselines import (
+    ArEnsemble, ArModel, GruConfig, GruParams, MlpSpec, TcnConfig, VarMlpModel, fit_ar,
+    fit_var, gru_cell,
 )
 
 GEN = np.random.default_rng(44)
@@ -220,7 +223,7 @@ def test_gru_cell_state_envelope():
     # each new state coordinate lies between the previous state and the
     # candidate, both bounded by 1 in magnitude after enough steps
     params = zero_gru_params(1, 2)
-    for p in params.all():
+    for p in list(vars(params).values()):
         p.data = GEN.normal(size=p.data.shape) * 0.5
     h = Tensor(np.zeros((1, 2)))
     for t in range(30):
@@ -230,7 +233,7 @@ def test_gru_cell_state_envelope():
 
 def test_gru_three_step_gradients():
     params = zero_gru_params(2, 3)
-    for p in params.all():
+    for p in list(vars(params).values()):
         p.data = GEN.normal(size=p.data.shape) * 0.4
     xs = [Tensor(GEN.normal(size=(2, 2))) for _ in range(3)]
 
@@ -240,7 +243,7 @@ def test_gru_three_step_gradients():
             h = gru_cell(x, h, params)
         return mean(abs_(h))
 
-    err = grad_check_params(loss_fn, params.all(), eps=1e-5)
+    err = grad_check_params(loss_fn, list(vars(params).values()), eps=1e-5)
     assert err <= 1e-4, f"worst relative gradient error {err:.2e}"
 
 
@@ -250,7 +253,8 @@ def test_gru_model_shapes_and_determinism():
     out = model.forward_batch(x).data
     assert out.shape == (5, 3, 2)
     np.testing.assert_array_equal(out, model.forward_batch(x).data)
-    np.testing.assert_allclose(model.predict_windows(x, chunk=2), out, atol=1e-12)
+    model.predict_chunk = 2
+    np.testing.assert_allclose(model.predict_windows(x), out, atol=1e-12)
 
 
 def test_gru_round_trip(tmp_path):

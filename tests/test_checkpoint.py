@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from marketgraph import (
-    ArEnsemble, ConfigError, DataError, GruConfig, GruModel, MlpSpec, MtgnnConfig, MtgnnModel,
-    Rng, TcnConfig, TcnModel, VarMlpModel, fit_ar_ensemble, fit_var_mlp,
+    ConfigError, DataError, GruModel, MtgnnConfig, MtgnnModel, Rng, TcnModel,
+    fit_ar_ensemble, fit_var_mlp,
 )
+from marketgraph.baselines import ArEnsemble, GruConfig, MlpSpec, TcnConfig, VarMlpModel
 
 GEN = np.random.default_rng(53)
 

@@ -106,7 +106,9 @@ def test_parse_run_config_rejects_bad_documents(tmp_path, doc):
 def test_comparison_spec_takes_only_the_keys_the_document_sets(tmp_path):
     from dataclasses import replace
 
-    from marketgraph import ComparisonSpec, MlpSpec, TrainConfig
+    from marketgraph import TrainConfig
+    from marketgraph.baselines import MlpSpec
+    from marketgraph.training import ComparisonSpec
     from marketgraph.cli import _comparison_spec
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"model": {"num_layers": 2},
@@ -496,6 +498,70 @@ def test_forecast_actuals_match_source_prices(trained_run, tmp_path, capsys):
         for row in reader:
             actual = [float(row[1]), float(row[3]), float(row[5])]
             np.testing.assert_allclose(actual, source[row[0]], rtol=1e-9)
+
+
+MALFORMED_METADATA = {
+    "window_without_P": lambda extra: extra["window"].pop("P"),
+    "str_P": lambda extra: extra["window"].update(P="3"),
+    "rebase_without_cutoff": lambda extra: extra.update(rebase=[{"column": "us", "divisor": 2.0}]),
+    "norm_stats_without_std": lambda extra: extra["norm_stats"].pop("std"),
+    "mean_of_wrong_length": lambda extra: extra["norm_stats"].update(mean=[0.0]),
+    "Q_not_the_horizon": lambda extra: extra["window"].update(Q=2),
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED_METADATA.values(), ids=MALFORMED_METADATA.keys())
+def test_forecast_malformed_checkpoint_metadata_exits_2(trained_run, tmp_path, capsys, damage):
+    csv_path, checkpoint = trained_run
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    damage(doc["extra"])
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "fc"
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "internal error" not in err
+    assert str(checkpoint) in err
+    assert not out.exists()
+
+
+def not_utf8(path):
+    path.write_bytes(b"date,us\n2020-01-02,\xff\xfe\n")
+    return str(path)
+
+
+def prices(d):
+    make_dataset(d / "prices.csv")
+    return str(d / "prices.csv")
+
+
+def taken(path):
+    path.write_text("", encoding="utf-8")
+    return str(path)
+
+
+# Each builds, inside directory d, the argv of a command given an unusable path.
+UNUSABLE_PATHS = {
+    "analyze_csv_is_a_directory": lambda d: ["analyze", str(d), "--out", str(d / "o")],
+    "train_config_is_a_directory": lambda d: ["train", "--config", str(d), "--out", str(d / "o")],
+    "dataset_is_a_directory": lambda d: [
+        "train", "--config", str(write_config(d / "run.json", d)), "--out", str(d / "o")],
+    "forecast_checkpoint_is_a_directory": lambda d: [
+        "forecast", "--checkpoint", str(d), "--csv", prices(d), "--out", str(d / "o")],
+    "influence_adjacency_is_a_directory": lambda d: ["influence", str(d)],
+    "csv_not_utf8": lambda d: ["analyze", not_utf8(d / "p.csv"), "--out", str(d / "o")],
+    "adjacency_not_utf8": lambda d: ["influence", not_utf8(d / "adj.csv")],
+    "checkpoint_not_utf8": lambda d: [
+        "forecast", "--checkpoint", not_utf8(d / "c.json"), "--csv", prices(d), "--out", str(d / "o")],
+    "out_is_a_file": lambda d: ["analyze", prices(d), "--out", taken(d / "o")],
+}
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
+def test_unusable_path_exits_2(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "internal error" not in err
 
 
 # -- argparse boundary ----------------------------------------------------------------

@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 
 from marketgraph import (
-    AdjacencyMatrix, DataError, DomainError, G7_COUNTRIES, GraphLearnParams,
-    MINT_COUNTRIES, NodeEmbeddings, Rng, ShapeError, Tape, Tensor,
-    init_graph_learn_params, init_node_embeddings, learn_adjacency, out_degree,
-    rank_influence, read_adjacency_csv, snapshot_adjacency, sum_,
-    top_k_row_mask, write_adjacency_csv,
+    DataError, DomainError, Rng, ShapeError, Tape, Tensor, out_degree, rank_influence,
+)
+from marketgraph.autodiff import sum_
+from marketgraph.graph import (
+    AdjacencyMatrix, G7_COUNTRIES, GraphLearnParams, MINT_COUNTRIES, NodeEmbeddings,
+    init_graph_learn_params, init_node_embeddings, learn_adjacency, read_adjacency_csv,
+    snapshot_adjacency, top_k_row_mask, write_adjacency_csv,
 )
 
 FIXTURE_ONE_HOP = [1, 6, 4, 3, 5, 7, 5, 7, 5, 3, 2]
@@ -116,7 +118,7 @@ def test_gradients_reach_embeddings_through_mask():
     with Tape() as tape:
         loss = sum_(learn_adjacency(emb, params))
     tape.backward(loss)
-    grads = [p.grad for p in (*emb.parameters(), *params.parameters())]
+    grads = [p.grad for p in (emb.e1, emb.e2, params.theta1, params.theta2)]
     assert all(g is not None for g in grads)
     assert any(np.any(g != 0) for g in grads)
 
@@ -148,7 +150,7 @@ def test_snapshot_default_labels():
     params = init_graph_learn_params(2, rng.split(), k=1)
     adj = snapshot_adjacency(emb, params)
     assert adj.labels == ("series_0", "series_1", "series_2")
-    assert adj.num_nodes == 3
+    assert len(adj.labels) == 3
 
 
 # -- out-degree oracles ---------------------------------------------------------------

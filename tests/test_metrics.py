@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketgraph import (
-    DataError, DomainError, MetricsReport, ShapeError, average_ranks,
-    dtw_distance, dtw_matrix, mae, mape, per_series_metrics, rmse, rse,
-    spearman, spearman_matrix, write_labeled_matrix_csv,
+    DataError, DomainError, ShapeError, dtw_distance, dtw_matrix, mae, mape, rmse, rse,
+    spearman, spearman_matrix,
+)
+from marketgraph.metrics import (
+    MetricsReport, average_ranks, per_series_metrics, write_labeled_matrix_csv,
 )
 from conftest import build_frame
 

@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from marketgraph import (
-    ConfigError, MtgnnConfig, MtgnnModel, Rng, ShapeError, Tensor,
-    gated_temporal_conv, grad_check_params, mix_hop,
-    normalized_propagation_matrix, read_adjacency_csv, sum_,
+    ConfigError, MtgnnConfig, MtgnnModel, Rng, ShapeError, Tensor, grad_check_params,
 )
-from marketgraph.mtgnn import hop_stack
+from marketgraph.autodiff import mix_hop, sum_
+from marketgraph.graph import read_adjacency_csv
+from marketgraph.mtgnn import gated_temporal_conv, hop_stack, normalized_propagation_matrix
 
 GEN = np.random.default_rng(31)
 
@@ -63,14 +63,14 @@ def test_config_validation():
 
 def test_normalized_propagation_rows_sum_to_one(fixtures_dir):
     adj = read_adjacency_csv(fixtures_dir / "g7_mint_adjacency.csv")
-    p = normalized_propagation_matrix(adj)
+    p = normalized_propagation_matrix(Tensor(adj.values))
     np.testing.assert_allclose(p.data.sum(axis=1), np.ones(11), atol=1e-12)
     assert np.all(p.data >= 0)
 
 
 def mix_hop_rows(h, a, depth, beta, weights):
     """One direction of a layer's mix-hop on [N, C] features, built as the model builds it."""
-    props = hop_stack([normalized_propagation_matrix(a)], depth, beta)
+    props = hop_stack([normalized_propagation_matrix(Tensor(a))], depth, beta)
     wide = Tensor(h.T[None, :, :, None])  # [1, C, N, 1]
     return mix_hop(wide, props, Tensor(np.stack(weights))).data[0, :, :, 0].T
 
@@ -107,13 +107,14 @@ def test_mix_hop_retention_blends_self_and_neighbors():
 
 
 def test_gated_conv_is_tanh_times_sigmoid():
-    x = Tensor(GEN.normal(size=(1, 6)))
+    x = Tensor(GEN.normal(size=(1, 1, 1, 6)))
     fk = Tensor(GEN.normal(size=(2, 1, 2)))
     gk = Tensor(GEN.normal(size=(2, 1, 2)))
-    from marketgraph import causal_conv1d
+    from marketgraph.autodiff import causal_conv1d
     f = causal_conv1d(x, fk).data
     g = causal_conv1d(x, gk).data
-    out = gated_temporal_conv(x, Tensor(np.concatenate([fk.data, gk.data])), dilation=1)
+    out = gated_temporal_conv(x, Tensor(np.concatenate([fk.data, gk.data])), dilation=1,
+                              bias=Tensor(np.zeros(4)))
     np.testing.assert_allclose(out.data, np.tanh(f) / (1.0 + np.exp(-g)), atol=1e-12)
     assert np.all(np.abs(out.data) <= 1.0)
 
@@ -123,10 +124,11 @@ def test_gated_conv_causal():
     fk = Tensor(GEN.normal(size=(3, 3, 2)))
     gk = Tensor(GEN.normal(size=(3, 3, 2)))
     kernel = Tensor(np.concatenate([fk.data, gk.data]))
-    base = gated_temporal_conv(Tensor(x0), kernel, dilation=2).data
+    zero = Tensor(np.zeros(6))
+    base = gated_temporal_conv(Tensor(x0), kernel, dilation=2, bias=zero).data
     x1 = x0.copy()
     x1[..., 7:] = 50.0
-    bumped = gated_temporal_conv(Tensor(x1), kernel, dilation=2).data
+    bumped = gated_temporal_conv(Tensor(x1), kernel, dilation=2, bias=zero).data
     np.testing.assert_array_equal(base[..., :7], bumped[..., :7])
 
 
@@ -205,7 +207,8 @@ def test_temporal_features_causal_per_layer():
 
 
 def test_gradients_flow_to_every_parameter():
-    from marketgraph import Tape, mean, abs_, sub
+    from marketgraph import Tape
+    from marketgraph.autodiff import abs_, mean, sub
     # head2.b's l1 gradient is the mean of the residual signs, which an even
     # number of output cells can balance to exactly 0; 3 x 3 cells cannot.
     gen = np.random.default_rng(207)
@@ -215,7 +218,7 @@ def test_gradients_flow_to_every_parameter():
     with Tape() as tape:
         loss = mean(abs_(sub(model.forward_batch(x), y)))
     tape.backward(loss)
-    dead = [name for name, p in model.named_parameters().items()
+    dead = [name for name, p in model._params.items()
             if p.grad is None or not np.any(p.grad)]
     assert dead == []
 
@@ -236,15 +239,17 @@ def test_reduced_model_gradients_match_finite_differences():
 
 
 def mean_abs(t):
-    from marketgraph import abs_, mean
+    from marketgraph.autodiff import abs_, mean
     return mean(abs_(t))
 
 
 def test_predict_windows_chunking_consistent():
     model = MtgnnModel(tiny_config(), Rng(6))
     x = GEN.normal(size=(7, 3, 8))
-    full = model.predict_windows(x, chunk=7)
-    split = model.predict_windows(x, chunk=2)
+    model.predict_chunk = 7
+    full = model.predict_windows(x)
+    model.predict_chunk = 2
+    split = model.predict_windows(x)
     np.testing.assert_allclose(full, split, atol=1e-12)
     with pytest.raises(ShapeError):
         model.predict_windows(x, horizon=3)
@@ -319,7 +324,7 @@ def test_malformed_checkpoint_entry_is_a_data_error(tmp_path, damage):
 
 
 def test_failed_checkpoint_save_keeps_previous_file(tmp_path):
-    from marketgraph import save_checkpoint
+    from marketgraph.checkpoint import save_checkpoint
     path = tmp_path / "model.json"
     model = MtgnnModel(tiny_config(), Rng(15))
     model.save(path)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from marketgraph import Adam, DomainError, ShapeError, Tape, Tensor, mul, sum_
+from marketgraph import Adam, DomainError, ShapeError, Tape, Tensor
+from marketgraph.autodiff import mul, sum_
 
 
 def test_first_step_matches_hand_computation():

@@ -1,6 +1,8 @@
 """The package's export list, and the names the benchmark's tracer wraps."""
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import marketgraph
@@ -31,3 +33,28 @@ def test_every_traced_target_exists():
     missing += [f"{mod}.{cls}.{name}" for mod, cls, name in tracer.METHODS
                 if name not in vars(getattr(importlib.import_module(f"marketgraph.{mod}"), cls, object))]
     assert missing == []
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_every_exported_name_is_documented_in_the_readme():
+    # Code spans and fenced blocks: where the README names library objects.
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", README, flags=re.S))
+    names = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", code))
+    assert [name for name in marketgraph.__all__ if name not in names] == []
+
+
+def test_readme_library_snippet_imports():
+    library = README.split("## Library", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", library, flags=re.S).group(1)
+    imports = [node for node in ast.parse(snippet).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def test_tape_keeps_the_length_the_tracer_reads():
+    # The tracer records len(tape) for autodiff.tape.entries_per_step.
+    from marketgraph.autodiff import Tape
+    assert "__len__" in vars(Tape)

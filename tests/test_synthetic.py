@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from marketgraph import DomainError, coupled_var_system, edge_precision
+from marketgraph import DomainError, edge_precision
+from marketgraph.synthetic import coupled_var_system
 
 
 def test_generator_shapes_and_positivity():

@@ -7,13 +7,14 @@ import pytest
 from conftest import build_frame
 
 from marketgraph import (
-    ComparisonSpec, ConfigError, DataError, GruConfig, GruModel, MetricsReport,
-    MlpSpec, MtgnnConfig, NormStats, Rng, TcnConfig, TcnModel, TrainConfig,
-    TrainingDiverged,
-    WindowSet, WindowSpec, evaluate, invert_predictions, mae, mape,
-    make_windows, rmse, rse, run_comparison, run_pipeline, train,
-    write_history_csv, write_trace_csv,
+    ConfigError, DataError, GruModel, MtgnnConfig, Rng, TcnModel, TrainConfig,
+    TrainingDiverged, WindowSpec, evaluate, mae, mape, rmse, rse, run_comparison,
+    run_pipeline, train,
 )
+from marketgraph.baselines import GruConfig, MlpSpec, TcnConfig
+from marketgraph.data import NormStats, WindowSet, invert_predictions, make_windows
+from marketgraph.metrics import MetricsReport
+from marketgraph.training import ComparisonSpec, write_history_csv, write_trace_csv
 
 GEN = np.random.default_rng(77)
 

@@ -436,37 +436,6 @@ def row_normalize(a: Tensor) -> Tensor:
 # Every contraction below is a broadcast matmul over the [B, C, N, T] layout,
 # which numpy hands to BLAS one batch slice at a time.
 
-def _conv_core(x: Tensor, w: Tensor, dilation: int) -> Tensor:
-    B, C_in, N, T = x.shape
-    C_out, kC_in, K = w.shape
-    if kC_in != C_in:
-        raise ShapeError(f"kernel expects {kC_in} input channels, data has {C_in}")
-    pad = (K - 1) * dilation
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad, 0)))
-    offs = [(K - 1 - j) * dilation for j in range(K)]
-    taps = np.ascontiguousarray(np.moveaxis(w.data, 2, 0))  # [K, C_out, C_in]
-
-    def segment(off):
-        # Tap input as [B, C_in, N*T]; the undelayed tap reads x itself.
-        seg = x.data if off == pad else np.ascontiguousarray(xp[..., off:off + T])
-        return seg.reshape(B, C_in, N * T)
-
-    out = taps[0] @ segment(offs[0])
-    for j in range(1, K):
-        out += taps[j] @ segment(offs[j])
-
-    def back(g):
-        g = g.reshape(B, C_out, N * T)
-        dw = np.empty_like(w.data)
-        dxp = np.zeros_like(xp)
-        for j, off in enumerate(offs):
-            dw[:, :, j] = np.matmul(g, segment(off).transpose(0, 2, 1)).sum(axis=0)
-            dxp[..., off:off + T] += (taps[j].T @ g).reshape(B, C_in, N, T)
-        return dxp[..., pad:], dw
-
-    return _record(out.reshape(B, C_out, N, T), (x, w), back)
-
-
 def causal_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     """Dilated causal 1-D convolution along the trailing time axis.
 
@@ -483,7 +452,34 @@ def causal_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
         raise ShapeError(f"causal_conv1d expects [B, C, N, T], got shape {x.shape}")
     if x.size == 0:
         raise ShapeError("empty input")
-    return _conv_core(x, kernel, dilation)
+    B, C_in, N, T = x.shape
+    C_out, kC_in, K = kernel.shape
+    if kC_in != C_in:
+        raise ShapeError(f"kernel expects {kC_in} input channels, data has {C_in}")
+    pad = (K - 1) * dilation
+    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad, 0)))
+    offs = [(K - 1 - j) * dilation for j in range(K)]
+    taps = np.ascontiguousarray(np.moveaxis(kernel.data, 2, 0))  # [K, C_out, C_in]
+
+    def segment(off):
+        # Tap input as [B, C_in, N*T]; the undelayed tap reads x itself.
+        seg = x.data if off == pad else np.ascontiguousarray(xp[..., off:off + T])
+        return seg.reshape(B, C_in, N * T)
+
+    out = taps[0] @ segment(offs[0])
+    for j in range(1, K):
+        out += taps[j] @ segment(offs[j])
+
+    def back(g):
+        g = g.reshape(B, C_out, N * T)
+        dw = np.empty_like(kernel.data)
+        dxp = np.zeros_like(xp)
+        for j, off in enumerate(offs):
+            dw[:, :, j] = np.matmul(g, segment(off).transpose(0, 2, 1)).sum(axis=0)
+            dxp[..., off:off + T] += (taps[j].T @ g).reshape(B, C_in, N, T)
+        return dxp[..., pad:], dw
+
+    return _record(out.reshape(B, C_out, N, T), (x, kernel), back)
 
 
 def channel_linear(x: Tensor, w: Tensor) -> Tensor:

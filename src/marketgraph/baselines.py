@@ -383,11 +383,8 @@ class TcnModel(NeuralModel):
     config_class = TcnConfig
 
     def __init__(self, config: TcnConfig, rng: Rng):
-        dil = config.dilations
-        if any(b <= a for a, b in zip(dil, dil[1:])):
-            raise ConfigError(f"dilations must strictly increase, got {dil}")
         super().__init__(config)
-        c, K = config.channels, config.kernel_size
+        c, K, dil = config.channels, config.kernel_size, config.dilations
         init = rng.split()
         self.start_w = self.weight(init, "start.w", (1, c), 1)
         self.start_b = self.bias("start.b", c)

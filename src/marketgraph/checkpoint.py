@@ -3,12 +3,12 @@ the parameter-registry base of the gradient-trained models."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Rng, Tensor
+from .data import atomic_write
 from .errors import ConfigError, DataError, ShapeError
 
 FORMAT_VERSION = 2
@@ -34,17 +34,8 @@ def save_checkpoint(path, kind: str, config: dict,
         },
         "extra": extra or {},
     }
-    # Write beside the target, then swap it in, so a failed write never
-    # leaves a truncated file in place of a good checkpoint.
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path) as fh:
+        json.dump(doc, fh)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -2,19 +2,18 @@
 
 Full runs are driven by a JSON config document rather than a pile of flags,
 so a run is reproducible from one file; flags cover paths and small
-overrides only. Every artifact written is echoed to stdout as a manifest
-line. Exit codes: 0 success, 1 runtime/model failure, 2 usage/config error
-or an unusable input path or checkpoint.
+overrides only. Every artifact is written through `data.atomic_write` and
+echoed to stdout as a manifest line. Exit codes: 0 success, 1 runtime/model
+failure, 2 usage/config error or an unusable input path or checkpoint.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -26,28 +25,22 @@ from .charts import svg_heatmap, svg_line_chart
 from .checkpoint import load_checkpoint
 from .data import (
     NormStats, RebaseRule, SplitSpec, WindowSpec, adjust_rebased_series,
-    descriptive_stats, invert_predictions, load_csv, log_transform,
-    make_windows, normalize, run_pipeline,
+    atomic_write, csv_text, descriptive_stats, invert_predictions, load_csv,
+    log_transform, make_windows, normalize, run_pipeline,
 )
 from .errors import (
     ConfigError, DataError, DomainError, MarketGraphError, ShapeError, check_field_types,
 )
-from .graph import (
-    G7_COUNTRIES, MINT_COUNTRIES, rank_influence, read_adjacency_csv,
-    write_adjacency_csv,
-)
-from .metrics import dtw_matrix, spearman_matrix, write_labeled_matrix_csv
+from .graph import G7_COUNTRIES, MINT_COUNTRIES, adjacency_csv, rank_influence, read_adjacency_csv
+from .metrics import dtw_matrix, labeled_matrix_csv, spearman_matrix
 from .mtgnn import MtgnnConfig, MtgnnModel
 from .training import (
-    MODEL_BUILDERS, ComparisonSpec, TrainConfig, evaluate, run_comparison,
-    write_history_csv, write_trace_csv,
+    MODEL_BUILDERS, ComparisonSpec, TrainConfig, evaluate, history_csv,
+    run_comparison, trace_csv,
 )
 
-_MODEL_OVERRIDE_KEYS = {
-    "num_layers", "conv_channels", "residual_channels", "skip_channels",
-    "dropout", "gc_depth", "embedding_dim", "retain_ratio", "kernel_size",
-    "alpha", "k", "use_residual",
-}
+# The baseline knobs are a chosen subset of the specs' fields (MlpSpec's
+# learning rate and batch size stay fixed), so they are listed here.
 _BASELINE_KEYS = {"ar_order", "var_order", "mlp_hidden", "mlp_epochs",
                   "gru_hidden", "tcn_channels", "tcn_blocks", "include"}
 
@@ -76,6 +69,14 @@ def _object(where: str, given, allowed: set[str]) -> dict:
     return given
 
 
+def _section(where: str, given, cls, skip=()) -> dict:
+    """`given`, which must be a JSON object holding only fields of the
+    dataclass `cls` (less `skip`), each of its declared type."""
+    _object(where, given, {f.name for f in fields(cls)} - set(skip))
+    check_field_types(cls, given, where)
+    return given
+
+
 def _not_a_number(name: str):
     raise ConfigError(f"{name} is not a JSON number")
 
@@ -89,17 +90,14 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    _object("config", doc, {"dataset", "seed", "split", "window", "rebase",
-                            "train", "model", "baselines"})
-    check_field_types(RunConfig, doc)
-    split_doc = _object("split", doc.get("split", {}), {"train", "validation", "test"})
-    check_field_types(SplitSpec, split_doc, "split")
-    window_doc = _object("window", doc.get("window", {}), {"P", "Q"})
-    check_field_types(WindowSpec, window_doc, "window")
-    train_doc = _object("train", doc.get("train", {}),
-                        {"epochs", "batch_size", "loss", "learning_rate", "l2_coefficient"})
-    model_doc = _object("model", doc.get("model", {}), _MODEL_OVERRIDE_KEYS)
-    check_field_types(MtgnnConfig, model_doc, "model")
+    _section("config", doc, RunConfig)
+    split_doc = _section("split", doc.get("split", {}), SplitSpec)
+    window_doc = _section("window", doc.get("window", {}), WindowSpec)
+    train_doc = _section("train", doc.get("train", {}), TrainConfig, skip=("seed",))
+    # The data fixes the node count and the window fixes the model's input
+    # and horizon, so the document cannot set them.
+    model_doc = _section("model", doc.get("model", {}), MtgnnConfig,
+                         skip=("num_nodes", "input_window", "horizon"))
     baselines_doc = _object("baselines", doc.get("baselines", {}), _BASELINE_KEYS)
 
     seed = doc.get("seed", 0)
@@ -124,14 +122,13 @@ def _rebase_rules(doc) -> tuple[RebaseRule, ...]:
     rules = []
     for i, entry in enumerate(doc):
         where = f"rebase[{i}]"
-        _object(where, entry, {"column", "cutoff", "divisor"})
+        _section(where, entry, RebaseRule)
         try:
             cutoff = date.fromisoformat(entry["cutoff"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"{where} needs a cutoff in YYYY-MM-DD form") from None
         if "column" not in entry:
             raise ConfigError(f"{where} needs a column name")
-        check_field_types(RebaseRule, entry, where)
         divisor = float(entry.get("divisor", 100.0))
         if not divisor > 0:
             raise ConfigError(f"{where}.divisor must be positive, got {divisor}")
@@ -149,7 +146,9 @@ def _resolve_seed(config_seed: int) -> int:
         raise ConfigError(f"MARKETGRAPH_SEED must be an integer, got {env!r}") from None
 
 
-def _emit(path: Path) -> None:
+def _emit(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
     print(f"wrote {path}")
 
 
@@ -189,28 +188,17 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args.out)
 
     stats = descriptive_stats(frame)
-    stats_path = out / "descriptive_stats.csv"
     keys = ("size", "mean", "median", "std", "min", "max", "skewness", "kurtosis")
-    with open(stats_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", *keys])
-        for name in frame.columns:
-            writer.writerow([name, *(repr(stats[name][k]) for k in keys)])
-    _emit(stats_path)
+    rows = ([name, *(repr(stats[name][k]) for k in keys)] for name in frame.columns)
+    _emit(out / "descriptive_stats.csv", csv_text(["series", *keys], rows))
 
     spearman = spearman_matrix(frame)
-    sp_csv, sp_svg = out / "spearman.csv", out / "spearman.svg"
-    write_labeled_matrix_csv(frame.columns, spearman, sp_csv)
-    sp_svg.write_text(svg_heatmap(frame.columns, spearman, "Rank correlation"), encoding="utf-8")
-    _emit(sp_csv)
-    _emit(sp_svg)
+    _emit(out / "spearman.csv", labeled_matrix_csv(frame.columns, spearman))
+    _emit(out / "spearman.svg", svg_heatmap(frame.columns, spearman, "Rank correlation"))
 
     warped = dtw_matrix(frame)
-    dt_csv, dt_svg = out / "dtw.csv", out / "dtw.svg"
-    write_labeled_matrix_csv(frame.columns, warped, dt_csv)
-    dt_svg.write_text(svg_heatmap(frame.columns, warped, "Warping distance (z-scored)"), encoding="utf-8")
-    _emit(dt_csv)
-    _emit(dt_svg)
+    _emit(out / "dtw.csv", labeled_matrix_csv(frame.columns, warped))
+    _emit(out / "dtw.svg", svg_heatmap(frame.columns, warped, "Warping distance (z-scored)"))
     return 0
 
 
@@ -238,25 +226,17 @@ def cmd_train(args) -> int:
 
     ckpt_path = out / "checkpoint.json"
     model.save(ckpt_path, extra=_checkpoint_extra(pipeline, cfg))
-    _emit(ckpt_path)
-
-    hist_path = out / "history.csv"
-    write_history_csv(result.history, hist_path)
-    _emit(hist_path)
-
-    adj_path = out / "adjacency.csv"
-    write_adjacency_csv(result.adjacency, adj_path)
-    _emit(adj_path)
+    print(f"wrote {ckpt_path}")
+    _emit(out / "history.csv", history_csv(result.history))
+    _emit(out / "adjacency.csv", adjacency_csv(result.adjacency))
 
     eval_result = evaluate(model, pipeline.test_windows, pipeline.stats, labels,
                            seed=seed, config={"epochs": train_cfg.epochs})
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps({
+    _emit(out / "report.json", json.dumps({
         "pipeline": pipeline.report,
         "train": {**asdict(train_cfg), "best_epoch": result.best_epoch},
         "test_metrics": eval_result.report.to_dict(),
-    }, indent=2), encoding="utf-8")
-    _emit(report_path)
+    }, indent=2))
     return 0
 
 
@@ -270,12 +250,8 @@ def cmd_compare(args) -> int:
     pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
     result = run_comparison(pipeline, cfg.window, _comparison_spec(cfg, train_cfg))
 
-    json_path = out / "comparison.json"
-    json_path.write_text(json.dumps(result.to_dict(), indent=2), encoding="utf-8")
-    _emit(json_path)
-    md_path = out / "comparison.md"
-    md_path.write_text(result.render_markdown(), encoding="utf-8")
-    _emit(md_path)
+    _emit(out / "comparison.json", json.dumps(result.to_dict(), indent=2))
+    _emit(out / "comparison.md", result.render_markdown())
 
     for name, message in result.errors.items():
         print(f"model {name} failed: {message}", file=sys.stderr)
@@ -299,11 +275,10 @@ def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[Rebase
     try:
         if not isinstance(extra, dict) or not {"labels", "norm_stats", "window"} <= set(extra):
             raise ConfigError("needs labels, norm_stats and window; re-train with the current tooling")
-        parts = {"norm_stats": {"columns", "mean", "std"}, "window": {"P", "Q"}}
-        for where, keys in parts.items():
-            if set(_object(where, extra[where], keys)) != keys:
+        for where, cls in (("norm_stats", NormStats), ("window", WindowSpec)):
+            keys = {f.name for f in fields(cls)}
+            if set(_section(where, extra[where], cls)) != keys:
                 raise ConfigError(f"{where} needs {', '.join(sorted(keys))}")
-        check_field_types(WindowSpec, extra["window"], "window")
         norm = extra["norm_stats"]
         stats = NormStats(columns=tuple(norm["columns"]), mean=np.array(norm["mean"]),
                           std=np.array(norm["std"]))
@@ -330,9 +305,8 @@ def cmd_forecast(args) -> int:
     trace_path = out / "forecast.csv"
     labels = frame.columns
     if args.steps == 0:
-        write_trace_csv(trace_path, [], labels,
-                        np.zeros((0, len(labels))), np.zeros((0, len(labels))))
-        _emit(trace_path)
+        empty = np.zeros((0, len(labels)))
+        _emit(trace_path, trace_csv([], labels, empty, empty))
         return 0
 
     windows = make_windows(frame, window)
@@ -350,18 +324,12 @@ def cmd_forecast(args) -> int:
     pred_price = invert_predictions(pred, stats)
     dates = [frame.dates[s + P] for s in starts]
 
-    write_trace_csv(trace_path, dates, labels, actual_price, pred_price)
-    _emit(trace_path)
+    _emit(trace_path, trace_csv(dates, labels, actual_price, pred_price))
     date_labels = [d.isoformat() for d in dates]
     for j, label in enumerate(labels):
-        svg_path = out / f"forecast_{_safe_name(label)}.svg"
-        svg_path.write_text(
-            svg_line_chart(date_labels,
-                           {"actual": actual_price[:, j], "predicted": pred_price[:, j]},
-                           title=str(label)),
-            encoding="utf-8",
-        )
-        _emit(svg_path)
+        _emit(out / f"forecast_{_safe_name(label)}.svg",
+              svg_line_chart(date_labels, {"actual": actual_price[:, j], "predicted": pred_price[:, j]},
+                             title=str(label)))
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Ingestion and the preprocessing chain for multi-index price data.
+"""Ingestion and the preprocessing chain for multi-index price data, and the
+one writer that puts every artifact on disk.
 
 The canonical stage order is fixed: rebasing adjustment, natural log,
 chronological split, z-score normalization with training-split statistics,
@@ -9,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
@@ -141,6 +145,31 @@ def load_csv(path) -> TimeSeriesFrame:
     return frame
 
 
+@contextmanager
+def atomic_write(path):
+    """A UTF-8 text handle (newline="") whose contents replace `path` when the
+    block ends. It writes beside the target, then swaps the file in, so a
+    failed write never leaves a truncated file in place of a good one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def csv_text(header: Sequence, rows) -> str:
+    """`header` and `rows` as CSV text, in the dialect `load_csv` reads."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class RebaseRule:
     """Undo an exchange redenomination: divide pre-cutoff rows of one column."""
@@ -150,10 +179,9 @@ class RebaseRule:
     divisor: float
 
 
-def adjust_rebased_series(frame: TimeSeriesFrame, column: str, cutoff_date, divisor: float) -> TimeSeriesFrame:
+def adjust_rebased_series(frame: TimeSeriesFrame, column: str, cutoff_date: date,
+                          divisor: float) -> TimeSeriesFrame:
     """Divide `column` by `divisor` on every row strictly before the cutoff."""
-    if isinstance(cutoff_date, str):
-        cutoff_date = _parse_date(cutoff_date, "cutoff")
     if divisor <= 0:
         raise DomainError(f"divisor must be positive, got {divisor}")
     col = frame.column_index(column)

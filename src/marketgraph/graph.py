@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import Rng, Tensor, mul, relu, tanh, transpose
+from .data import csv_text
 from .errors import DataError, DomainError, ShapeError
 
 G7_COUNTRIES = ("Italy", "France", "UK", "Germany", "US", "Canada", "Japan")
@@ -182,12 +183,10 @@ def rank_influence(adj: AdjacencyMatrix, hops: int = 1,
     return sorted(((lbl, by_label[lbl]) for lbl in chosen), key=lambda it: (-it[1], it[0]))
 
 
-def write_adjacency_csv(adj: AdjacencyMatrix, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", *adj.labels])
-        for label, row in zip(adj.labels, adj.values):
-            writer.writerow([label, *(repr(float(v)) for v in row)])
+def adjacency_csv(adj: AdjacencyMatrix) -> str:
+    """`adj` as the CSV text `read_adjacency_csv` reads back exactly."""
+    rows = ([label, *(repr(float(v)) for v in row)] for label, row in zip(adj.labels, adj.values))
+    return csv_text(["node", *adj.labels], rows)
 
 
 def read_adjacency_csv(path) -> AdjacencyMatrix:

@@ -1,13 +1,12 @@
 """Forecast error metrics and series-similarity analysis."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data import TimeSeriesFrame
+from .data import TimeSeriesFrame, csv_text
 from .errors import DataError, DomainError, ShapeError
 
 
@@ -173,15 +172,12 @@ def dtw_matrix(frame: TimeSeriesFrame) -> np.ndarray:
     return out
 
 
-def write_labeled_matrix_csv(labels: Sequence[str], matrix: np.ndarray, path) -> None:
+def labeled_matrix_csv(labels: Sequence[str], matrix: np.ndarray) -> str:
     matrix = np.asarray(matrix)
     if matrix.shape != (len(labels), len(labels)):
         raise ShapeError(f"matrix shape {matrix.shape} does not match {len(labels)} labels")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", *labels])
-        for label, row in zip(labels, matrix):
-            writer.writerow([label, *(repr(float(v)) for v in row)])
+    rows = ([label, *(repr(float(v)) for v in row)] for label, row in zip(labels, matrix))
+    return csv_text(["series", *labels], rows)
 
 
 @dataclass

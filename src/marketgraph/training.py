@@ -6,7 +6,6 @@ selection. All randomness descends from a single seed.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -16,7 +15,7 @@ from .baselines import (
     GruConfig, GruModel, MlpSpec, PersistenceModel, TcnConfig, TcnModel,
     fit_ar_ensemble, fit_var_mlp,
 )
-from .data import NormStats, PipelineResult, WindowSet, WindowSpec, invert_predictions
+from .data import NormStats, PipelineResult, WindowSet, WindowSpec, csv_text, invert_predictions
 from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_field_types
 from .graph import AdjacencyMatrix, snapshot_adjacency
 from .metrics import MetricsReport, per_series_metrics
@@ -347,28 +346,19 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
                             flags=flags, histories=histories)
 
 
-def write_history_csv(history: list[dict], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for row in history:
-            writer.writerow([row["epoch"], repr(row["train_loss"]), repr(row["val_loss"])])
+def history_csv(history: list[dict]) -> str:
+    rows = ([row["epoch"], repr(row["train_loss"]), repr(row["val_loss"])] for row in history)
+    return csv_text(["epoch", "train_loss", "val_loss"], rows)
 
 
-def write_trace_csv(path, dates, labels, actual: np.ndarray, predicted: np.ndarray) -> None:
+def trace_csv(dates, labels, actual: np.ndarray, predicted: np.ndarray) -> str:
     actual = np.asarray(actual)
     predicted = np.asarray(predicted)
     if actual.shape != predicted.shape or actual.shape != (len(dates), len(labels)):
         raise DataError(f"trace shapes {actual.shape}/{predicted.shape} do not match "
                         f"{len(dates)} dates x {len(labels)} series")
-    header = ["date"]
-    for label in labels:
-        header += [f"{label}_actual", f"{label}_predicted"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, d in enumerate(dates):
-            row = [d.isoformat() if hasattr(d, "isoformat") else str(d)]
-            for j in range(len(labels)):
-                row += [repr(float(actual[i, j])), repr(float(predicted[i, j]))]
-            writer.writerow(row)
+    header = ["date", *(f"{label}_{part}" for label in labels for part in ("actual", "predicted"))]
+    rows = ([d.isoformat() if hasattr(d, "isoformat") else str(d),
+             *(repr(float(v)) for pair in zip(a, p) for v in pair)]
+            for d, a, p in zip(dates, actual, predicted))
+    return csv_text(header, rows)

@@ -1,6 +1,11 @@
 """Command-line behavior: config parsing, artifacts, exit codes, manifests."""
+import builtins
+import copy
 import csv
+import errno
+import io
 import json
+import re
 from datetime import date
 from pathlib import Path
 
@@ -11,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketgraph import ConfigError
-from marketgraph.cli import _BASELINE_KEYS, _MODEL_OVERRIDE_KEYS, RunConfig, main, parse_run_config
+from marketgraph.cli import RunConfig, main, parse_run_config
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -122,6 +127,53 @@ def test_comparison_spec_takes_only_the_keys_the_document_sets(tmp_path):
                            include=("ar", "tcn"), mtgnn={"num_layers": 2})
 
 
+# A document that sets every key each section accepts today; the key sets
+# are read from the config dataclasses, so this pins them.
+FULL_DOC = {
+    "dataset": "prices.csv", "seed": 2,
+    "split": {"train": 0.6, "validation": 0.2, "test": 0.2},
+    "window": {"P": 8, "Q": 1},
+    "rebase": [{"column": "us", "cutoff": "2020-01-02", "divisor": 10.0}],
+    "train": {"epochs": 1, "batch_size": 4, "loss": "l1", "learning_rate": 0.01,
+              "l2_coefficient": 0.0},
+    "model": {"num_layers": 1, "conv_channels": 4, "residual_channels": 4, "skip_channels": 4,
+              "dropout": 0.1, "gc_depth": 1, "embedding_dim": 4, "retain_ratio": 0.1,
+              "kernel_size": 2, "alpha": 3.0, "k": 2, "use_residual": False},
+    "baselines": {"ar_order": 2, "var_order": 1, "mlp_hidden": 8, "mlp_epochs": 2,
+                  "gru_hidden": 4, "tcn_channels": 4, "tcn_blocks": 1, "include": ["ar"]},
+}
+# Keys no section takes, among them the fields the data, the window or the
+# seed fix and the MLP knobs that stay fixed.
+REFUSED_KEYS = {
+    "config": ["bogus"], "split": ["bogus"], "window": ["bogus"], "rebase[0]": ["bogus"],
+    "train": ["bogus", "seed"], "model": ["bogus", "num_nodes", "input_window", "horizon"],
+    "baselines": ["bogus", "mlp_learning_rate", "mlp_batch_size"],
+}
+
+
+def test_each_section_accepts_exactly_its_keys(tmp_path):
+    from marketgraph import TrainConfig, WindowSpec
+    from marketgraph.data import RebaseRule, SplitSpec
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(FULL_DOC), encoding="utf-8")
+    cfg = parse_run_config(path)
+    assert (cfg.dataset, cfg.seed) == ("prices.csv", 2)
+    assert cfg.split == SplitSpec(**FULL_DOC["split"])
+    assert cfg.window == WindowSpec(**FULL_DOC["window"])
+    assert cfg.rebase == (RebaseRule(column="us", cutoff=date(2020, 1, 2), divisor=10.0),)
+    assert cfg.train == TrainConfig(seed=2, **FULL_DOC["train"])
+    assert cfg.model == FULL_DOC["model"] and cfg.baselines == FULL_DOC["baselines"]
+
+    for where, keys in REFUSED_KEYS.items():
+        for key in keys:
+            doc = copy.deepcopy(FULL_DOC)
+            section = {"config": doc, "rebase[0]": doc["rebase"][0]}.get(where) or doc[where]
+            section[key] = 1
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) in {where}: {key}")):
+                parse_run_config(path)
+
+
 def test_parse_run_config_missing_or_malformed_file(tmp_path):
     with pytest.raises(ConfigError):
         parse_run_config(tmp_path / "absent.json")
@@ -138,11 +190,7 @@ JSON_VALUES = st.recursive(
     | st.integers(-2, 40) | st.floats(0, 1),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
     max_leaves=6)
-SECTION_KEYS = {
-    "split": ["train", "validation", "test"], "window": ["P", "Q"],
-    "train": ["epochs", "batch_size", "loss", "learning_rate", "l2_coefficient"],
-    "model": sorted(_MODEL_OVERRIDE_KEYS), "baselines": sorted(_BASELINE_KEYS),
-}
+SECTION_KEYS = {name: sorted(FULL_DOC[name]) for name in ("split", "window", "train", "model", "baselines")}
 REBASE_VALUES = JSON_VALUES | st.dates().map(date.isoformat)
 RUN_DOCS = st.fixed_dictionaries({}, optional={
     "dataset": st.text(max_size=10) | JSON_VALUES, "seed": st.integers(0, 99) | JSON_VALUES,
@@ -277,6 +325,45 @@ def test_train_is_reproducible_at_the_artifact_level(tmp_path, capsys):
     first = (tmp_path / "a" / "checkpoint.json").read_bytes()
     second = (tmp_path / "b" / "checkpoint.json").read_bytes()
     assert first == second
+
+
+def test_a_failed_artifact_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    previous = (out / "history.csv").read_bytes()
+    capsys.readouterr()
+
+    class FullDisk:
+        """A file handle whose every write fails as on a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    real_open = builtins.open
+
+    def open_history_on_full_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode and Path(file).name.startswith("history.csv") else fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "open", open_history_on_full_disk)
+        patch.setattr(io, "open", open_history_on_full_disk)  # what pathlib calls
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert (out / "history.csv").read_bytes() == previous
+    assert list(out.glob("*.tmp")) == []
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -94,19 +94,19 @@ def test_rebasing_divides_only_before_cutoff():
     assert out.values[2, 0] == 990.0
 
 
-def test_rebasing_accepts_iso_string_and_validates():
+def test_rebasing_validates_column_and_divisor():
     frame = build_frame(np.array([[100.0], [200.0]]), columns=("idx",))
-    out = adjust_rebased_series(frame, "idx", "2020-01-02", 10.0)
+    out = adjust_rebased_series(frame, "idx", D(2020, 1, 2), 10.0)
     np.testing.assert_allclose(out.values[:, 0], [10.0, 200.0])
     with pytest.raises(DataError):
-        adjust_rebased_series(frame, "nope", "2020-01-02", 10.0)
+        adjust_rebased_series(frame, "nope", D(2020, 1, 2), 10.0)
     with pytest.raises(DomainError):
-        adjust_rebased_series(frame, "idx", "2020-01-02", 0.0)
+        adjust_rebased_series(frame, "idx", D(2020, 1, 2), 0.0)
 
 
 def test_rebasing_touches_single_column_only():
     frame = build_frame(np.array([[100.0, 5.0], [200.0, 6.0]]))
-    out = adjust_rebased_series(frame, "s0", "2020-01-02", 100.0)
+    out = adjust_rebased_series(frame, "s0", D(2020, 1, 2), 100.0)
     np.testing.assert_allclose(out.values[:, 1], [5.0, 6.0])
 
 

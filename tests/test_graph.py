@@ -8,8 +8,8 @@ from marketgraph import (
 from marketgraph.autodiff import sum_
 from marketgraph.graph import (
     AdjacencyMatrix, G7_COUNTRIES, GraphLearnParams, MINT_COUNTRIES, NodeEmbeddings,
-    init_graph_learn_params, init_node_embeddings, learn_adjacency, read_adjacency_csv,
-    snapshot_adjacency, top_k_row_mask, write_adjacency_csv,
+    adjacency_csv, init_graph_learn_params, init_node_embeddings, learn_adjacency,
+    read_adjacency_csv, snapshot_adjacency, top_k_row_mask,
 )
 
 FIXTURE_ONE_HOP = [1, 6, 4, 3, 5, 7, 5, 7, 5, 3, 2]
@@ -220,7 +220,7 @@ def test_unknown_label_rejected(fixture_adj):
 
 def test_csv_round_trip(tmp_path, fixture_adj):
     path = tmp_path / "adj.csv"
-    write_adjacency_csv(fixture_adj, path)
+    path.write_text(adjacency_csv(fixture_adj), encoding="utf-8", newline="")
     back = read_adjacency_csv(path)
     assert back.labels == fixture_adj.labels
     np.testing.assert_array_equal(back.values, fixture_adj.values)

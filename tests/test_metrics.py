@@ -9,7 +9,7 @@ from marketgraph import (
     spearman, spearman_matrix,
 )
 from marketgraph.metrics import (
-    MetricsReport, average_ranks, per_series_metrics, write_labeled_matrix_csv,
+    MetricsReport, average_ranks, labeled_matrix_csv, per_series_metrics,
 )
 from conftest import build_frame
 
@@ -275,7 +275,7 @@ def test_dtw_validation():
         dtw_distance([np.nan], [1.0])
 
 
-def test_dtw_matrix_zscored_symmetric(tmp_path):
+def test_dtw_matrix_zscored_symmetric():
     frame = build_frame(np.random.default_rng(10).normal(size=(40, 3)))
     m = dtw_matrix(frame)
     np.testing.assert_allclose(np.diagonal(m), np.zeros(3), atol=T)
@@ -285,9 +285,7 @@ def test_dtw_matrix_zscored_symmetric(tmp_path):
     scaled[:, 1] *= 50.0
     m2 = dtw_matrix(build_frame(scaled))
     np.testing.assert_allclose(m, m2, atol=1e-9)
-    path = tmp_path / "m.csv"
-    write_labeled_matrix_csv(frame.columns, m, path)
-    header = path.read_text(encoding="utf-8").splitlines()[0]
+    header = labeled_matrix_csv(frame.columns, m).splitlines()[0]
     assert header == "series," + ",".join(frame.columns)
 
 

@@ -58,3 +58,32 @@ def test_tape_keeps_the_length_the_tracer_reads():
     # The tracer records len(tape) for autodiff.tape.entries_per_step.
     from marketgraph.autodiff import Tape
     assert "__len__" in vars(Tape)
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "write_text":
+        return True
+    if isinstance(func, ast.Attribute) and func.attr == "replace" and getattr(func.value, "id", None) == "os":
+        return True
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        return any(not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt")) for m in modes)
+    return False
+
+
+def test_only_the_atomic_writer_puts_files_on_disk():
+    # Every artifact goes through data.atomic_write, so none can be left
+    # half-written in place of a good one.
+    writers = set()
+    for module in sorted(Path(marketgraph.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call) and _writes_a_file(n)):
+            owner = call
+            while not isinstance(owner, (ast.FunctionDef, ast.Module)):
+                owner = owner.parent
+            writers.add(f"{module.name}:{getattr(owner, 'name', '<module>')}")
+    assert sorted(writers) == ["data.py:atomic_write"]

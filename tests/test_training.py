@@ -1,5 +1,6 @@
 """Training loop, evaluation wiring, and the model comparison driver."""
 import csv
+import io
 from datetime import date
 
 import numpy as np
@@ -14,7 +15,7 @@ from marketgraph import (
 from marketgraph.baselines import GruConfig, MlpSpec, TcnConfig
 from marketgraph.data import NormStats, WindowSet, invert_predictions, make_windows
 from marketgraph.metrics import MetricsReport
-from marketgraph.training import ComparisonSpec, write_history_csv, write_trace_csv
+from marketgraph.training import ComparisonSpec, history_csv, trace_csv
 
 GEN = np.random.default_rng(77)
 
@@ -360,35 +361,28 @@ def test_model_registry_is_the_default_include_in_stream_order():
     assert ComparisonSpec().include == kinds
 
 
-# -- csv writers --------------------------------------------------------------------
+# -- csv renderers --------------------------------------------------------------------
 
 
-def test_history_csv_schema_and_round_trip(tmp_path):
+def test_history_csv_schema_and_round_trip():
     history = [{"epoch": 1, "train_loss": 0.5, "val_loss": 0.25},
                {"epoch": 2, "train_loss": 0.1234567890123456, "val_loss": 0.2}]
-    path = tmp_path / "history.csv"
-    write_history_csv(history, path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(history_csv(history), newline="")))
     assert rows[0] == ["epoch", "train_loss", "val_loss"]
     assert len(rows) == 3
     assert float(rows[2][1]) == 0.1234567890123456
 
 
-def test_trace_csv_schema(tmp_path):
+def test_trace_csv_schema():
     dates = [date(2021, 1, 1), date(2021, 1, 2)]
     actual = np.array([[1.0, 2.0], [3.0, 4.0]])
     predicted = actual + 0.5
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, dates, ("us", "uk"), actual, predicted)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(trace_csv(dates, ("us", "uk"), actual, predicted), newline="")))
     assert rows[0] == ["date", "us_actual", "us_predicted", "uk_actual", "uk_predicted"]
     assert rows[1][0] == "2021-01-01"
     assert float(rows[2][4]) == 4.5
 
 
-def test_trace_csv_rejects_mismatched_shapes(tmp_path):
+def test_trace_csv_rejects_mismatched_shapes():
     with pytest.raises(DataError):
-        write_trace_csv(tmp_path / "t.csv", [date(2021, 1, 1)], ("a",),
-                        np.zeros((2, 1)), np.zeros((2, 1)))
+        trace_csv([date(2021, 1, 1)], ("a",), np.zeros((2, 1)), np.zeros((2, 1)))

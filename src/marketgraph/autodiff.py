@@ -298,11 +298,16 @@ def abs_(a: Tensor) -> Tensor:
     return _record(np.abs(a.data), (a,), lambda g: (g * sign,))
 
 
-def dropout(x: Tensor, p: float, *, training: bool, rng: Rng | None = None) -> Tensor:
+def dropout(x: Tensor, p: float, *, training: bool, rng: Rng | None = None,
+            steps: int | None = None) -> Tensor:
     """Zero each element with probability p and rescale survivors by 1/(1-p).
 
     Eval mode (training=False) is the identity map, exactly. Train mode needs
-    an Rng; the mask is drawn from it and baked into the backward rule.
+    an Rng; the mask is drawn from it and baked into the backward rule. The
+    mask is drawn `steps` wide along the trailing time axis (default: x's own
+    length) and its last x.shape[-1] columns are kept, so an input cropped to
+    its trailing steps meets the mask entries, and leaves the Rng stream, of
+    the whole window.
     """
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout probability must be in [0, 1), got {p}")
@@ -310,7 +315,8 @@ def dropout(x: Tensor, p: float, *, training: bool, rng: Rng | None = None) -> T
         return x
     if rng is None:
         raise ValueError("training-mode dropout requires an rng")
-    mask = (rng.uniform(x.shape) >= p) / (1.0 - p)
+    T = x.shape[-1]
+    mask = (rng.uniform(x.shape[:-1] + (steps or T,))[..., -T:] >= p) / (1.0 - p)
     return _record(x.data * mask, (x,), lambda g: (g * mask,))
 
 

@@ -400,7 +400,11 @@ class TcnModel(NeuralModel):
 
     def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:
-        """[B, N, P] -> [B, N, Q]; collects each block's residual state."""
+        """[B, N, P] -> [B, N, Q]; collects each block's residual state.
+
+        The head reads only the last step, so without `collect` only the last
+        `receptive_field` input steps are convolved.
+        """
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         if x.ndim != 3:
@@ -409,7 +413,10 @@ class TcnModel(NeuralModel):
         if P < self.config.receptive_field:
             raise ShapeError(f"input window {P} is shorter than the receptive field "
                              f"{self.config.receptive_field}")
-        v = add_bias(channel_linear(reshape(x, (B, 1, N, P)), self.start_w), self.start_b, 1)
+        if collect is None:
+            x = Tensor(x.data[..., P - self.config.receptive_field:])
+        v = add_bias(channel_linear(reshape(x, (B, 1, N, x.shape[-1])), self.start_w),
+                     self.start_b, 1)
         for blk in self.blocks:
             h = relu(add_bias(causal_conv1d(v, blk["w"], blk["dilation"]), blk["b"], 1))
             v = h + v

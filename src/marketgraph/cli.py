@@ -300,13 +300,10 @@ def cmd_forecast(args) -> int:
     for rule in rebase:
         frame = adjust_rebased_series(frame, rule.column, rule.cutoff, rule.divisor)
     frame = normalize(log_transform(frame), stats)
-    out = _out_dir(args.out)
-
-    trace_path = out / "forecast.csv"
     labels = frame.columns
     if args.steps == 0:
         empty = np.zeros((0, len(labels)))
-        _emit(trace_path, trace_csv([], labels, empty, empty))
+        _emit(_out_dir(args.out) / "forecast.csv", trace_csv([], labels, empty, empty))
         return 0
 
     windows = make_windows(frame, window)
@@ -324,7 +321,8 @@ def cmd_forecast(args) -> int:
     pred_price = invert_predictions(pred, stats)
     dates = [frame.dates[s + P] for s in starts]
 
-    _emit(trace_path, trace_csv(dates, labels, actual_price, pred_price))
+    out = _out_dir(args.out)
+    _emit(out / "forecast.csv", trace_csv(dates, labels, actual_price, pred_price))
     date_labels = [d.isoformat() for d in dates]
     for j, label in enumerate(labels):
         _emit(out / f"forecast_{_safe_name(label)}.svg",

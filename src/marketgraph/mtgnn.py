@@ -178,7 +178,12 @@ class MtgnnModel(NeuralModel):
     def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:
         """[B, N, P] normalized inputs -> [B, N, Q] predictions; collects each
-        layer's gated-convolution output."""
+        layer's gated-convolution output.
+
+        The skip paths and the head read only each layer's last step, which
+        depends on just the last `receptive_field` input steps. So without
+        `collect` only those steps are convolved; with it the whole window is.
+        """
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         c = self.config
@@ -195,7 +200,9 @@ class MtgnnModel(NeuralModel):
         a_bwd = normalized_propagation_matrix(permute(a, (1, 0)))
         props = hop_stack([a_fwd, a_bwd], c.gc_depth, c.retain_ratio)
 
-        v = reshape(x, (B, 1, N, P))
+        if collect is None:
+            x = Tensor(x.data[..., P - c.receptive_field:])
+        v = reshape(x, (B, 1, N, x.shape[-1]))
         v = add_bias(channel_linear(v, self.start_w), self.start_b, 1)
 
         skip_sum = None
@@ -203,7 +210,7 @@ class MtgnnModel(NeuralModel):
             h = gated_temporal_conv(v, layer["gated.w"], layer["dilation"], layer["gated.b"])
             if collect is not None:
                 collect.append(h)
-            h = dropout(h, c.dropout, training=training, rng=rng)
+            h = dropout(h, c.dropout, training=training, rng=rng, steps=P)
             s = channel_linear(last_step(h), layer["skip.w"])
             skip_sum = s if skip_sum is None else skip_sum + s
             z = _mix_hop_core(h, props, layer["mix.w"])

@@ -65,15 +65,8 @@ def _batch_loss(model, x: np.ndarray, y: np.ndarray, training: bool,
 
 
 def _validation_loss(model, windows: WindowSet) -> float:
-    chunk = 128  # windows per forward pass
-    total, count = 0.0, 0
-    for lo in range(0, len(windows), chunk):
-        x = windows.x[lo:lo + chunk]
-        y = windows.y[lo:lo + chunk]
-        pred = model.forward_batch(Tensor(x), training=False, rng=None)
-        total += float(np.sum(np.abs(pred.data - y)))
-        count += y.size
-    return total / count
+    pred = model.predict_windows(windows.x)
+    return float(np.sum(np.abs(pred - windows.y)) / windows.y.size)
 
 
 def train(model, train_windows: WindowSet, val_windows: WindowSet,

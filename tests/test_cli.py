@@ -542,6 +542,16 @@ def test_forecast_too_many_steps_exits_2(trained_run, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["99999", "-1"])
+def test_forecast_rejected_steps_leave_no_out_dir(trained_run, tmp_path, capsys, steps):
+    csv_path, checkpoint = trained_run
+    out = tmp_path / "fc"
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--steps", steps, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_forecast_malformed_checkpoint_exits_2(trained_run, tmp_path, capsys):
     csv_path, checkpoint = trained_run
     doc = json.loads(checkpoint.read_text(encoding="utf-8"))

@@ -572,6 +572,78 @@ def mix_hop(h: Tensor, props: Tensor, w: Tensor) -> Tensor:
     return _record(out.reshape(B, D, N, T), (h, props, w), back)
 
 
+def gru_sequence(x: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tensor,
+                 w_r: Tensor, u_r: Tensor, b_r: Tensor,
+                 w_h: Tensor, u_h: Tensor, b_h: Tensor) -> Tensor:
+    """Every hidden state of a GRU run over [B, N, P] input from a zero state,
+    as one op returning [B, H, P].
+
+    Step t computes, in this order of arithmetic,
+        z = sigmoid((x_t @ w_z + h @ u_z) + b_z)
+        r = sigmoid((x_t @ w_r + h @ u_r) + b_r)
+        c = tanh((x_t @ w_h + (r * h) @ u_h) + b_h)
+        h' = (1 - z) * h + z * c
+    with the input projections of all P steps taken in one product. Backward
+    runs backpropagation through time in one reverse loop and then forms each
+    weight gradient as one product over the stacked [P*B] rows.
+    """
+    inputs = tuple(_lift(t) for t in (x, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h))
+    x, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = inputs
+    if x.ndim != 3:
+        raise ShapeError(f"gru_sequence expects [B, N, P] input, got {x.shape}")
+    B, N, P = x.shape
+    if b_z.ndim != 1 or b_z.size < 1:
+        raise ShapeError(f"b_z must be a nonempty vector, got shape {b_z.shape}")
+    H = b_z.shape[0]
+    shapes = {"w": (N, H), "u": (H, H), "b": (H,)}
+    for name, t in zip(("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"), inputs[1:]):
+        if t.shape != shapes[name[0]]:
+            raise ShapeError(f"{name} must be {shapes[name[0]]} for {N} inputs and hidden "
+                             f"size {H}, got {t.shape}")
+    # The update and reset gates share their products and their sigmoid.
+    w = np.concatenate((w_z.data, w_r.data, w_h.data), axis=1)   # [N, 3H]
+    u_zr = np.concatenate((u_z.data, u_r.data), axis=1)         # [H, 2H]
+    b_zr = np.concatenate((b_z.data, b_r.data))
+    xs = np.ascontiguousarray(x.data.transpose(2, 0, 1)).reshape(P * B, N)
+    proj = (xs @ w).reshape(P, B, 3 * H)
+    hs = np.zeros((P + 1, B, H))   # hs[t] is the state before step t
+    zrs = np.empty((P, B, 2 * H))
+    cs, rhs = np.empty((P, B, H)), np.empty((P, B, H))
+    for t in range(P):
+        h = hs[t]
+        zr = zrs[t] = 0.5 * (1.0 + np.tanh(0.5 * ((proj[t, :, :2 * H] + h @ u_zr) + b_zr)))
+        z = zr[:, :H]
+        rh = rhs[t] = zr[:, H:] * h
+        c = cs[t] = np.tanh((proj[t, :, 2 * H:] + rh @ u_h.data) + b_h.data)
+        hs[t + 1] = (1.0 - z) * h + z * c
+
+    def back(g):
+        da = np.empty((P, B, 3 * H))   # adjoints of the pre-activations, gates z|r|c
+        dh = np.zeros((B, H))
+        for t in reversed(range(P)):
+            h, zr, c = hs[t], zrs[t], cs[t]
+            z = zr[:, :H]
+            dh = dh + g[:, :, t]
+            da_h = da[t, :, 2 * H:] = dh * z * (1.0 - c * c)
+            drh = da_h @ u_h.data.T
+            da[t, :, :H] = dh * (c - h)
+            da[t, :, H:2 * H] = drh * h
+            da_zr = da[t, :, :2 * H]
+            da_zr *= zr * (1.0 - zr)
+            dh = dh * (1.0 - z) + drh * zr[:, H:] + da_zr @ u_zr.T
+        da = da.reshape(P * B, 3 * H)
+        dw = xs.T @ da
+        du_zr = hs[:P].reshape(P * B, H).T @ da[:, :2 * H]
+        du_h = rhs.reshape(P * B, H).T @ da[:, 2 * H:]
+        db = da.sum(axis=0)
+        dx = (da @ w.T).reshape(P, B, N).transpose(1, 2, 0)
+        return (dx, dw[:, :H], du_zr[:, :H], db[:H], dw[:, H:2 * H], du_zr[:, H:], db[H:2 * H],
+                dw[:, 2 * H:], du_h, db[2 * H:])
+
+    out = np.ascontiguousarray(hs[1:].transpose(1, 2, 0))
+    return _record(out, inputs, back)
+
+
 def tanh_sigmoid_gate(a: Tensor) -> Tensor:
     """tanh(a[:, :C]) * sigmoid(a[:, C:]) for a with 2*C channels on axis 1."""
     a = _lift(a)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .autodiff import (
     Rng, Tape, Tensor, abs_, add_bias, causal_conv1d, channel_linear,
-    last_step, mean, permute, relu, reshape, sigmoid, stack_last, tanh,
-    time_index,
+    gru_sequence, last_step, mean, permute, relu, reshape, sigmoid, stack_last,
+    tanh,
 )
 from .checkpoint import NeuralModel, load_exact, save_checkpoint
 from .errors import ConfigError, DataError, DomainError, ShapeError, check_field_types
@@ -333,17 +333,19 @@ class GruModel(NeuralModel):
 
     def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:
-        """[B, N, P] -> [B, N, Q]; collects the hidden state after each input step."""
+        """[B, N, P] -> [B, N, Q]; collects the [B, hidden, P] hidden states.
+
+        The P input steps run as one `gru_sequence` op; a forecast of more
+        than one step feeds each prediction back through `gru_cell`.
+        """
         if isinstance(x, np.ndarray):
             x = Tensor(x)
         if x.ndim != 3 or x.shape[1] != self.config.num_series:
             raise ShapeError(f"expected [batch, {self.config.num_series}, steps], got {x.shape}")
-        B, N, P = x.shape
-        h = Tensor(np.zeros((B, self.config.hidden_size)))
-        for t in range(P):
-            h = gru_cell(time_index(x, t), h, self.cell)
-            if collect is not None:
-                collect.append(h)
+        states = gru_sequence(x, **vars(self.cell))
+        if collect is not None:
+            collect.append(states)
+        h = last_step(states)
         preds = [add_bias(h @ self.read_w, self.read_b, 1)]
         for _ in range(1, self.config.horizon):
             h = gru_cell(preds[-1], h, self.cell)

@@ -217,9 +217,9 @@ def cmd_train(args) -> int:
     dataset = _require_dataset(cfg)
     seed = _resolve_seed(cfg.seed)
     train_cfg = replace(cfg.train, seed=seed)
+    pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
     out = _out_dir(args.out)
 
-    pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
     labels = pipeline.train.columns
     spec = ComparisonSpec(train=train_cfg, mtgnn=dict(cfg.model))
     model, result, _ = MODEL_BUILDERS["mtgnn"](pipeline, cfg.window, spec, Rng(seed))
@@ -245,9 +245,9 @@ def cmd_compare(args) -> int:
     dataset = _require_dataset(cfg)
     seed = _resolve_seed(cfg.seed)
     train_cfg = replace(cfg.train, seed=seed)
+    pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
     out = _out_dir(args.out)
 
-    pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
     result = run_comparison(pipeline, cfg.window, _comparison_spec(cfg, train_cfg))
 
     _emit(out / "comparison.json", json.dumps(result.to_dict(), indent=2))

@@ -123,8 +123,6 @@ def test_temporal_features_ignore_later_inputs(kind):
     moved[..., 4:] += 100.0
     clean, bumped = model.temporal_features(x), model.temporal_features(moved)
     assert len(clean) == len(bumped) > 0
-    if kind == "gru":  # one [B, hidden] state per input step: stack them along time
-        clean, bumped = [np.stack(clean, axis=-1)], [np.stack(bumped, axis=-1)]
     for a, b in zip(clean, bumped):
         assert a.shape[-1] == shape[2]
         np.testing.assert_array_equal(a[..., :4], b[..., :4])

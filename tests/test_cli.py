@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from marketgraph import ConfigError
 from marketgraph.cli import RunConfig, main, parse_run_config
+from marketgraph.synthetic import coupled_var_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -431,6 +432,17 @@ def test_malformed_run_config_exits_2(tmp_path, capsys, command, overrides):
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "internal error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_panel_too_short_to_window_leaves_no_out_dir(tmp_path, capsys, command):
+    csv_path = tmp_path / "prices.csv"
+    write_frame_csv(coupled_var_system(num_nodes=3, steps=40, seed=1).frame, csv_path)
+    config = write_config(tmp_path / "run.json", csv_path, window={"P": 30, "Q": 1})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 

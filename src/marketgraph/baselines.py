@@ -13,13 +13,20 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import (
-    Rng, Tape, Tensor, abs_, add_bias, causal_conv1d, channel_linear,
-    gru_sequence, last_step, mean, permute, relu, reshape, sigmoid, stack_last,
-    tanh,
+    Rng, Tensor, add_bias, causal_conv1d, channel_linear, gru_sequence, last_step,
+    permute, relu, reshape, sigmoid, stack_last, tanh,
 )
 from .checkpoint import NeuralModel, load_exact, save_checkpoint
 from .errors import ConfigError, DataError, DomainError, ShapeError, check_field_types
 from .optim import Adam
+
+
+def _require_finite(values: np.ndarray) -> None:
+    """DataError naming the first NaN or infinite cell, before a fit meets it."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        cell = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "series"), bad[0]))
+        raise DataError(f"non-finite value {values[tuple(bad[0])]} at {cell}")
 
 
 # -- autoregression ----------------------------------------------------------
@@ -51,6 +58,7 @@ def fit_ar(series, p: int) -> ArModel:
         raise DomainError(f"order must be at least 1, got {p}")
     if x.size <= p + 1:
         raise DataError(f"need more than {p + 1} observations for order {p}, have {x.size}")
+    _require_finite(x)
     if np.ptp(x) == 0:
         return ArModel(order=p, intercept=float(x[0]), coeffs=np.zeros(p))
     rows = x.size - p
@@ -119,6 +127,7 @@ def fit_ar_ensemble(values: np.ndarray, p: int) -> ArEnsemble:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeError(f"expected [rows, series] values, got {values.shape}")
+    _require_finite(values)
     return ArEnsemble([fit_ar(values[:, j], p) for j in range(values.shape[1])])
 
 
@@ -148,6 +157,7 @@ def fit_var(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     T, N = values.shape
     if T - p <= 1 + N * p:
         raise DataError(f"{T} rows are too few for a VAR({p}) over {N} series")
+    _require_finite(values)
     design, targets = _var_design(values, p)
     sol, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < design.shape[1]:
@@ -170,6 +180,8 @@ class MlpSpec:
             raise ConfigError("hidden width and batch size must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be nonnegative")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
 class VarMlpModel:
@@ -236,6 +248,15 @@ class VarMlpModel:
                    w2=Tensor(p["mlp.w2"], requires_grad=True), b2=Tensor(p["mlp.b2"], requires_grad=True))
 
 
+def _mlp_l1_grads(xb, yb, w1, b1, w2, b2) -> tuple[np.ndarray, ...]:
+    """Gradients of mean|tanh(xb@w1 + b1)@w2 + b2 - yb| in (w1, b1, w2, b2), op for op as the tape."""
+    h = np.tanh(xb @ w1 + b1)
+    d = (h @ w2 + b2) - yb
+    dout = np.sign(d) / d.size
+    dpre = (dout @ w2.T) * (1.0 - h * h)
+    return xb.T @ dpre, dpre.sum(axis=0), h.T @ dout, dout.sum(axis=0)
+
+
 def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
                 rng: Rng | None = None) -> VarMlpModel:
     """VAR by least squares, then an MLP fitted to the VAR residuals (Adam, l1)."""
@@ -261,14 +282,8 @@ def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
         order = shuffle.permutation(inputs.shape[0])
         for lo in range(0, inputs.shape[0], spec.batch_size):
             idx = order[lo:lo + spec.batch_size]
-            xb, yb = Tensor(inputs[idx]), Tensor(residuals[idx])
-            opt.zero_grad()
-            tape = Tape()
-            with tape:
-                h = tanh(add_bias(xb @ w1, b1, 1))
-                out = add_bias(h @ w2, b2, 1)
-                loss = mean(abs_(out - yb))
-            tape.backward(loss)
+            w1.grad, b1.grad, w2.grad, b2.grad = _mlp_l1_grads(
+                inputs[idx], residuals[idx], w1.data, b1.data, w2.data, b2.data)
             opt.step()
     return model
 

@@ -21,10 +21,10 @@ class Adam:
                  beta2: float = 0.999, eps: float = 1e-8, l2: float = 0.0):
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise DomainError("betas must lie in [0, 1)")
-        if lr <= 0 or eps <= 0:
-            raise DomainError("lr and eps must be positive")
-        if l2 < 0:
-            raise DomainError("l2 coefficient must be nonnegative")
+        if not (0 < lr < np.inf and 0 < eps < np.inf):
+            raise DomainError(f"lr and eps must be positive and finite, got {lr} and {eps}")
+        if not 0 <= l2 < np.inf:
+            raise DomainError(f"l2 coefficient must be nonnegative and finite, got {l2}")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

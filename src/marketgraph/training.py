@@ -42,10 +42,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.loss != "l1":
             raise ConfigError(f"only the l1 loss is supported, got {self.loss!r}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2_coefficient < 0:
-            raise ConfigError(f"l2_coefficient must be nonnegative, got {self.l2_coefficient}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.l2_coefficient < np.inf:
+            raise ConfigError(f"l2_coefficient must be nonnegative and finite, got {self.l2_coefficient}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 

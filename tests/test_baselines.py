@@ -1,15 +1,17 @@
 """Autoregressive, VAR+MLP, recurrent, and temporal-conv reference models."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketgraph import (
-    DataError, DomainError, GruModel, PersistenceModel, Rng, ShapeError, TcnModel,
-    Tensor, fit_ar_ensemble, fit_var_mlp, grad_check_params,
+    ConfigError, DataError, DomainError, GruModel, PersistenceModel, Rng, ShapeError, Tape,
+    TcnModel, Tensor, fit_ar_ensemble, fit_var_mlp, grad_check_params,
 )
-from marketgraph.autodiff import abs_, mean
+from marketgraph.autodiff import abs_, add_bias, mean, tanh
 from marketgraph.baselines import (
-    ArEnsemble, ArModel, GruConfig, GruParams, MlpSpec, TcnConfig, VarMlpModel, fit_ar,
-    fit_var, gru_cell,
+    ArEnsemble, ArModel, GruConfig, GruParams, MlpSpec, TcnConfig, VarMlpModel, _mlp_l1_grads,
+    fit_ar, fit_var, gru_cell,
 )
 
 GEN = np.random.default_rng(44)
@@ -144,7 +146,83 @@ def test_var_validation():
         fit_var(np.ones((10, 2)), 0)
 
 
+# fitter name -> a call fitting order 2 to [rows, 3] values
+FITTERS = {
+    "fit_ar": lambda values: fit_ar(values[:, 1], 2),
+    "fit_ar_ensemble": lambda values: fit_ar_ensemble(values, 2),
+    "fit_var": lambda values: fit_var(values, 2),
+    "fit_var_mlp": lambda values: fit_var_mlp(values, 2, MlpSpec(hidden=4, epochs=2), Rng(0)),
+}
+
+
+@pytest.mark.parametrize("fitter", sorted(FITTERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_input_is_a_data_error_naming_the_first_cell(capfd, fitter, bad):
+    values = np.cumsum(GEN.normal(0, 0.1, size=(60, 3)), axis=0)
+    values[40, 0] = values[17, 1] = bad
+    where = "row 17" if fitter == "fit_ar" else "row 17, series 1"
+    with pytest.raises(DataError, match=f"^non-finite value {bad} at {where}$"):
+        FITTERS[fitter](values)
+    # the check comes before least squares, so LAPACK prints nothing either
+    assert capfd.readouterr().err == ""
+
+
 # -- VAR-MLP hybrid -------------------------------------------------------------------
+
+@pytest.mark.parametrize("rate", [0.0, -0.01, np.nan, np.inf])
+def test_mlp_learning_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        MlpSpec(learning_rate=rate)
+
+
+@st.composite
+def mlp_batches(draw):
+    """(x [B, I], y [B, O], leaves w1 [I, H], b1 [H], w2 [H, O], b2 [O]).
+
+    Every target lies at least 0.1 from the network's output, so the finite
+    differences of the l1 loss never straddle its kink.
+    """
+    B, I, H, O = (draw(st.integers(1, 40)), draw(st.integers(1, 12)),
+                  draw(st.integers(1, 8)), draw(st.integers(1, 6)))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    params = [Tensor(gen.normal(size=s) * 0.5, requires_grad=True)
+              for s in ((I, H), (H,), (H, O), (O,))]
+    w1, b1, w2, b2 = (p.data for p in params)
+    x = gen.normal(size=(B, I))
+    out = np.tanh(x @ w1 + b1) @ w2 + b2
+    y = out + gen.choice([-1.0, 1.0], size=out.shape) * (0.1 + np.abs(gen.normal(size=out.shape)))
+    return Tensor(x), Tensor(y), params
+
+
+@settings(max_examples=60, deadline=None)
+@given(mlp_batches())
+def test_closed_form_mlp_gradients_are_the_tapes(case):
+    x, y, params = case
+    w1, b1, w2, b2 = params
+
+    def loss_fn():
+        return mean(abs_(add_bias(tanh(add_bias(x @ w1, b1, 1)) @ w2, b2, 1) - y))
+
+    tape = Tape()
+    with tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    closed = _mlp_l1_grads(x.data, y.data, *(p.data for p in params))
+    for p, g in zip(params, closed):
+        np.testing.assert_array_equal(g, p.grad)
+    # the tape's gradients, equal to the closed form's, against central differences
+    err = grad_check_params(loss_fn, params)
+    assert err <= 1e-6, f"worst relative gradient error {err:.2e}"
+
+
+def test_same_seed_hybrid_fits_are_bit_identical():
+    values = np.cumsum(GEN.normal(0, 0.1, size=(150, 3)), axis=0)
+    spec = MlpSpec(hidden=8, epochs=5, batch_size=16)
+    first, second = (fit_var_mlp(values, 2, spec, Rng(9)) for _ in range(2))
+    assert np.any(first.w2.data != 0)
+    for name in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_array_equal(getattr(first, name).data, getattr(second, name).data)
+
 
 def test_zero_epoch_hybrid_equals_pure_var():
     values = np.cumsum(GEN.normal(0, 0.1, size=(300, 3)), axis=0) + 20.0
@@ -197,7 +275,7 @@ def test_hybrid_round_trip(tmp_path):
     path = tmp_path / "hyb.json"
     model.save(path)
     loaded = VarMlpModel.load(path)
-    np.testing.assert_allclose(loaded.predict_windows(x, horizon=2), pred, atol=1e-12)
+    np.testing.assert_array_equal(loaded.predict_windows(x, horizon=2), pred)
 
 
 # -- GRU --------------------------------------------------------------------------------

@@ -27,6 +27,9 @@ MODELS = {kind: (cls, lambda cls=cls, config=config: cls(config, Rng(1)))
 MODELS["ar"] = (ArEnsemble, lambda: fit_ar_ensemble(PANEL, 2))
 MODELS["var_mlp"] = (VarMlpModel, lambda: fit_var_mlp(PANEL, 2, MlpSpec(hidden=4, epochs=0), Rng(0)))
 PLAIN = ("ar", "var_mlp")
+# MODELS, but with the hybrid trained, so its output layer is no longer all zero
+TRAINED = {**{kind: build for kind, (_, build) in MODELS.items()},
+           "var_mlp": lambda: fit_var_mlp(PANEL, 2, MlpSpec(hidden=4, epochs=3), Rng(0))}
 
 
 def saved_doc(tmp_path, kind):
@@ -103,6 +106,19 @@ def test_unusable_config_is_a_data_error_naming_the_path(tmp_path, kind, config)
     doc["config"] = config
     with pytest.raises(DataError, match=path.name):
         cls.load(rewrite(path, doc))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_round_trip_forecasts_are_bit_identical(tmp_path, kind):
+    cls, _ = MODELS[kind]
+    model = TRAINED[kind]()
+    if kind == "var_mlp":
+        assert np.any(model.w2.data != 0)
+    x = GEN.normal(size=(5, 3, 6))
+    path = tmp_path / f"{kind}.json"
+    model.save(path)
+    np.testing.assert_array_equal(cls.load(path).predict_windows(x, horizon=2),
+                                  model.predict_windows(x, horizon=2))
 
 
 def test_checkpoint_of_another_kind_is_rejected(tmp_path):

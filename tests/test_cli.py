@@ -446,6 +446,21 @@ def test_a_panel_too_short_to_window_leaves_no_out_dir(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("field", ["learning_rate", "l2_coefficient"])
+def test_an_infinite_rate_leaves_no_out_dir(tmp_path, capsys, command, field):
+    # JSON has no infinity, but 1e999 is a number that overflows to one
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path, train={"epochs": 1, field: 7.5})
+    config.write_text(config.read_text(encoding="utf-8").replace("7.5", "1e999"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be" in err
+    assert not out.exists()
+
+
 # -- compare --------------------------------------------------------------------------
 
 

@@ -44,7 +44,8 @@ def test_adam_step_validates_arguments():
     with pytest.raises(ShapeError):
         Adam([p]).step()
     for bad in (dict(lr=0.0), dict(eps=0.0), dict(beta1=1.0), dict(beta2=1.0),
-                dict(beta1=-0.1), dict(l2=-1.0)):
+                dict(beta1=-0.1), dict(l2=-1.0), dict(lr=np.nan), dict(lr=np.inf),
+                dict(eps=np.nan), dict(l2=np.nan), dict(l2=np.inf)):
         with pytest.raises(DomainError):
             Adam([p], **bad)
 

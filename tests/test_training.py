@@ -48,6 +48,13 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "l2_coefficient"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_train_config_rates_must_be_finite(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be .*finite"):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("cls,field,value", [
     (MtgnnConfig, "num_layers", "2"), (MtgnnConfig, "num_layers", True),
     (MtgnnConfig, "dropout", "0.3"), (MtgnnConfig, "dropout", False),

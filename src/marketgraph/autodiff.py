@@ -139,7 +139,8 @@ class Tape:
     """Ordered record of executed ops; supports exactly one backward pass.
 
     Entries are appended in execution order, which is a topological order of
-    the value graph, so a single reverse sweep propagates every adjoint.
+    the value graph, so a single reverse sweep propagates every adjoint. The
+    sweep then drops the entries, so the intermediates can be freed.
     """
 
     def __init__(self):
@@ -183,6 +184,7 @@ class Tape:
                     if inp.grad is None:
                         inp.grad = np.zeros_like(inp.data)
                     inp.grad += gin
+        self._entries.clear()
 
 
 def _record(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:

@@ -36,7 +36,7 @@ from .metrics import dtw_matrix, labeled_matrix_csv, spearman_matrix
 from .mtgnn import MtgnnConfig, MtgnnModel
 from .training import (
     MODEL_BUILDERS, ComparisonSpec, TrainConfig, evaluate, history_csv,
-    run_comparison, trace_csv,
+    mtgnn_config, run_comparison, trace_csv,
 )
 
 # The baseline knobs are a chosen subset of the specs' fields (MlpSpec's
@@ -218,6 +218,7 @@ def cmd_train(args) -> int:
     seed = _resolve_seed(cfg.seed)
     train_cfg = replace(cfg.train, seed=seed)
     pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
+    mtgnn_config(pipeline, cfg.window, cfg.model)  # an out-of-range knob fails before --out exists
     out = _out_dir(args.out)
 
     labels = pipeline.train.columns

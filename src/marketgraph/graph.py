@@ -3,75 +3,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .autodiff import Rng, Tensor, mul, relu, tanh, transpose
+from .autodiff import Tensor, mul, relu, tanh, transpose
 from .data import csv_text
 from .errors import DataError, DomainError, ShapeError
 
 G7_COUNTRIES = ("Italy", "France", "UK", "Germany", "US", "Canada", "Japan")
 MINT_COUNTRIES = ("Mexico", "Indonesia", "Nigeria", "Türkiye")
-
-
-@dataclass
-class NodeEmbeddings:
-    """Two learnable embedding tables, one per role in the directed score."""
-
-    e1: Tensor
-    e2: Tensor
-
-    def __post_init__(self):
-        if self.e1.ndim != 2 or self.e1.shape != self.e2.shape:
-            raise ShapeError(f"embeddings must be two equal [N, d] matrices, got {self.e1.shape} and {self.e2.shape}")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.e1.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.e1.shape[1]
-
-
-def init_node_embeddings(num_nodes: int, dim: int, rng: Rng, scale: float = 1.0) -> NodeEmbeddings:
-    if num_nodes < 2 or dim < 1:
-        raise DomainError(f"need at least 2 nodes and dim >= 1, got {num_nodes}, {dim}")
-    return NodeEmbeddings(
-        e1=Tensor(rng.normal((num_nodes, dim), scale), requires_grad=True),
-        e2=Tensor(rng.normal((num_nodes, dim), scale), requires_grad=True),
-    )
-
-
-@dataclass
-class GraphLearnParams:
-    """Mixing matrices and the saturation/sparsity knobs of the graph layer."""
-
-    theta1: Tensor
-    theta2: Tensor
-    alpha: float = 3.0
-    k: int = 5
-
-    def __post_init__(self):
-        if self.theta1.ndim != 2 or self.theta1.shape != self.theta2.shape:
-            raise ShapeError(f"mixing matrices must be two equal [d, d] matrices, got {self.theta1.shape} and {self.theta2.shape}")
-        if self.theta1.shape[0] != self.theta1.shape[1]:
-            raise ShapeError(f"mixing matrices must be square, got {self.theta1.shape}")
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if self.k < 1:
-            raise DomainError(f"k must be at least 1, got {self.k}")
-
-
-def init_graph_learn_params(dim: int, rng: Rng, alpha: float = 3.0, k: int = 5) -> GraphLearnParams:
-    scale = 1.0 / np.sqrt(dim)
-    return GraphLearnParams(
-        theta1=Tensor(rng.normal((dim, dim), scale), requires_grad=True),
-        theta2=Tensor(rng.normal((dim, dim), scale), requires_grad=True),
-        alpha=alpha,
-        k=k,
-    )
 
 
 def top_k_row_mask(values: np.ndarray, k: int) -> np.ndarray:
@@ -88,26 +29,32 @@ def top_k_row_mask(values: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def learn_adjacency(emb: NodeEmbeddings, params: GraphLearnParams) -> Tensor:
+def learn_adjacency(e1: Tensor, e2: Tensor, theta1: Tensor, theta2: Tensor,
+                    alpha: float, k: int) -> Tensor:
     """Current belief about the directed adjacency, as a differentiable [N, N] tensor.
 
-    M1 = tanh(alpha * E1 Theta1), M2 = tanh(alpha * E2 Theta2);
-    the raw score relu(tanh(alpha * (M1 M2^T - M2 M1^T))) is antisymmetric
-    before the relu, so at most one direction survives per pair and the
-    diagonal is exactly zero. Each row is then sparsified to its k largest
-    entries through a constant 0/1 mask; gradients flow only through the
-    retained entries.
+    e1 and e2 are the two [N, d] node-embedding tables, theta1 and theta2
+    the two [d, d] mixing matrices. M1 = tanh(alpha * E1 Theta1),
+    M2 = tanh(alpha * E2 Theta2); the raw score
+    relu(tanh(alpha * (M1 M2^T - M2 M1^T))) is antisymmetric before the
+    relu, so at most one direction survives per pair and the diagonal is
+    exactly zero. Each row is then sparsified to its k largest entries
+    through a constant 0/1 mask; gradients flow only through the retained
+    entries.
     """
-    n = emb.num_nodes
-    if params.theta1.shape[0] != emb.dim:
-        raise ShapeError(f"mixing dim {params.theta1.shape[0]} does not match embedding dim {emb.dim}")
-    if params.k > n - 1:
-        raise DomainError(f"k={params.k} out of range for {n} nodes (max {n - 1})")
-    m1 = tanh(mul(emb.e1 @ params.theta1, params.alpha))
-    m2 = tanh(mul(emb.e2 @ params.theta2, params.alpha))
+    n, d = e1.shape if e1.ndim == 2 else (0, 0)
+    if e1.ndim != 2 or e2.shape != e1.shape or theta1.shape != (d, d) or theta2.shape != (d, d):
+        raise ShapeError(f"need two equal [N, d] embeddings and two [d, d] mixing matrices, got "
+                         f"{e1.shape}, {e2.shape}, {theta1.shape} and {theta2.shape}")
+    if not 0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    if not 1 <= k <= n - 1:
+        raise DomainError(f"k={k} out of range for {n} nodes (max {n - 1})")
+    m1 = tanh(mul(e1 @ theta1, alpha))
+    m2 = tanh(mul(e2 @ theta2, alpha))
     score = m1 @ transpose(m2) - m2 @ transpose(m1)
-    a0 = relu(tanh(mul(score, params.alpha)))
-    mask = top_k_row_mask(a0.data, params.k)
+    a0 = relu(tanh(mul(score, alpha)))
+    mask = top_k_row_mask(a0.data, k)
     np.fill_diagonal(mask, 0.0)
     return mul(a0, Tensor(mask))
 
@@ -140,15 +87,6 @@ class AdjacencyMatrix:
             raise DataError("adjacency weights must be nonnegative")
         if np.any(np.diagonal(v) != 0):
             raise DataError("self-edges are not allowed (diagonal must be zero)")
-
-
-def snapshot_adjacency(emb: NodeEmbeddings, params: GraphLearnParams,
-                       labels: Sequence[str] | None = None) -> AdjacencyMatrix:
-    """Freeze the current learned adjacency into a labeled, exportable matrix."""
-    values = learn_adjacency(emb, params).data
-    if labels is None:
-        labels = [f"series_{i}" for i in range(emb.num_nodes)]
-    return AdjacencyMatrix(labels=tuple(labels), values=values)
 
 
 def out_degree(adj: AdjacencyMatrix, hops: int = 1) -> np.ndarray:

@@ -20,7 +20,7 @@ from .autodiff import (
 )
 from .checkpoint import NeuralModel
 from .errors import ConfigError, ShapeError, check_field_types
-from .graph import init_graph_learn_params, init_node_embeddings, learn_adjacency
+from .graph import learn_adjacency
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,16 @@ class MtgnnConfig:
             raise ConfigError(f"retain_ratio must be in [0, 1], got {self.retain_ratio}")
         if self.kernel_size < 2:
             raise ConfigError(f"kernel_size must be at least 2, got {self.kernel_size}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if self.k is not None and not 1 <= self.k <= self.num_nodes - 1:
             raise ConfigError(f"k={self.k} out of range for {self.num_nodes} nodes")
-        if self.input_window < self.receptive_field:
+        # The receptive field is at least 2**num_layers, so a layer count of at
+        # least the window's bit length is refused before its dilations exist.
+        if self.num_layers >= self.input_window.bit_length() or self.input_window < self.receptive_field:
             raise ConfigError(
                 f"input window {self.input_window} is shorter than the receptive "
-                f"field {self.receptive_field}; widen the window or drop layers"
+                f"field of {self.num_layers} layers; widen the window or drop layers"
             )
 
     @property
@@ -132,13 +136,14 @@ class MtgnnModel(NeuralModel):
         super().__init__(config)
         c = config
 
-        self.embeddings = init_node_embeddings(c.num_nodes, c.embedding_dim, rng.split())
-        self.graph_params = init_graph_learn_params(c.embedding_dim, rng.split(),
-                                                    alpha=c.alpha, k=c.sparsity)
-        self.register("emb.e1", self.embeddings.e1)
-        self.register("emb.e2", self.embeddings.e2)
-        self.register("graph.theta1", self.graph_params.theta1)
-        self.register("graph.theta2", self.graph_params.theta2)
+        # Embeddings, then mixing matrices, each from a stream of its own: the
+        # order that fixes every seeded initial weight of checkpoint format 2.
+        emb, mix = rng.split(), rng.split()
+        N, D = c.num_nodes, c.embedding_dim
+        self.e1 = self.weight(emb, "emb.e1", (N, D), 1)
+        self.e2 = self.weight(emb, "emb.e2", (N, D), 1)
+        self.theta1 = self.weight(mix, "graph.theta1", (D, D), D)
+        self.theta2 = self.weight(mix, "graph.theta2", (D, D), D)
 
         init = rng.split()
         self.start_w = self.weight(init, "start.w", (1, c.residual_channels), 1)
@@ -173,7 +178,8 @@ class MtgnnModel(NeuralModel):
 
     def adjacency(self) -> Tensor:
         """Current belief about the series graph, recomputed from embeddings."""
-        return learn_adjacency(self.embeddings, self.graph_params)
+        c = self.config
+        return learn_adjacency(self.e1, self.e2, self.theta1, self.theta2, c.alpha, c.sparsity)
 
     def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:

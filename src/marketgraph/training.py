@@ -17,7 +17,7 @@ from .baselines import (
 )
 from .data import NormStats, PipelineResult, WindowSet, WindowSpec, csv_text, invert_predictions
 from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_field_types
-from .graph import AdjacencyMatrix, snapshot_adjacency
+from .graph import AdjacencyMatrix
 from .metrics import MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
 
@@ -122,7 +122,9 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
     model.load_state_dict(best_state)
     adjacency = None
     if isinstance(model, MtgnnModel):
-        adjacency = snapshot_adjacency(model.embeddings, model.graph_params, labels)
+        if labels is None:
+            labels = [f"series_{i}" for i in range(model.config.num_nodes)]
+        adjacency = AdjacencyMatrix(labels=tuple(labels), values=model.adjacency().data)
     return TrainResult(model=model, adjacency=adjacency, history=history, best_epoch=best_epoch)
 
 
@@ -211,9 +213,15 @@ def _build_tcn(pipeline, window, spec, rng):
     return result.model, result, {"channels": spec.tcn_channels, "blocks": spec.tcn_blocks}
 
 
+def mtgnn_config(pipeline, window, knobs: dict) -> MtgnnConfig:
+    """The graph model's config: the data fixes its node count and the window
+    its input length and horizon; `knobs` sets the rest."""
+    return MtgnnConfig(num_nodes=len(pipeline.train.columns), input_window=window.P,
+                       horizon=window.Q, **knobs)
+
+
 def _build_mtgnn(pipeline, window, spec, rng):
-    config = MtgnnConfig(num_nodes=len(pipeline.train.columns), input_window=window.P,
-                         horizon=window.Q, **spec.mtgnn)
+    config = mtgnn_config(pipeline, window, spec.mtgnn)
     result = _train_new(MtgnnModel, config, pipeline, spec, rng)
     return result.model, result, {k: v for k, v in asdict(config).items() if k != "num_nodes"}
 

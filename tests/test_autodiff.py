@@ -1,4 +1,7 @@
 """Tape semantics, per-op gradients against finite differences, RNG streams."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,26 @@ def test_tape_consumed_once():
     tape.backward(loss)
     with pytest.raises(TapeError):
         tape.backward(loss)
+
+
+def test_backward_lets_go_of_the_intermediates():
+    # With the cycle collector off, only reference counting can free the
+    # intermediate, so nothing the tape keeps may still point at it. Tensor
+    # has no weakref slot; its array, which the backward closures share, does.
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            h = tanh(mul(x, x))
+            loss = sum_(mul(h, 2.0))
+        alive = weakref.ref(h.data)
+        del h
+        assert alive() is not None
+        tape.backward(loss)
+        assert alive() is None
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data ** 2) ** 2) * 2.0 * x.data)
 
 
 def test_backward_requires_scalar_loss():

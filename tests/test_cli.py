@@ -461,6 +461,42 @@ def test_an_infinite_rate_leaves_no_out_dir(tmp_path, capsys, command, field):
     assert not out.exists()
 
 
+OUT_OF_RANGE_MODEL_KNOBS = {
+    "too_deep": ({"num_layers": 4}, "receptive field of 4 layers"),
+    "far_too_deep": ({"num_layers": 15000}, "receptive field of 15000 layers"),
+    "k_too_large": ({"k": 9}, "k=9 out of range for 3 nodes"),
+    "negative_alpha": ({"alpha": -1.0}, "alpha must be positive and finite, got -1.0"),
+    "zero_alpha": ({"alpha": 0}, "alpha must be positive and finite, got 0"),
+    "infinite_alpha": ({"alpha": 7.5}, "alpha must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("knob, message", OUT_OF_RANGE_MODEL_KNOBS.values(),
+                         ids=OUT_OF_RANGE_MODEL_KNOBS.keys())
+def test_an_out_of_range_model_knob(tmp_path, capsys, command, knob, message):
+    # `train` refuses it before --out exists; `compare` records it for mtgnn
+    # and scores the other models.
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path, model={**TINY_MODEL, **knob},
+                          baselines={"include": ["persistence", "mtgnn"]})
+    # JSON has no infinity, but 1e999 is a number that overflows to one
+    config.write_text(config.read_text(encoding="utf-8").replace("7.5", "1e999"), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    if command == "train":
+        assert code == 2 and err.startswith("error:") and message in err
+        assert not out.exists()
+    else:
+        assert code == 0
+        payload = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+        assert set(payload["models"]) == {"persistence"}
+        assert payload["errors"]["mtgnn"].startswith("ConfigError:")
+        assert message in payload["errors"]["mtgnn"]
+
+
 # -- compare --------------------------------------------------------------------------
 
 

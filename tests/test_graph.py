@@ -1,15 +1,17 @@
 """Directed-graph learning layer and out-degree influence analysis."""
 import numpy as np
 import pytest
+from conftest import build_frame
 
 from marketgraph import (
-    DataError, DomainError, Rng, ShapeError, Tape, Tensor, out_degree, rank_influence,
+    DataError, DomainError, MtgnnConfig, MtgnnModel, Rng, ShapeError, Tape, Tensor,
+    TrainConfig, WindowSpec, out_degree, rank_influence, train,
 )
 from marketgraph.autodiff import sum_
+from marketgraph.data import make_windows
 from marketgraph.graph import (
-    AdjacencyMatrix, G7_COUNTRIES, GraphLearnParams, MINT_COUNTRIES, NodeEmbeddings,
-    adjacency_csv, init_graph_learn_params, init_node_embeddings, learn_adjacency,
-    read_adjacency_csv, snapshot_adjacency, top_k_row_mask,
+    AdjacencyMatrix, G7_COUNTRIES, MINT_COUNTRIES, adjacency_csv, learn_adjacency,
+    read_adjacency_csv, top_k_row_mask,
 )
 
 FIXTURE_ONE_HOP = [1, 6, 4, 3, 5, 7, 5, 7, 5, 3, 2]
@@ -21,16 +23,24 @@ def fixture_adj(fixtures_dir):
     return read_adjacency_csv(fixtures_dir / "g7_mint_adjacency.csv")
 
 
+def embeddings(rng, n, d, scale=1.0):
+    """The two [n, d] embedding tables, drawn in turn from `rng`."""
+    return [Tensor(rng.normal((n, d), scale), requires_grad=True) for _ in range(2)]
+
+
+def mixers(rng, d):
+    """The two [d, d] mixing matrices, drawn in turn at scale 1/sqrt(d)."""
+    return [Tensor(rng.normal((d, d), 1.0 / np.sqrt(d)), requires_grad=True) for _ in range(2)]
+
+
 # -- learn_adjacency --------------------------------------------------------------
 
 def test_two_node_hand_evaluation():
     # E1=[1,0]^T, E2=[0,1]^T, both mixers the 1x1 identity, alpha=1:
     # M1=[tanh 1, 0]^T, M2=[0, tanh 1]^T, score=M1 M2^T - M2 M1^T has
     # tanh(1)^2 above the diagonal, so A = [[0, tanh(tanh(1)^2)], [0, 0]].
-    emb = NodeEmbeddings(e1=Tensor([[1.0], [0.0]]), e2=Tensor([[0.0], [1.0]]))
-    params = GraphLearnParams(theta1=Tensor([[1.0]]), theta2=Tensor([[1.0]]),
-                              alpha=1.0, k=1)
-    a = learn_adjacency(emb, params).data
+    a = learn_adjacency(Tensor([[1.0], [0.0]]), Tensor([[0.0], [1.0]]),
+                        Tensor([[1.0]]), Tensor([[1.0]]), alpha=1.0, k=1).data
     expected = np.tanh(np.tanh(1.0) ** 2)
     np.testing.assert_allclose(a, [[0.0, expected], [0.0, 0.0]], atol=1e-15)
     assert abs(expected - 0.5227) < 5e-4
@@ -39,34 +49,28 @@ def test_two_node_hand_evaluation():
 def test_identical_embedding_roles_give_empty_graph():
     rng = Rng(3)
     e = Tensor(rng.normal((5, 4)))
-    emb = NodeEmbeddings(e1=e, e2=Tensor(e.data.copy()))
     th = Tensor(rng.normal((4, 4)))
-    params = GraphLearnParams(theta1=th, theta2=Tensor(th.data.copy()), alpha=2.0, k=3)
-    np.testing.assert_allclose(learn_adjacency(emb, params).data, np.zeros((5, 5)))
+    a = learn_adjacency(e, Tensor(e.data.copy()), th, Tensor(th.data.copy()), alpha=2.0, k=3)
+    np.testing.assert_allclose(a.data, np.zeros((5, 5)))
 
 
 def test_entries_in_unit_interval_and_zero_diagonal():
     # Mathematically the range is [0, 1); float64 tanh can round a deeply
     # saturated score to exactly 1.0, so the hard bound is <= 1.
     rng = Rng(11)
-    emb = init_node_embeddings(8, 5, rng, scale=2.0)
-    params = init_graph_learn_params(5, rng, alpha=3.0, k=4)
-    a = learn_adjacency(emb, params).data
+    a = learn_adjacency(*embeddings(rng, 8, 5, scale=2.0), *mixers(rng, 5), alpha=3.0, k=4).data
     assert np.all(a >= 0.0) and np.all(a <= 1.0)
     np.testing.assert_array_equal(np.diagonal(a), np.zeros(8))
-    mild = learn_adjacency(init_node_embeddings(6, 3, Rng(0), scale=0.3),
-                           GraphLearnParams(theta1=Tensor(np.eye(3) * 0.3),
-                                            theta2=Tensor(np.eye(3) * 0.2),
-                                            alpha=1.0, k=3)).data
+    mild = learn_adjacency(*embeddings(Rng(0), 6, 3, scale=0.3),
+                           Tensor(np.eye(3) * 0.3), Tensor(np.eye(3) * 0.2), alpha=1.0, k=3).data
     assert np.all(mild >= 0.0) and np.all(mild < 1.0)
 
 
 def test_at_most_k_nonzeros_per_row():
     rng = Rng(2)
-    emb = init_node_embeddings(9, 6, rng)
+    emb = embeddings(rng, 9, 6)
     for k in (1, 3, 8):
-        params = init_graph_learn_params(6, rng.split(), k=k)
-        a = learn_adjacency(emb, params).data
+        a = learn_adjacency(*emb, *mixers(rng.split(), 6), alpha=3.0, k=k).data
         assert np.all((a > 0).sum(axis=1) <= k)
 
 
@@ -76,49 +80,42 @@ def test_role_swap_transposes_dense_scores():
     rng = Rng(17)
     e1, e2 = Tensor(rng.normal((6, 4))), Tensor(rng.normal((6, 4)))
     t1, t2 = Tensor(rng.normal((4, 4))), Tensor(rng.normal((4, 4)))
-    fwd = learn_adjacency(NodeEmbeddings(e1=e1, e2=e2),
-                          GraphLearnParams(theta1=t1, theta2=t2, k=5)).data
-    swp = learn_adjacency(NodeEmbeddings(e1=e2, e2=e1),
-                          GraphLearnParams(theta1=t2, theta2=t1, k=5)).data
+    fwd = learn_adjacency(e1, e2, t1, t2, alpha=3.0, k=5).data
+    swp = learn_adjacency(e2, e1, t2, t1, alpha=3.0, k=5).data
     np.testing.assert_allclose(swp, fwd.T, atol=1e-12)
 
 
 def test_one_direction_per_pair():
     rng = Rng(23)
-    emb = init_node_embeddings(7, 4, rng)
-    params = init_graph_learn_params(4, rng.split(), k=6)
-    a = learn_adjacency(emb, params).data
+    a = learn_adjacency(*embeddings(rng, 7, 4), *mixers(rng.split(), 4), alpha=3.0, k=6).data
     assert np.all((a > 0) & (a.T > 0) == False)  # noqa: E712 - elementwise
 
 
 def test_k_out_of_range_rejected():
     rng = Rng(1)
-    emb = init_node_embeddings(4, 3, rng)
-    params = init_graph_learn_params(3, rng.split(), k=4)
-    with pytest.raises(DomainError):
-        learn_adjacency(emb, params)
-    with pytest.raises(DomainError):
-        GraphLearnParams(theta1=Tensor(np.eye(3)), theta2=Tensor(np.eye(3)), k=0)
-    with pytest.raises(DomainError):
-        GraphLearnParams(theta1=Tensor(np.eye(3)), theta2=Tensor(np.eye(3)), alpha=0.0)
+    params = [*embeddings(rng, 4, 3), *mixers(rng.split(), 3)]
+    for alpha, k in [(3.0, 4), (3.0, 0), (0.0, 2), (-1.0, 2), (np.inf, 2), (np.nan, 2)]:
+        with pytest.raises(DomainError):
+            learn_adjacency(*params, alpha=alpha, k=k)
 
 
 def test_dim_mismatch_rejected():
-    rng = Rng(1)
-    emb = init_node_embeddings(4, 3, rng)
-    params = init_graph_learn_params(5, rng.split(), k=2)
-    with pytest.raises(ShapeError):
-        learn_adjacency(emb, params)
+    for shapes in [((4, 3), (4, 3), (5, 5), (5, 5)),   # mixing dim differs from embedding dim
+                   ((4, 3), (5, 3), (3, 3), (3, 3)),   # embedding tables differ
+                   ((4, 3), (4, 3), (3, 3), (3, 2)),   # mixing matrix not square
+                   ((4, 3), (4, 3), (3, 3), (2, 2)),   # mixing matrices differ
+                   ((4,), (4,), (1, 1), (1, 1))]:      # embeddings not a matrix
+        with pytest.raises(ShapeError):
+            learn_adjacency(*(Tensor(np.ones(s)) for s in shapes), alpha=3.0, k=2)
 
 
 def test_gradients_reach_embeddings_through_mask():
     rng = Rng(9)
-    emb = init_node_embeddings(5, 3, rng)
-    params = init_graph_learn_params(3, rng.split(), k=2)
+    params = [*embeddings(rng, 5, 3), *mixers(rng.split(), 3)]
     with Tape() as tape:
-        loss = sum_(learn_adjacency(emb, params))
+        loss = sum_(learn_adjacency(*params, alpha=3.0, k=2))
     tape.backward(loss)
-    grads = [p.grad for p in (emb.e1, emb.e2, params.theta1, params.theta2)]
+    grads = [p.grad for p in params]
     assert all(g is not None for g in grads)
     assert any(np.any(g != 0) for g in grads)
 
@@ -145,12 +142,16 @@ def test_adjacency_validation():
 
 
 def test_snapshot_default_labels():
-    rng = Rng(4)
-    emb = init_node_embeddings(3, 2, rng)
-    params = init_graph_learn_params(2, rng.split(), k=1)
-    adj = snapshot_adjacency(emb, params)
+    # train() snapshots the learned graph of an MtgnnModel; without labels
+    # its nodes are named by position.
+    values = np.cumsum(np.random.default_rng(4).normal(0, 0.1, size=(40, 3)), axis=0)
+    windows = make_windows(build_frame(values), WindowSpec(P=8, Q=1))
+    model = MtgnnModel(MtgnnConfig(num_nodes=3, num_layers=2, embedding_dim=2, input_window=8, k=1),
+                       Rng(4))
+    adj = train(model, windows, windows, TrainConfig(epochs=0)).adjacency
     assert adj.labels == ("series_0", "series_1", "series_2")
-    assert len(adj.labels) == 3
+    np.testing.assert_array_equal(adj.values, model.adjacency().data)
+    assert np.all((adj.values > 0).sum(axis=1) <= 1)
 
 
 # -- out-degree oracles ---------------------------------------------------------------

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from marketgraph import (
-    ConfigError, MtgnnConfig, MtgnnModel, Rng, ShapeError, Tensor, grad_check_params,
+    ConfigError, MtgnnConfig, MtgnnModel, Rng, ShapeError, TcnModel, Tensor, grad_check_params,
 )
 from marketgraph.autodiff import mix_hop, sum_
+from marketgraph.baselines import TcnConfig
 from marketgraph.graph import read_adjacency_csv
 from marketgraph.mtgnn import gated_temporal_conv, hop_stack, normalized_propagation_matrix
 
@@ -35,6 +36,15 @@ def test_default_architecture_numbers():
     assert cfg.dropout == 0.3
     assert cfg.embedding_dim == 40
     assert cfg.sparsity == 5
+
+
+def test_parameter_names_in_checkpoint_order():
+    # The order of the checkpoint format 2 "params" object at the default config.
+    names = list(MtgnnModel(MtgnnConfig(num_nodes=6), Rng(0)).state_dict())
+    layers = [f"layer{i}.{part}" for i in range(3) for part in ("gated.w", "gated.b", "skip.w", "mix.w")]
+    assert names == ["emb.e1", "emb.e2", "graph.theta1", "graph.theta2", "start.w", "start.b",
+                     *layers, "skip_end.w", "head1.w", "head1.b", "head2.w", "head2.b"]
+    assert len(names) == 23
 
 
 def test_receptive_field_grows_with_layers():
@@ -244,15 +254,20 @@ def mean_abs(t):
 
 
 def test_predict_windows_chunking_consistent():
-    model = MtgnnModel(tiny_config(), Rng(6))
-    x = GEN.normal(size=(7, 3, 8))
-    model.predict_chunk = 7
-    full = model.predict_windows(x)
-    model.predict_chunk = 2
-    split = model.predict_windows(x)
-    np.testing.assert_allclose(full, split, atol=1e-12)
-    with pytest.raises(ShapeError):
-        model.predict_windows(x, horizon=3)
+    # A window's forecast must not depend on which batch it shares: every
+    # chunk size gives the same bits.
+    x3 = GEN.normal(size=(70, 3, 8))
+    models = [(MtgnnModel(tiny_config(), Rng(6)), x3),
+              (MtgnnModel(tiny_config(num_nodes=11), Rng(6)), GEN.normal(size=(70, 11, 8))),
+              (TcnModel(TcnConfig(channels=4, num_blocks=2), Rng(6)), x3)]
+    for model, x in models:
+        model.predict_chunk = 1
+        one_by_one = model.predict_windows(x)
+        for chunk in (2, 7, 64, 256):
+            model.predict_chunk = chunk
+            np.testing.assert_array_equal(model.predict_windows(x), one_by_one)
+        with pytest.raises(ShapeError):
+            model.predict_windows(x, horizon=3)
 
 
 def test_adjacency_respects_sparsity():

@@ -8,7 +8,6 @@ than optimization differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .autodiff import (
     Rng, Tensor, add_bias, causal_conv1d, channel_linear, gru_sequence, last_step,
     permute, relu, reshape, sigmoid, stack_last, tanh,
 )
-from .checkpoint import NeuralModel, load_exact, save_checkpoint
+from .checkpoint import Model, NeuralModel
 from .errors import ConfigError, DataError, DomainError, ShapeError, check_field_types
 from .optim import Adam
 
@@ -31,24 +30,8 @@ def _require_finite(values: np.ndarray) -> None:
 
 # -- autoregression ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArModel:
-    """One series regressed on its own p most recent values."""
-
-    order: int
-    intercept: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
-        if self.order < 1 or self.coeffs.shape != (self.order,):
-            raise ShapeError(f"order {self.order} needs {self.order} coefficients, got {self.coeffs.shape}")
-        if not (np.isfinite(self.intercept) and np.all(np.isfinite(self.coeffs))):
-            raise DataError("coefficients must be finite")
-
-
-def fit_ar(series, p: int) -> ArModel:
-    """Least-squares fit of x_t ~ c + sum_i phi_i * x_{t-i}.
+def fit_ar(series, p: int) -> tuple[float, np.ndarray]:
+    """Least-squares fit of x_t ~ c + sum_i phi_i * x_{t-i}, as (c, [phi_1 .. phi_p]).
 
     A constant series is handled by the intercept alone; any other exactly
     collinear lag structure is an error rather than an arbitrary solution.
@@ -60,7 +43,7 @@ def fit_ar(series, p: int) -> ArModel:
         raise DataError(f"need more than {p + 1} observations for order {p}, have {x.size}")
     _require_finite(x)
     if np.ptp(x) == 0:
-        return ArModel(order=p, intercept=float(x[0]), coeffs=np.zeros(p))
+        return float(x[0]), np.zeros(p)
     rows = x.size - p
     design = np.ones((rows, p + 1))
     for i in range(1, p + 1):
@@ -68,59 +51,50 @@ def fit_ar(series, p: int) -> ArModel:
     coef, _, rank, _ = np.linalg.lstsq(design, x[p:], rcond=None)
     if rank < p + 1:
         raise DataError(f"exactly collinear lag structure at order {p}; reduce the order")
-    return ArModel(order=p, intercept=float(coef[0]), coeffs=coef[1:])
+    return float(coef[0]), coef[1:]
 
 
-class ArEnsemble:
+@dataclass(frozen=True)
+class ArConfig:
+    order: int
+    num_series: int
+
+    def __post_init__(self):
+        check_field_types(type(self), vars(self))
+        if self.order < 1 or self.num_series < 1:
+            raise ConfigError(f"order and num_series must be positive, "
+                              f"got {self.order} and {self.num_series}")
+
+
+class ArEnsemble(Model):
     """Independent AR fits, one per series, behind the shared window API."""
 
     kind = "ar"
+    config_class = ArConfig
 
-    def __init__(self, models: Sequence[ArModel]):
-        if not models:
-            raise DataError("empty ensemble")
-        self.models = list(models)
-
-    @property
-    def order(self) -> int:
-        return self.models[0].order
+    def __init__(self, config: ArConfig, rng: Rng | None = None):
+        super().__init__(config)
+        self.per_series = [(self.register(f"series{j}.intercept", Tensor(np.zeros(1))),
+                            self.register(f"series{j}.coeffs", Tensor(np.zeros(config.order))))
+                           for j in range(config.num_series)]
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         B, N, P = x.shape
-        if N != len(self.models):
-            raise ShapeError(f"{N} series but {len(self.models)} fitted models")
-        if P < self.order:
-            raise DataError(f"window of {P} steps is shorter than AR order {self.order}")
+        order = self.config.order
+        if N != self.config.num_series:
+            raise ShapeError(f"{N} series but {self.config.num_series} fitted models")
+        if P < order:
+            raise DataError(f"window of {P} steps is shorter than AR order {order}")
         out = np.zeros((B, N, horizon))
-        for j, m in enumerate(self.models):
+        for j, (intercept, coeffs) in enumerate(self.per_series):
             h = x[:, j, :]
             for q in range(horizon):
-                recent = h[:, :-m.order - 1:-1]
-                nxt = m.intercept + recent @ m.coeffs
+                recent = h[:, :-order - 1:-1]
+                nxt = intercept.data[0] + recent @ coeffs.data
                 out[:, j, q] = nxt
                 h = np.concatenate([h, nxt[:, None]], axis=1)
         return out
-
-    def save(self, path) -> None:
-        params = {}
-        for j, m in enumerate(self.models):
-            params[f"series{j}.intercept"] = np.array([m.intercept])
-            params[f"series{j}.coeffs"] = m.coeffs
-        save_checkpoint(path, kind="ar", config={"order": self.order, "num_series": len(self.models)},
-                        params=params)
-
-    @staticmethod
-    def _shapes(order: int, num_series: int) -> dict[str, tuple]:
-        return {f"series{j}.{part}": shape for j in range(num_series)
-                for part, shape in (("intercept", (1,)), ("coeffs", (order,)))}
-
-    @classmethod
-    def load(cls, path) -> "ArEnsemble":
-        ckpt = load_exact(path, cls.kind, ("order", "num_series"), cls._shapes)
-        p = ckpt.params
-        return cls([ArModel(order=ckpt.config["order"], intercept=float(p[f"series{j}.intercept"][0]),
-                            coeffs=p[f"series{j}.coeffs"]) for j in range(ckpt.config["num_series"])])
 
 
 def fit_ar_ensemble(values: np.ndarray, p: int) -> ArEnsemble:
@@ -128,7 +102,11 @@ def fit_ar_ensemble(values: np.ndarray, p: int) -> ArEnsemble:
     if values.ndim != 2:
         raise ShapeError(f"expected [rows, series] values, got {values.shape}")
     _require_finite(values)
-    return ArEnsemble([fit_ar(values[:, j], p) for j in range(values.shape[1])])
+    fits = [fit_ar(values[:, j], p) for j in range(values.shape[1])]
+    model = ArEnsemble(ArConfig(order=p, num_series=len(fits)))
+    for (intercept, coeffs), (c, phi) in zip(model.per_series, fits):
+        intercept.data[0], coeffs.data = c, phi
+    return model
 
 
 # -- vector autoregression with a nonlinear residual correction ---------------
@@ -167,7 +145,10 @@ def fit_var(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Residual-correction network: one tanh hidden layer plus linear output."""
+    """Residual-correction network: one tanh hidden layer plus linear output.
+
+    The field types are checked here, their ranges by `fit_var_mlp`.
+    """
 
     hidden: int = 32
     epochs: int = 100
@@ -176,15 +157,22 @@ class MlpSpec:
 
     def __post_init__(self):
         check_field_types(type(self), vars(self))
-        if self.hidden < 1 or self.batch_size < 1:
-            raise ConfigError("hidden width and batch size must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
-class VarMlpModel:
+@dataclass(frozen=True)
+class VarMlpConfig:
+    order: int
+    num_series: int
+    hidden: int
+
+    def __post_init__(self):
+        check_field_types(type(self), vars(self))
+        if self.order < 1 or self.num_series < 1 or self.hidden < 1:
+            raise ConfigError(f"order, num_series and hidden must be positive, "
+                              f"got {self.order}, {self.num_series} and {self.hidden}")
+
+
+class VarMlpModel(Model):
     """Linear VAR forecast plus an MLP trained on the VAR's residuals.
 
     The output layer starts at zero, so an untrained MLP contributes exactly
@@ -192,60 +180,37 @@ class VarMlpModel:
     """
 
     kind = "var_mlp"
+    config_class = VarMlpConfig
 
-    def __init__(self, order: int, intercept: np.ndarray, coef: np.ndarray,
-                 w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-        self.order = order
-        self.intercept = np.asarray(intercept, dtype=np.float64)
-        self.coef = np.asarray(coef, dtype=np.float64)
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        n = self.intercept.shape[0]
-        if self.coef.shape != (order, n, n):
-            raise ShapeError(f"coefficient stack {self.coef.shape} does not match order {order} over {n} series")
-        if self.w1.shape[0] != n * order:
-            raise ShapeError(f"MLP input width {self.w1.shape[0]} must equal N*order = {n * order}")
-
-    @property
-    def num_series(self) -> int:
-        return self.intercept.shape[0]
+    def __init__(self, config: VarMlpConfig, rng: Rng):
+        super().__init__(config)
+        p, n, h = config.order, config.num_series, config.hidden
+        self.intercept = self.register("var.intercept", Tensor(np.zeros(n)))
+        self.coef = self.register("var.coef", Tensor(np.zeros((p, n, n))))
+        init = rng.split()
+        self.w1 = self.register("mlp.w1", Tensor(init.normal((n * p, h), 1.0 / np.sqrt(n * p)),
+                                                 requires_grad=True))
+        self.b1 = self.register("mlp.b1", Tensor(np.zeros(h), requires_grad=True))
+        self.w2 = self.register("mlp.w2", Tensor(np.zeros((h, n)), requires_grad=True))
+        self.b2 = self.register("mlp.b2", Tensor(np.zeros(n), requires_grad=True))
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         B, N, P = x.shape
-        if P < self.order:
-            raise DataError(f"window of {P} steps is shorter than VAR order {self.order}")
+        order = self.config.order
+        if P < order:
+            raise DataError(f"window of {P} steps is shorter than VAR order {order}")
         out = np.zeros((B, N, horizon))
         hist = np.swapaxes(x, 1, 2)  # [B, P, N]
         for q in range(horizon):
             # lags[:, lag-1, :] is x_{t-lag}; the VAR sums its contributions over lags.
-            lags = np.stack([hist[:, hist.shape[1] - lag, :] for lag in range(1, self.order + 1)], axis=1)
+            lags = np.stack([hist[:, hist.shape[1] - lag, :] for lag in range(1, order + 1)], axis=1)
             hidden = np.tanh(lags.reshape(B, -1) @ self.w1.data + self.b1.data)
-            pred = ((self.intercept + np.tensordot(lags, self.coef, axes=([-2, -1], [0, 1])))
+            pred = ((self.intercept.data + np.tensordot(lags, self.coef.data, axes=([-2, -1], [0, 1])))
                     + (hidden @ self.w2.data + self.b2.data))
             out[:, :, q] = pred
             hist = np.concatenate([hist, pred[:, None, :]], axis=1)
         return out
-
-    def save(self, path) -> None:
-        save_checkpoint(path, kind=self.kind,
-                        config={"order": self.order, "num_series": self.num_series,
-                                "hidden": self.w1.shape[1]},
-                        params={"var.intercept": self.intercept, "var.coef": self.coef,
-                                "mlp.w1": self.w1.data, "mlp.b1": self.b1.data,
-                                "mlp.w2": self.w2.data, "mlp.b2": self.b2.data})
-
-    @staticmethod
-    def _shapes(p: int, n: int, h: int) -> dict[str, tuple]:
-        return {"var.intercept": (n,), "var.coef": (p, n, n), "mlp.w1": (n * p, h),
-                "mlp.b1": (h,), "mlp.w2": (h, n), "mlp.b2": (n,)}
-
-    @classmethod
-    def load(cls, path) -> "VarMlpModel":
-        ckpt = load_exact(path, cls.kind, ("order", "num_series", "hidden"), cls._shapes)
-        p = ckpt.params
-        return cls(order=ckpt.config["order"], intercept=p["var.intercept"], coef=p["var.coef"],
-                   w1=Tensor(p["mlp.w1"], requires_grad=True), b1=Tensor(p["mlp.b1"], requires_grad=True),
-                   w2=Tensor(p["mlp.w2"], requires_grad=True), b2=Tensor(p["mlp.b2"], requires_grad=True))
 
 
 def _mlp_l1_grads(xb, yb, w1, b1, w2, b2) -> tuple[np.ndarray, ...]:
@@ -260,20 +225,22 @@ def _mlp_l1_grads(xb, yb, w1, b1, w2, b2) -> tuple[np.ndarray, ...]:
 def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
                 rng: Rng | None = None) -> VarMlpModel:
     """VAR by least squares, then an MLP fitted to the VAR residuals (Adam, l1)."""
+    if spec.epochs < 0 or spec.batch_size < 1:
+        raise ConfigError(f"epochs must be nonnegative and batch_size positive, "
+                          f"got {spec.epochs} and {spec.batch_size}")
+    if not 0 < spec.learning_rate < np.inf:
+        raise ConfigError(f"learning_rate must be positive and finite, got {spec.learning_rate}")
     values = np.asarray(values, dtype=np.float64)
     rng = rng or Rng(0)
     intercept, coef = fit_var(values, var_order)
     design, targets = _var_design(values, var_order)
     residuals = targets - design @ np.concatenate([intercept[None, :], coef.reshape(-1, values.shape[1])])
 
-    n = values.shape[1]
-    in_dim = n * var_order
-    init = rng.split()
-    w1 = Tensor(init.normal((in_dim, spec.hidden), 1.0 / np.sqrt(in_dim)), requires_grad=True)
-    b1 = Tensor(np.zeros(spec.hidden), requires_grad=True)
-    w2 = Tensor(np.zeros((spec.hidden, n)), requires_grad=True)
-    b2 = Tensor(np.zeros(n), requires_grad=True)
-    model = VarMlpModel(var_order, intercept, coef, w1, b1, w2, b2)
+    # The model draws mlp.w1 from the first split of `rng`, the shuffle the second.
+    model = VarMlpModel(VarMlpConfig(order=var_order, num_series=values.shape[1], hidden=spec.hidden),
+                        rng)
+    model.intercept.data, model.coef.data = intercept, coef
+    w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
 
     inputs = design[:, 1:]
     opt = Adam([w1, b1, w2, b2], lr=spec.learning_rate)
@@ -290,28 +257,16 @@ def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
 
 # -- gated recurrent unit ------------------------------------------------------
 
-@dataclass
-class GruParams:
-    """Update gate z, reset gate r, candidate state weights."""
+def gru_cell(x: Tensor, h: Tensor, cell: dict[str, Tensor]) -> Tensor:
+    """One recurrence step: h' = (1-z) * h + z * tanh-candidate.
 
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
-
-
-def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
-    """One recurrence step: h' = (1-z) * h + z * tanh-candidate."""
+    `cell` holds `gru_sequence`'s nine tensors under its argument names.
+    """
     if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
         raise ShapeError(f"expected [batch, in] and [batch, hidden], got {x.shape} and {h.shape}")
-    z = sigmoid(add_bias(x @ params.w_z + h @ params.u_z, params.b_z, 1))
-    r = sigmoid(add_bias(x @ params.w_r + h @ params.u_r, params.b_r, 1))
-    cand = tanh(add_bias(x @ params.w_h + (r * h) @ params.u_h, params.b_h, 1))
+    z = sigmoid(add_bias(x @ cell["w_z"] + h @ cell["u_z"], cell["b_z"], 1))
+    r = sigmoid(add_bias(x @ cell["w_r"] + h @ cell["u_r"], cell["b_r"], 1))
+    cand = tanh(add_bias(x @ cell["w_h"] + (r * h) @ cell["u_h"], cell["b_h"], 1))
     return (1.0 - z) * h + z * cand
 
 
@@ -337,12 +292,11 @@ class GruModel(NeuralModel):
         super().__init__(config)
         n, h = config.num_series, config.hidden_size
         init = rng.split()
-        cell = {}
+        self.cell = {}
         for gate in "zrh":
-            cell[f"w_{gate}"] = self.weight(init, f"cell.w_{gate}", (n, h), n)
-            cell[f"u_{gate}"] = self.weight(init, f"cell.u_{gate}", (h, h), h)
-            cell[f"b_{gate}"] = self.bias(f"cell.b_{gate}", h)
-        self.cell = GruParams(**cell)
+            self.cell[f"w_{gate}"] = self.weight(init, f"cell.w_{gate}", (n, h), n)
+            self.cell[f"u_{gate}"] = self.weight(init, f"cell.u_{gate}", (h, h), h)
+            self.cell[f"b_{gate}"] = self.bias(f"cell.b_{gate}", h)
         self.read_w = self.weight(init, "read.w", (h, n), h)
         self.read_b = self.bias("read.b", n)
 
@@ -357,7 +311,7 @@ class GruModel(NeuralModel):
             x = Tensor(x)
         if x.ndim != 3 or x.shape[1] != self.config.num_series:
             raise ShapeError(f"expected [batch, {self.config.num_series}, steps], got {x.shape}")
-        states = gru_sequence(x, **vars(self.cell))
+        states = gru_sequence(x, **self.cell)
         if collect is not None:
             collect.append(states)
         h = last_step(states)
@@ -429,7 +383,7 @@ class TcnModel(NeuralModel):
         B, N, P = x.shape
         if P < self.config.receptive_field:
             raise ShapeError(f"input window {P} is shorter than the receptive field "
-                             f"{self.config.receptive_field}")
+                             f"of {self.config.num_blocks} blocks")
         if collect is None:
             x = Tensor(x.data[..., P - self.config.receptive_field:])
         v = add_bias(channel_linear(reshape(x, (B, 1, N, x.shape[-1])), self.start_w),

@@ -1,5 +1,5 @@
 """Self-describing JSON checkpoint container shared by every model kind, and
-the parameter-registry base of the gradient-trained models."""
+the model base that saves and loads it."""
 from __future__ import annotations
 
 import json
@@ -63,6 +63,8 @@ def load_checkpoint(path) -> Checkpoint:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed checkpoint parameter {name!r}: "
                             f"{type(exc).__name__}: {exc}") from None
+        if not np.all(np.isfinite(params[name])):
+            raise DataError(f"{path}: checkpoint parameter {name!r} holds a non-finite value")
     return Checkpoint(kind=doc["kind"], config=doc["config"], params=params,
                       extra=doc.get("extra", {}))
 
@@ -83,37 +85,17 @@ def _check_state(state: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None
             raise ShapeError(f"{name}: shape {np.shape(state[name])} does not match {tuple(shape)}")
 
 
-def load_exact(path, kind: str, keys: tuple[str, ...], shapes_of) -> Checkpoint:
-    """A `kind` checkpoint whose config is exactly `keys`, each a positive int,
-    and whose parameters are exactly `shapes_of(*those ints)`: {name: shape}."""
-    ckpt = load_checkpoint(path)
-    _check_kind(ckpt, path, kind)
-    config = ckpt.config
-    if (not isinstance(config, dict) or set(config) != set(keys)
-            or not all(type(config[k]) is int and config[k] > 0 for k in keys)):
-        raise DataError(f"{path}: unusable {kind} checkpoint config {config!r}: "
-                        f"needs exactly {', '.join(keys)}, each a positive integer")
-    try:
-        _check_state(ckpt.params, shapes_of(*(config[k] for k in keys)))
-    except ShapeError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    return ckpt
+class Model:
+    """Named parameters, strict state loading and checkpoint save/load: the
+    base of every model kind with a checkpoint.
 
-
-class NeuralModel:
-    """Named parameters, strict state loading, chunked prediction and
-    checkpoint save/load for the gradient-trained models.
-
-    A subclass sets `kind`, `config_class` (a dataclass with a `horizon`
-    field) and `predict_chunk`, takes `(config, rng)` in its constructor,
-    registers every learnable tensor while building itself, and defines
-    `forward_batch(x, training, rng, collect)`, which appends the per-layer
-    states worth inspecting to `collect` when it is a list.
+    A subclass sets `kind` and `config_class` (a dataclass whose fields are
+    the checkpoint's `config`), takes `(config, rng)` in its constructor and
+    registers every parameter while building itself, in checkpoint order.
     """
 
     kind: str
     config_class: type
-    predict_chunk = 256
 
     def __init__(self, config):
         self.config = config
@@ -125,14 +107,6 @@ class NeuralModel:
         self._params[name] = t
         return t
 
-    def weight(self, init: Rng, name: str, shape, fan_in: int) -> Tensor:
-        """A N(0, 1/fan_in) draw from `init`, registered under `name`."""
-        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)),
-                                          requires_grad=True))
-
-    def bias(self, name: str, width: int) -> Tensor:
-        return self.register(name, Tensor(np.zeros(width), requires_grad=True))
-
     def parameters(self) -> list[Tensor]:
         return list(self._params.values())
 
@@ -143,22 +117,6 @@ class NeuralModel:
         _check_state(state, {name: t.data.shape for name, t in self._params.items()})
         for name, t in self._params.items():
             t.data = np.array(state[name], dtype=np.float64)
-
-    def predict_windows(self, x: np.ndarray, horizon: int | None = None) -> np.ndarray:
-        """Eval-mode predictions for stacked windows [B, N, P] -> [B, N, Q],
-        `predict_chunk` windows per forward pass."""
-        if horizon is not None and horizon != self.config.horizon:
-            raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
-        x = np.asarray(x, dtype=np.float64)
-        chunk = self.predict_chunk
-        parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
-        return np.concatenate(parts, axis=0)
-
-    def temporal_features(self, x) -> list[np.ndarray]:
-        """Eval-mode per-layer states for [B, N, P] input, for causality inspection."""
-        collected: list[Tensor] = []
-        self.forward_batch(x, collect=collected)
-        return [t.data.copy() for t in collected]
 
     def save(self, path, extra: dict | None = None) -> None:
         save_checkpoint(path, kind=self.kind, config=asdict(self.config),
@@ -182,3 +140,39 @@ class NeuralModel:
         except ShapeError as exc:
             raise DataError(f"{path}: {exc}") from None
         return model
+
+
+class NeuralModel(Model):
+    """The gradient-trained models: seeded weight draws, chunked prediction
+    and per-layer features.
+
+    A subclass also sets `predict_chunk` and a `horizon` field in its config,
+    and defines `forward_batch(x, training, rng, collect)`, which appends the
+    per-layer states worth inspecting to `collect` when it is a list.
+    """
+
+    predict_chunk = 256
+
+    def weight(self, init: Rng, name: str, shape, fan_in: int) -> Tensor:
+        """A N(0, 1/fan_in) draw from `init`, registered under `name`."""
+        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)),
+                                          requires_grad=True))
+
+    def bias(self, name: str, width: int) -> Tensor:
+        return self.register(name, Tensor(np.zeros(width), requires_grad=True))
+
+    def predict_windows(self, x: np.ndarray, horizon: int | None = None) -> np.ndarray:
+        """Eval-mode predictions for stacked windows [B, N, P] -> [B, N, Q],
+        `predict_chunk` windows per forward pass."""
+        if horizon is not None and horizon != self.config.horizon:
+            raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
+        x = np.asarray(x, dtype=np.float64)
+        chunk = self.predict_chunk
+        parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
+        return np.concatenate(parts, axis=0)
+
+    def temporal_features(self, x) -> list[np.ndarray]:
+        """Eval-mode per-layer states for [B, N, P] input, for causality inspection."""
+        collected: list[Tensor] = []
+        self.forward_batch(x, collect=collected)
+        return [t.data.copy() for t in collected]

@@ -247,9 +247,10 @@ def cmd_compare(args) -> int:
     seed = _resolve_seed(cfg.seed)
     train_cfg = replace(cfg.train, seed=seed)
     pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
+    spec = _comparison_spec(cfg, train_cfg)  # a mistyped knob fails before --out exists
     out = _out_dir(args.out)
 
-    result = run_comparison(pipeline, cfg.window, _comparison_spec(cfg, train_cfg))
+    result = run_comparison(pipeline, cfg.window, spec)
 
     _emit(out / "comparison.json", json.dumps(result.to_dict(), indent=2))
     _emit(out / "comparison.md", result.render_markdown())

@@ -209,6 +209,12 @@ def _build_gru(pipeline, window, spec, rng):
 
 def _build_tcn(pipeline, window, spec, rng):
     config = TcnConfig(channels=spec.tcn_channels, num_blocks=spec.tcn_blocks, horizon=window.Q)
+    # As in MtgnnConfig: the receptive field is at least 2**num_blocks, so a
+    # block count of at least the window's bit length is refused before its
+    # dilations or any block exist.
+    if config.num_blocks >= window.P.bit_length() or window.P < config.receptive_field:
+        raise ConfigError(f"input window {window.P} is shorter than the receptive field "
+                          f"of {config.num_blocks} blocks; widen the window or drop blocks")
     result = _train_new(TcnModel, config, pipeline, spec, rng)
     return result.model, result, {"channels": spec.tcn_channels, "blocks": spec.tcn_blocks}
 
@@ -239,7 +245,11 @@ MODEL_BUILDERS = {
 
 @dataclass(frozen=True)
 class ComparisonSpec:
-    """Which models to run and with what knobs; shared training protocol."""
+    """Which models to run and with what knobs; shared training protocol.
+
+    The knobs' types are checked here and their ranges when each model is
+    fitted, so an out-of-range knob fails only its own model.
+    """
 
     train: TrainConfig = TrainConfig()
     ar_order: int = 5

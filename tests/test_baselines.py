@@ -10,7 +10,7 @@ from marketgraph import (
 )
 from marketgraph.autodiff import abs_, add_bias, mean, tanh
 from marketgraph.baselines import (
-    ArEnsemble, ArModel, GruConfig, GruParams, MlpSpec, TcnConfig, VarMlpModel, _mlp_l1_grads,
+    ArConfig, ArEnsemble, GruConfig, MlpSpec, TcnConfig, VarMlpModel, _mlp_l1_grads,
     fit_ar, fit_var, gru_cell,
 )
 
@@ -19,10 +19,18 @@ GEN = np.random.default_rng(44)
 
 # -- AR -----------------------------------------------------------------------------
 
-def ar_forecast(model: ArModel, history, steps: int) -> np.ndarray:
+def ar_ensemble(intercept, coeffs) -> ArEnsemble:
+    """A one-series ensemble holding the AR fit (intercept, coeffs)."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    model = ArEnsemble(ArConfig(order=coeffs.size, num_series=1))
+    model.load_state_dict({"series0.intercept": [intercept], "series0.coeffs": coeffs})
+    return model
+
+
+def ar_forecast(fit, history, steps: int) -> np.ndarray:
     """The ensemble's recursive forecasts for one series from one window."""
     window = np.asarray(history, dtype=np.float64)[None, None, :]
-    return ArEnsemble([model]).predict_windows(window, horizon=steps)[0, 0]
+    return ar_ensemble(*fit).predict_windows(window, horizon=steps)[0, 0]
 
 
 def test_ar_recovers_known_coefficient():
@@ -33,9 +41,9 @@ def test_ar_recovers_known_coefficient():
     noise = GEN.normal(0, 0.1, T)
     for t in range(1, T):
         x[t] = 0.7 * x[t - 1] + noise[t]
-    model = fit_ar(x, 1)
-    assert abs(model.coeffs[0] - 0.7) < 0.05
-    assert abs(model.intercept) < 0.05
+    intercept, coeffs = fit_ar(x, 1)
+    assert abs(coeffs[0] - 0.7) < 0.05
+    assert abs(intercept) < 0.05
 
 
 def test_ar_exact_on_noiseless_recursion():
@@ -43,38 +51,36 @@ def test_ar_exact_on_noiseless_recursion():
     x[0], x[1] = 1.0, 0.5
     for t in range(2, 50):
         x[t] = 1.2 * x[t - 1] - 0.4 * x[t - 2]
-    model = fit_ar(x, 2)
-    np.testing.assert_allclose(model.coeffs, [1.2, -0.4], atol=1e-7)
-    np.testing.assert_allclose(model.intercept, 0.0, atol=1e-8)
+    intercept, coeffs = fit_ar(x, 2)
+    np.testing.assert_allclose(coeffs, [1.2, -0.4], atol=1e-7)
+    np.testing.assert_allclose(intercept, 0.0, atol=1e-8)
 
 
 def test_ar_constant_series_uses_intercept_only():
-    model = fit_ar(np.full(30, 5.0), 3)
-    assert model.intercept == 5.0
-    np.testing.assert_array_equal(model.coeffs, np.zeros(3))
-    np.testing.assert_allclose(ar_forecast(model, np.full(5, 5.0), 4), np.full(4, 5.0))
+    fit = fit_ar(np.full(30, 5.0), 3)
+    assert fit[0] == 5.0
+    np.testing.assert_array_equal(fit[1], np.zeros(3))
+    np.testing.assert_allclose(ar_forecast(fit, np.full(5, 5.0), 4), np.full(4, 5.0))
 
 
 def test_ar_recursion_fixture():
     # phi=0.5, no intercept, start from history [2] -> 1, 0.5, 0.25
-    model = ArModel(order=1, intercept=0.0, coeffs=np.array([0.5]))
-    np.testing.assert_allclose(ar_forecast(model, np.array([2.0]), 3), [1.0, 0.5, 0.25])
+    np.testing.assert_allclose(ar_forecast((0.0, [0.5]), np.array([2.0]), 3), [1.0, 0.5, 0.25])
 
 
 def test_ar_prediction_uses_most_recent_values_first():
-    model = ArModel(order=2, intercept=0.0, coeffs=np.array([1.0, 0.0]))
     # coeff[0] weights the most recent observation
-    np.testing.assert_allclose(ar_forecast(model, np.array([5.0, 9.0]), 1), [9.0])
+    np.testing.assert_allclose(ar_forecast((0.0, [1.0, 0.0]), np.array([5.0, 9.0]), 1), [9.0])
 
 
 def test_ar_residual_orthogonality():
     # least squares leaves residuals orthogonal to every regressor column
     x = np.cumsum(GEN.normal(size=200)) + 10.0
     p = 3
-    model = fit_ar(x, p)
+    intercept, coeffs = fit_ar(x, p)
     design = np.column_stack([np.ones(200 - p)] +
                              [x[p - i - 1:200 - i - 1] for i in range(p)])
-    coef = np.concatenate([[model.intercept], model.coeffs])
+    coef = np.concatenate([[intercept], coeffs])
     resid = x[p:] - design @ coef
     np.testing.assert_allclose(design.T @ resid, np.zeros(p + 1), atol=1e-8)
 
@@ -91,7 +97,7 @@ def test_ar_validation():
         fit_ar(np.arange(10.0), 0)
     with pytest.raises(DataError):
         fit_ar(np.arange(4.0), 5)
-    ens = ArEnsemble([ArModel(order=3, intercept=0.0, coeffs=np.zeros(3))])
+    ens = ar_ensemble(0.0, np.zeros(3))
     with pytest.raises(DataError, match="shorter than AR order 3"):
         ens.predict_windows(np.zeros((1, 1, 2)))
 
@@ -171,8 +177,20 @@ def test_non_finite_input_is_a_data_error_naming_the_first_cell(capfd, fitter, b
 
 @pytest.mark.parametrize("rate", [0.0, -0.01, np.nan, np.inf])
 def test_mlp_learning_rate_must_be_positive_and_finite(rate):
+    values = np.cumsum(GEN.normal(size=(40, 2)), axis=0)
     with pytest.raises(ConfigError, match="learning_rate"):
-        MlpSpec(learning_rate=rate)
+        fit_var_mlp(values, 1, MlpSpec(learning_rate=rate))
+
+
+@pytest.mark.parametrize("knob", [{"hidden": 0}, {"epochs": -1}, {"batch_size": 0}],
+                         ids=["hidden", "epochs", "batch_size"])
+def test_mlp_spec_checks_types_and_the_fit_checks_ranges(knob):
+    # so `compare` records an out-of-range size under its model's errors
+    spec = MlpSpec(**knob)
+    with pytest.raises(ConfigError, match=next(iter(knob))):
+        fit_var_mlp(np.cumsum(GEN.normal(size=(40, 2)), axis=0), 1, spec)
+    with pytest.raises(ConfigError, match="hidden must be an integer"):
+        MlpSpec(hidden=2.5)
 
 
 @st.composite
@@ -283,9 +301,9 @@ def test_hybrid_round_trip(tmp_path):
 def zero_gru_params(inp, hid):
     def zt(*shape):
         return Tensor(np.zeros(shape), requires_grad=True)
-    return GruParams(w_z=zt(inp, hid), u_z=zt(hid, hid), b_z=zt(hid),
-                     w_r=zt(inp, hid), u_r=zt(hid, hid), b_r=zt(hid),
-                     w_h=zt(inp, hid), u_h=zt(hid, hid), b_h=zt(hid))
+    return dict(w_z=zt(inp, hid), u_z=zt(hid, hid), b_z=zt(hid),
+                w_r=zt(inp, hid), u_r=zt(hid, hid), b_r=zt(hid),
+                w_h=zt(inp, hid), u_h=zt(hid, hid), b_h=zt(hid))
 
 
 def test_gru_cell_all_zero_params_halves_state():
@@ -301,7 +319,7 @@ def test_gru_cell_state_envelope():
     # each new state coordinate lies between the previous state and the
     # candidate, both bounded by 1 in magnitude after enough steps
     params = zero_gru_params(1, 2)
-    for p in list(vars(params).values()):
+    for p in list(params.values()):
         p.data = GEN.normal(size=p.data.shape) * 0.5
     h = Tensor(np.zeros((1, 2)))
     for t in range(30):
@@ -311,7 +329,7 @@ def test_gru_cell_state_envelope():
 
 def test_gru_three_step_gradients():
     params = zero_gru_params(2, 3)
-    for p in list(vars(params).values()):
+    for p in list(params.values()):
         p.data = GEN.normal(size=p.data.shape) * 0.4
     xs = [Tensor(GEN.normal(size=(2, 2))) for _ in range(3)]
 
@@ -321,7 +339,7 @@ def test_gru_three_step_gradients():
             h = gru_cell(x, h, params)
         return mean(abs_(h))
 
-    err = grad_check_params(loss_fn, list(vars(params).values()), eps=1e-5)
+    err = grad_check_params(loss_fn, list(params.values()), eps=1e-5)
     assert err <= 1e-4, f"worst relative gradient error {err:.2e}"
 
 
@@ -369,8 +387,12 @@ def test_tcn_causality():
 
 def test_tcn_window_shorter_than_receptive_field_rejected():
     model = TcnModel(TcnConfig(channels=4, num_blocks=3), Rng(6))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="shorter than the receptive field of 3 blocks"):
         model.forward_batch(GEN.normal(size=(1, 2, 7)))
+    # the message names the block count, so a field of thousands of digits is never formatted
+    deep = TcnModel(TcnConfig(channels=1, num_blocks=15000), Rng(0))
+    with pytest.raises(ShapeError, match="receptive field of 15000 blocks"):
+        deep.predict_windows(np.zeros((1, 2, 8)))
 
 
 def test_tcn_shapes_and_round_trip(tmp_path):

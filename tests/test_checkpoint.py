@@ -1,5 +1,6 @@
 """Checkpoints of every saved model kind: metadata, malformed files, features."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from marketgraph import (
 from marketgraph.baselines import ArEnsemble, GruConfig, MlpSpec, TcnConfig, VarMlpModel
 
 GEN = np.random.default_rng(53)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # (model class, config, input windows [B, N, P]) per kind
 KINDS = {
@@ -78,6 +80,30 @@ def test_wrong_parameter_shape_is_a_data_error(tmp_path, kind):
     doc["params"][name]["shape"].append(1)
     with pytest.raises(DataError, match=rf"{path.name}.*{name}"):
         cls.load(rewrite(path, doc))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameter_is_a_data_error(tmp_path, kind, bad):
+    # JSON readers accept NaN and Infinity, which would otherwise load and forecast
+    cls, path, doc = saved_doc(tmp_path, kind)
+    name = list(doc["params"])[-1]
+    doc["params"][name]["data"][-1] = bad
+    with pytest.raises(DataError, match=rf"{path.name}: checkpoint parameter '{name}' holds a non-finite"):
+        cls.load(rewrite(path, doc))
+
+
+@pytest.mark.parametrize("kind", PLAIN)
+def test_format_2_files_load_forecast_and_save_byte_identically(tmp_path, kind):
+    # The fixtures were written before AR and VAR+MLP shared the model base.
+    reference = json.loads((FIXTURES / "baseline_forecasts.json").read_text(encoding="utf-8"))
+    path = FIXTURES / f"{kind}_checkpoint.json"
+    model = MODELS[kind][0].load(path)
+    np.testing.assert_array_equal(
+        model.predict_windows(np.array(reference["windows"]), horizon=reference["horizon"]),
+        np.array(reference["forecasts"][kind]))
+    model.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("kind", PLAIN)

@@ -553,7 +553,25 @@ def test_compare_mistyped_baseline_knob_exits_2(tmp_path, capsys, baselines):
     assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "internal error" not in err
-    assert not (tmp_path / "cmp" / "comparison.json").exists()
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("knob, kind, message", [
+    ({"mlp_hidden": 0}, "var_mlp", "hidden must be positive, got 1, 3 and 0"),
+    ({"tcn_blocks": 4}, "tcn", "input window 8 is shorter than the receptive field of 4 blocks"),
+    ({"tcn_blocks": 15000}, "tcn", "input window 8 is shorter than the receptive field of 15000 blocks"),
+], ids=["zero_mlp_hidden", "tcn_too_deep", "tcn_far_too_deep"])
+def test_compare_out_of_range_baseline_knob_is_a_recorded_config_error(tmp_path, capsys, knob,
+                                                                        kind, message):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path,
+                          baselines={"include": ["persistence", kind], "var_order": 1, **knob})
+    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")]) == 0
+    assert f"model {kind} failed" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))
+    assert set(payload["models"]) == {"persistence"}
+    assert payload["errors"][kind].startswith("ConfigError:") and message in payload["errors"][kind]
 
 
 # -- forecast -------------------------------------------------------------------------

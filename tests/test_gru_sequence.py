@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from marketgraph import GruModel, Rng, ShapeError, Tape, Tensor, grad_check_params
 from marketgraph.autodiff import gru_sequence, sum_, time_index
-from marketgraph.baselines import GruConfig, GruParams, gru_cell
+from marketgraph.baselines import GruConfig, gru_cell
 from marketgraph.training import _batch_loss
 
 
@@ -30,7 +30,7 @@ def cases(draw):
 @given(cases())
 def test_states_match_the_cell_loop(case):
     x, weights = case
-    cell = GruParams(*weights)
+    cell = dict(zip(("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h"), weights))
     h = Tensor(np.zeros((x.shape[0], weights[1].shape[0])))
     loop = []
     for t in range(x.shape[2]):

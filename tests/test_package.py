@@ -87,3 +87,25 @@ def test_only_the_atomic_writer_puts_files_on_disk():
                 owner = owner.parent
             writers.add(f"{module.name}:{getattr(owner, 'name', '<module>')}")
     assert sorted(writers) == ["data.py:atomic_write"]
+
+
+def test_every_saved_model_kind_shares_the_one_model_base():
+    # save, load and from_checkpoint are written once, in checkpoint.Model;
+    # persistence has no parameters and so no checkpoint.
+    from marketgraph.baselines import MlpSpec
+    from marketgraph.checkpoint import Model
+    from marketgraph.mtgnn import MtgnnModel
+    from marketgraph.training import ComparisonSpec
+    kinds = {}
+    for path in sorted(Path(marketgraph.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"marketgraph.{path.stem}")
+        kinds.update({vars(obj)["kind"]: obj for obj in vars(module).values()
+                      if isinstance(obj, type) and obj.__module__ == module.__name__
+                      and "kind" in vars(obj)})
+    assert sorted(kinds) == ["ar", "gru", "mtgnn", "persistence", "tcn", "var_mlp"]
+    assert [k for k, cls in kinds.items() if not issubclass(cls, Model)] == ["persistence"]
+    assert [cls.__name__ for cls in kinds.values()
+            if {"save", "load", "from_checkpoint"} & set(vars(cls))] == []
+    # the names the benchmark's workloads reach
+    assert MtgnnModel.load.__func__ is Model.load.__func__
+    assert ComparisonSpec(mlp=MlpSpec(epochs=1)).mlp.epochs == 1

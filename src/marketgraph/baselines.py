@@ -13,9 +13,10 @@ import numpy as np
 
 from .autodiff import (
     Rng, Tensor, add_bias, causal_conv1d, channel_linear, gru_sequence, last_step,
-    permute, relu, reshape, sigmoid, stack_last, tanh,
+    permute, relu, sigmoid, stack_last, tanh,
 )
 from .checkpoint import Model, NeuralModel
+from .data import window_array
 from .errors import ConfigError, DataError, DomainError, ShapeError, check_field_types
 from .optim import Adam
 
@@ -79,7 +80,7 @@ class ArEnsemble(Model):
                            for j in range(config.num_series)]
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = window_array(x)
         B, N, P = x.shape
         order = self.config.order
         if N != self.config.num_series:
@@ -195,9 +196,11 @@ class VarMlpModel(Model):
         self.b2 = self.register("mlp.b2", Tensor(np.zeros(n), requires_grad=True))
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = window_array(x)
         B, N, P = x.shape
         order = self.config.order
+        if N != self.config.num_series:
+            raise ShapeError(f"{N} series but the VAR was fitted on {self.config.num_series}")
         if P < order:
             raise DataError(f"window of {P} steps is shorter than VAR order {order}")
         out = np.zeros((B, N, horizon))
@@ -205,7 +208,7 @@ class VarMlpModel(Model):
         for q in range(horizon):
             # lags[:, lag-1, :] is x_{t-lag}; the VAR sums its contributions over lags.
             lags = np.stack([hist[:, hist.shape[1] - lag, :] for lag in range(1, order + 1)], axis=1)
-            hidden = np.tanh(lags.reshape(B, -1) @ self.w1.data + self.b1.data)
+            hidden = np.tanh(lags.reshape(B, order * N) @ self.w1.data + self.b1.data)
             pred = ((self.intercept.data + np.tensordot(lags, self.coef.data, axes=([-2, -1], [0, 1])))
                     + (hidden @ self.w2.data + self.b2.data))
             out[:, :, q] = pred
@@ -300,18 +303,16 @@ class GruModel(NeuralModel):
         self.read_w = self.weight(init, "read.w", (h, n), h)
         self.read_b = self.bias("read.b", n)
 
-    def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
+    def forward_batch(self, x: np.ndarray, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:
         """[B, N, P] -> [B, N, Q]; collects the [B, hidden, P] hidden states.
 
         The P input steps run as one `gru_sequence` op; a forecast of more
         than one step feeds each prediction back through `gru_cell`.
         """
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
         if x.ndim != 3 or x.shape[1] != self.config.num_series:
             raise ShapeError(f"expected [batch, {self.config.num_series}, steps], got {x.shape}")
-        states = gru_sequence(x, **self.cell)
+        states = gru_sequence(Tensor(x), **self.cell)
         if collect is not None:
             collect.append(states)
         h = last_step(states)
@@ -369,25 +370,22 @@ class TcnModel(NeuralModel):
                         "b": self.bias(f"block{i}.b", c)}
                        for i, (d, k) in enumerate(zip(dil, kernels))]
 
-    def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
+    def forward_batch(self, x: np.ndarray, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:
         """[B, N, P] -> [B, N, Q]; collects each block's residual state.
 
         The head reads only the last step, so without `collect` only the last
         `receptive_field` input steps are convolved.
         """
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
         if x.ndim != 3:
             raise ShapeError(f"expected [batch, series, steps] input, got {x.shape}")
-        B, N, P = x.shape
+        P = x.shape[-1]
         if P < self.config.receptive_field:
             raise ShapeError(f"input window {P} is shorter than the receptive field "
                              f"of {self.config.num_blocks} blocks")
         if collect is None:
-            x = Tensor(x.data[..., P - self.config.receptive_field:])
-        v = add_bias(channel_linear(reshape(x, (B, 1, N, x.shape[-1])), self.start_w),
-                     self.start_b, 1)
+            x = x[..., P - self.config.receptive_field:]
+        v = add_bias(channel_linear(Tensor(x[:, None]), self.start_w), self.start_b, 1)
         for blk in self.blocks:
             h = relu(add_bias(causal_conv1d(v, blk["w"], blk["dilation"]), blk["b"], 1))
             v = h + v
@@ -406,7 +404,5 @@ class PersistenceModel:
     kind = "persistence"
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ShapeError(f"expected [batch, series, steps] windows, got {x.shape}")
+        x = window_array(x)
         return np.repeat(x[:, :, -1:], horizon, axis=2)

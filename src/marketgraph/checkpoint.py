@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Rng, Tensor
-from .data import atomic_write
+from .data import atomic_write, window_array
 from .errors import ConfigError, DataError, ShapeError
 
 FORMAT_VERSION = 2
@@ -147,8 +147,8 @@ class NeuralModel(Model):
     and per-layer features.
 
     A subclass also sets `predict_chunk` and a `horizon` field in its config,
-    and defines `forward_batch(x, training, rng, collect)`, which appends the
-    per-layer states worth inspecting to `collect` when it is a list.
+    and defines `forward_batch(x, rng=None, collect=None)`: an `rng` means
+    training, and the per-layer states worth inspecting go to `collect`.
     """
 
     predict_chunk = 256
@@ -166,7 +166,9 @@ class NeuralModel(Model):
         `predict_chunk` windows per forward pass."""
         if horizon is not None and horizon != self.config.horizon:
             raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
-        x = np.asarray(x, dtype=np.float64)
+        x = window_array(x)
+        if len(x) == 0:
+            return np.zeros((0, x.shape[1], self.config.horizon))
         chunk = self.predict_chunk
         parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
         return np.concatenate(parts, axis=0)
@@ -174,5 +176,5 @@ class NeuralModel(Model):
     def temporal_features(self, x) -> list[np.ndarray]:
         """Eval-mode per-layer states for [B, N, P] input, for causality inspection."""
         collected: list[Tensor] = []
-        self.forward_batch(x, collect=collected)
+        self.forward_batch(window_array(x), collect=collected)
         return [t.data.copy() for t in collected]

@@ -315,6 +315,14 @@ class WindowSet:
         return self.x.shape[0]
 
 
+def window_array(x) -> np.ndarray:
+    """Stacked input windows as a float64 [batch, N, P] array; ShapeError for any other rank."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeError(f"expected [batch, series, steps] windows, got {x.shape}")
+    return x
+
+
 def make_windows(frame: TimeSeriesFrame, spec: WindowSpec) -> WindowSet:
     """Slide a (P in, Q out) window over one split, one window per start row.
 

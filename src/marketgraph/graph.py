@@ -19,13 +19,10 @@ def top_k_row_mask(values: np.ndarray, k: int) -> np.ndarray:
     """0/1 mask keeping the k largest entries of each row, ties to the lowest column."""
     if values.ndim != 2:
         raise ShapeError(f"expected a matrix, got shape {values.shape}")
-    n = values.shape[1]
-    mask = np.zeros_like(values)
-    if k >= n:
+    if k >= values.shape[1]:
         return np.ones_like(values)
-    for i in range(values.shape[0]):
-        keep = np.argsort(-values[i], kind="stable")[:k]
-        mask[i, keep] = 1.0
+    mask = np.zeros_like(values)
+    np.put_along_axis(mask, np.argsort(-values, axis=1, kind="stable")[:, :k], 1.0, axis=1)
     return mask
 
 

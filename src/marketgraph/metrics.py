@@ -184,7 +184,10 @@ def labeled_matrix_csv(labels: Sequence[str], matrix: np.ndarray) -> str:
 class MetricsReport:
     """Per-series forecast errors plus enough metadata to rerun the experiment.
 
-    MAPE values are stored as fractions and only rendered as percentages.
+    `per_series` holds the metrics on the normalized scale the models are
+    trained on; `price_per_series`, when given, the same four on the price
+    scale. MAPE values are stored as fractions and only rendered as
+    percentages.
     """
 
     model_kind: str
@@ -193,24 +196,27 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
     split: str = ""
     seed: int | None = None
+    price_per_series: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.series = tuple(self.series)
-        for name in self.series:
-            if name not in self.per_series:
-                raise DataError(f"missing metrics for series {name!r}")
-            missing = set(METRIC_FUNCS) - set(self.per_series[name])
-            if missing:
-                raise DataError(f"series {name!r} lacks {', '.join(sorted(missing))}")
-            for metric, value in self.per_series[name].items():
-                if value < 0:
-                    raise DomainError(f"{metric} for {name!r} is negative")
+        for table in [self.per_series] + ([self.price_per_series] if self.price_per_series else []):
+            for name in self.series:
+                if name not in table:
+                    raise DataError(f"missing metrics for series {name!r}")
+                missing = set(METRIC_FUNCS) - set(table[name])
+                if missing:
+                    raise DataError(f"series {name!r} lacks {', '.join(sorted(missing))}")
+                for metric, value in table[name].items():
+                    if value < 0:
+                        raise DomainError(f"{metric} for {name!r} is negative")
 
     def to_dict(self) -> dict:
         return {
             "model": self.model_kind,
             "series": list(self.series),
             "metrics": {k: dict(v) for k, v in self.per_series.items()},
+            "price_metrics": {k: dict(v) for k, v in self.price_per_series.items()},
             "config": self.config,
             "split": self.split,
             "seed": self.seed,

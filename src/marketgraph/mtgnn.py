@@ -9,14 +9,13 @@ feeds a skip path into the output head.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .autodiff import (
     Rng, Tensor, add_bias, causal_conv1d, channel_linear, dropout, last_step,
-    matmul, mix_hop, mul, permute, relu, reshape, row_normalize, stack_last,
-    tanh_sigmoid_gate,
+    matmul, mix_hop, mul, permute, relu, row_normalize, stack_last, tanh_sigmoid_gate,
+    transpose,
 )
 from .checkpoint import NeuralModel
 from .errors import ConfigError, ShapeError, check_field_types
@@ -86,16 +85,20 @@ class MtgnnConfig:
         return self.k if self.k is not None else min(5, self.num_nodes - 1)
 
 
-def hop_stack(a_norms: Sequence[Tensor], depth: int, beta: float) -> Tensor:
-    """Propagation matrices of every hop, stacked to [len(a_norms)*(depth+1), N, N].
+def propagation_stack(a: Tensor, depth: int, beta: float) -> Tensor:
+    """Hop propagation matrices of both directions, stacked to [2(depth+1), N, N].
 
-    For each A_norm in turn: P(0) = I and P(k) = beta*I + (1-beta)*A_norm P(k-1),
-    so P(k) H is the k-th hop state of the rule
-    H(k) = beta*H + (1-beta)*A_norm H(k-1) with H(0) = H.
+    A_norm is row-normalized (A + I) for the forward direction, then
+    row-normalized (A^T + I) for the backward one: each row mixes a node
+    with its in-edges. For each in turn, P(0) = I and
+    P(k) = beta*I + (1-beta)*A_norm P(k-1), so P(k) H is the k-th hop state
+    of the rule H(k) = beta*H + (1-beta)*A_norm H(k-1) with H(0) = H.
     """
-    eye = Tensor(np.eye(a_norms[0].shape[0]))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"adjacency must be square, got {a.shape}")
+    eye = Tensor(np.eye(a.shape[0]))
     mats = []
-    for a_norm in a_norms:
+    for a_norm in [row_normalize(a + eye), row_normalize(transpose(a) + eye)]:
         p = eye
         mats.append(p)
         for _ in range(depth):
@@ -107,13 +110,6 @@ def hop_stack(a_norms: Sequence[Tensor], depth: int, beta: float) -> Tensor:
 def _mix_hop_core(h: Tensor, props: Tensor, weights: Tensor) -> Tensor:
     """out = sum_k (props[k] H) weights[k], for one layer and every direction."""
     return mix_hop(h, props, weights)
-
-
-def normalized_propagation_matrix(a: Tensor) -> Tensor:
-    """Row-normalized (A + I): each row mixes a node with its in-edges."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {a.shape}")
-    return row_normalize(a + Tensor(np.eye(a.shape[0])))
 
 
 def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int, bias: Tensor) -> Tensor:
@@ -181,42 +177,35 @@ class MtgnnModel(NeuralModel):
         c = self.config
         return learn_adjacency(self.e1, self.e2, self.theta1, self.theta2, c.alpha, c.sparsity)
 
-    def forward_batch(self, x, training: bool = False, rng: Rng | None = None,
+    def forward_batch(self, x: np.ndarray, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:
         """[B, N, P] normalized inputs -> [B, N, Q] predictions; collects each
-        layer's gated-convolution output.
+        layer's gated-convolution output. An `rng` draws dropout masks.
 
         The skip paths and the head read only each layer's last step, which
         depends on just the last `receptive_field` input steps. So without
         `collect` only those steps are convolved; with it the whole window is.
         """
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
         c = self.config
         if x.ndim != 3:
             raise ShapeError(f"expected [batch, nodes, steps] input, got {x.shape}")
-        B, N, P = x.shape
+        _, N, P = x.shape
         if N != c.num_nodes:
             raise ShapeError(f"model built for {c.num_nodes} nodes, input has {N}")
         if P < c.receptive_field:
             raise ShapeError(f"input window {P} is shorter than the receptive field {c.receptive_field}")
 
-        a = self.adjacency()
-        a_fwd = normalized_propagation_matrix(a)
-        a_bwd = normalized_propagation_matrix(permute(a, (1, 0)))
-        props = hop_stack([a_fwd, a_bwd], c.gc_depth, c.retain_ratio)
-
+        props = propagation_stack(self.adjacency(), c.gc_depth, c.retain_ratio)
         if collect is None:
-            x = Tensor(x.data[..., P - c.receptive_field:])
-        v = reshape(x, (B, 1, N, x.shape[-1]))
-        v = add_bias(channel_linear(v, self.start_w), self.start_b, 1)
+            x = x[..., P - c.receptive_field:]
+        v = add_bias(channel_linear(Tensor(x[:, None]), self.start_w), self.start_b, 1)
 
         skip_sum = None
         for layer in self.layers:
             h = gated_temporal_conv(v, layer["gated.w"], layer["dilation"], layer["gated.b"])
             if collect is not None:
                 collect.append(h)
-            h = dropout(h, c.dropout, training=training, rng=rng, steps=P)
+            h = dropout(h, c.dropout, rng=rng, steps=P)
             s = channel_linear(last_step(h), layer["skip.w"])
             skip_sum = s if skip_sum is None else skip_sum + s
             z = _mix_hop_core(h, props, layer["mix.w"])

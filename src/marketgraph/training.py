@@ -58,9 +58,8 @@ class TrainResult:
     best_epoch: int
 
 
-def _batch_loss(model, x: np.ndarray, y: np.ndarray, training: bool,
-                rng: Rng | None):
-    pred = model.forward_batch(Tensor(x), training=training, rng=rng)
+def _batch_loss(model, x: np.ndarray, y: np.ndarray, rng: Rng | None):
+    pred = model.forward_batch(x, rng=rng)
     return mean(abs_(pred - Tensor(y)))
 
 
@@ -100,8 +99,7 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
             opt.zero_grad()
             tape = Tape()
             with tape:
-                loss = _batch_loss(model, train_windows.x[idx], train_windows.y[idx],
-                                   training=True, rng=dropout_rng)
+                loss = _batch_loss(model, train_windows.x[idx], train_windows.y[idx], dropout_rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch)
@@ -142,9 +140,9 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
              config: dict | None = None) -> EvalResult:
     """Rolling one-step-ahead evaluation over a window set.
 
-    Metrics are computed on the normalized scale the models are trained on;
-    the returned traces additionally carry the fully inverted price-scale
-    values (exp of the de-normalized predictions).
+    Metrics are computed on the normalized scale the models are trained on,
+    and again on the price scale: the fully inverted traces (exp of the
+    de-normalized values), which the result also carries.
     """
     if len(windows) == 0:
         raise DataError("empty evaluation window set")
@@ -156,6 +154,8 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
 
     y_true = windows.y[:, :, 0]
     y_pred = pred[:, :, 0]
+    price_true = invert_predictions(y_true, stats)
+    price_pred = invert_predictions(y_pred, stats)
     report = MetricsReport(
         model_kind=getattr(model, "kind", type(model).__name__),
         series=labels,
@@ -163,14 +163,10 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
         config=config or {},
         split=split,
         seed=seed,
+        price_per_series=per_series_metrics(price_true, price_pred, labels),
     )
-    return EvalResult(
-        report=report,
-        y_true=y_true,
-        y_pred=y_pred,
-        price_true=invert_predictions(y_true, stats),
-        price_pred=invert_predictions(y_pred, stats),
-    )
+    return EvalResult(report=report, y_true=y_true, y_pred=y_pred,
+                      price_true=price_true, price_pred=price_pred)
 
 
 # -- model builders ---------------------------------------------------------------
@@ -273,10 +269,14 @@ class ComparisonSpec:
 
 @dataclass
 class ComparisonResult:
+    """`flags` rank the models per series and metric on the normalized
+    scale, `price_flags` on the price scale."""
+
     series: tuple[str, ...]
     reports: dict[str, MetricsReport]
     errors: dict[str, str]
     flags: dict[str, dict[str, dict]]
+    price_flags: dict[str, dict[str, dict]]
     histories: dict[str, list[dict]]
 
     def to_dict(self) -> dict:
@@ -285,12 +285,16 @@ class ComparisonResult:
             "models": {k: r.to_dict() for k, r in self.reports.items()},
             "errors": dict(self.errors),
             "flags": self.flags,
+            "price_flags": self.price_flags,
         }
 
     def render_markdown(self) -> str:
-        """Table per series; best value bold, second-best italic."""
+        """Table per series of the price-scale metrics; best value bold,
+        second-best italic."""
         metric_names = ("rse", "rmse", "mae", "mape")
-        lines = ["Best value per metric in **bold**, second best in *italics*.", ""]
+        lines = ["Test metrics on the price scale (exp of the de-normalized forecasts), where the "
+                 "models are ranked; the normalized-scale metrics are in comparison.json. "
+                 "Best value per metric in **bold**, second best in *italics*.", ""]
         model_names = list(self.reports)
         for series in self.series:
             lines.append(f"### {series}")
@@ -299,9 +303,9 @@ class ComparisonResult:
             for name in model_names:
                 cells = []
                 for metric in metric_names:
-                    value = self.reports[name].per_series[series][metric]
+                    value = self.reports[name].price_per_series[series][metric]
                     text = f"{100.0 * value:.1f}%" if metric == "mape" else f"{value:.3f}"
-                    flag = self.flags[series][metric]
+                    flag = self.price_flags[series][metric]
                     if flag["best"] == name:
                         text = f"**{text}**"
                     elif flag.get("second") == name:
@@ -314,12 +318,14 @@ class ComparisonResult:
         return "\n".join(lines)
 
 
-def _rank_flags(series: tuple[str, ...], reports: dict[str, MetricsReport]) -> dict:
+def _rank_flags(series: tuple[str, ...], tables: dict[str, dict[str, dict[str, float]]]) -> dict:
+    """Best and second-best model per series and metric of `tables`, each
+    model's per-series metrics."""
     flags: dict[str, dict[str, dict]] = {}
     for s in series:
         flags[s] = {}
         for metric in ("rse", "rmse", "mae", "mape"):
-            ranked = sorted(reports, key=lambda name: (reports[name].per_series[s][metric], name))
+            ranked = sorted(tables, key=lambda name: (tables[name][s][metric], name))
             flags[s][metric] = {"best": ranked[0] if ranked else None,
                                 "second": ranked[1] if len(ranked) > 1 else None}
     return flags
@@ -352,9 +358,12 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
         except (MarketGraphError, np.linalg.LinAlgError) as exc:
             errors[name] = f"{type(exc).__name__}: {exc}"
 
-    flags = _rank_flags(tuple(labels), reports)
-    return ComparisonResult(series=tuple(labels), reports=reports, errors=errors,
-                            flags=flags, histories=histories)
+    series = tuple(labels)
+    return ComparisonResult(
+        series=series, reports=reports, errors=errors,
+        flags=_rank_flags(series, {name: r.per_series for name, r in reports.items()}),
+        price_flags=_rank_flags(series, {name: r.price_per_series for name, r in reports.items()}),
+        histories=histories)
 
 
 def history_csv(history: list[dict]) -> str:

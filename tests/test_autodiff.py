@@ -331,20 +331,24 @@ def test_grad_mix_hop_every_argument():
 
 
 def test_mix_hop_matches_sequential_rule():
-    # H(0) = H, H(k) = beta*H + (1-beta) A H(k-1), out = sum_k H(k) W(k),
-    # with the propagation stack built as the model builds it.
-    from marketgraph.mtgnn import hop_stack
+    # H(0) = H, H(k) = beta*H + (1-beta) A_norm H(k-1), out = sum_k H(k) W(k)
+    # over both directions, with the propagation stack built as the model
+    # builds it.
+    from marketgraph.mtgnn import propagation_stack
     B, C, N, T, D, depth, beta = 2, 3, 5, 6, 4, 3, 0.2
     h = GEN.normal(size=(B, C, N, T))
     a = GEN.uniform(0.1, 1.0, size=(N, N))
-    a /= a.sum(axis=1, keepdims=True)
-    w = GEN.normal(size=(depth + 1, C, D))
-    out = mix_hop(Tensor(h), hop_stack([Tensor(a)], depth, beta), Tensor(w)).data
-    hk = h
-    expected = np.einsum("bcnt,cd->bdnt", h, w[0])
-    for k in range(1, depth + 1):
-        hk = beta * h + (1.0 - beta) * np.einsum("vw,bcwt->bcvt", a, hk)
-        expected += np.einsum("bcnt,cd->bdnt", hk, w[k])
+    np.fill_diagonal(a, 0.0)
+    w = GEN.normal(size=(2 * (depth + 1), C, D))
+    out = mix_hop(Tensor(h), propagation_stack(Tensor(a), depth, beta), Tensor(w)).data
+    expected = np.zeros_like(out)
+    for side, adj in enumerate((a, a.T)):
+        a_norm = (adj + np.eye(N)) / (adj + np.eye(N)).sum(axis=1, keepdims=True)
+        hk = h
+        for k in range(depth + 1):
+            if k:
+                hk = beta * h + (1.0 - beta) * np.einsum("vw,bcwt->bcvt", a_norm, hk)
+            expected += np.einsum("bcnt,cd->bdnt", hk, w[side * (depth + 1) + k])
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
@@ -374,13 +378,13 @@ def test_tanh_sigmoid_gate_value_and_gradient():
 
 def test_dropout_eval_is_identity_object():
     x = Tensor(GEN.normal(size=(3, 3)))
-    assert dropout(x, 0.5, training=False) is x
-    assert dropout(x, 0.0, training=True) is x
+    assert dropout(x, 0.5) is x
+    assert dropout(x, 0.0, rng=Rng(0)) is x
 
 
 def test_dropout_train_mask_and_scaling():
     x = Tensor(np.ones((200, 50)))
-    y = dropout(x, 0.25, training=True, rng=Rng(5))
+    y = dropout(x, 0.25, rng=Rng(5))
     vals = np.unique(y.data)
     np.testing.assert_allclose(sorted(vals), [0.0, 1.0 / 0.75])
     kept = np.mean(y.data > 0)
@@ -390,17 +394,15 @@ def test_dropout_train_mask_and_scaling():
 def test_dropout_validates_probability_and_rng():
     x = Tensor([1.0])
     with pytest.raises(DomainError):
-        dropout(x, 1.0, training=True, rng=Rng(0))
+        dropout(x, 1.0, rng=Rng(0))
     with pytest.raises(DomainError):
-        dropout(x, -0.1, training=True, rng=Rng(0))
-    with pytest.raises(ValueError):
-        dropout(x, 0.5, training=True)
+        dropout(x, -0.1, rng=Rng(0))
 
 
 def test_dropout_gradient_uses_same_mask():
     x = Tensor(np.ones((40,)), requires_grad=True)
     with Tape() as tape:
-        y = dropout(x, 0.5, training=True, rng=Rng(11))
+        y = dropout(x, 0.5, rng=Rng(11))
         loss = sum_(y)
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, y.data)

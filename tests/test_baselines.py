@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketgraph import (
-    ConfigError, DataError, DomainError, GruModel, PersistenceModel, Rng, ShapeError, Tape,
-    TcnModel, Tensor, fit_ar_ensemble, fit_var_mlp, grad_check_params,
+    ConfigError, DataError, DomainError, GruModel, MtgnnConfig, MtgnnModel, PersistenceModel, Rng,
+    ShapeError, Tape, TcnModel, Tensor, fit_ar_ensemble, fit_var_mlp, grad_check_params,
 )
 from marketgraph.autodiff import abs_, add_bias, mean, tanh
 from marketgraph.baselines import (
@@ -416,3 +416,38 @@ def test_persistence_repeats_last_value():
         np.testing.assert_array_equal(pred[:, :, q], x[:, :, -1])
     with pytest.raises(ShapeError):
         PersistenceModel().predict_windows(x[0])
+
+
+# -- every model kind -----------------------------------------------------------------------
+
+def fitted(kind: str):
+    """A small model of `kind` over 3 series that forecasts one step of 8-step windows."""
+    values = np.cumsum(np.random.default_rng(9).normal(size=(120, 3)), axis=0)
+    if kind == "persistence":
+        return PersistenceModel()
+    if kind == "ar":
+        return fit_ar_ensemble(values, 2)
+    if kind == "var_mlp":
+        return fit_var_mlp(values, 2, MlpSpec(hidden=4, epochs=1), Rng(0))
+    if kind == "gru":
+        return GruModel(GruConfig(num_series=3, hidden_size=4), Rng(0))
+    if kind == "tcn":
+        return TcnModel(TcnConfig(channels=3, num_blocks=2), Rng(0))
+    return MtgnnModel(MtgnnConfig(num_nodes=3, num_layers=2, conv_channels=4, residual_channels=4,
+                                  skip_channels=4, embedding_dim=3, input_window=8, k=2), Rng(0))
+
+
+KINDS = ("persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_window_shapes_are_checked_and_zero_windows_forecast_nothing(kind):
+    model = fitted(kind)
+    assert model.predict_windows(np.zeros((0, 3, 8))).shape == (0, 3, 1)
+    assert model.predict_windows(GEN.normal(size=(2, 3, 8))).shape == (2, 3, 1)
+    for rank in ((3, 8), (2, 1, 3, 8)):
+        with pytest.raises(ShapeError):
+            model.predict_windows(np.zeros(rank))
+    if kind not in ("persistence", "tcn"):  # the two that any series count fits
+        with pytest.raises(ShapeError, match="3"):
+            model.predict_windows(np.zeros((2, 4, 8)))

@@ -303,6 +303,7 @@ def test_train_writes_checkpoint_history_adjacency_report(tmp_path, capsys):
     assert stages == ["load", "adjust", "log", "split", "normalize", "window"]
     metrics = report["test_metrics"]["metrics"]
     assert set(metrics) == {"us", "uk", "jp"}
+    assert set(report["test_metrics"]["price_metrics"]) == {"us", "uk", "jp"}
 
     with open(out / "history.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -511,7 +512,11 @@ def test_compare_writes_json_and_markdown(tmp_path, capsys):
     payload = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
     assert set(payload["models"]) == {"persistence", "ar"}
     assert payload["errors"] == {}
+    assert set(payload["price_flags"]) == {"us", "uk", "jp"}
+    for report in payload["models"].values():
+        assert set(report["price_metrics"]) == {"us", "uk", "jp"}
     text = (out / "comparison.md").read_text(encoding="utf-8")
+    assert text.startswith("Test metrics on the price scale")
     assert "| model | RSE | RMSE | MAE | MAPE |" in text
 
 

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 from conftest import build_frame
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketgraph import (
     DataError, DomainError, MtgnnConfig, MtgnnModel, Rng, ShapeError, Tape, Tensor,
@@ -126,6 +128,26 @@ def test_top_k_row_mask_ties_and_saturation():
     np.testing.assert_array_equal(mask, [[1, 0, 0], [0, 1, 0]])
     np.testing.assert_array_equal(top_k_row_mask(vals, 3), np.ones((2, 3)))
     np.testing.assert_array_equal(top_k_row_mask(vals, 7), np.ones((2, 3)))
+
+
+@st.composite
+def small_integer_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.float64).reshape(rows, cols), draw(st.integers(1, cols + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_integer_matrices())
+def test_top_k_row_mask_matches_the_per_row_reference(case):
+    # Entries from {0, 1, 2, 3} tie often; ties go to the lowest column.
+    values, k = case
+    expected = np.zeros_like(values)
+    for i, row in enumerate(values):
+        expected[i, np.argsort(-row, kind="stable")[:k]] = 1.0
+    got = top_k_row_mask(values, k)
+    assert got.dtype == values.dtype
+    np.testing.assert_array_equal(got, expected)
 
 
 # -- AdjacencyMatrix invariants ------------------------------------------------------

@@ -60,7 +60,7 @@ def test_a_training_batch_records_a_handful_of_tape_entries(case):
     model = GruModel(GruConfig(num_series=N, hidden_size=weights[1].shape[0]), Rng(P))
     tape = Tape()
     with tape:
-        loss = _batch_loss(model, x.data, np.zeros((B, N, 1)), training=True, rng=Rng(0))
+        loss = _batch_loss(model, x.data, np.zeros((B, N, 1)), Rng(0))
     assert len(tape) <= 10
     tape.backward(loss)
     assert all(p.grad is not None for p in model.parameters())

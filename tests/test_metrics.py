@@ -319,3 +319,11 @@ def test_report_validates_metrics():
                       per_series={"a": {"rse": 0.1, "rmse": -1.0, "mae": 0.0,
                                         "mape": 0.0}},
                       config={}, split="test", seed=0)
+    # a price-scale table, when given, is held to the same rules
+    whole = {"a": {"rse": 0.1, "rmse": 0.2, "mae": 0.1, "mape": 0.01}}
+    with pytest.raises(DataError):
+        MetricsReport(model_kind="x", series=("a",), per_series=whole,
+                      price_per_series={"b": whole["a"]})
+    with pytest.raises(DomainError):
+        MetricsReport(model_kind="x", series=("a",), per_series=whole,
+                      price_per_series={"a": {**whole["a"], "mae": -0.5}})

@@ -1,14 +1,16 @@
 """Graph-and-time convolutional forecaster: structure, gradients, causality."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketgraph import (
     ConfigError, MtgnnConfig, MtgnnModel, Rng, ShapeError, TcnModel, Tensor, grad_check_params,
 )
-from marketgraph.autodiff import mix_hop, sum_
+from marketgraph.autodiff import grad_check, mix_hop, mul, sum_
 from marketgraph.baselines import TcnConfig
 from marketgraph.graph import read_adjacency_csv
-from marketgraph.mtgnn import gated_temporal_conv, hop_stack, normalized_propagation_matrix
+from marketgraph.mtgnn import gated_temporal_conv, propagation_stack
 
 GEN = np.random.default_rng(31)
 
@@ -73,14 +75,15 @@ def test_config_validation():
 
 def test_normalized_propagation_rows_sum_to_one(fixtures_dir):
     adj = read_adjacency_csv(fixtures_dir / "g7_mint_adjacency.csv")
-    p = normalized_propagation_matrix(Tensor(adj.values))
-    np.testing.assert_allclose(p.data.sum(axis=1), np.ones(11), atol=1e-12)
-    assert np.all(p.data >= 0)
+    # with no retention, hop 1 of the forward direction is row-normalized (A + I)
+    p = propagation_stack(Tensor(adj.values), 1, 0.0).data[1]
+    np.testing.assert_allclose(p.sum(axis=1), np.ones(11), atol=1e-12)
+    assert np.all(p >= 0)
 
 
 def mix_hop_rows(h, a, depth, beta, weights):
-    """One direction of a layer's mix-hop on [N, C] features, built as the model builds it."""
-    props = hop_stack([normalized_propagation_matrix(Tensor(a))], depth, beta)
+    """The forward direction of a layer's mix-hop on [N, C] features, built as the model builds it."""
+    props = Tensor(propagation_stack(Tensor(a), depth, beta).data[:depth + 1])
     wide = Tensor(h.T[None, :, :, None])  # [1, C, N, 1]
     return mix_hop(wide, props, Tensor(np.stack(weights))).data[0, :, :, 0].T
 
@@ -114,6 +117,45 @@ def test_mix_hop_retention_blends_self_and_neighbors():
     np.fill_diagonal(a, 0.0)
     out = mix_hop_rows(h, a, depth=1, beta=1.0, weights=[np.eye(c), np.eye(c)])
     np.testing.assert_allclose(out, 2.0 * h, atol=1e-12)
+
+
+@st.composite
+def graphs(draw):
+    """A nonnegative [N, N] adjacency with a zero diagonal, a depth and a retention."""
+    n = draw(st.integers(2, 8))
+    a = np.array(draw(st.lists(st.floats(0.0, 5.0), min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(a, 0.0)
+    return a, draw(st.integers(0, 3)), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_propagation_stack_matches_the_numpy_recursion(case):
+    a, depth, beta = case
+    n = a.shape[0]
+    props = propagation_stack(Tensor(a), depth, beta).data
+    assert props.shape == (2 * (depth + 1), n, n)
+    eye = np.eye(n)
+    for side, adj in enumerate((a, a.T)):
+        a_norm = (adj + eye) / (adj + eye).sum(axis=1, keepdims=True)
+        p = eye
+        for k in range(depth + 1):
+            if k:
+                p = beta * eye + (1.0 - beta) * (a_norm @ p)
+            np.testing.assert_allclose(props[side * (depth + 1) + k], p, rtol=0, atol=1e-12)
+    # every hop matrix of either direction is row-stochastic
+    assert np.all(props >= 0)
+    np.testing.assert_allclose(props.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+
+def test_propagation_stack_gradient():
+    a = GEN.uniform(0.1, 1.0, size=(4, 4))
+    np.fill_diagonal(a, 0.0)
+    r = Tensor(GEN.normal(size=(6, 4, 4)))
+    err = grad_check(lambda t: sum_(mul(propagation_stack(t, 2, 0.3), r)), Tensor(a))
+    assert err <= 1e-6, f"gradient mismatch {err:.3e}"
+    with pytest.raises(ShapeError):
+        propagation_stack(Tensor(np.ones((2, 3))), 1, 0.5)
 
 
 def test_gated_conv_is_tanh_times_sigmoid():
@@ -170,9 +212,9 @@ def test_dropout_changes_training_forward_only():
     model = MtgnnModel(tiny_config(dropout=0.4), Rng(1))
     x = GEN.normal(size=(3, 3, 8))
     eval1 = model.forward_batch(x).data
-    eval2 = model.forward_batch(x, training=False).data
+    eval2 = model.forward_batch(x, rng=None).data
     np.testing.assert_array_equal(eval1, eval2)
-    train = model.forward_batch(x, training=True, rng=Rng(7)).data
+    train = model.forward_batch(x, rng=Rng(7)).data
     assert not np.allclose(train, eval1)
 
 
@@ -223,7 +265,7 @@ def test_gradients_flow_to_every_parameter():
     # number of output cells can balance to exactly 0; 3 x 3 cells cannot.
     gen = np.random.default_rng(207)
     model = MtgnnModel(tiny_config(), Rng(4))
-    x = Tensor(gen.normal(size=(3, 3, 8)))
+    x = gen.normal(size=(3, 3, 8))
     y = Tensor(gen.normal(size=(3, 3, 1)))
     with Tape() as tape:
         loss = mean(abs_(sub(model.forward_batch(x), y)))
@@ -239,7 +281,7 @@ def test_reduced_model_gradients_match_finite_differences():
                       residual_channels=4, skip_channels=4, dropout=0.0,
                       gc_depth=1, embedding_dim=3, input_window=16, horizon=1, k=2)
     model = MtgnnModel(cfg, Rng(8))
-    x = Tensor(GEN.normal(size=(2, 3, 16)))
+    x = GEN.normal(size=(2, 3, 16))
 
     def loss_fn():
         return mean_abs(model.forward_batch(x))

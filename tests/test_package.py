@@ -2,6 +2,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -52,6 +53,19 @@ def test_readme_library_snippet_imports():
                if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports
     exec(compile(ast.Module(body=imports, type_ignores=[]), "README.md", "exec"), {})
+
+
+def test_forward_passes_take_an_array_an_rng_and_collect():
+    # An rng means training; there is no separate training flag to disagree with it.
+    from marketgraph.autodiff import dropout
+    from marketgraph.baselines import GruModel, TcnModel
+    from marketgraph.mtgnn import MtgnnModel
+    empty = inspect.Parameter.empty
+    for cls in (MtgnnModel, GruModel, TcnModel):
+        params = inspect.signature(vars(cls)["forward_batch"]).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("self", empty), ("x", empty), ("rng", None), ("collect", None)], cls.__name__
+    assert "training" not in inspect.signature(dropout).parameters
 
 
 def test_tape_keeps_the_length_the_tracer_reads():

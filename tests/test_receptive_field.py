@@ -39,7 +39,7 @@ def cases(draw):
 def _train_forward(model, x, seed, collect=None):
     """Training-mode forward and the next draw of its Rng stream."""
     rng = Rng(seed)
-    out = model.forward_batch(x, training=True, rng=rng, collect=collect).data
+    out = model.forward_batch(x, rng=rng, collect=collect).data
     return out, rng.uniform(4)
 
 

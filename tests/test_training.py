@@ -209,6 +209,13 @@ def test_evaluate_matches_hand_metrics():
     np.testing.assert_allclose(result.price_true, np.exp(result.y_true), atol=1e-12)
     np.testing.assert_allclose(result.price_pred,
                                invert_predictions(result.y_pred, stats), atol=0)
+    # the price-scale metrics are the same four on the inverted traces
+    for j, label in enumerate(("a", "b")):
+        truth, pred = result.price_true[:, j], result.price_pred[:, j]
+        assert result.report.price_per_series[label] == {
+            "rse": rse(truth, pred), "rmse": rmse(truth, pred),
+            "mae": mae(truth, pred), "mape": mape(truth, pred)}
+    assert result.report.to_dict()["price_metrics"] == result.report.price_per_series
 
 
 def test_evaluate_rejects_empty_and_mismatched():
@@ -327,15 +334,25 @@ def test_comparison_markdown_marks_best_and_second():
     result = run_comparison(pipeline, WindowSpec(P=8, Q=1), spec)
     text = result.render_markdown()
     assert "**" in text and "*" in text
+    assert text.startswith("Test metrics on the price scale")
     assert "| model | RSE | RMSE | MAE | MAPE |" in text
     for series in result.series:
         assert f"### {series}" in text
     for name, report in result.reports.items():
         assert f"| {name} | " in text
-        for series in result.series:  # MAPE shown as a one-decimal percent
-            assert f"{100.0 * report.per_series[series]['mape']:.1f}%" in text
+        for series in result.series:  # price-scale MAPE shown as a one-decimal percent
+            assert f"{100.0 * report.price_per_series[series]['mape']:.1f}%" in text
+    # the bold cells are the price-scale ranking's best
+    metrics = ("rse", "rmse", "mae", "mape")
+    for section in text.split("### ")[1:]:
+        series, *rows = section.strip().splitlines()
+        for row in rows[2:]:
+            name, *cells = [c.strip() for c in row.strip("|").split("|")]
+            for metric, cell in zip(metrics, cells):
+                best = result.price_flags[series][metric]["best"] == name
+                assert cell.startswith("**") == best, (series, name, metric)
     payload = result.to_dict()
-    assert set(payload) == {"series", "models", "errors", "flags"}
+    assert set(payload) == {"series", "models", "errors", "flags", "price_flags"}
 
 
 def test_comparison_spec_rejects_unknown_models():

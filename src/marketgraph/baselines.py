@@ -16,17 +16,20 @@ from .autodiff import (
     permute, relu, sigmoid, stack_last, tanh,
 )
 from .checkpoint import Model, NeuralModel
-from .data import window_array
+from .data import require_finite, window_array
 from .errors import ConfigError, DataError, DomainError, ShapeError, check_field_types
 from .optim import Adam
 
 
-def _require_finite(values: np.ndarray) -> None:
-    """DataError naming the first NaN or infinite cell, before a fit meets it."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        cell = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "series"), bad[0]))
-        raise DataError(f"non-finite value {values[tuple(bad[0])]} at {cell}")
+def rollout(x: np.ndarray, horizon: int, step) -> np.ndarray:
+    """[B, N, P] windows -> [B, N, horizon] forecasts, where `step` maps
+    windows to their next [B, N] values and each one-step forecast is fed
+    back as the newest step of the next."""
+    out = np.zeros((x.shape[0], x.shape[1], horizon))
+    for q in range(horizon):
+        out[:, :, q] = step(x)
+        x = np.concatenate([x, out[:, :, q:q + 1]], axis=2)
+    return out
 
 
 # -- autoregression ----------------------------------------------------------
@@ -42,14 +45,11 @@ def fit_ar(series, p: int) -> tuple[float, np.ndarray]:
         raise DomainError(f"order must be at least 1, got {p}")
     if x.size <= p + 1:
         raise DataError(f"need more than {p + 1} observations for order {p}, have {x.size}")
-    _require_finite(x)
+    require_finite(x)
     if np.ptp(x) == 0:
         return float(x[0]), np.zeros(p)
-    rows = x.size - p
-    design = np.ones((rows, p + 1))
-    for i in range(1, p + 1):
-        design[:, i] = x[p - i:x.size - i]
-    coef, _, rank, _ = np.linalg.lstsq(design, x[p:], rcond=None)
+    design, targets = _var_design(x[:, None], p)
+    coef, _, rank, _ = np.linalg.lstsq(design, targets[:, 0], rcond=None)
     if rank < p + 1:
         raise DataError(f"exactly collinear lag structure at order {p}; reduce the order")
     return float(coef[0]), coef[1:]
@@ -80,29 +80,22 @@ class ArEnsemble(Model):
                            for j in range(config.num_series)]
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
-        x = window_array(x)
-        B, N, P = x.shape
         order = self.config.order
-        if N != self.config.num_series:
-            raise ShapeError(f"{N} series but {self.config.num_series} fitted models")
-        if P < order:
-            raise DataError(f"window of {P} steps is shorter than AR order {order}")
-        out = np.zeros((B, N, horizon))
-        for j, (intercept, coeffs) in enumerate(self.per_series):
-            h = x[:, j, :]
-            for q in range(horizon):
-                recent = h[:, :-order - 1:-1]
-                nxt = intercept.data[0] + recent @ coeffs.data
-                out[:, j, q] = nxt
-                h = np.concatenate([h, nxt[:, None]], axis=1)
-        return out
+        x = window_array(x, self.config.num_series, order)
+
+        def step(h):
+            # The most recent step meets coeffs[0].
+            return np.stack([intercept.data[0] + h[:, j, :-order - 1:-1] @ coeffs.data
+                             for j, (intercept, coeffs) in enumerate(self.per_series)], axis=1)
+
+        return rollout(x, horizon, step)
 
 
 def fit_ar_ensemble(values: np.ndarray, p: int) -> ArEnsemble:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeError(f"expected [rows, series] values, got {values.shape}")
-    _require_finite(values)
+    require_finite(values)
     fits = [fit_ar(values[:, j], p) for j in range(values.shape[1])]
     model = ArEnsemble(ArConfig(order=p, num_series=len(fits)))
     for (intercept, coeffs), (c, phi) in zip(model.per_series, fits):
@@ -136,7 +129,7 @@ def fit_var(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     T, N = values.shape
     if T - p <= 1 + N * p:
         raise DataError(f"{T} rows are too few for a VAR({p}) over {N} series")
-    _require_finite(values)
+    require_finite(values)
     design, targets = _var_design(values, p)
     sol, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
     if rank < design.shape[1]:
@@ -196,24 +189,17 @@ class VarMlpModel(Model):
         self.b2 = self.register("mlp.b2", Tensor(np.zeros(n), requires_grad=True))
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
-        x = window_array(x)
-        B, N, P = x.shape
         order = self.config.order
-        if N != self.config.num_series:
-            raise ShapeError(f"{N} series but the VAR was fitted on {self.config.num_series}")
-        if P < order:
-            raise DataError(f"window of {P} steps is shorter than VAR order {order}")
-        out = np.zeros((B, N, horizon))
-        hist = np.swapaxes(x, 1, 2)  # [B, P, N]
-        for q in range(horizon):
+        x = window_array(x, self.config.num_series, order)
+
+        def step(h):
             # lags[:, lag-1, :] is x_{t-lag}; the VAR sums its contributions over lags.
-            lags = np.stack([hist[:, hist.shape[1] - lag, :] for lag in range(1, order + 1)], axis=1)
-            hidden = np.tanh(lags.reshape(B, order * N) @ self.w1.data + self.b1.data)
-            pred = ((self.intercept.data + np.tensordot(lags, self.coef.data, axes=([-2, -1], [0, 1])))
-                    + (hidden @ self.w2.data + self.b2.data))
-            out[:, :, q] = pred
-            hist = np.concatenate([hist, pred[:, None, :]], axis=1)
-        return out
+            lags = np.stack([h[:, :, -lag] for lag in range(1, order + 1)], axis=1)
+            hidden = np.tanh(lags.reshape(len(h), order * h.shape[1]) @ self.w1.data + self.b1.data)
+            var = self.intercept.data + np.tensordot(lags, self.coef.data, axes=([-2, -1], [0, 1]))
+            return var + (hidden @ self.w2.data + self.b2.data)
+
+        return rollout(x, horizon, step)
 
 
 def _mlp_l1_grads(xb, yb, w1, b1, w2, b2) -> tuple[np.ndarray, ...]:
@@ -310,9 +296,7 @@ class GruModel(NeuralModel):
         The P input steps run as one `gru_sequence` op; a forecast of more
         than one step feeds each prediction back through `gru_cell`.
         """
-        if x.ndim != 3 or x.shape[1] != self.config.num_series:
-            raise ShapeError(f"expected [batch, {self.config.num_series}, steps], got {x.shape}")
-        states = gru_sequence(Tensor(x), **self.cell)
+        states = gru_sequence(Tensor(window_array(x, self.config.num_series)), **self.cell)
         if collect is not None:
             collect.append(states)
         h = last_step(states)
@@ -377,14 +361,9 @@ class TcnModel(NeuralModel):
         The head reads only the last step, so without `collect` only the last
         `receptive_field` input steps are convolved.
         """
-        if x.ndim != 3:
-            raise ShapeError(f"expected [batch, series, steps] input, got {x.shape}")
-        P = x.shape[-1]
-        if P < self.config.receptive_field:
-            raise ShapeError(f"input window {P} is shorter than the receptive field "
-                             f"of {self.config.num_blocks} blocks")
+        x = window_array(x, steps=self.config.receptive_field)
         if collect is None:
-            x = x[..., P - self.config.receptive_field:]
+            x = x[..., -self.config.receptive_field:]
         v = add_bias(channel_linear(Tensor(x[:, None]), self.start_w), self.start_b, 1)
         for blk in self.blocks:
             h = relu(add_bias(causal_conv1d(v, blk["w"], blk["dilation"]), blk["b"], 1))

@@ -167,8 +167,8 @@ class NeuralModel(Model):
         if horizon is not None and horizon != self.config.horizon:
             raise ShapeError(f"model predicts {self.config.horizon} step(s), {horizon} requested")
         x = window_array(x)
-        if len(x) == 0:
-            return np.zeros((0, x.shape[1], self.config.horizon))
+        if len(x) == 0:  # one window of zeros meets the same series and length check
+            return self.forward_batch(np.zeros((1, *x.shape[1:]))).data[:0]
         chunk = self.predict_chunk
         parts = [self.forward_batch(x[i:i + chunk]).data for i in range(0, x.shape[0], chunk)]
         return np.concatenate(parts, axis=0)
@@ -176,5 +176,5 @@ class NeuralModel(Model):
     def temporal_features(self, x) -> list[np.ndarray]:
         """Eval-mode per-layer states for [B, N, P] input, for causality inspection."""
         collected: list[Tensor] = []
-        self.forward_batch(window_array(x), collect=collected)
+        self.forward_batch(x, collect=collected)
         return [t.data.copy() for t in collected]

@@ -315,11 +315,31 @@ class WindowSet:
         return self.x.shape[0]
 
 
-def window_array(x) -> np.ndarray:
-    """Stacked input windows as a float64 [batch, N, P] array; ShapeError for any other rank."""
+def require_finite(values: np.ndarray, axes: Sequence[str] = ("row", "series")) -> None:
+    """DataError naming the first NaN or infinite cell, its index labelled by `axes`."""
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values))[0]
+        cell = ", ".join(f"{axis} {i}" for axis, i in zip(axes, bad))
+        raise DataError(f"non-finite value {values[tuple(bad)]} at {cell}")
+
+
+def window_array(x, series: int | None = None, steps: int = 1) -> np.ndarray:
+    """Stacked input windows as a float64 [batch, N, P] array: the one check of
+    every forecast's input.
+
+    ShapeError for any other rank, for a series count other than `series`
+    (when given) or for fewer than `steps` steps; DataError for a NaN or an
+    infinity anywhere in the windows.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"expected [batch, series, steps] windows, got {x.shape}")
+    if series is not None and x.shape[1] != series:
+        raise ShapeError(f"windows hold {x.shape[1]} series, the model was fitted on {series}")
+    if x.shape[2] < steps:
+        # `steps` can be a receptive field too many digits long to format.
+        raise ShapeError(f"window of {x.shape[2]} steps is shorter than the model reads")
+    require_finite(x, ("window", "series", "step"))
     return x
 
 
@@ -333,11 +353,9 @@ def make_windows(frame: TimeSeriesFrame, spec: WindowSpec) -> WindowSet:
     span = spec.P + spec.Q
     if rows < span:
         raise DataError(f"{rows} rows cannot fit a window of P+Q={span}")
-    starts = range(rows - span + 1)
-    series_major = frame.values.T
-    xs = np.stack([series_major[:, s:s + spec.P] for s in starts])
-    ys = np.stack([series_major[:, s + spec.P:s + span] for s in starts])
-    return WindowSet(x=xs, y=ys, start_indices=tuple(starts))
+    spans = np.lib.stride_tricks.sliding_window_view(frame.values, span, axis=0)  # [count, N, span]
+    return WindowSet(x=spans[..., :spec.P].copy(), y=spans[..., spec.P:].copy(),
+                     start_indices=tuple(range(len(spans))))
 
 
 def descriptive_stats(frame: TimeSeriesFrame) -> dict[str, dict[str, float]]:

@@ -45,6 +45,18 @@ _FIELD_TYPES = {
 }
 
 
+def check_depth(window: int, depth: int, config, unit: str) -> None:
+    """ConfigError unless `window` steps cover the receptive field of `depth`
+    dilated `unit` (layers, blocks), read from `config.receptive_field`.
+
+    The receptive field is at least 2**depth, so a depth of at least the
+    window's bit length is refused before the field is computed.
+    """
+    if depth >= window.bit_length() or window < config.receptive_field:
+        raise ConfigError(f"input window {window} is shorter than the receptive field "
+                          f"of {depth} {unit}; widen the window or drop {unit}")
+
+
 def check_field_types(cls, values, where: str = "") -> None:
     """ConfigError unless every entry of `values` (a mapping) that names a field
     of the dataclass `cls` holds that field's declared type.

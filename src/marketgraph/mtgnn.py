@@ -18,7 +18,8 @@ from .autodiff import (
     transpose,
 )
 from .checkpoint import NeuralModel
-from .errors import ConfigError, ShapeError, check_field_types
+from .data import window_array
+from .errors import ConfigError, ShapeError, check_depth, check_field_types
 from .graph import learn_adjacency
 
 
@@ -64,13 +65,7 @@ class MtgnnConfig:
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if self.k is not None and not 1 <= self.k <= self.num_nodes - 1:
             raise ConfigError(f"k={self.k} out of range for {self.num_nodes} nodes")
-        # The receptive field is at least 2**num_layers, so a layer count of at
-        # least the window's bit length is refused before its dilations exist.
-        if self.num_layers >= self.input_window.bit_length() or self.input_window < self.receptive_field:
-            raise ConfigError(
-                f"input window {self.input_window} is shorter than the receptive "
-                f"field of {self.num_layers} layers; widen the window or drop layers"
-            )
+        check_depth(self.input_window, self.num_layers, self, "layers")
 
     @property
     def dilations(self) -> tuple[int, ...]:
@@ -187,14 +182,8 @@ class MtgnnModel(NeuralModel):
         `collect` only those steps are convolved; with it the whole window is.
         """
         c = self.config
-        if x.ndim != 3:
-            raise ShapeError(f"expected [batch, nodes, steps] input, got {x.shape}")
-        _, N, P = x.shape
-        if N != c.num_nodes:
-            raise ShapeError(f"model built for {c.num_nodes} nodes, input has {N}")
-        if P < c.receptive_field:
-            raise ShapeError(f"input window {P} is shorter than the receptive field {c.receptive_field}")
-
+        x = window_array(x, c.num_nodes, c.receptive_field)
+        P = x.shape[-1]
         props = propagation_stack(self.adjacency(), c.gc_depth, c.retain_ratio)
         if collect is None:
             x = x[..., P - c.receptive_field:]

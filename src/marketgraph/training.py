@@ -16,7 +16,7 @@ from .baselines import (
     fit_ar_ensemble, fit_var_mlp,
 )
 from .data import NormStats, PipelineResult, WindowSet, WindowSpec, csv_text, invert_predictions
-from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_field_types
+from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_depth, check_field_types
 from .graph import AdjacencyMatrix
 from .metrics import MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
@@ -205,12 +205,7 @@ def _build_gru(pipeline, window, spec, rng):
 
 def _build_tcn(pipeline, window, spec, rng):
     config = TcnConfig(channels=spec.tcn_channels, num_blocks=spec.tcn_blocks, horizon=window.Q)
-    # As in MtgnnConfig: the receptive field is at least 2**num_blocks, so a
-    # block count of at least the window's bit length is refused before its
-    # dilations or any block exist.
-    if config.num_blocks >= window.P.bit_length() or window.P < config.receptive_field:
-        raise ConfigError(f"input window {window.P} is shorter than the receptive field "
-                          f"of {config.num_blocks} blocks; widen the window or drop blocks")
+    check_depth(window.P, config.num_blocks, config, "blocks")
     result = _train_new(TcnModel, config, pipeline, spec, rng)
     return result.model, result, {"channels": spec.tcn_channels, "blocks": spec.tcn_blocks}
 

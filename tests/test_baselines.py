@@ -98,7 +98,7 @@ def test_ar_validation():
     with pytest.raises(DataError):
         fit_ar(np.arange(4.0), 5)
     ens = ar_ensemble(0.0, np.zeros(3))
-    with pytest.raises(DataError, match="shorter than AR order 3"):
+    with pytest.raises(ShapeError, match="window of 2 steps is shorter than the model reads"):
         ens.predict_windows(np.zeros((1, 1, 2)))
 
 
@@ -249,7 +249,7 @@ def test_zero_epoch_hybrid_equals_pure_var():
 
     hist = values[-10:]
     got = model.predict_windows(hist.T[None], horizon=3)[0].T
-    with pytest.raises(DataError, match="shorter than VAR order 2"):
+    with pytest.raises(ShapeError, match="window of 1 steps is shorter than the model reads"):
         model.predict_windows(hist[-1:].T[None])
     # reference recursion: pure VAR
     buf = hist.copy()
@@ -387,11 +387,11 @@ def test_tcn_causality():
 
 def test_tcn_window_shorter_than_receptive_field_rejected():
     model = TcnModel(TcnConfig(channels=4, num_blocks=3), Rng(6))
-    with pytest.raises(ShapeError, match="shorter than the receptive field of 3 blocks"):
+    with pytest.raises(ShapeError, match="window of 7 steps is shorter than the model reads"):
         model.forward_batch(GEN.normal(size=(1, 2, 7)))
-    # the message names the block count, so a field of thousands of digits is never formatted
+    # the message names the window's steps, so a field of thousands of digits is never formatted
     deep = TcnModel(TcnConfig(channels=1, num_blocks=15000), Rng(0))
-    with pytest.raises(ShapeError, match="receptive field of 15000 blocks"):
+    with pytest.raises(ShapeError, match="window of 8 steps is shorter than the model reads"):
         deep.predict_windows(np.zeros((1, 2, 8)))
 
 
@@ -449,5 +449,17 @@ def test_window_shapes_are_checked_and_zero_windows_forecast_nothing(kind):
         with pytest.raises(ShapeError):
             model.predict_windows(np.zeros(rank))
     if kind not in ("persistence", "tcn"):  # the two that any series count fits
-        with pytest.raises(ShapeError, match="3"):
-            model.predict_windows(np.zeros((2, 4, 8)))
+        for windows in (2, 0):
+            with pytest.raises(ShapeError, match="3"):
+                model.predict_windows(np.zeros((windows, 4, 8)))
+    for value in (np.nan, np.inf, -np.inf):
+        for step in (0, -1):
+            x = GEN.normal(size=(2, 3, 8))
+            x[1, 2, step] = value
+            with pytest.raises(DataError, match="non-finite value"):
+                model.predict_windows(x)
+    # the steps each kind reads: the AR order, or the TCN's and MTGNN's receptive field
+    reads = {"persistence": 1, "ar": 2, "var_mlp": 2, "gru": 1, "tcn": 4, "mtgnn": 4}[kind]
+    for windows in (2, 0):
+        with pytest.raises(ShapeError, match="shorter than the model reads"):
+            model.predict_windows(GEN.normal(size=(windows, 3, reads - 1)))

@@ -544,7 +544,7 @@ def test_compare_ar_order_beyond_the_window_is_a_recorded_data_error(tmp_path, c
     assert "model ar failed" in capsys.readouterr().err
     payload = json.loads((tmp_path / "cmp" / "comparison.json").read_text(encoding="utf-8"))
     assert set(payload["models"]) == {"persistence"}
-    assert payload["errors"]["ar"].startswith("DataError: window of 8 steps is shorter than AR order 20")
+    assert payload["errors"]["ar"].startswith("ShapeError: window of 8 steps is shorter than the model reads")
 
 
 @pytest.mark.parametrize("baselines", [{"ar_order": "2"}, {"tcn_blocks": True},

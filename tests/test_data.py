@@ -217,6 +217,10 @@ def test_window_shapes():
     ws = make_windows(frame, WindowSpec(P=5, Q=1))
     assert ws.x.shape == (15, 3, 5)  # rows - P - Q + 1
     assert ws.y.shape == (15, 3, 1)
+    # every series of every window, against one slice per start row
+    np.testing.assert_array_equal(ws.x, np.stack([frame.values[s:s + 5].T for s in range(15)]))
+    np.testing.assert_array_equal(ws.y, np.stack([frame.values[s + 5:s + 6].T for s in range(15)]))
+    assert ws.start_indices == tuple(range(15))
 
 
 def test_window_insufficient_rows():

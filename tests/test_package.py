@@ -123,3 +123,23 @@ def test_every_saved_model_kind_shares_the_one_model_base():
     # the names the benchmark's workloads reach
     assert MtgnnModel.load.__func__ is Model.load.__func__
     assert ComparisonSpec(mlp=MlpSpec(epochs=1)).mlp.epochs == 1
+
+
+def test_every_forecast_entry_point_checks_its_windows_with_window_array():
+    # data.window_array is the one check of rank, series count, length and
+    # finiteness, so each model kind refuses a malformed window the same way.
+    checked, unchecked = [], []
+    for path in sorted(Path(marketgraph.__file__).parent.glob("*.py")):
+        for cls in (n for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("predict_windows", "forward_batch"):
+                    calls = {n.func.id for n in ast.walk(fn)
+                             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                    name = f"{cls.name}.{fn.name}"
+                    (checked if "window_array" in calls else unchecked).append(name)
+    assert unchecked == []
+    assert sorted(checked) == [
+        "ArEnsemble.predict_windows", "GruModel.forward_batch", "MtgnnModel.forward_batch",
+        "NeuralModel.predict_windows", "PersistenceModel.predict_windows",
+        "TcnModel.forward_batch", "VarMlpModel.predict_windows"]

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, TapeError
+from .errors import DataError, DomainError, ShapeError, TapeError
 
 _state = threading.local()
 
@@ -53,8 +53,11 @@ class Rng:
     def normal(self, shape, scale=1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)
 
-    def uniform(self, shape, low=0.0, high=1.0) -> np.ndarray:
+    def uniform(self, shape, low, high) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
+
+    def random(self, shape) -> np.ndarray:
+        return self._gen.random(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -72,7 +75,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor values must be finite (no NaN/Inf)")
+            raise DataError("tensor values must be finite (no NaN/Inf)")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -316,7 +319,7 @@ def dropout(x: Tensor, p: float, *, rng: Rng | None = None,
     if rng is None or p == 0.0:
         return x
     T = x.shape[-1]
-    mask = (rng.uniform(x.shape[:-1] + (steps or T,))[..., -T:] >= p) / (1.0 - p)
+    mask = (rng.random(x.shape[:-1] + (steps or T,))[..., -T:] >= p) / (1.0 - p)
     return _record(x.data * mask, (x,), lambda g: (g * mask,))
 
 

@@ -238,7 +238,7 @@ def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
         order = shuffle.permutation(inputs.shape[0])
         for lo in range(0, inputs.shape[0], spec.batch_size):
             idx = order[lo:lo + spec.batch_size]
-            w1.grad, b1.grad, w2.grad, b2.grad = _mlp_l1_grads(
+            w1.grad[...], b1.grad[...], w2.grad[...], b2.grad[...] = _mlp_l1_grads(
                 inputs[idx], residuals[idx], w1.data, b1.data, w2.data, b2.data)
             opt.step()
     return model

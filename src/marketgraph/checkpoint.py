@@ -116,7 +116,7 @@ class Model:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         _check_state(state, {name: t.data.shape for name, t in self._params.items()})
         for name, t in self._params.items():
-            t.data = np.array(state[name], dtype=np.float64)
+            t.data[...] = state[name]
 
     def save(self, path, extra: dict | None = None) -> None:
         save_checkpoint(path, kind=self.kind, config=asdict(self.config),

@@ -65,7 +65,7 @@ def coupled_var_system(num_nodes: int = 6, steps: int = 3000, seed: int = 0,
         order = topo.permutation(len(others))
         for pick in order[:sources_per_node]:
             i = others[pick]
-            w = coupling_strength * (0.75 + 0.5 * topo.uniform(()))
+            w = coupling_strength * (0.75 + 0.5 * topo.random(()))
             var_matrix[j, i] = w
             coupling[i, j] = w
     radius = max(abs(np.linalg.eigvals(var_matrix)))

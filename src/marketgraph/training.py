@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, 
 from .graph import AdjacencyMatrix
 from .metrics import MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
+from .optim import Adam
 
 
 @dataclass(frozen=True)
@@ -73,21 +74,20 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
           labels=None) -> TrainResult:
     """Minimize mean |error| + l2 * sum(theta^2) and keep the best-validation weights.
 
-    Works on any model exposing forward_batch/parameters/state_dict. Returns
+    Works on any model exposing forward_batch/parameters. Returns
     the per-epoch loss history; for graph-learning models the adjacency is
     snapshotted from the returned (best) weights. A non-finite loss aborts
     with the offending epoch.
     """
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise DataError("training and validation window sets must be nonempty")
-    from .optim import Adam
     rng = rng or Rng(config.seed)
     shuffle_rng = rng.split()
     dropout_rng = rng.split()
 
     opt = Adam(model.parameters(), lr=config.learning_rate, l2=config.l2_coefficient)
     history: list[dict] = []
-    best_state = model.state_dict()
+    best_state = opt.data.copy()
     best_val = np.inf
     best_epoch = 0
 
@@ -114,10 +114,10 @@ def train(model, train_windows: WindowSet, val_windows: WindowSet,
         history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
-            best_state = model.state_dict()
+            best_state = opt.data.copy()
             best_epoch = epoch
 
-    model.load_state_dict(best_state)
+    opt.data[...] = best_state
     adjacency = None
     if isinstance(model, MtgnnModel):
         if labels is None:

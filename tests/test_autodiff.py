@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from marketgraph import DomainError, Rng, ShapeError, Tape, TapeError, Tensor, grad_check
+from marketgraph import DataError, DomainError, Rng, ShapeError, Tape, TapeError, Tensor, grad_check
 from marketgraph.autodiff import (
     abs_, add, add_bias, causal_conv1d, channel_linear, dropout, graph_mix, last_step,
     matmul, mean, mix_hop, mul, permute, relu, reshape, row_normalize,
@@ -21,9 +21,9 @@ def test_tensor_is_float64_and_rejects_nonfinite():
     t = Tensor([[1, 2], [3, 4]])
     assert t.data.dtype == np.float64
     assert t.shape == (2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         Tensor([1.0, np.nan])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         Tensor([np.inf])
 
 
@@ -391,6 +391,19 @@ def test_dropout_train_mask_and_scaling():
     assert 0.70 < kept < 0.80
 
 
+@pytest.mark.parametrize("shape", [(8, 16, 6, 30), ()])
+def test_random_draws_the_uniform_stream_bit_for_bit(shape):
+    # Generator.random is uniform(0, 1) draw for draw, so the masks and the
+    # stream after them are those of the uniform(0, 1) draws they replaced.
+    new, old = Rng(3), np.random.default_rng(3)
+    np.testing.assert_array_equal(new.random(shape), old.uniform(0.0, 1.0, size=shape))
+    np.testing.assert_array_equal(new.random(shape), old.uniform(0.0, 1.0, size=shape))
+    x = Tensor(np.ones((8, 16, 6, 30)))
+    expected = (old.uniform(0.0, 1.0, size=x.shape) >= 0.3) / 0.7
+    np.testing.assert_array_equal(dropout(x, 0.3, rng=new).data, expected)
+    np.testing.assert_array_equal(new.normal(4), old.normal(0.0, 1.0, size=4))
+
+
 def test_dropout_validates_probability_and_rng():
     x = Tensor([1.0])
     with pytest.raises(DomainError):
@@ -475,5 +488,5 @@ def test_rng_split_tree_reproducible():
         root = Rng(7)
         child = root.split()
         grand = child.split()
-        return grand.uniform((5,))
+        return grand.random((5,))
     np.testing.assert_array_equal(draw(), draw())

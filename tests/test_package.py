@@ -143,3 +143,31 @@ def test_every_forecast_entry_point_checks_its_windows_with_window_array():
         "ArEnsemble.predict_windows", "GruModel.forward_batch", "MtgnnModel.forward_batch",
         "NeuralModel.predict_windows", "PersistenceModel.predict_windows",
         "TcnModel.forward_batch", "VarMlpModel.predict_windows"]
+
+
+def test_only_the_tape_and_the_optimizer_rebind_gradients():
+    # Adam binds each parameter's .grad to a view of its one gradient vector;
+    # a .grad rebound anywhere else would detach from it. Writes through a
+    # subscript (p.grad[...] = g) keep the view and are allowed anywhere.
+    rebinders = set()
+    for module in sorted(Path(marketgraph.__file__).parent.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            flat = [t for target in targets for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute) and t.attr == "grad"
+                    and isinstance(t.ctx, ast.Store)]
+            if flat:
+                owners, owner = [], node
+                while not isinstance(owner, ast.Module):
+                    owner = owner.parent
+                    if isinstance(owner, (ast.ClassDef, ast.FunctionDef)):
+                        owners.insert(0, owner.name)
+                rebinders.add(f"{module.name}:{'.'.join(owners)}")
+    assert sorted(rebinders) == [
+        "autodiff.py:Tape.backward", "autodiff.py:Tensor.__init__", "autodiff.py:Tensor._from_op",
+        "autodiff.py:Tensor.zero_grad", "optim.py:Adam.__init__"]

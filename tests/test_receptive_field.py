@@ -40,7 +40,7 @@ def _train_forward(model, x, seed, collect=None):
     """Training-mode forward and the next draw of its Rng stream."""
     rng = Rng(seed)
     out = model.forward_batch(x, rng=rng, collect=collect).data
-    return out, rng.uniform(4)
+    return out, rng.random(4)
 
 
 @settings(max_examples=60, deadline=None)

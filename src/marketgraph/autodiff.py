@@ -107,9 +107,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -685,7 +682,8 @@ def grad_check_params(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], e
     if eps <= 0:
         raise DomainError("eps must be positive")
     for p in params:
-        p.zero_grad()
+        if p.grad is not None:
+            p.grad.fill(0.0)  # in place, so a gradient an optimizer holds a view of stays bound
     tape = Tape()
     with tape:
         out = loss_fn()

@@ -17,7 +17,9 @@ from .autodiff import (
 )
 from .checkpoint import Model, NeuralModel
 from .data import require_finite, window_array
-from .errors import ConfigError, DataError, DomainError, ShapeError, check_field_types
+from .errors import (
+    ConfigError, DataError, DomainError, ShapeError, check_field_types, dilations, receptive_field,
+)
 from .optim import Adam
 
 
@@ -146,8 +148,6 @@ class MlpSpec:
 
     hidden: int = 32
     epochs: int = 100
-    learning_rate: float = 0.001
-    batch_size: int = 32
 
     def __post_init__(self):
         check_field_types(type(self), vars(self))
@@ -213,12 +213,10 @@ def _mlp_l1_grads(xb, yb, w1, b1, w2, b2) -> tuple[np.ndarray, ...]:
 
 def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
                 rng: Rng | None = None) -> VarMlpModel:
-    """VAR by least squares, then an MLP fitted to the VAR residuals (Adam, l1)."""
-    if spec.epochs < 0 or spec.batch_size < 1:
-        raise ConfigError(f"epochs must be nonnegative and batch_size positive, "
-                          f"got {spec.epochs} and {spec.batch_size}")
-    if not 0 < spec.learning_rate < np.inf:
-        raise ConfigError(f"learning_rate must be positive and finite, got {spec.learning_rate}")
+    """VAR by least squares, then an MLP fitted to the VAR residuals (Adam at
+    a learning rate of 0.001, l1, batches of 32)."""
+    if spec.epochs < 0:
+        raise ConfigError(f"epochs must be nonnegative, got {spec.epochs}")
     values = np.asarray(values, dtype=np.float64)
     rng = rng or Rng(0)
     intercept, coef = fit_var(values, var_order)
@@ -232,12 +230,12 @@ def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
     w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
 
     inputs = design[:, 1:]
-    opt = Adam([w1, b1, w2, b2], lr=spec.learning_rate)
+    opt = Adam([w1, b1, w2, b2], lr=0.001)
     shuffle = rng.split()
     for _ in range(spec.epochs):
         order = shuffle.permutation(inputs.shape[0])
-        for lo in range(0, inputs.shape[0], spec.batch_size):
-            idx = order[lo:lo + spec.batch_size]
+        for lo in range(0, inputs.shape[0], 32):
+            idx = order[lo:lo + 32]
             w1.grad[...], b1.grad[...], w2.grad[...], b2.grad[...] = _mlp_l1_grads(
                 inputs[idx], residuals[idx], w1.data, b1.data, w2.data, b2.data)
             opt.step()
@@ -324,12 +322,8 @@ class TcnConfig:
             raise ConfigError(f"kernel_size must be at least 2, got {self.kernel_size}")
 
     @property
-    def dilations(self) -> tuple[int, ...]:
-        return tuple(2 ** i for i in range(self.num_blocks))
-
-    @property
     def receptive_field(self) -> int:
-        return 1 + (self.kernel_size - 1) * sum(self.dilations)
+        return receptive_field(self.kernel_size, self.num_blocks)
 
 
 class TcnModel(NeuralModel):
@@ -340,7 +334,7 @@ class TcnModel(NeuralModel):
 
     def __init__(self, config: TcnConfig, rng: Rng):
         super().__init__(config)
-        c, K, dil = config.channels, config.kernel_size, config.dilations
+        c, K, dil = config.channels, config.kernel_size, dilations(config.num_blocks)
         init = rng.split()
         self.start_w = self.weight(init, "start.w", (1, c), 1)
         self.start_b = self.bias("start.b", c)

@@ -26,26 +26,33 @@ def _heat_color(t: float) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def svg_heatmap(labels: Sequence[str], matrix: np.ndarray, title: str = "",
-                cell: int = 46) -> str:
+def _svg_head(width: int, height: int, title: str, title_y: int, *backdrop: str) -> list[str]:
+    """The opening <svg> tag, a white background, the `backdrop` elements and
+    the centered bold title (when one is given), in painting order."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *backdrop,
+    ]
+    if title:
+        parts.append(f'<text x="{width / 2:.0f}" y="{title_y}" text-anchor="middle" '
+                     f'font-size="15" font-weight="bold">{escape(title)}</text>')
+    return parts
+
+
+def svg_heatmap(labels: Sequence[str], matrix: np.ndarray, title: str = "") -> str:
     matrix = np.asarray(matrix, dtype=np.float64)
     n = len(labels)
     if matrix.shape != (n, n):
         raise ShapeError(f"matrix shape {matrix.shape} does not match {n} labels")
-    margin_left, margin_top = 110, 96
+    cell, margin_left, margin_top = 46, 110, 96
     width = margin_left + n * cell + 20
     height = margin_top + n * cell + 20
     lo, hi = float(matrix.min()), float(matrix.max())
     span = hi - lo if hi > lo else 1.0
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" '
-                     f'font-size="15" font-weight="bold">{escape(title)}</text>')
+    parts = _svg_head(width, height, title, 22)
     for j, label in enumerate(labels):
         x = margin_left + j * cell + cell / 2
         parts.append(f'<text x="{x:.0f}" y="{margin_top - 8}" text-anchor="start" font-size="11" '
@@ -68,7 +75,7 @@ def svg_heatmap(labels: Sequence[str], matrix: np.ndarray, title: str = "",
 
 
 def svg_line_chart(x_labels: Sequence[str], series: dict[str, Sequence[float]],
-                   title: str = "", width: int = 880, height: int = 360) -> str:
+                   title: str = "") -> str:
     """Plot one or more unit-spaced series against shared x labels."""
     if not series:
         raise ShapeError("nothing to plot")
@@ -82,7 +89,7 @@ def svg_line_chart(x_labels: Sequence[str], series: dict[str, Sequence[float]],
         hi = lo + 1.0
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
-    ml, mr, mt, mb = 72, 16, 40, 48
+    width, height, ml, mr, mt, mb = 880, 360, 72, 16, 40, 48
     plot_w, plot_h = width - ml - mr, height - mt - mb
     palette = ("#1f6fb2", "#d1495b", "#3a7d44", "#8661c1", "#c77b2e", "#444444")
 
@@ -92,15 +99,8 @@ def svg_line_chart(x_labels: Sequence[str], series: dict[str, Sequence[float]],
     def sy(v: float) -> float:
         return mt + plot_h * (1.0 - (v - lo) / (hi - lo))
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" fill="none" stroke="#888"/>',
-    ]
-    if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="24" text-anchor="middle" '
-                     f'font-size="15" font-weight="bold">{escape(title)}</text>')
+    frame = f'<rect x="{ml}" y="{mt}" width="{plot_w}" height="{plot_h}" fill="none" stroke="#888"/>'
+    parts = _svg_head(width, height, title, 24, frame)
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         v = lo + frac * (hi - lo)
         y = sy(v)

@@ -46,6 +46,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise DataError(f"{path}: not a valid checkpoint: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except RecursionError:
+            raise DataError(f"{path}: not a valid checkpoint: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: not a valid checkpoint: top level is not an object")
     version = doc.get("format_version")

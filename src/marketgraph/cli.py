@@ -24,25 +24,25 @@ from .baselines import MlpSpec
 from .charts import svg_heatmap, svg_line_chart
 from .checkpoint import load_checkpoint
 from .data import (
-    NormStats, RebaseRule, SplitSpec, WindowSpec, adjust_rebased_series,
+    NormStats, PipelineResult, RebaseRule, SplitSpec, WindowSpec, apply_rebase_rules,
     atomic_write, csv_text, descriptive_stats, invert_predictions, load_csv,
-    log_transform, make_windows, normalize, run_pipeline,
+    log_transform, make_windows, matrix_csv, normalize, run_pipeline,
 )
 from .errors import (
     ConfigError, DataError, DomainError, MarketGraphError, ShapeError, check_field_types,
 )
-from .graph import G7_COUNTRIES, MINT_COUNTRIES, adjacency_csv, rank_influence, read_adjacency_csv
-from .metrics import dtw_matrix, labeled_matrix_csv, spearman_matrix
+from .graph import G7_COUNTRIES, MINT_COUNTRIES, rank_influence, read_adjacency_csv
+from .metrics import dtw_matrix, spearman_matrix
 from .mtgnn import MtgnnConfig, MtgnnModel
 from .training import (
     MODEL_BUILDERS, ComparisonSpec, TrainConfig, evaluate, history_csv,
     mtgnn_config, run_comparison, trace_csv,
 )
 
-# The baseline knobs are a chosen subset of the specs' fields (MlpSpec's
-# learning rate and batch size stay fixed), so they are listed here.
-_BASELINE_KEYS = {"ar_order", "var_order", "mlp_hidden", "mlp_epochs",
-                  "gru_hidden", "tcn_channels", "tcn_blocks", "include"}
+# The scalar knobs of ComparisonSpec, with MlpSpec's fields under an "mlp_"
+# prefix; the other sections of the document set its train and mtgnn fields.
+_BASELINE_KEYS = ({f.name for f in fields(ComparisonSpec)} - {"train", "mlp", "mtgnn"}
+                  | {f"mlp_{f.name}" for f in fields(MlpSpec)})
 
 
 @dataclass
@@ -90,6 +90,8 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     _section("config", doc, RunConfig)
     split_doc = _section("split", doc.get("split", {}), SplitSpec)
     window_doc = _section("window", doc.get("window", {}), WindowSpec)
@@ -162,12 +164,16 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", label)
 
 
-def _require_dataset(cfg: RunConfig) -> str:
+def _run_pipeline(args) -> tuple[RunConfig, TrainConfig, PipelineResult]:
+    """The run document of `args.config`, its training config under the
+    resolved seed, and the pipeline over its dataset."""
+    cfg = parse_run_config(args.config)
     if not cfg.dataset:
         raise ConfigError("config has no dataset path")
     if not Path(cfg.dataset).exists():
         raise ConfigError(f"dataset not found: {cfg.dataset}")
-    return cfg.dataset
+    train_cfg = replace(cfg.train, seed=_resolve_seed(cfg.seed))
+    return cfg, train_cfg, run_pipeline(cfg.dataset, cfg.window, cfg.split, cfg.rebase)
 
 
 def _comparison_spec(cfg: RunConfig, train_cfg: TrainConfig) -> ComparisonSpec:
@@ -182,9 +188,7 @@ def _comparison_spec(cfg: RunConfig, train_cfg: TrainConfig) -> ComparisonSpec:
 def cmd_analyze(args) -> int:
     frame = load_csv(args.csv)
     if args.config:
-        cfg = parse_run_config(args.config)
-        for rule in cfg.rebase:
-            frame = adjust_rebased_series(frame, rule.column, rule.cutoff, rule.divisor)
+        frame = apply_rebase_rules(frame, parse_run_config(args.config).rebase)
     out = _out_dir(args.out)
 
     stats = descriptive_stats(frame)
@@ -193,11 +197,11 @@ def cmd_analyze(args) -> int:
     _emit(out / "descriptive_stats.csv", csv_text(["series", *keys], rows))
 
     spearman = spearman_matrix(frame)
-    _emit(out / "spearman.csv", labeled_matrix_csv(frame.columns, spearman))
+    _emit(out / "spearman.csv", matrix_csv("series", frame.columns, spearman))
     _emit(out / "spearman.svg", svg_heatmap(frame.columns, spearman, "Rank correlation"))
 
     warped = dtw_matrix(frame)
-    _emit(out / "dtw.csv", labeled_matrix_csv(frame.columns, warped))
+    _emit(out / "dtw.csv", matrix_csv("series", frame.columns, warped))
     _emit(out / "dtw.svg", svg_heatmap(frame.columns, warped, "Warping distance (z-scored)"))
     return 0
 
@@ -213,26 +217,22 @@ def _checkpoint_extra(pipeline, cfg: RunConfig) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = parse_run_config(args.config)
-    dataset = _require_dataset(cfg)
-    seed = _resolve_seed(cfg.seed)
-    train_cfg = replace(cfg.train, seed=seed)
-    pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
+    cfg, train_cfg, pipeline = _run_pipeline(args)
     mtgnn_config(pipeline, cfg.window, cfg.model)  # an out-of-range knob fails before --out exists
     out = _out_dir(args.out)
 
     labels = pipeline.train.columns
     spec = ComparisonSpec(train=train_cfg, mtgnn=dict(cfg.model))
-    model, result, _ = MODEL_BUILDERS["mtgnn"](pipeline, cfg.window, spec, Rng(seed))
+    model, result, _ = MODEL_BUILDERS["mtgnn"](pipeline, cfg.window, spec, Rng(train_cfg.seed))
 
     ckpt_path = out / "checkpoint.json"
     model.save(ckpt_path, extra=_checkpoint_extra(pipeline, cfg))
     print(f"wrote {ckpt_path}")
     _emit(out / "history.csv", history_csv(result.history))
-    _emit(out / "adjacency.csv", adjacency_csv(result.adjacency))
+    _emit(out / "adjacency.csv", matrix_csv("node", labels, result.adjacency.values))
 
     eval_result = evaluate(model, pipeline.test_windows, pipeline.stats, labels,
-                           seed=seed, config={"epochs": train_cfg.epochs})
+                           seed=train_cfg.seed, config={"epochs": train_cfg.epochs})
     _emit(out / "report.json", json.dumps({
         "pipeline": pipeline.report,
         "train": {**asdict(train_cfg), "best_epoch": result.best_epoch},
@@ -242,11 +242,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = parse_run_config(args.config)
-    dataset = _require_dataset(cfg)
-    seed = _resolve_seed(cfg.seed)
-    train_cfg = replace(cfg.train, seed=seed)
-    pipeline = run_pipeline(dataset, cfg.window, cfg.split, cfg.rebase)
+    cfg, train_cfg, pipeline = _run_pipeline(args)
     spec = _comparison_spec(cfg, train_cfg)  # a mistyped knob fails before --out exists
     out = _out_dir(args.out)
 
@@ -281,10 +277,8 @@ def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[Rebase
             keys = {f.name for f in fields(cls)}
             if set(_section(where, extra[where], cls)) != keys:
                 raise ConfigError(f"{where} needs {', '.join(sorted(keys))}")
-        norm = extra["norm_stats"]
-        stats = NormStats(columns=tuple(norm["columns"]), mean=np.array(norm["mean"]),
-                          std=np.array(norm["std"]))
-        return stats, WindowSpec(**extra["window"]), _rebase_rules(extra.get("rebase", []))
+        return (NormStats(**extra["norm_stats"]), WindowSpec(**extra["window"]),
+                _rebase_rules(extra.get("rebase", [])))
     except (ConfigError, DataError, DomainError, ShapeError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: unusable checkpoint metadata: {exc}") from None
 
@@ -298,10 +292,7 @@ def cmd_forecast(args) -> int:
         raise DataError(f"{args.checkpoint}: window Q={Q} but the model forecasts "
                         f"{model.config.horizon} step(s)")
 
-    frame = load_csv(args.csv)
-    for rule in rebase:
-        frame = adjust_rebased_series(frame, rule.column, rule.cutoff, rule.divisor)
-    frame = normalize(log_transform(frame), stats)
+    frame = normalize(log_transform(apply_rebase_rules(load_csv(args.csv), rebase)), stats)
     labels = frame.columns
     if args.steps == 0:
         empty = np.zeros((0, len(labels)))
@@ -316,12 +307,11 @@ def cmd_forecast(args) -> int:
         raise DataError(f"only {len(windows)} forecast positions available, {steps} requested")
     x = windows.x[-steps:]
     y = windows.y[-steps:, :, 0]
-    starts = windows.start_indices[-steps:]
     pred = model.predict_windows(x, horizon=Q)[:, :, 0]
 
     actual_price = invert_predictions(y, stats)
     pred_price = invert_predictions(pred, stats)
-    dates = [frame.dates[s + P] for s in starts]
+    dates = frame.dates[P:P + len(windows)][-steps:]
 
     out = _out_dir(args.out)
     _emit(out / "forecast.csv", trace_csv(dates, labels, actual_price, pred_price))

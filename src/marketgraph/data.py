@@ -1,5 +1,5 @@
-"""Ingestion and the preprocessing chain for multi-index price data, and the
-one writer that puts every artifact on disk.
+"""Ingestion and the preprocessing chain for multi-index price data, the CSV
+dialect of every table, and the one writer that puts every artifact on disk.
 
 The canonical stage order is fixed: rebasing adjustment, natural log,
 chronological split, z-score normalization with training-split statistics,
@@ -82,12 +82,20 @@ def _parse_date(text: str, where: str) -> date:
         raise DataError(f"{where}: unparseable date {text!r} (expected YYYY-MM-DD)") from None
 
 
-def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
+def read_csv_rows(path) -> list[list[str]]:
+    """The cells of every row of the CSV file at `path`; DataError naming the
+    path for text that is not UTF-8 or that the csv module refuses."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
+
+
+def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
+    rows = read_csv_rows(path)
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -102,16 +110,18 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
             continue
         if len(row) != len(header):
             raise DataError(f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}")
-        if any(not c.strip() for c in row[1:]):
-            dropped += 1
-            continue
-        when = _parse_date(row[0], f"{path}: line {lineno}")
+        cells, where, vals = row[1:], f"{path}: line {lineno}", []
         try:
-            vals = [float(c) for c in row[1:]]
+            for c in cells:
+                vals.append(float(c))
         except ValueError:
-            bad = next(c for c in row[1:] if not _is_float(c))
-            raise DataError(f"{path}: line {lineno}: unparseable number {bad!r}") from None
-        parsed.append((when, vals))
+            # A blank cell never converts: its row is dropped, whatever its date.
+            if any(not c.strip() for c in cells):
+                dropped += 1
+                continue
+            _parse_date(row[0], where)  # a bad date is named before a bad number
+            raise DataError(f"{where}: unparseable number {cells[len(vals)]!r}") from None
+        parsed.append((_parse_date(row[0], where), vals))
 
     parsed.sort(key=lambda item: item[0])
     for (d1, _), (d2, _) in zip(parsed, parsed[1:]):
@@ -122,14 +132,6 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
     dates = tuple(d for d, _ in parsed)
     values = np.array([v for _, v in parsed])
     return TimeSeriesFrame(dates, columns, values), dropped
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
 
 
 def load_csv(path) -> TimeSeriesFrame:
@@ -170,6 +172,16 @@ def csv_text(header: Sequence, rows) -> str:
     return buf.getvalue()
 
 
+def matrix_csv(corner: str, labels: Sequence[str], matrix: np.ndarray) -> str:
+    """A square matrix as CSV text: `corner`, then the labels, as the header;
+    one row per label, every value written in full precision (`repr`)."""
+    matrix = np.asarray(matrix)
+    if matrix.shape != (len(labels), len(labels)):
+        raise ShapeError(f"matrix shape {matrix.shape} does not match {len(labels)} labels")
+    rows = ([label, *(repr(float(v)) for v in row)] for label, row in zip(labels, matrix))
+    return csv_text([corner, *labels], rows)
+
+
 @dataclass(frozen=True)
 class RebaseRule:
     """Undo an exchange redenomination: divide pre-cutoff rows of one column."""
@@ -189,6 +201,13 @@ def adjust_rebased_series(frame: TimeSeriesFrame, column: str, cutoff_date: date
     before = np.array([d < cutoff_date for d in frame.dates])
     values[before, col] /= divisor
     return TimeSeriesFrame(frame.dates, frame.columns, values)
+
+
+def apply_rebase_rules(frame: TimeSeriesFrame, rules: Sequence[RebaseRule]) -> TimeSeriesFrame:
+    """`frame` with every rule applied, in order."""
+    for rule in rules:
+        frame = adjust_rebased_series(frame, rule.column, rule.cutoff, rule.divisor)
+    return frame
 
 
 def log_transform(frame: TimeSeriesFrame) -> TimeSeriesFrame:
@@ -303,7 +322,6 @@ class WindowSet:
 
     x: np.ndarray
     y: np.ndarray
-    start_indices: tuple[int, ...]
 
     def __post_init__(self):
         if self.x.ndim != 3 or self.y.ndim != 3:
@@ -354,8 +372,7 @@ def make_windows(frame: TimeSeriesFrame, spec: WindowSpec) -> WindowSet:
     if rows < span:
         raise DataError(f"{rows} rows cannot fit a window of P+Q={span}")
     spans = np.lib.stride_tricks.sliding_window_view(frame.values, span, axis=0)  # [count, N, span]
-    return WindowSet(x=spans[..., :spec.P].copy(), y=spans[..., spec.P:].copy(),
-                     start_indices=tuple(range(len(spans))))
+    return WindowSet(x=spans[..., :spec.P].copy(), y=spans[..., spec.P:].copy())
 
 
 def descriptive_stats(frame: TimeSeriesFrame) -> dict[str, dict[str, float]]:
@@ -417,8 +434,7 @@ def run_pipeline(source, window_spec: WindowSpec, split_spec: SplitSpec = SplitS
         origin = str(source)
 
     stages: list[dict] = [{"stage": "load", "hash": frame_hash(frame)}]
-    for rule in rebase_rules:
-        frame = adjust_rebased_series(frame, rule.column, rule.cutoff, rule.divisor)
+    frame = apply_rebase_rules(frame, rebase_rules)
     stages.append({"stage": "adjust", "hash": frame_hash(frame)})
     frame = log_transform(frame)
     stages.append({"stage": "log", "hash": frame_hash(frame)})

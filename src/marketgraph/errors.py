@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the field-type check of the
-configuration dataclasses."""
+"""Exception types shared across the toolkit, the field-type check of the
+configuration dataclasses, and the depth rules of dilated convolution stacks."""
 from dataclasses import fields
 
 
@@ -45,14 +45,25 @@ _FIELD_TYPES = {
 }
 
 
-def check_depth(window: int, depth: int, config, unit: str) -> None:
+def dilations(depth: int) -> tuple[int, ...]:
+    """The dilation of each of `depth` stacked causal convolutions: 1, 2, 4, ..."""
+    return tuple(2 ** i for i in range(depth))
+
+
+def receptive_field(kernel_size: int, depth: int) -> int:
+    """Input steps that one output step of `dilations(depth)` convolutions of
+    width `kernel_size` reads: 1 + (K - 1) * (1 + 2 + ... + 2**(depth-1))."""
+    return 1 + (kernel_size - 1) * (2 ** depth - 1)
+
+
+def check_depth(window: int, depth: int, kernel_size: int, unit: str) -> None:
     """ConfigError unless `window` steps cover the receptive field of `depth`
-    dilated `unit` (layers, blocks), read from `config.receptive_field`.
+    dilated `unit` (layers, blocks) of width `kernel_size`.
 
     The receptive field is at least 2**depth, so a depth of at least the
     window's bit length is refused before the field is computed.
     """
-    if depth >= window.bit_length() or window < config.receptive_field:
+    if depth >= window.bit_length() or window < receptive_field(kernel_size, depth):
         raise ConfigError(f"input window {window} is shorter than the receptive field "
                           f"of {depth} {unit}; widen the window or drop {unit}")
 

@@ -1,14 +1,13 @@
 """Learned directed adjacency over series, plus out-degree influence analysis."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .autodiff import Tensor, mul, relu, tanh, transpose
-from .data import csv_text
+from .data import read_csv_rows
 from .errors import DataError, DomainError, ShapeError
 
 G7_COUNTRIES = ("Italy", "France", "UK", "Germany", "US", "Canada", "Japan")
@@ -118,18 +117,9 @@ def rank_influence(adj: AdjacencyMatrix, hops: int = 1,
     return sorted(((lbl, by_label[lbl]) for lbl in chosen), key=lambda it: (-it[1], it[0]))
 
 
-def adjacency_csv(adj: AdjacencyMatrix) -> str:
-    """`adj` as the CSV text `read_adjacency_csv` reads back exactly."""
-    rows = ([label, *(repr(float(v)) for v in row)] for label, row in zip(adj.labels, adj.values))
-    return csv_text(["node", *adj.labels], rows)
-
-
 def read_adjacency_csv(path) -> AdjacencyMatrix:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    """The graph in a CSV of the `data.matrix_csv` layout, as `train` writes it."""
+    rows = read_csv_rows(path)
     if not rows or len(rows[0]) < 2:
         raise DataError(f"{path}: expected a header row of node labels")
     labels = tuple(rows[0][1:])

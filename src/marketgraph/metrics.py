@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import TimeSeriesFrame, csv_text
+from .data import TimeSeriesFrame
 from .errors import DataError, DomainError, ShapeError
 
 
@@ -170,14 +170,6 @@ def dtw_matrix(frame: TimeSeriesFrame) -> np.ndarray:
     if first.size:
         out[first, second] = out[second, first] = _dtw_wavefront(z[first], z[second])
     return out
-
-
-def labeled_matrix_csv(labels: Sequence[str], matrix: np.ndarray) -> str:
-    matrix = np.asarray(matrix)
-    if matrix.shape != (len(labels), len(labels)):
-        raise ShapeError(f"matrix shape {matrix.shape} does not match {len(labels)} labels")
-    rows = ([label, *(repr(float(v)) for v in row)] for label, row in zip(labels, matrix))
-    return csv_text(["series", *labels], rows)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .autodiff import (
 )
 from .checkpoint import NeuralModel
 from .data import window_array
-from .errors import ConfigError, ShapeError, check_depth, check_field_types
+from .errors import ConfigError, ShapeError, check_depth, check_field_types, dilations, receptive_field
 from .graph import learn_adjacency
 
 
@@ -65,15 +65,11 @@ class MtgnnConfig:
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if self.k is not None and not 1 <= self.k <= self.num_nodes - 1:
             raise ConfigError(f"k={self.k} out of range for {self.num_nodes} nodes")
-        check_depth(self.input_window, self.num_layers, self, "layers")
-
-    @property
-    def dilations(self) -> tuple[int, ...]:
-        return tuple(2 ** i for i in range(self.num_layers))
+        check_depth(self.input_window, self.num_layers, self.kernel_size, "layers")
 
     @property
     def receptive_field(self) -> int:
-        return 1 + (self.kernel_size - 1) * sum(self.dilations)
+        return receptive_field(self.kernel_size, self.num_layers)
 
     @property
     def sparsity(self) -> int:
@@ -142,7 +138,7 @@ class MtgnnModel(NeuralModel):
 
         self.layers = []
         K = c.kernel_size
-        for i, dil in enumerate(c.dilations):
+        for i, dil in enumerate(dilations(c.num_layers)):
             # One draw per stacked tensor consumes the stream exactly as the
             # separate filter/gate and per-hop draws would.
             layer = {

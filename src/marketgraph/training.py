@@ -18,7 +18,7 @@ from .baselines import (
 from .data import NormStats, PipelineResult, WindowSet, WindowSpec, csv_text, invert_predictions
 from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_depth, check_field_types
 from .graph import AdjacencyMatrix
-from .metrics import MetricsReport, per_series_metrics
+from .metrics import METRIC_FUNCS, MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
 from .optim import Adam
 
@@ -136,9 +136,8 @@ class EvalResult:
 
 
 def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
-             split: str = "test", seed: int | None = None,
-             config: dict | None = None) -> EvalResult:
-    """Rolling one-step-ahead evaluation over a window set.
+             seed: int | None = None, config: dict | None = None) -> EvalResult:
+    """Rolling one-step-ahead evaluation over a test window set.
 
     Metrics are computed on the normalized scale the models are trained on,
     and again on the price scale: the fully inverted traces (exp of the
@@ -161,7 +160,7 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
         series=labels,
         per_series=per_series_metrics(y_true, y_pred, labels),
         config=config or {},
-        split=split,
+        split="test",
         seed=seed,
         price_per_series=per_series_metrics(price_true, price_pred, labels),
     )
@@ -205,7 +204,7 @@ def _build_gru(pipeline, window, spec, rng):
 
 def _build_tcn(pipeline, window, spec, rng):
     config = TcnConfig(channels=spec.tcn_channels, num_blocks=spec.tcn_blocks, horizon=window.Q)
-    check_depth(window.P, config.num_blocks, config, "blocks")
+    check_depth(window.P, config.num_blocks, config.kernel_size, "blocks")
     result = _train_new(TcnModel, config, pipeline, spec, rng)
     return result.model, result, {"channels": spec.tcn_channels, "blocks": spec.tcn_blocks}
 
@@ -286,7 +285,6 @@ class ComparisonResult:
     def render_markdown(self) -> str:
         """Table per series of the price-scale metrics; best value bold,
         second-best italic."""
-        metric_names = ("rse", "rmse", "mae", "mape")
         lines = ["Test metrics on the price scale (exp of the de-normalized forecasts), where the "
                  "models are ranked; the normalized-scale metrics are in comparison.json. "
                  "Best value per metric in **bold**, second best in *italics*.", ""]
@@ -297,7 +295,7 @@ class ComparisonResult:
             lines.append("|---|---|---|---|---|")
             for name in model_names:
                 cells = []
-                for metric in metric_names:
+                for metric in METRIC_FUNCS:
                     value = self.reports[name].price_per_series[series][metric]
                     text = f"{100.0 * value:.1f}%" if metric == "mape" else f"{value:.3f}"
                     flag = self.price_flags[series][metric]
@@ -319,7 +317,7 @@ def _rank_flags(series: tuple[str, ...], tables: dict[str, dict[str, dict[str, f
     flags: dict[str, dict[str, dict]] = {}
     for s in series:
         flags[s] = {}
-        for metric in ("rse", "rmse", "mae", "mape"):
+        for metric in METRIC_FUNCS:
             ranked = sorted(tables, key=lambda name: (tables[name][s][metric], name))
             flags[s][metric] = {"best": ranked[0] if ranked else None,
                                 "second": ranked[1] if len(ranked) > 1 else None}

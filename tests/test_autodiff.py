@@ -131,16 +131,6 @@ def test_grad_does_not_leak_without_requires_grad():
     np.testing.assert_allclose(y.grad, x.data)
 
 
-def test_zero_grad_clears_the_gradient():
-    x = Tensor([1.0], requires_grad=True)
-    with Tape() as tape:
-        loss = sum_(x)
-    tape.backward(loss)
-    assert x.grad is not None
-    x.zero_grad()
-    assert x.grad is None
-
-
 # -- hand-computed derivatives ----------------------------------------------------
 
 def test_matmul_gradients_match_hand_formula():

@@ -15,7 +15,7 @@ from conftest import build_frame, write_frame_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketgraph import ConfigError
+from marketgraph import ConfigError, MtgnnConfig, MtgnnModel, Rng
 from marketgraph.cli import RunConfig, main, parse_run_config
 from marketgraph.synthetic import coupled_var_system
 
@@ -745,6 +745,52 @@ def test_unusable_path_exits_2(tmp_path, capsys, argv):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "internal error" not in err
+
+
+def oversized_cell(path):
+    # one cell past the csv module's default field limit of 131,072 characters
+    path.write_text("date,us\n2020-01-02," + "1" * 131_073 + "\n", encoding="utf-8")
+    return str(path)
+
+
+def deeply_nested(path):
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    return str(path)
+
+
+def untrained_checkpoint(d):
+    """An untrained MTGNN checkpoint with the metadata `forecast` reads."""
+    config = MtgnnConfig(num_nodes=3, input_window=8, **TINY_MODEL)
+    path = d / "checkpoint.json"
+    MtgnnModel(config, Rng(0)).save(path, extra={
+        "labels": ["us", "uk", "jp"], "window": {"P": 8, "Q": 1},
+        "norm_stats": {"columns": ["us", "uk", "jp"], "mean": [0.0] * 3, "std": [1.0] * 3}})
+    return str(path)
+
+
+# Each builds, inside directory d, the argv of a command given an input its
+# reader refuses outright, always named bad.csv or bad.json.
+UNREADABLE_INPUTS = {
+    "analyze_csv_oversized_cell": lambda d: [
+        "analyze", oversized_cell(d / "bad.csv"), "--out", str(d / "o")],
+    "influence_adjacency_oversized_cell": lambda d: ["influence", oversized_cell(d / "bad.csv")],
+    "forecast_csv_oversized_cell": lambda d: [
+        "forecast", "--checkpoint", untrained_checkpoint(d), "--csv", oversized_cell(d / "bad.csv"),
+        "--out", str(d / "o")],
+    "train_config_deeply_nested": lambda d: [
+        "train", "--config", deeply_nested(d / "bad.json"), "--out", str(d / "o")],
+    "forecast_checkpoint_deeply_nested": lambda d: [
+        "forecast", "--checkpoint", deeply_nested(d / "bad.json"), "--csv", prices(d),
+        "--out", str(d / "o")],
+}
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS.keys())
+def test_an_unreadable_input_exits_2_naming_it_and_leaves_no_out_dir(tmp_path, capsys, argv):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "bad.") in err
+    assert not (tmp_path / "o").exists()
 
 
 # -- argparse boundary ----------------------------------------------------------------

@@ -1,8 +1,12 @@
 """CSV loading, rebasing, transforms, splitting, normalization, windowing."""
 import datetime
+import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from marketgraph import (
     DataError, DomainError, ShapeError, TimeSeriesFrame, WindowSpec, load_csv,
@@ -13,6 +17,7 @@ from marketgraph.data import (
     compute_norm_stats, denormalize_values, descriptive_stats, frame_hash,
     invert_predictions, log_transform, make_windows, normalize,
 )
+from marketgraph.graph import read_adjacency_csv
 from conftest import build_frame, write_frame_csv
 
 D = datetime.date
@@ -81,6 +86,89 @@ def test_load_bad_number_names_location(tmp_path):
     path.write_text("date,x\n2020-01-01,1\n2020-01-02,oops\n", encoding="utf-8")
     with pytest.raises(DataError, match="oops"):
         load_csv(path)
+
+
+# Line 3 of "date,x,y", between two good rows, and what loading makes of it: a
+# DataError matching the pattern, or the (rows kept, rows dropped) counts. A
+# wrong cell count comes first, then dropping a row with a blank value cell,
+# then the date, then the first bad number, named.
+PRECEDENCE = {
+    "cell_count_before_a_blank_drop": ("2020-01-03,", "line 3 has 2 cells, expected 3"),
+    "cell_count_before_the_date": ("someday,1,2,3", "line 3 has 4 cells, expected 3"),
+    "blank_drop_before_the_date": ("someday,,20", (2, 1)),
+    "blank_drop_before_a_bad_number": ("2020-01-03,oops,", (2, 1)),
+    "blank_drop_after_a_bad_number": ("2020-01-03,,oops", (2, 1)),
+    "whitespace_is_blank": ("2020-01-03, ,20", (2, 1)),
+    "an_all_blank_row_is_skipped_uncounted": (" ,,", (2, 0)),
+    "date_before_a_bad_number": ("someday,oops,20", "line 3: unparseable date 'someday'"),
+    "first_bad_number_named": ("2020-01-03,1,oops", "line 3: unparseable number 'oops'"),
+    "first_of_two_bad_numbers_named": ("2020-01-03,bad1,bad2", "unparseable number 'bad1'"),
+    "a_good_row_is_kept": ("2020-01-03, 3 ,+3e1", (3, 0)),
+}
+
+
+@pytest.mark.parametrize("row,expected", PRECEDENCE.values(), ids=PRECEDENCE.keys())
+def test_csv_parse_precedence(tmp_path, caplog, row, expected):
+    path = tmp_path / "d.csv"
+    path.write_text(f"date,x,y\n2020-01-01,1,10\n{row}\n2020-01-05,5,50\n", encoding="utf-8")
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + re.escape(expected)):
+            load_csv(path)
+        return
+    with caplog.at_level(logging.INFO, logger="marketgraph.data"):
+        frame = load_csv(path)
+    kept, dropped = expected
+    assert frame.num_rows == kept
+    assert [r.getMessage() for r in caplog.records] == (
+        [f"{path}: dropped {dropped} row(s) with missing cells"] if dropped else [])
+
+
+def mostly(usual, unusual):
+    """`usual` nine draws in ten, else `unusual`, so that some documents load."""
+    return st.sampled_from([usual] * 9 + [unusual]).flatmap(lambda strategy: strategy)
+
+
+FIRST_CELLS = mostly(st.dates(D(2020, 1, 1), D(2020, 12, 31)).map(D.isoformat),
+                     st.sampled_from(["2020-13-01", "2020-02-30", "01/02/2020", "", " ", "a", "b"]))
+VALUE_CELLS = mostly(st.floats(0.01, 1e6).map(repr) | st.integers(1, 10**6).map(str),
+                     st.sampled_from(["1_0", "nan", "inf", "-1", "0", "", " ", "x", "1.2.3", "--1"])
+                     | st.floats().map(repr) | st.text(max_size=3))
+
+
+@st.composite
+def csv_documents(draw):
+    """UTF-8 CSV text laid out as a price panel or as an adjacency matrix,
+    often malformed."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", ""]), max_size=3, unique=True))
+    if draw(st.booleans()):
+        corner, firsts = "date", draw(st.lists(FIRST_CELLS, max_size=6))
+    else:
+        corner, firsts = "node", draw(mostly(st.just(names), st.permutations(names)))
+    lines = [",".join([draw(mostly(st.just(corner), st.sampled_from(["Date", "day", ""]))), *names])]
+    for i, first in enumerate(firsts):
+        width = draw(mostly(st.just(len(names)), st.sampled_from([len(names) - 1, len(names) + 1])))
+        # an adjacency matrix has a zero diagonal
+        cells = [draw(mostly(st.just("0"), VALUE_CELLS) if corner == "node" and j == i else VALUE_CELLS)
+                 for j in range(max(width, 0))]
+        lines.append(",".join([first, *cells]))
+    return ("\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=csv_documents())
+@example(document=b"date,x\n2020-01-01,1\n2020-01-02,\xff\n")
+@example(document=b"date,x\n2020-01-01,1\n2020-01-02," + b"1" * 131_073 + b"\n")
+@example(document=b"node,a,b\na,0," + b"1" * 131_073 + b"\nb,0.5,0\n")
+@example(document=b"node,a,b\na,0,1\nb,0.5,0\n")
+@example(document=b"date,x\n2020-01-01,1\n2020-01-02,2\n")
+def test_any_csv_text_reads_as_a_table_or_raises_data_error(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(document)
+    for read in (load_csv, read_adjacency_csv):
+        try:
+            read(path)
+        except DataError:
+            pass
 
 
 # -- rebasing ----------------------------------------------------------------------
@@ -220,7 +308,7 @@ def test_window_shapes():
     # every series of every window, against one slice per start row
     np.testing.assert_array_equal(ws.x, np.stack([frame.values[s:s + 5].T for s in range(15)]))
     np.testing.assert_array_equal(ws.y, np.stack([frame.values[s + 5:s + 6].T for s in range(15)]))
-    assert ws.start_indices == tuple(range(15))
+    assert len(ws) == 15
 
 
 def test_window_insufficient_rows():

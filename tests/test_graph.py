@@ -10,9 +10,9 @@ from marketgraph import (
     TrainConfig, WindowSpec, out_degree, rank_influence, train,
 )
 from marketgraph.autodiff import sum_
-from marketgraph.data import make_windows
+from marketgraph.data import make_windows, matrix_csv
 from marketgraph.graph import (
-    AdjacencyMatrix, G7_COUNTRIES, MINT_COUNTRIES, adjacency_csv, learn_adjacency,
+    AdjacencyMatrix, G7_COUNTRIES, MINT_COUNTRIES, learn_adjacency,
     read_adjacency_csv, top_k_row_mask,
 )
 
@@ -243,7 +243,8 @@ def test_unknown_label_rejected(fixture_adj):
 
 def test_csv_round_trip(tmp_path, fixture_adj):
     path = tmp_path / "adj.csv"
-    path.write_text(adjacency_csv(fixture_adj), encoding="utf-8", newline="")
+    text = matrix_csv("node", fixture_adj.labels, fixture_adj.values)
+    path.write_text(text, encoding="utf-8", newline="")
     back = read_adjacency_csv(path)
     assert back.labels == fixture_adj.labels
     np.testing.assert_array_equal(back.values, fixture_adj.values)

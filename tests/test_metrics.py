@@ -8,9 +8,8 @@ from marketgraph import (
     DataError, DomainError, ShapeError, dtw_distance, dtw_matrix, mae, mape, rmse, rse,
     spearman, spearman_matrix,
 )
-from marketgraph.metrics import (
-    MetricsReport, average_ranks, labeled_matrix_csv, per_series_metrics,
-)
+from marketgraph.data import matrix_csv
+from marketgraph.metrics import MetricsReport, average_ranks, per_series_metrics
 from conftest import build_frame
 
 T = 1e-12
@@ -285,7 +284,7 @@ def test_dtw_matrix_zscored_symmetric():
     scaled[:, 1] *= 50.0
     m2 = dtw_matrix(build_frame(scaled))
     np.testing.assert_allclose(m, m2, atol=1e-9)
-    header = labeled_matrix_csv(frame.columns, m).splitlines()[0]
+    header = matrix_csv("series", frame.columns, m).splitlines()[0]
     assert header == "series," + ",".join(frame.columns)
 
 

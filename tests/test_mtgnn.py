@@ -28,7 +28,7 @@ def tiny_config(**overrides) -> MtgnnConfig:
 def test_default_architecture_numbers():
     cfg = MtgnnConfig(num_nodes=11)
     assert cfg.num_layers == 3
-    assert cfg.dilations == (1, 2, 4)
+    assert [layer["dilation"] for layer in MtgnnModel(cfg, Rng(0)).layers] == [1, 2, 4]
     assert cfg.receptive_field == 8
     assert cfg.kernel_size == 2
     assert cfg.input_window == 30

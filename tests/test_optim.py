@@ -6,9 +6,11 @@ from conftest import build_frame
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketgraph import Adam, DomainError, ShapeError, Tape, Tensor, WindowSpec, train
+from marketgraph import (
+    Adam, DomainError, ShapeError, Tape, Tensor, WindowSpec, grad_check_params, train,
+)
 from marketgraph import baselines, training
-from marketgraph.autodiff import Rng, mul, sum_
+from marketgraph.autodiff import Rng, abs_, mean, mul, sum_
 from marketgraph.baselines import GruConfig, GruModel, MlpSpec, TcnConfig, TcnModel, fit_var_mlp
 from marketgraph.data import make_windows
 from marketgraph.mtgnn import MtgnnConfig, MtgnnModel
@@ -107,6 +109,34 @@ def test_parameters_are_views_of_the_one_vector():
     np.testing.assert_array_equal(opt.grad, [0, 0, 0, 0, 0, 0, 3])
     opt.data[...] = 1.0
     np.testing.assert_array_equal(p.data, np.ones((2, 3)))
+
+
+def test_a_gradient_check_between_steps_keeps_parameters_bound_to_the_optimizer():
+    # grad_check_params zeroes each gradient in place, so a check between two
+    # steps neither detaches a parameter nor stops training.
+    model = TcnModel(TcnConfig(channels=2, num_blocks=1), Rng(3))
+    gen = np.random.default_rng(4)
+    x, y = gen.normal(size=(3, 2, 4)), gen.normal(size=(3, 2, 1))
+    params = model.parameters()
+    opt = Adam(params, lr=0.01)
+
+    def loss_fn():
+        return mean(abs_(model.forward_batch(x) - Tensor(y)))
+
+    def step():
+        opt.zero_grad()
+        with Tape() as tape:
+            loss = loss_fn()
+        tape.backward(loss)
+        opt.step()
+
+    step()
+    assert grad_check_params(loss_fn, params) <= 1e-6
+    before = opt.data.copy()
+    step()
+    assert not np.array_equal(opt.data, before)
+    for p in params:
+        assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
 
 
 def test_wrapper_missing_grad_is_noop_direction():
@@ -236,7 +266,7 @@ def _fit_every_kind():
               MtgnnModel(MtgnnConfig(num_nodes=3, num_layers=2, conv_channels=4, residual_channels=4,
                                      skip_channels=4, embedding_dim=4, input_window=8), Rng(3))]
     histories = [train(model, windows, windows, config).history for model in models]
-    models.append(fit_var_mlp(values, 2, MlpSpec(hidden=5, epochs=3, batch_size=8), Rng(6)))
+    models.append(fit_var_mlp(values, 2, MlpSpec(hidden=5, epochs=3), Rng(6)))
     return [model.state_dict() for model in models], histories
 
 

@@ -1,12 +1,17 @@
 """Training loop, evaluation wiring, and the model comparison driver."""
 import csv
 import io
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import build_frame
 
+import marketgraph
 from marketgraph import (
     ConfigError, DataError, GruModel, MtgnnConfig, Rng, TcnModel, TrainConfig,
     TrainingDiverged, WindowSpec, evaluate, mae, mape, rmse, rse, run_comparison,
@@ -63,7 +68,7 @@ def test_train_config_rates_must_be_finite(field, value):
     (GruConfig, "hidden_size", 8.0), (TcnConfig, "channels", "16"),
     (TcnConfig, "kernel_size", True), (TrainConfig, "epochs", 1.5),
     (TrainConfig, "learning_rate", "0.01"), (TrainConfig, "loss", 1),
-    (TrainConfig, "seed", None), (MlpSpec, "learning_rate", True),
+    (TrainConfig, "seed", None), (MlpSpec, "epochs", True),
 ])
 def test_config_fields_must_hold_their_declared_type(cls, field, value):
     required = {MtgnnConfig: {"num_nodes": 3}, GruConfig: {"num_series": 2}}.get(cls, {})
@@ -109,6 +114,36 @@ def test_training_is_deterministic_under_fixed_seed():
     for k in runs[0].model.state_dict():
         np.testing.assert_array_equal(runs[0].model.state_dict()[k],
                                       runs[1].model.state_dict()[k])
+
+
+# Trains a tiny MTGNN for two epochs and prints every weight's bytes as hex.
+_TRAIN_CHILD = """
+import sys
+import numpy as np
+from marketgraph import MtgnnConfig, MtgnnModel, Rng, TrainConfig, WindowSpec, train
+from marketgraph.data import make_windows
+from marketgraph.synthetic import coupled_var_system
+frame = coupled_var_system(num_nodes=4, steps=120, seed=3).frame
+windows = make_windows(frame, WindowSpec(P=8, Q=1))
+config = MtgnnConfig(num_nodes=4, num_layers=2, conv_channels=4, residual_channels=4,
+                     skip_channels=4, embedding_dim=4, input_window=8, k=2)
+model = MtgnnModel(config, Rng(5))
+train(model, windows, windows, TrainConfig(epochs=2, batch_size=8, seed=5), rng=Rng(6))
+sys.stdout.write(np.concatenate([p.data.ravel() for p in model.parameters()]).tobytes().hex())
+"""
+
+
+def test_training_is_bit_identical_across_blas_thread_counts():
+    # The variable is set only in the children: OpenBLAS reads it once, at load.
+    src = str(Path(marketgraph.__file__).resolve().parent.parent)
+    weights = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", _TRAIN_CHILD], env=env, capture_output=True,
+                               text=True, timeout=300, check=True)
+        weights.append(child.stdout)
+    assert weights[0] and weights[0] == weights[1]
 
 
 def test_returned_weights_are_the_best_validation_epoch():
@@ -158,8 +193,7 @@ def test_divergence_aborts_with_epoch():
 
 def test_empty_window_sets_rejected():
     windows = small_windows()
-    empty = WindowSet(x=np.zeros((0, 2, 8)), y=np.zeros((0, 2, 1)),
-                      start_indices=np.zeros(0, dtype=np.int64))
+    empty = WindowSet(x=np.zeros((0, 2, 8)), y=np.zeros((0, 2, 1)))
     with pytest.raises(DataError):
         train(fresh_model(), empty, windows, TrainConfig(epochs=1))
     with pytest.raises(DataError):
@@ -193,10 +227,9 @@ class _FixedModel:
 def test_evaluate_matches_hand_metrics():
     x = GEN.normal(size=(6, 2, 4))
     y = np.stack([np.linspace(1, 6, 6), np.linspace(2, 12, 6)], axis=1)[:, :, None]
-    windows = WindowSet(x=x, y=y, start_indices=np.arange(6, dtype=np.int64))
+    windows = WindowSet(x=x, y=y)
     stats = NormStats(mean=np.zeros(2), std=np.ones(2), columns=("a", "b"))
-    result = evaluate(_FixedModel(offset=3.0), windows, stats, ("a", "b"),
-                      split="test", seed=0)
+    result = evaluate(_FixedModel(offset=3.0), windows, stats, ("a", "b"), seed=0)
     for j, label in enumerate(("a", "b")):
         truth = y[:, j, 0]
         pred = np.full(6, 3.0)
@@ -220,8 +253,7 @@ def test_evaluate_matches_hand_metrics():
 
 def test_evaluate_rejects_empty_and_mismatched():
     stats = NormStats(mean=np.zeros(2), std=np.ones(2), columns=("a", "b"))
-    empty = WindowSet(x=np.zeros((0, 2, 4)), y=np.zeros((0, 2, 1)),
-                      start_indices=np.zeros(0, dtype=np.int64))
+    empty = WindowSet(x=np.zeros((0, 2, 4)), y=np.zeros((0, 2, 1)))
     with pytest.raises(DataError):
         evaluate(_FixedModel(1.0), empty, stats, ("a", "b"))
 
@@ -230,22 +262,20 @@ def test_evaluate_rejects_empty_and_mismatched():
             return np.zeros((len(x), 1, 1))
 
     windows = WindowSet(x=GEN.normal(size=(4, 2, 4)),
-                        y=GEN.normal(size=(4, 2, 1)),
-                        start_indices=np.arange(4, dtype=np.int64))
+                        y=GEN.normal(size=(4, 2, 1)))
     with pytest.raises(DataError):
         evaluate(WrongShape(), windows, stats, ("a", "b"))
 
 
 def test_evaluate_report_metadata():
     windows = WindowSet(x=GEN.normal(size=(4, 2, 4)),
-                        y=GEN.normal(size=(4, 2, 1)) + 5.0,
-                        start_indices=np.arange(4, dtype=np.int64))
+                        y=GEN.normal(size=(4, 2, 1)) + 5.0)
     stats = NormStats(mean=np.zeros(2), std=np.ones(2), columns=("a", "b"))
-    result = evaluate(_FixedModel(5.0), windows, stats, split="validation", seed=42,
+    result = evaluate(_FixedModel(5.0), windows, stats, seed=42,
                       config={"offset": 5.0})
     assert isinstance(result.report, MetricsReport)
     assert result.report.model_kind == "stub"
-    assert result.report.split == "validation"
+    assert result.report.split == "test"
     assert result.report.seed == 42
     assert result.report.series == ("a", "b")  # labels default to stats columns
 

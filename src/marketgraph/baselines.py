@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    Rng, Tensor, add_bias, causal_conv1d, channel_linear, gru_sequence, last_step,
-    permute, relu, sigmoid, stack_last, tanh,
+    Rng, Tensor, add_bias, causal_conv1d, channel_linear, gru_sequence, last_step, permute, relu,
+    reshape, stack_last,
 )
 from .checkpoint import Model, NeuralModel
 from .data import require_finite, window_array
@@ -181,12 +181,10 @@ class VarMlpModel(Model):
         p, n, h = config.order, config.num_series, config.hidden
         self.intercept = self.register("var.intercept", Tensor(np.zeros(n)))
         self.coef = self.register("var.coef", Tensor(np.zeros((p, n, n))))
-        init = rng.split()
-        self.w1 = self.register("mlp.w1", Tensor(init.normal((n * p, h), 1.0 / np.sqrt(n * p)),
-                                                 requires_grad=True))
-        self.b1 = self.register("mlp.b1", Tensor(np.zeros(h), requires_grad=True))
+        self.w1 = self.weight(rng.split(), "mlp.w1", (n * p, h), n * p)
+        self.b1 = self.bias("mlp.b1", h)
         self.w2 = self.register("mlp.w2", Tensor(np.zeros((h, n)), requires_grad=True))
-        self.b2 = self.register("mlp.b2", Tensor(np.zeros(n), requires_grad=True))
+        self.b2 = self.bias("mlp.b2", n)
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
         order = self.config.order
@@ -244,19 +242,6 @@ def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
 
 # -- gated recurrent unit ------------------------------------------------------
 
-def gru_cell(x: Tensor, h: Tensor, cell: dict[str, Tensor]) -> Tensor:
-    """One recurrence step: h' = (1-z) * h + z * tanh-candidate.
-
-    `cell` holds `gru_sequence`'s nine tensors under its argument names.
-    """
-    if x.ndim != 2 or h.ndim != 2 or x.shape[0] != h.shape[0]:
-        raise ShapeError(f"expected [batch, in] and [batch, hidden], got {x.shape} and {h.shape}")
-    z = sigmoid(add_bias(x @ cell["w_z"] + h @ cell["u_z"], cell["b_z"], 1))
-    r = sigmoid(add_bias(x @ cell["w_r"] + h @ cell["u_r"], cell["b_r"], 1))
-    cand = tanh(add_bias(x @ cell["w_h"] + (r * h) @ cell["u_h"], cell["b_h"], 1))
-    return (1.0 - z) * h + z * cand
-
-
 @dataclass(frozen=True)
 class GruConfig:
     num_series: int
@@ -291,16 +276,19 @@ class GruModel(NeuralModel):
                       collect: list | None = None) -> Tensor:
         """[B, N, P] -> [B, N, Q]; collects the [B, hidden, P] hidden states.
 
-        The P input steps run as one `gru_sequence` op; a forecast of more
-        than one step feeds each prediction back through `gru_cell`.
+        The P input steps run as one `gru_sequence` op from a zero state; a
+        forecast of more than one step continues it from the last state, one
+        step per prediction fed back.
         """
-        states = gru_sequence(Tensor(window_array(x, self.config.num_series)), **self.cell)
+        x = window_array(x, self.config.num_series)
+        B, N = x.shape[:2]
+        states = gru_sequence(Tensor(x), Tensor(np.zeros((B, self.config.hidden_size))), **self.cell)
         if collect is not None:
             collect.append(states)
         h = last_step(states)
         preds = [add_bias(h @ self.read_w, self.read_b, 1)]
         for _ in range(1, self.config.horizon):
-            h = gru_cell(preds[-1], h, self.cell)
+            h = last_step(gru_sequence(reshape(preds[-1], (B, N, 1)), h, **self.cell))
             preds.append(add_bias(h @ self.read_w, self.read_b, 1))
         return stack_last(preds)
 

@@ -109,6 +109,14 @@ class Model:
         self._params[name] = t
         return t
 
+    def weight(self, init: Rng, name: str, shape, fan_in: int) -> Tensor:
+        """A N(0, 1/fan_in) draw from `init`, registered under `name`."""
+        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)),
+                                          requires_grad=True))
+
+    def bias(self, name: str, width: int) -> Tensor:
+        return self.register(name, Tensor(np.zeros(width), requires_grad=True))
+
     def parameters(self) -> list[Tensor]:
         return list(self._params.values())
 
@@ -145,8 +153,7 @@ class Model:
 
 
 class NeuralModel(Model):
-    """The gradient-trained models: seeded weight draws, chunked prediction
-    and per-layer features.
+    """The gradient-trained models: chunked prediction and per-layer features.
 
     A subclass also sets `predict_chunk` and a `horizon` field in its config,
     and defines `forward_batch(x, rng=None, collect=None)`: an `rng` means
@@ -154,14 +161,6 @@ class NeuralModel(Model):
     """
 
     predict_chunk = 256
-
-    def weight(self, init: Rng, name: str, shape, fan_in: int) -> Tensor:
-        """A N(0, 1/fan_in) draw from `init`, registered under `name`."""
-        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)),
-                                          requires_grad=True))
-
-    def bias(self, name: str, width: int) -> Tensor:
-        return self.register(name, Tensor(np.zeros(width), requires_grad=True))
 
     def predict_windows(self, x: np.ndarray, horizon: int | None = None) -> np.ndarray:
         """Eval-mode predictions for stacked windows [B, N, P] -> [B, N, Q],

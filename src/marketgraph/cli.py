@@ -271,8 +271,8 @@ def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[Rebase
     """The normalization, window and rebasing that `train` stores in a
     checkpoint; any problem with them is a DataError naming the checkpoint."""
     try:
-        if not isinstance(extra, dict) or not {"labels", "norm_stats", "window"} <= set(extra):
-            raise ConfigError("needs labels, norm_stats and window; re-train with the current tooling")
+        if not isinstance(extra, dict) or not {"norm_stats", "window"} <= set(extra):
+            raise ConfigError("needs norm_stats and window; re-train with the current tooling")
         for where, cls in (("norm_stats", NormStats), ("window", WindowSpec)):
             keys = {f.name for f in fields(cls)}
             if set(_section(where, extra[where], cls)) != keys:

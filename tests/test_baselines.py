@@ -8,10 +8,10 @@ from marketgraph import (
     ConfigError, DataError, DomainError, GruModel, MtgnnConfig, MtgnnModel, PersistenceModel, Rng,
     ShapeError, Tape, TcnModel, Tensor, fit_ar_ensemble, fit_var_mlp, grad_check_params,
 )
-from marketgraph.autodiff import abs_, add_bias, mean, tanh
+from marketgraph.autodiff import abs_, add_bias, gru_sequence, last_step, mean, tanh
 from marketgraph.baselines import (
     ArConfig, ArEnsemble, GruConfig, MlpSpec, TcnConfig, VarMlpModel, _mlp_l1_grads,
-    fit_ar, fit_var, gru_cell,
+    fit_ar, fit_var,
 )
 
 GEN = np.random.default_rng(44)
@@ -298,40 +298,36 @@ def zero_gru_params(inp, hid):
                 w_h=zt(inp, hid), u_h=zt(hid, hid), b_h=zt(hid))
 
 
-def test_gru_cell_all_zero_params_halves_state():
+def test_gru_all_zero_params_halve_the_initial_state():
     # z = sigmoid(0) = 0.5 and the candidate is tanh(0) = 0, so h' = 0.5 h
     params = zero_gru_params(2, 3)
-    h = Tensor(GEN.normal(size=(4, 3)))
-    x = Tensor(GEN.normal(size=(4, 2)))
-    out = gru_cell(x, h, params)
-    np.testing.assert_allclose(out.data, 0.5 * h.data, atol=1e-12)
+    h0 = Tensor(GEN.normal(size=(4, 3)))
+    x = Tensor(GEN.normal(size=(4, 2, 1)))
+    out = gru_sequence(x, h0, **params)
+    np.testing.assert_allclose(out.data[:, :, 0], 0.5 * h0.data, atol=1e-12)
 
 
-def test_gru_cell_state_envelope():
+def test_gru_state_envelope():
     # each new state coordinate lies between the previous state and the
     # candidate, both bounded by 1 in magnitude after enough steps
     params = zero_gru_params(1, 2)
     for p in list(params.values()):
         p.data = GEN.normal(size=p.data.shape) * 0.5
-    h = Tensor(np.zeros((1, 2)))
-    for t in range(30):
-        h = gru_cell(Tensor(GEN.normal(size=(1, 1))), h, params)
-    assert np.all(np.abs(h.data) <= 1.0)
+    states = gru_sequence(Tensor(GEN.normal(size=(1, 1, 30))), Tensor(np.zeros((1, 2))), **params)
+    assert np.all(np.abs(states.data) <= 1.0)
 
 
 def test_gru_three_step_gradients():
     params = zero_gru_params(2, 3)
     for p in list(params.values()):
         p.data = GEN.normal(size=p.data.shape) * 0.4
-    xs = [Tensor(GEN.normal(size=(2, 2))) for _ in range(3)]
+    x = Tensor(GEN.normal(size=(2, 2, 3)))
+    h0 = Tensor(np.tanh(GEN.normal(size=(2, 3))), requires_grad=True)
 
     def loss_fn():
-        h = Tensor(np.zeros((2, 3)))
-        for x in xs:
-            h = gru_cell(x, h, params)
-        return mean(abs_(h))
+        return mean(abs_(last_step(gru_sequence(x, h0, **params))))
 
-    err = grad_check_params(loss_fn, list(params.values()), eps=1e-5)
+    err = grad_check_params(loss_fn, [h0, *params.values()], eps=1e-5)
     assert err <= 1e-4, f"worst relative gradient error {err:.2e}"
 
 

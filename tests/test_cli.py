@@ -683,6 +683,21 @@ def test_forecast_actuals_match_source_prices(trained_run, tmp_path, capsys):
             np.testing.assert_allclose(actual, source[row[0]], rtol=1e-9)
 
 
+def test_forecast_does_not_need_the_checkpoint_labels(trained_run, tmp_path, capsys):
+    # The series names come from the CSV header; `train` still records them.
+    csv_path, checkpoint = trained_run
+    argv = ["forecast", "--csv", str(csv_path), "--steps", "5"]
+    assert main([*argv, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "a")]) == 0
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    del doc["extra"]["labels"]
+    unlabelled = tmp_path / "unlabelled.json"
+    unlabelled.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([*argv, "--checkpoint", str(unlabelled), "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "b" / "forecast.csv").read_bytes()
+            == (tmp_path / "a" / "forecast.csv").read_bytes())
+
+
 MALFORMED_METADATA = {
     "window_without_P": lambda extra: extra["window"].pop("P"),
     "str_P": lambda extra: extra["window"].update(P="3"),

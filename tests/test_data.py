@@ -387,6 +387,55 @@ def test_pipeline_windows_never_cross_split_boundaries(small_prices):
     np.testing.assert_array_equal(clean.train_windows.y, dirty.train_windows.y)
 
 
+@st.composite
+def split_panels(draw):
+    """(prices [n, N], SplitSpec, WindowSpec) with every split long enough for a window."""
+    P, Q, N = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    train = draw(st.floats(0.05, 0.85))
+    validation = draw(st.floats(0.05, 0.95 - train))
+    split = SplitSpec(train, validation, 1.0 - train - validation)
+    # floor(f * n) >= P + Q for every fraction f, with a row to spare
+    low = int(np.ceil((P + Q) / min(split.train, split.validation, split.test))) + 1
+    n = draw(st.integers(low, low + 40))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    prices = 100.0 * np.exp(np.cumsum(gen.normal(0.0, 0.02, size=(n, N)), axis=0))
+    return prices, split, WindowSpec(P=P, Q=Q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_panels())
+def test_leakage_invariants_under_random_split_fractions(case):
+    prices, split, window = case
+    n = len(prices)
+    result = run_pipeline(build_frame(prices), window, split)
+    logs = np.log(prices)
+    n_train, n_val = int(np.floor(split.train * n)), int(np.floor(split.validation * n))
+
+    # the statistics are those of the training rows, to the bit
+    np.testing.assert_array_equal(result.stats.mean, logs[:n_train].mean(axis=0))
+    np.testing.assert_array_equal(result.stats.std, logs[:n_train].std(axis=0))
+
+    # every split's windows slide over its own normalized rows and no others
+    z = (logs - result.stats.mean) / result.stats.std
+    bounds = (0, n_train, n_train + n_val, n)
+    splits = (result.train_windows, result.validation_windows, result.test_windows)
+    for windows, lo, hi in zip(splits, bounds, bounds[1:]):
+        starts = range(lo, hi - window.P - window.Q + 1)
+        assert len(windows) == len(starts) == hi - lo - window.P - window.Q + 1
+        np.testing.assert_array_equal(windows.x, np.stack([z[s:s + window.P].T for s in starts]))
+        np.testing.assert_array_equal(
+            windows.y, np.stack([z[s + window.P:s + window.P + window.Q].T for s in starts]))
+
+    # new validation and test prices leave everything training sees as it was
+    rewritten = prices.copy()
+    rewritten[n_train:] = np.random.default_rng(n).uniform(1.0, 1e4, size=rewritten[n_train:].shape)
+    other = run_pipeline(build_frame(rewritten), window, split)
+    for a, b in [(result.stats.mean, other.stats.mean), (result.stats.std, other.stats.std),
+                 (result.train_windows.x, other.train_windows.x),
+                 (result.train_windows.y, other.train_windows.y)]:
+        assert a.tobytes() == b.tobytes()
+
+
 def test_pipeline_stage_order_and_report(small_prices, tmp_path):
     result = run_pipeline(small_prices, WindowSpec(P=8, Q=1))
     stages = [s["stage"] for s in result.report["stages"]]

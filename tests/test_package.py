@@ -171,3 +171,35 @@ def test_only_the_tape_and_the_optimizer_rebind_gradients():
     assert sorted(rebinders) == [
         "autodiff.py:Tape.backward", "autodiff.py:Tensor.__init__", "autodiff.py:Tensor._from_op",
         "optim.py:Adam.__init__"]
+
+
+# The op functions that Tensor's operators call.
+OPERATOR_OPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.MatMult: "matmul",
+                ast.USub: "neg"}
+
+
+def _called(node) -> set[str]:
+    """Names of the functions called in `node`, operators included."""
+    nodes = list(ast.walk(node))
+    return ({n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            | {OPERATOR_OPS[type(n.op)] for n in nodes
+               if isinstance(n, (ast.BinOp, ast.UnaryOp)) and type(n.op) in OPERATOR_OPS})
+
+
+def _dict_assigned(path: Path, name: str) -> ast.Dict:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(n.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+                and [getattr(t, "id", None) for t in n.targets] == [name])
+
+
+def test_every_op_that_records_on_the_tape_has_a_gradient_check():
+    # Criterion 3's table checks ops at fixed shapes, and the GRAD_CASES of
+    # test_grad_properties over random ones; every op is in one or both.
+    source = Path(marketgraph.__file__).with_name("autodiff.py").read_text(encoding="utf-8")
+    recording = {fn.name for fn in ast.parse(source).body
+                 if isinstance(fn, ast.FunctionDef) and "_record" in _called(fn)}
+    tests = Path(__file__).parent
+    fixed = _called(_dict_assigned(tests / "test_acceptance.py", "checks"))
+    drawn = {key.value for key in _dict_assigned(tests / "test_grad_properties.py", "GRAD_CASES").keys}
+    assert len(recording) > 20
+    assert sorted(recording - fixed - drawn) == []

@@ -15,20 +15,13 @@ import numpy as np
 
 from .errors import DataError, DomainError, ShapeError, TapeError
 
-_state = threading.local()
+
+class _Tapes(threading.local):
+    def __init__(self):
+        self.stack: list[Tape | None] = [None]  # None, then the entered tapes; one stack per thread
 
 
-def _tape_stack() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_tapes = _Tapes()
 
 
 class Rng:
@@ -84,7 +77,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data: np.ndarray) -> "Tensor":
         out = cls.__new__(cls)
-        out.data = data if data.dtype == np.float64 else data.astype(np.float64)
+        out.data = data
         out.requires_grad = False
         out.grad = None
         out._tape = None
@@ -148,15 +141,13 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if _tapes.stack[-1] is not self:
             raise TapeError("tape context exited out of order")
-        stack.pop()
-        return False
+        _tapes.stack.pop()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -175,8 +166,6 @@ class Tape:
             if g is None:
                 continue
             for inp, gin in zip(inputs, backward_fn(g)):
-                if gin is None:
-                    continue
                 if inp._tape is self:
                     seen = adjoints.get(id(inp))
                     adjoints[id(inp)] = gin if seen is None else seen + gin
@@ -189,7 +178,7 @@ class Tape:
 
 def _record(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     out = Tensor._from_op(out_data)
-    tape = _active_tape()
+    tape = _tapes.stack[-1]
     if tape is not None and not tape._consumed:
         if any(t.requires_grad or t._tape is tape for t in inputs):
             out._tape = tape

@@ -183,7 +183,7 @@ class VarMlpModel(Model):
         self.coef = self.register("var.coef", Tensor(np.zeros((p, n, n))))
         self.w1 = self.weight(rng.split(), "mlp.w1", (n * p, h), n * p)
         self.b1 = self.bias("mlp.b1", h)
-        self.w2 = self.register("mlp.w2", Tensor(np.zeros((h, n)), requires_grad=True))
+        self.w2 = self.bias("mlp.w2", (h, n))
         self.b2 = self.bias("mlp.b2", n)
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
@@ -322,19 +322,16 @@ class TcnModel(NeuralModel):
 
     def __init__(self, config: TcnConfig, rng: Rng):
         super().__init__(config)
-        c, K, dil = config.channels, config.kernel_size, dilations(config.num_blocks)
+        c, K = config.channels, config.kernel_size
         init = rng.split()
         self.start_w = self.weight(init, "start.w", (1, c), 1)
         self.start_b = self.bias("start.b", c)
-        # Block kernels are drawn before the head but registered after it,
-        # which fixes both the initial values and the checkpoint entry order.
-        kernels = [init.normal((c, c, K), 1.0 / np.sqrt(c * K)) for _ in dil]
+        self.blocks = [{"dilation": d,
+                        "w": self.weight(init, f"block{i}.w", (c, c, K), c * K),
+                        "b": self.bias(f"block{i}.b", c)}
+                       for i, d in enumerate(dilations(config.num_blocks))]
         self.head_w = self.weight(init, "head.w", (c, config.horizon), c)
         self.head_b = self.bias("head.b", config.horizon)
-        self.blocks = [{"dilation": d,
-                        "w": self.register(f"block{i}.w", Tensor(k, requires_grad=True)),
-                        "b": self.bias(f"block{i}.b", c)}
-                       for i, (d, k) in enumerate(zip(dil, kernels))]
 
     def forward_batch(self, x: np.ndarray, rng: Rng | None = None,
                       collect: list | None = None) -> Tensor:

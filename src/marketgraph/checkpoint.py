@@ -35,7 +35,7 @@ def save_checkpoint(path, kind: str, config: dict,
         "extra": extra or {},
     }
     with atomic_write(path) as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -71,51 +71,45 @@ def load_checkpoint(path) -> Checkpoint:
                       extra=doc.get("extra", {}))
 
 
-def _check_kind(ckpt: Checkpoint, path, kind: str) -> None:
-    if ckpt.kind != kind:
-        raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {kind}")
-
-
-def _check_state(state: dict[str, np.ndarray], shapes: dict[str, tuple]) -> None:
-    """ShapeError unless `state` holds exactly the named parameters at these shapes."""
-    missing = set(shapes) - set(state)
-    surplus = set(state) - set(shapes)
-    if missing or surplus:
-        raise ShapeError(f"parameter names do not match (missing {sorted(missing)}, surplus {sorted(surplus)})")
-    for name, shape in shapes.items():
-        if np.shape(state[name]) != tuple(shape):
-            raise ShapeError(f"{name}: shape {np.shape(state[name])} does not match {tuple(shape)}")
-
-
 class Model:
     """Named parameters, strict state loading and checkpoint save/load: the
     base of every model kind with a checkpoint.
 
     A subclass sets `kind` and `config_class` (a dataclass whose fields are
     the checkpoint's `config`), takes `(config, rng)` in its constructor and
-    registers every parameter while building itself, in checkpoint order.
+    creates every parameter where it registers it, in checkpoint order;
+    `from_checkpoint` checks each against the file before its array is made.
     """
 
     kind: str
     config_class: type
+    _saved: dict | None = None  # the file's parameters while `from_checkpoint` builds the model
 
     def __init__(self, config):
         self.config = config
         self._params: dict[str, Tensor] = {}
 
-    def register(self, name: str, t: Tensor) -> Tensor:
+    def _claim(self, name: str, shape: tuple) -> None:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
+        if self._saved is not None and name not in self._saved:
+            raise ShapeError(f"{name}: not in the checkpoint")
+        if self._saved is not None and np.shape(self._saved[name]) != tuple(shape):
+            raise ShapeError(f"{name}: shape {np.shape(self._saved[name])} does not match {tuple(shape)}")
+
+    def register(self, name: str, t: Tensor) -> Tensor:
+        self._claim(name, t.shape)
         self._params[name] = t
         return t
 
-    def weight(self, init: Rng, name: str, shape, fan_in: int) -> Tensor:
+    def weight(self, init: Rng, name: str, shape: tuple, fan_in: int) -> Tensor:
         """A N(0, 1/fan_in) draw from `init`, registered under `name`."""
-        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)),
-                                          requires_grad=True))
+        self._claim(name, shape)
+        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)), requires_grad=True))
 
-    def bias(self, name: str, width: int) -> Tensor:
-        return self.register(name, Tensor(np.zeros(width), requires_grad=True))
+    def bias(self, name: str, shape) -> Tensor:
+        self._claim(name, (shape,) if isinstance(shape, int) else shape)
+        return self.register(name, Tensor(np.zeros(shape), requires_grad=True))
 
     def parameters(self) -> list[Tensor]:
         return list(self._params.values())
@@ -124,7 +118,13 @@ class Model:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        _check_state(state, {name: t.data.shape for name, t in self._params.items()})
+        """ShapeError unless `state` holds exactly this model's parameters at their shapes."""
+        missing, surplus = set(self._params) - set(state), set(state) - set(self._params)
+        if missing or surplus:
+            raise ShapeError(f"parameter names do not match (missing {sorted(missing)}, surplus {sorted(surplus)})")
+        for name, t in self._params.items():
+            if np.shape(state[name]) != t.data.shape:
+                raise ShapeError(f"{name}: shape {np.shape(state[name])} does not match {t.data.shape}")
         for name, t in self._params.items():
             t.data[...] = state[name]
 
@@ -139,16 +139,20 @@ class Model:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint, path):
         """Rebuild a model from a parsed checkpoint; `path` names it in errors."""
-        _check_kind(ckpt, path, cls.kind)
+        if ckpt.kind != cls.kind:
+            raise ConfigError(f"{path}: checkpoint holds a {ckpt.kind!r} model, not {cls.kind}")
         try:
             config = cls.config_class(**ckpt.config)
         except (TypeError, ConfigError) as exc:
             raise DataError(f"{path}: unusable {cls.kind} checkpoint config: {exc}") from None
-        model = cls(config, Rng(0))
+        model = cls.__new__(cls)
+        model._saved = ckpt.params
         try:
+            model.__init__(config, Rng(0))
             model.load_state_dict(ckpt.params)
         except ShapeError as exc:
             raise DataError(f"{path}: {exc}") from None
+        del model._saved
         return model
 
 

@@ -1,5 +1,6 @@
 """Exception types shared across the toolkit, the field-type check of the
 configuration dataclasses, and the depth rules of dilated convolution stacks."""
+from collections.abc import Iterator
 from dataclasses import fields
 
 
@@ -30,9 +31,9 @@ class ConfigError(MarketGraphError):
 class TrainingDiverged(MarketGraphError):
     """Training produced a non-finite loss."""
 
-    def __init__(self, epoch: int, message: str = ""):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        super().__init__(f"non-finite loss at epoch {epoch}")
 
 
 # What a field annotated with each of these names accepts, and how to say so.
@@ -45,9 +46,9 @@ _FIELD_TYPES = {
 }
 
 
-def dilations(depth: int) -> tuple[int, ...]:
-    """The dilation of each of `depth` stacked causal convolutions: 1, 2, 4, ..."""
-    return tuple(2 ** i for i in range(depth))
+def dilations(depth: int) -> Iterator[int]:
+    """The dilation of each of `depth` stacked causal convolutions, lazily: 1, 2, 4, ..."""
+    return (2 ** i for i in range(depth))
 
 
 def receptive_field(kernel_size: int, depth: int) -> int:

@@ -1,5 +1,6 @@
 """Checkpoints of every saved model kind: metadata, malformed files, features."""
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,24 @@ def test_wrong_parameter_shape_is_a_data_error(tmp_path, kind):
     doc["params"][name]["shape"].append(1)
     with pytest.raises(DataError, match=rf"{path.name}.*{name}"):
         cls.load(rewrite(path, doc))
+
+
+@pytest.mark.parametrize("kind,key,value", [("tcn", "num_blocks", 30000), ("ar", "num_series", 300000),
+                                             ("gru", "hidden_size", 10 ** 7)])
+def test_a_config_its_parameters_do_not_fit_is_refused_before_the_model_is_built(tmp_path, kind, key, value):
+    # Built first, these took seconds (TCN, AR) or ran out of memory (GRU).
+    cls, path, doc = saved_doc(tmp_path, kind)
+    doc["config"][key] = value
+    start = time.perf_counter()
+    with pytest.raises(DataError, match=path.name):
+        cls.load(rewrite(path, doc))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_tcn_checkpoint_lists_its_parameters_in_the_order_they_are_used(tmp_path):
+    _, _, doc = saved_doc(tmp_path, "tcn")
+    assert list(doc["params"]) == ["start.w", "start.b", "block0.w", "block0.b", "block1.w", "block1.b",
+                                   "head.w", "head.b"]
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

@@ -651,6 +651,19 @@ def test_forecast_malformed_checkpoint_exits_2(trained_run, tmp_path, capsys):
     assert name in err
 
 
+def test_forecast_checkpoint_too_wide_for_its_parameters_exits_2(trained_run, tmp_path, capsys):
+    # The config is checked against the saved parameters before any is drawn.
+    csv_path, checkpoint = trained_run
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    doc["config"]["embedding_dim"] = 10 ** 7
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--out", str(tmp_path / "fc")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "emb.e1" in err and str(checkpoint) in err
+
+
 def test_forecast_checkpoint_with_unknown_config_key_exits_2(trained_run, tmp_path, capsys):
     csv_path, checkpoint = trained_run
     doc = json.loads(checkpoint.read_text(encoding="utf-8"))

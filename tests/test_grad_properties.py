@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketgraph import Rng, Tensor, grad_check_params
+from marketgraph import Rng, Tape, Tensor, grad_check_params
 from marketgraph.autodiff import (
     add_bias, causal_conv1d, channel_linear, dropout, gru_sequence, mix_hop, sum_,
     tanh_sigmoid_gate,
@@ -124,3 +124,20 @@ def test_gradients_match_central_differences(op, data):
     loss_fn, params = data.draw(GRAD_CASES[op])
     err = grad_check_params(loss_fn, params)
     assert err <= 1e-6, f"{op}: worst relative gradient error {err:.2e}"
+
+
+@pytest.mark.parametrize("op", GRAD_CASES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_backward_returns_one_float64_array_per_input(op, data):
+    # Tape.backward adds each returned gradient to its input's adjoint unchecked.
+    # numpy gives a 0-d product as a scalar, which is an array for every use here.
+    loss_fn, _ = data.draw(GRAD_CASES[op])
+    tape = Tape()
+    with tape:
+        loss_fn()
+    for out, inputs, backward_fn in tape._entries:
+        grads = backward_fn(np.ones_like(out.data))
+        assert len(grads) == len(inputs)
+        for inp, g in zip(inputs, grads):
+            assert isinstance(g, (np.ndarray, np.generic)) and g.dtype == np.float64 and g.shape == inp.shape

@@ -145,32 +145,53 @@ def test_every_forecast_entry_point_checks_its_windows_with_window_array():
         "TcnModel.forward_batch", "VarMlpModel.predict_windows"]
 
 
-def test_only_the_tape_and_the_optimizer_rebind_gradients():
-    # Adam binds each parameter's .grad to a view of its one gradient vector;
-    # a .grad rebound anywhere else would detach from it. Writes through a
-    # subscript (p.grad[...] = g) keep the view and are allowed anywhere.
-    rebinders = set()
+def _src_nodes():
+    """(module file name, node) for every AST node in src/, each node knowing its parent."""
     for module in sorted(Path(marketgraph.__file__).parent.glob("*.py")):
         tree = ast.parse(module.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             for child in ast.iter_child_nodes(node):
                 child.parent = node
         for node in ast.walk(tree):
-            targets = node.targets if isinstance(node, ast.Assign) else (
-                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
-            flat = [t for target in targets for t in ast.walk(target)
-                    if isinstance(t, ast.Attribute) and t.attr == "grad"
-                    and isinstance(t.ctx, ast.Store)]
-            if flat:
-                owners, owner = [], node
-                while not isinstance(owner, ast.Module):
-                    owner = owner.parent
-                    if isinstance(owner, (ast.ClassDef, ast.FunctionDef)):
-                        owners.insert(0, owner.name)
-                rebinders.add(f"{module.name}:{'.'.join(owners)}")
+            yield module.name, node
+
+
+def _qualified_owner(module_name: str, node) -> str:
+    """`module.py:Class.method` (or `module.py:function`) of the code holding `node`."""
+    owners, owner = [], node
+    while not isinstance(owner, ast.Module):
+        owner = owner.parent
+        if isinstance(owner, (ast.ClassDef, ast.FunctionDef)):
+            owners.insert(0, owner.name)
+    return f"{module_name}:{'.'.join(owners)}"
+
+
+def test_only_the_tape_and_the_optimizer_rebind_gradients():
+    # Adam binds each parameter's .grad to a view of its one gradient vector;
+    # a .grad rebound anywhere else would detach from it. Writes through a
+    # subscript (p.grad[...] = g) keep the view and are allowed anywhere.
+    rebinders = set()
+    for module_name, node in _src_nodes():
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if any(isinstance(t, ast.Attribute) and t.attr == "grad" and isinstance(t.ctx, ast.Store)
+               for target in targets for t in ast.walk(target)):
+            rebinders.add(_qualified_owner(module_name, node))
     assert sorted(rebinders) == [
         "autodiff.py:Tape.backward", "autodiff.py:Tensor.__init__", "autodiff.py:Tensor._from_op",
         "optim.py:Adam.__init__"]
+
+
+def test_only_the_init_helpers_and_the_gradient_check_make_trainable_tensors():
+    # Every model parameter is created where it is registered, by Model.weight
+    # or Model.bias; grad_check makes its own leaf.
+    makers = set()
+    for module_name, node in _src_nodes():
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tensor":
+            flags = node.args[1:2] + [k.value for k in node.keywords if k.arg == "requires_grad"]
+            if any(not (isinstance(f, ast.Constant) and f.value is False) for f in flags):
+                makers.add(_qualified_owner(module_name, node))
+    assert sorted(makers) == ["autodiff.py:grad_check", "checkpoint.py:Model.bias", "checkpoint.py:Model.weight"]
 
 
 # The op functions that Tensor's operators call.

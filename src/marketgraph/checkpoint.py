@@ -2,6 +2,7 @@
 the model base that saves and loads it."""
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict, dataclass
 
@@ -11,7 +12,7 @@ from .autodiff import Rng, Tensor
 from .data import atomic_write, window_array
 from .errors import ConfigError, DataError, ShapeError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -24,12 +25,15 @@ class Checkpoint:
 
 def save_checkpoint(path, kind: str, config: dict,
                     params: dict[str, np.ndarray], extra: dict | None = None) -> None:
+    """Write one JSON document; each parameter's `data` is the base64 text of
+    its little-endian float64 bytes in C order."""
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "config": config,
         "params": {
-            name: {"shape": list(arr.shape), "data": np.asarray(arr, dtype=np.float64).reshape(-1).tolist()}
+            name: {"shape": list(arr.shape),
+                   "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")}
             for name, arr in params.items()
         },
         "extra": extra or {},
@@ -61,8 +65,9 @@ def load_checkpoint(path) -> Checkpoint:
     params = {}
     for name, entry in doc["params"].items():
         try:
-            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            raw = base64.b64decode(entry["data"], validate=True)
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).astype(np.float64)
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise DataError(f"{path}: malformed checkpoint parameter {name!r}: "
                             f"{type(exc).__name__}: {exc}") from None
         if not np.all(np.isfinite(params[name])):
@@ -103,9 +108,12 @@ class Model:
         return t
 
     def weight(self, init: Rng, name: str, shape: tuple, fan_in: int) -> Tensor:
-        """A N(0, 1/fan_in) draw from `init`, registered under `name`."""
+        """A N(0, 1/fan_in) draw from `init`, registered under `name`; zeros
+        while `from_checkpoint` builds the model, since the file's values
+        replace them."""
         self._claim(name, shape)
-        return self.register(name, Tensor(init.normal(shape, 1.0 / np.sqrt(fan_in)), requires_grad=True))
+        data = np.zeros(shape) if self._saved is not None else init.normal(shape, 1.0 / np.sqrt(fan_in))
+        return self.register(name, Tensor(data, requires_grad=True))
 
     def bias(self, name: str, shape) -> Tensor:
         self._claim(name, (shape,) if isinstance(shape, int) else shape)

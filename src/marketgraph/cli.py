@@ -288,10 +288,15 @@ def cmd_forecast(args) -> int:
     model = MtgnnModel.from_checkpoint(ckpt, args.checkpoint)
     stats, window, rebase = _forecast_metadata(ckpt.extra, args.checkpoint)
     P, Q = window.P, window.Q
+    if P != model.config.input_window:
+        raise DataError(f"{args.checkpoint}: window P={P} but the model reads "
+                        f"{model.config.input_window} step(s)")
     if Q != model.config.horizon:
         raise DataError(f"{args.checkpoint}: window Q={Q} but the model forecasts "
                         f"{model.config.horizon} step(s)")
 
+    # Every row is rebased, logged and normalized, so a bad value anywhere
+    # raises; only the trailing rows the forecast reads are windowed.
     frame = normalize(log_transform(apply_rebase_rules(load_csv(args.csv), rebase)), stats)
     labels = frame.columns
     if args.steps == 0:
@@ -299,19 +304,20 @@ def cmd_forecast(args) -> int:
         _emit(_out_dir(args.out) / "forecast.csv", trace_csv([], labels, empty, empty))
         return 0
 
-    windows = make_windows(frame, window)
-    steps = len(windows) if args.steps is None else args.steps
+    positions = window.count(frame.num_rows)
+    steps = positions if args.steps is None else args.steps
     if steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {steps}")
-    if steps > len(windows):
-        raise DataError(f"only {len(windows)} forecast positions available, {steps} requested")
-    x = windows.x[-steps:]
-    y = windows.y[-steps:, :, 0]
-    pred = model.predict_windows(x, horizon=Q)[:, :, 0]
+    if steps > positions:
+        raise DataError(f"only {positions} forecast positions available, {steps} requested")
+    tail = frame.slice_rows(frame.num_rows - (steps + P + Q - 1), frame.num_rows)
+    windows = make_windows(tail, window)
+    y = windows.y[:, :, 0]
+    pred = model.predict_windows(windows.x, horizon=Q)[:, :, 0]
 
     actual_price = invert_predictions(y, stats)
     pred_price = invert_predictions(pred, stats)
-    dates = frame.dates[P:P + len(windows)][-steps:]
+    dates = tail.dates[P:P + steps]  # the first target of each window
 
     out = _out_dir(args.out)
     _emit(out / "forecast.csv", trace_csv(dates, labels, actual_price, pred_price))

@@ -101,37 +101,48 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
     header = [c.strip() for c in rows[0]]
     if len(header) < 2 or header[0].lower() != "date":
         raise DataError(f"{path}: header must be 'date,<name1>,...', got {rows[0]!r}")
-    columns = tuple(header[1:])
+    columns, width = tuple(header[1:]), len(header)
 
-    parsed: list[tuple[date, list[float]]] = []
+    dates: list[date] = []
+    values: list[float] = []  # row after row; one flat list keeps no per-row list alive
     dropped = 0
     for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {lineno} has {len(row)} cells, expected {len(header)}")
-        cells, where, vals = row[1:], f"{path}: line {lineno}", []
         try:
-            for c in cells:
-                vals.append(float(c))
+            if len(row) != width:
+                raise ValueError("wrong cell count")
+            vals = list(map(float, row[1:]))
+            day = date.fromisoformat(row[0].strip())
         except ValueError:
+            # Only a row that fails pays for the checks, in their order of precedence.
+            if not row or all(not c.strip() for c in row):
+                continue
+            where = f"{path}: line {lineno}"
+            if len(row) != width:
+                raise DataError(f"{where} has {len(row)} cells, expected {width}") from None
             # A blank cell never converts: its row is dropped, whatever its date.
-            if any(not c.strip() for c in cells):
+            if any(not c.strip() for c in row[1:]):
                 dropped += 1
                 continue
             _parse_date(row[0], where)  # a bad date is named before a bad number
-            raise DataError(f"{where}: unparseable number {cells[len(vals)]!r}") from None
-        parsed.append((_parse_date(row[0], where), vals))
+            for cell in row[1:]:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"{where}: unparseable number {cell!r}") from None
+        else:
+            dates.append(day)
+            values += vals
 
-    parsed.sort(key=lambda item: item[0])
-    for (d1, _), (d2, _) in zip(parsed, parsed[1:]):
-        if d1 == d2:
-            raise DataError(f"{path}: duplicate date {d1.isoformat()}")
-    if len(parsed) < 2:
+    matrix = np.array(values).reshape(len(dates), len(columns))
+    if any(d1 >= d2 for d1, d2 in zip(dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates, matrix = [dates[i] for i in order], matrix[order]
+        for d1, d2 in zip(dates, dates[1:]):
+            if d1 == d2:
+                raise DataError(f"{path}: duplicate date {d1.isoformat()}")
+    if len(dates) < 2:
         raise DataError(f"{path}: fewer than 2 usable rows after dropping incomplete ones")
-    dates = tuple(d for d, _ in parsed)
-    values = np.array([v for _, v in parsed])
-    return TimeSeriesFrame(dates, columns, values), dropped
+    return TimeSeriesFrame(tuple(dates), columns, matrix), dropped
 
 
 def load_csv(path) -> TimeSeriesFrame:
@@ -315,6 +326,13 @@ class WindowSpec:
         if self.P < 1 or self.Q < 1:
             raise DomainError(f"P and Q must be at least 1, got P={self.P}, Q={self.Q}")
 
+    def count(self, rows: int) -> int:
+        """rows - P - Q + 1, the windows that `rows` consecutive rows hold;
+        DataError when not one fits."""
+        if rows < self.P + self.Q:
+            raise DataError(f"{rows} rows cannot fit a window of P+Q={self.P + self.Q}")
+        return rows - self.P - self.Q + 1
+
 
 @dataclass(frozen=True)
 class WindowSet:
@@ -367,11 +385,8 @@ def make_windows(frame: TimeSeriesFrame, spec: WindowSpec) -> WindowSet:
     Splits are windowed independently, so no sample ever straddles a split
     boundary. The count is rows - P - Q + 1.
     """
-    rows = frame.num_rows
-    span = spec.P + spec.Q
-    if rows < span:
-        raise DataError(f"{rows} rows cannot fit a window of P+Q={span}")
-    spans = np.lib.stride_tricks.sliding_window_view(frame.values, span, axis=0)  # [count, N, span]
+    spec.count(frame.num_rows)
+    spans = np.lib.stride_tricks.sliding_window_view(frame.values, spec.P + spec.Q, axis=0)  # [count, N, span]
     return WindowSet(x=spans[..., :spec.P].copy(), y=spans[..., spec.P:].copy())
 
 

@@ -124,7 +124,7 @@ class MtgnnModel(NeuralModel):
         c = config
 
         # Embeddings, then mixing matrices, each from a stream of its own: the
-        # order that fixes every seeded initial weight of checkpoint format 2.
+        # order that fixes every seeded initial weight.
         emb, mix = rng.split(), rng.split()
         N, D = c.num_nodes, c.embedding_dim
         self.e1 = self.weight(emb, "emb.e1", (N, D), 1)

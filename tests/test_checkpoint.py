@@ -1,16 +1,21 @@
 """Checkpoints of every saved model kind: metadata, malformed files, features."""
+import base64
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from marketgraph import (
     ConfigError, DataError, GruModel, MtgnnConfig, MtgnnModel, Rng, TcnModel,
     fit_ar_ensemble, fit_var_mlp,
 )
 from marketgraph.baselines import ArEnsemble, GruConfig, MlpSpec, TcnConfig, VarMlpModel
+from marketgraph.checkpoint import load_checkpoint, save_checkpoint
 
 GEN = np.random.default_rng(53)
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,6 +52,15 @@ def rewrite(path, doc):
     return path
 
 
+def encode(values) -> str:
+    """A format-3 `data` string: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode(data: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data), dtype="<f8").copy()
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_save_writes_extra_metadata(tmp_path, kind):
     cls, config, _ = KINDS[kind]
@@ -69,7 +83,7 @@ def test_missing_parameter_is_a_data_error(tmp_path, kind):
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_surplus_parameter_is_a_data_error(tmp_path, kind):
     cls, path, doc = saved_doc(tmp_path, kind)
-    doc["params"]["stray.w"] = {"shape": [1], "data": [0.0]}
+    doc["params"]["stray.w"] = {"shape": [1], "data": encode([0.0])}
     with pytest.raises(DataError, match=rf"{path.name}.*stray\.w"):
         cls.load(rewrite(path, doc))
 
@@ -104,17 +118,34 @@ def test_a_tcn_checkpoint_lists_its_parameters_in_the_order_they_are_used(tmp_pa
 @pytest.mark.parametrize("kind", sorted(MODELS))
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
 def test_non_finite_parameter_is_a_data_error(tmp_path, kind, bad):
-    # JSON readers accept NaN and Infinity, which would otherwise load and forecast
+    # Any float64 bit pattern decodes, so a NaN or an infinity would otherwise load and forecast
     cls, path, doc = saved_doc(tmp_path, kind)
     name = list(doc["params"])[-1]
-    doc["params"][name]["data"][-1] = bad
+    values = decode(doc["params"][name]["data"])
+    values[-1] = bad
+    doc["params"][name]["data"] = encode(values)
     with pytest.raises(DataError, match=rf"{path.name}: checkpoint parameter '{name}' holds a non-finite"):
         cls.load(rewrite(path, doc))
 
 
+@settings(max_examples=60, deadline=None)
+@given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                      elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+@example(arr=np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                       np.finfo(np.float64).max, -np.finfo(np.float64).max]))
+def test_a_checkpoint_round_trip_is_bit_exact(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("ckpt") / "c.json"
+    save_checkpoint(path, kind="any", config={}, params={"p": arr, "t": arr.T})
+    params = load_checkpoint(path).params
+    for name, want in (("p", arr), ("t", arr.T)):
+        assert params[name].dtype == np.float64 and params[name].shape == want.shape
+        np.testing.assert_array_equal(params[name].view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("kind", PLAIN)
-def test_format_2_files_load_forecast_and_save_byte_identically(tmp_path, kind):
-    # The fixtures were written before AR and VAR+MLP shared the model base.
+def test_format_3_files_load_forecast_and_save_byte_identically(tmp_path, kind):
+    # The fixtures were written before AR and VAR+MLP shared the model base,
+    # and converted to format 3 with their float64 values unchanged.
     reference = json.loads((FIXTURES / "baseline_forecasts.json").read_text(encoding="utf-8"))
     path = FIXTURES / f"{kind}_checkpoint.json"
     model = MODELS[kind][0].load(path)
@@ -151,6 +182,22 @@ def test_unusable_config_is_a_data_error_naming_the_path(tmp_path, kind, config)
     doc["config"] = config
     with pytest.raises(DataError, match=path.name):
         cls.load(rewrite(path, doc))
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_loading_draws_no_initial_weights(tmp_path, monkeypatch, kind):
+    # The file's values replace whatever `weight` makes while the model is built.
+    cls, path, _ = saved_doc(tmp_path, kind)
+    expected = cls.load(path).state_dict()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew random weights")
+
+    monkeypatch.setattr(Rng, "normal", refuse)
+    loaded = cls.load(path).state_dict()
+    assert list(loaded) == list(expected)
+    for name in expected:
+        np.testing.assert_array_equal(loaded[name], expected[name])
 
 
 @pytest.mark.parametrize("kind", sorted(MODELS))

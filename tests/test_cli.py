@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import build_frame, write_frame_csv
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marketgraph import ConfigError, MtgnnConfig, MtgnnModel, Rng
@@ -734,6 +734,61 @@ def test_forecast_malformed_checkpoint_metadata_exits_2(trained_run, tmp_path, c
     assert "error:" in err and "internal error" not in err
     assert str(checkpoint) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("P", [5, 20, 40])
+def test_forecast_window_p_other_than_the_input_window_exits_2(tmp_path, capsys, P):
+    # `train` writes P equal to the model's input window, here 30 steps of
+    # which three layers read the last 8. Before, P=5 exited 1 without naming
+    # the checkpoint, and P=20 and P=40 forecast.
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path, rows=200)
+    config = write_config(tmp_path / "run.json", csv_path, window={"P": 30, "Q": 1},
+                          model={**TINY_MODEL, "num_layers": 3})
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint.json"
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    doc["extra"]["window"]["P"] = P
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "fc"
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {checkpoint}: window P={P} but the model reads 30 step(s)" in err
+    assert not out.exists()
+
+
+FULL_ROWS, FULL_P = 90, 8  # make_dataset's and write_config's defaults
+
+
+@pytest.fixture(scope="module")
+def full_forecast(tmp_path_factory):
+    """A trained run and the lines of its forecast over every position."""
+    root = tmp_path_factory.mktemp("full_forecast")
+    csv_path = root / "prices.csv"
+    make_dataset(csv_path, rows=FULL_ROWS)
+    config = write_config(root / "run.json", csv_path, window={"P": FULL_P, "Q": 1})
+    assert main(["train", "--config", str(config), "--out", str(root / "run")]) == 0
+    checkpoint = root / "run" / "checkpoint.json"
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--out", str(root / "all")]) == 0
+    lines = (root / "all" / "forecast.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 1 + FULL_ROWS - FULL_P
+    return csv_path, checkpoint, lines
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.integers(1, FULL_ROWS - FULL_P))
+@example(steps=1)
+@example(steps=FULL_ROWS - FULL_P)
+def test_forecast_steps_writes_the_last_rows_of_the_full_forecast(full_forecast, tmp_path_factory, steps):
+    # Only the trailing windows are built; the rows they give must not move.
+    csv_path, checkpoint, lines = full_forecast
+    out = tmp_path_factory.mktemp("steps")
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--steps", str(steps), "--out", str(out)]) == 0
+    assert (out / "forecast.csv").read_bytes() == b"".join([lines[0], *lines[-steps:]])
 
 
 def not_utf8(path):

@@ -123,6 +123,35 @@ def test_csv_parse_precedence(tmp_path, caplog, row, expected):
         [f"{path}: dropped {dropped} row(s) with missing cells"] if dropped else [])
 
 
+def csv_of(rows) -> str:
+    return "date,x,y\n" + "".join(f"{day.isoformat()},{x!r},{y!r}\n" for day, (x, y) in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.dates(D(1990, 1, 1), D(2030, 12, 31)),
+                               st.tuples(st.floats(0.01, 1e6), st.floats(0.01, 1e6))),
+                     min_size=2, max_size=25, unique_by=lambda row: row[0]),
+       data=st.data())
+def test_a_shuffled_file_loads_as_the_sorted_one_and_a_repeat_is_found_anywhere(tmp_path_factory, rows, data):
+    # Only a file whose dates are out of order is sorted and scanned for repeats.
+    root = tmp_path_factory.mktemp("order")
+    ordered = sorted(rows)
+    shuffled = data.draw(st.permutations(ordered))
+    (root / "sorted.csv").write_text(csv_of(ordered), encoding="utf-8")
+    (root / "shuffled.csv").write_text(csv_of(shuffled), encoding="utf-8")
+    want, got = load_csv(root / "sorted.csv"), load_csv(root / "shuffled.csv")
+    assert got.dates == want.dates == tuple(day for day, _ in ordered)
+    assert got.columns == want.columns
+    np.testing.assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    repeat = data.draw(st.sampled_from(ordered))
+    at = data.draw(st.integers(0, len(shuffled)))
+    path = root / "repeat.csv"
+    path.write_text(csv_of([*shuffled[:at], (repeat[0], (1.5, 2.5)), *shuffled[at:]]), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: duplicate date {repeat[0].isoformat()}") + "$"):
+        load_csv(path)
+
+
 def mostly(usual, unusual):
     """`usual` nine draws in ten, else `unusual`, so that some documents load."""
     return st.sampled_from([usual] * 9 + [unusual]).flatmap(lambda strategy: strategy)

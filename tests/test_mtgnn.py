@@ -1,4 +1,6 @@
 """Graph-and-time convolutional forecaster: structure, gradients, causality."""
+import base64
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,7 @@ def test_default_architecture_numbers():
 
 
 def test_parameter_names_in_checkpoint_order():
-    # The order of the checkpoint format 2 "params" object at the default config.
+    # The order of the checkpoint's "params" object at the default config.
     names = list(MtgnnModel(MtgnnConfig(num_nodes=6), Rng(0)).state_dict())
     layers = [f"layer{i}.{part}" for i in range(3) for part in ("gated.w", "gated.b", "skip.w", "mix.w")]
     assert names == ["emb.e1", "emb.e2", "graph.theta1", "graph.theta2", "start.w", "start.b",
@@ -340,10 +342,10 @@ def test_checkpoint_version_and_kind_checked(tmp_path):
     path = tmp_path / "model.json"
     model.save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert doc["kind"] == "mtgnn"
 
-    for version in (1, 99):
+    for version in (1, 2, 99):
         doc_bad = dict(doc)
         doc_bad["format_version"] = version
         bad_path = tmp_path / "bad.json"
@@ -361,7 +363,8 @@ def test_checkpoint_names_stacked_parameters(tmp_path):
     assert state["layer0.mix.w"].shape == (S, C, cfg.residual_channels)
 
 
-@pytest.mark.parametrize("damage", ["no_shape", "no_data", "wrong_length"])
+@pytest.mark.parametrize("damage", ["no_shape", "no_data", "wrong_length", "outside_base64",
+                                    "not_whole_floats", "format_2_list"])
 def test_malformed_checkpoint_entry_is_a_data_error(tmp_path, damage):
     import json
     from marketgraph import DataError
@@ -369,12 +372,19 @@ def test_malformed_checkpoint_entry_is_a_data_error(tmp_path, damage):
     MtgnnModel(tiny_config(), Rng(14)).save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     entry = doc["params"]["head2.w"]
+    raw = base64.b64decode(entry["data"])
     if damage == "no_shape":
         del entry["shape"]
     elif damage == "no_data":
         del entry["data"]
-    else:
-        entry["data"] = entry["data"][:-1]
+    elif damage == "wrong_length":  # one float64 short of the shape
+        entry["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+    elif damage == "outside_base64":  # a lenient decoder would skip the character
+        entry["data"] = entry["data"][:4] + "*" + entry["data"][4:]
+    elif damage == "not_whole_floats":
+        entry["data"] = base64.b64encode(raw + b"\0" * 3).decode("ascii")
+    else:  # the list of numbers that format 2 wrote
+        entry["data"] = np.frombuffer(raw, dtype="<f8").tolist()
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DataError, match="head2.w"):
         MtgnnModel.load(path)

@@ -46,6 +46,12 @@ def test_every_exported_name_is_documented_in_the_readme():
     assert [name for name in marketgraph.__all__ if name not in names] == []
 
 
+def test_the_readme_states_the_checkpoint_format_version():
+    from marketgraph.checkpoint import FORMAT_VERSION
+    stated = re.findall(r"checkpoint\s+format\s+version\s+(\d+)", README)
+    assert stated and set(stated) == {str(FORMAT_VERSION)}
+
+
 def test_readme_library_snippet_imports():
     library = README.split("## Library", 1)[1]
     snippet = re.search(r"```python\n(.*?)```", library, flags=re.S).group(1)

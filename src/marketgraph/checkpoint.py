@@ -65,8 +65,11 @@ def load_checkpoint(path) -> Checkpoint:
     params = {}
     for name, entry in doc["params"].items():
         try:
+            shape = entry["shape"]
+            if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+                raise ValueError(f"shape must be a list of nonnegative integers, got {shape!r}")
             raw = base64.b64decode(entry["data"], validate=True)
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).astype(np.float64)
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
         except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise DataError(f"{path}: malformed checkpoint parameter {name!r}: "
                             f"{type(exc).__name__}: {exc}") from None

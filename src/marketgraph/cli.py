@@ -9,11 +9,12 @@ failure, 2 usage/config error or an unusable input path or checkpoint.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .training import (
     mtgnn_config, run_comparison, trace_csv,
 )
 
+_DOC_KEYS = {"dataset", "seed", "split", "window", "rebase", "train", "model", "baselines"}
 # The scalar knobs of ComparisonSpec, with MlpSpec's fields under an "mlp_"
 # prefix; the other sections of the document set its train and mtgnn fields.
 _BASELINE_KEYS = ({f.name for f in fields(ComparisonSpec)} - {"train", "mlp", "mtgnn"}
@@ -47,16 +49,14 @@ _BASELINE_KEYS = ({f.name for f in fields(ComparisonSpec)} - {"train", "mlp", "m
 
 @dataclass
 class RunConfig:
-    """Validated mirror of the JSON run document."""
+    """The validated JSON run document; `spec` holds its seed and its train,
+    model and baselines sections."""
 
-    dataset: str | None = None
-    seed: int = 0
-    split: SplitSpec = field(default_factory=SplitSpec)
-    window: WindowSpec = field(default_factory=WindowSpec)
-    rebase: tuple[RebaseRule, ...] = ()
-    train: TrainConfig = field(default_factory=TrainConfig)
-    model: dict = field(default_factory=dict)
-    baselines: dict = field(default_factory=dict)
+    dataset: str | None
+    split: SplitSpec
+    window: WindowSpec
+    rebase: tuple[RebaseRule, ...]
+    spec: ComparisonSpec
 
 
 def _object(where: str, given, allowed: set[str]) -> dict:
@@ -92,7 +92,8 @@ def parse_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
-    _section("config", doc, RunConfig)
+    _object("config", doc, _DOC_KEYS)
+    check_field_types(RunConfig, doc, "config")
     split_doc = _section("split", doc.get("split", {}), SplitSpec)
     window_doc = _section("window", doc.get("window", {}), WindowSpec)
     train_doc = _section("train", doc.get("train", {}), TrainConfig, skip=("seed",))
@@ -102,17 +103,16 @@ def parse_run_config(path) -> RunConfig:
                          skip=("num_nodes", "input_window", "horizon"))
     baselines_doc = _object("baselines", doc.get("baselines", {}), _BASELINE_KEYS)
 
-    seed = doc.get("seed", 0)
+    mlp_doc = {k[len("mlp_"):]: v for k, v in baselines_doc.items() if k.startswith("mlp_")}
+    knobs = {k: v for k, v in baselines_doc.items() if not k.startswith("mlp_")}
     try:
         return RunConfig(
             dataset=doc.get("dataset"),
-            seed=seed,
             split=SplitSpec(**split_doc),
             window=WindowSpec(**window_doc),
             rebase=_rebase_rules(doc.get("rebase", [])),
-            train=TrainConfig(seed=seed, **train_doc),
-            model=dict(model_doc),
-            baselines=dict(baselines_doc),
+            spec=ComparisonSpec(train=TrainConfig(seed=doc.get("seed", 0), **train_doc),
+                                mlp=MlpSpec(**mlp_doc), mtgnn=dict(model_doc), **knobs),
         )
     except (DomainError, OverflowError) as exc:  # a range error, or a number too large
         raise ConfigError(f"{path}: {exc}") from None
@@ -164,23 +164,16 @@ def _safe_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", label)
 
 
-def _run_pipeline(args) -> tuple[RunConfig, TrainConfig, PipelineResult]:
-    """The run document of `args.config`, its training config under the
-    resolved seed, and the pipeline over its dataset."""
+def _run_pipeline(args) -> tuple[RunConfig, ComparisonSpec, PipelineResult]:
+    """The run document of `args.config`, its spec under the resolved seed,
+    and the pipeline over its dataset."""
     cfg = parse_run_config(args.config)
     if not cfg.dataset:
         raise ConfigError("config has no dataset path")
     if not Path(cfg.dataset).exists():
         raise ConfigError(f"dataset not found: {cfg.dataset}")
-    train_cfg = replace(cfg.train, seed=_resolve_seed(cfg.seed))
-    return cfg, train_cfg, run_pipeline(cfg.dataset, cfg.window, cfg.split, cfg.rebase)
-
-
-def _comparison_spec(cfg: RunConfig, train_cfg: TrainConfig) -> ComparisonSpec:
-    """Pass on only the keys the document sets; the defaults live in the specs."""
-    mlp = MlpSpec(**{k[len("mlp_"):]: v for k, v in cfg.baselines.items() if k.startswith("mlp_")})
-    given = {k: v for k, v in cfg.baselines.items() if not k.startswith("mlp_")}
-    return ComparisonSpec(train=train_cfg, mlp=mlp, mtgnn=dict(cfg.model), **given)
+    spec = replace(cfg.spec, train=replace(cfg.spec.train, seed=_resolve_seed(cfg.spec.train.seed)))
+    return cfg, spec, run_pipeline(cfg.dataset, cfg.window, cfg.split, cfg.rebase)
 
 
 # -- commands ------------------------------------------------------------------
@@ -217,13 +210,12 @@ def _checkpoint_extra(pipeline, cfg: RunConfig) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg, train_cfg, pipeline = _run_pipeline(args)
-    mtgnn_config(pipeline, cfg.window, cfg.model)  # an out-of-range knob fails before --out exists
+    cfg, spec, pipeline = _run_pipeline(args)
+    mtgnn_config(pipeline, cfg.window, spec.mtgnn)  # an out-of-range knob fails before --out exists
     out = _out_dir(args.out)
 
     labels = pipeline.train.columns
-    spec = ComparisonSpec(train=train_cfg, mtgnn=dict(cfg.model))
-    model, result, _ = MODEL_BUILDERS["mtgnn"](pipeline, cfg.window, spec, Rng(train_cfg.seed))
+    model, result, _ = MODEL_BUILDERS["mtgnn"](pipeline, cfg.window, spec, Rng(spec.train.seed))
 
     ckpt_path = out / "checkpoint.json"
     model.save(ckpt_path, extra=_checkpoint_extra(pipeline, cfg))
@@ -232,18 +224,17 @@ def cmd_train(args) -> int:
     _emit(out / "adjacency.csv", matrix_csv("node", labels, result.adjacency.values))
 
     eval_result = evaluate(model, pipeline.test_windows, pipeline.stats, labels,
-                           seed=train_cfg.seed, config={"epochs": train_cfg.epochs})
+                           seed=spec.train.seed, config={"epochs": spec.train.epochs})
     _emit(out / "report.json", json.dumps({
         "pipeline": pipeline.report,
-        "train": {**asdict(train_cfg), "best_epoch": result.best_epoch},
+        "train": {**asdict(spec.train), "best_epoch": result.best_epoch},
         "test_metrics": eval_result.report.to_dict(),
     }, indent=2))
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg, train_cfg, pipeline = _run_pipeline(args)
-    spec = _comparison_spec(cfg, train_cfg)  # a mistyped knob fails before --out exists
+    cfg, spec, pipeline = _run_pipeline(args)
     out = _out_dir(args.out)
 
     result = run_comparison(pipeline, cfg.window, spec)
@@ -279,7 +270,8 @@ def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[Rebase
                 raise ConfigError(f"{where} needs {', '.join(sorted(keys))}")
         return (NormStats(**extra["norm_stats"]), WindowSpec(**extra["window"]),
                 _rebase_rules(extra.get("rebase", [])))
-    except (ConfigError, DataError, DomainError, ShapeError, TypeError, ValueError) as exc:
+    except (ConfigError, DataError, DomainError, ShapeError, TypeError, ValueError,
+            OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise DataError(f"{path}: unusable checkpoint metadata: {exc}") from None
 
 
@@ -331,6 +323,7 @@ def cmd_forecast(args) -> int:
 
 # -- wiring ---------------------------------------------------------------------
 
+@functools.cache  # argparse parsers are reusable; build the five subcommands once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marketgraph",

@@ -281,6 +281,8 @@ class NormStats:
         n = len(self.columns)
         if self.mean.shape != (n,) or self.std.shape != (n,):
             raise ShapeError(f"mean/std must be length-{n} vectors")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise DataError("mean/std must be finite")
         if np.any(self.std <= 0):
             bad = self.columns[int(np.argmax(self.std <= 0))]
             raise DataError(f"zero-variance column {bad!r} cannot be normalized")

@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import re
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -15,9 +16,12 @@ from conftest import build_frame, write_frame_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marketgraph import ConfigError, MtgnnConfig, MtgnnModel, Rng
+from marketgraph import ConfigError, MtgnnConfig, MtgnnModel, Rng, TrainConfig, WindowSpec
+from marketgraph.baselines import MlpSpec
 from marketgraph.cli import RunConfig, main, parse_run_config
+from marketgraph.data import RebaseRule, SplitSpec
 from marketgraph.synthetic import coupled_var_system
+from marketgraph.training import ComparisonSpec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -70,26 +74,25 @@ def test_parse_run_config_round_trip(tmp_path):
         "baselines": {"ar_order": 3},
     }), encoding="utf-8")
     cfg = parse_run_config(path)
-    assert cfg.dataset == "prices.csv"
-    assert cfg.seed == 11
-    assert cfg.split.train == 0.7
-    assert cfg.window.P == 12 and cfg.window.Q == 2
-    assert cfg.rebase[0].column == "tr"
-    assert cfg.rebase[0].cutoff.isoformat() == "2005-01-01"
-    assert cfg.rebase[0].divisor == 1000000.0
-    assert cfg.train.epochs == 4
-    assert cfg.train.seed == 11  # top-level seed feeds the train config
-    assert cfg.model == {"num_layers": 2}
+    assert cfg == RunConfig(
+        dataset="prices.csv",
+        split=SplitSpec(train=0.7, validation=0.2, test=0.1),
+        window=WindowSpec(P=12, Q=2),
+        rebase=(RebaseRule(column="tr", cutoff=date(2005, 1, 1), divisor=1000000.0),),
+        # the top-level seed feeds the train config
+        spec=ComparisonSpec(train=TrainConfig(epochs=4, learning_rate=0.01, seed=11),
+                            mtgnn={"num_layers": 2}, ar_order=3),
+    )
 
 
 def test_parse_run_config_defaults(tmp_path):
     path = tmp_path / "run.json"
     path.write_text("{}", encoding="utf-8")
     cfg = parse_run_config(path)
-    assert cfg.dataset is None
-    assert cfg.seed == 0
+    assert cfg == RunConfig(dataset=None, split=SplitSpec(), window=WindowSpec(), rebase=(),
+                            spec=ComparisonSpec())
     assert cfg.window.P == 30 and cfg.window.Q == 1
-    assert cfg.train.epochs == 30
+    assert cfg.spec.train.seed == 0 and cfg.spec.train.epochs == 30
 
 
 @pytest.mark.parametrize("doc", [
@@ -110,22 +113,14 @@ def test_parse_run_config_rejects_bad_documents(tmp_path, doc):
 
 
 def test_comparison_spec_takes_only_the_keys_the_document_sets(tmp_path):
-    from dataclasses import replace
-
-    from marketgraph import TrainConfig
-    from marketgraph.baselines import MlpSpec
-    from marketgraph.training import ComparisonSpec
-    from marketgraph.cli import _comparison_spec
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"model": {"num_layers": 2},
+    path.write_text(json.dumps({"train": {"epochs": 1}, "model": {"num_layers": 2},
                                 "baselines": {"mlp_epochs": 3, "ar_order": 2,
                                               "include": ["ar", "tcn"]}}),
                     encoding="utf-8")
     cfg = parse_run_config(path)
-    train_cfg = TrainConfig(epochs=1)
-    spec = _comparison_spec(cfg, train_cfg)
-    assert spec == replace(ComparisonSpec(), train=train_cfg, mlp=MlpSpec(epochs=3), ar_order=2,
-                           include=("ar", "tcn"), mtgnn={"num_layers": 2})
+    assert cfg.spec == replace(ComparisonSpec(), train=TrainConfig(epochs=1), mlp=MlpSpec(epochs=3),
+                               ar_order=2, include=("ar", "tcn"), mtgnn={"num_layers": 2})
 
 
 # A document that sets every key each section accepts today; the key sets
@@ -153,17 +148,18 @@ REFUSED_KEYS = {
 
 
 def test_each_section_accepts_exactly_its_keys(tmp_path):
-    from marketgraph import TrainConfig, WindowSpec
-    from marketgraph.data import RebaseRule, SplitSpec
     path = tmp_path / "run.json"
     path.write_text(json.dumps(FULL_DOC), encoding="utf-8")
     cfg = parse_run_config(path)
-    assert (cfg.dataset, cfg.seed) == ("prices.csv", 2)
+    assert cfg.dataset == "prices.csv"
     assert cfg.split == SplitSpec(**FULL_DOC["split"])
     assert cfg.window == WindowSpec(**FULL_DOC["window"])
     assert cfg.rebase == (RebaseRule(column="us", cutoff=date(2020, 1, 2), divisor=10.0),)
-    assert cfg.train == TrainConfig(seed=2, **FULL_DOC["train"])
-    assert cfg.model == FULL_DOC["model"] and cfg.baselines == FULL_DOC["baselines"]
+    # every baselines knob differs from its default, so each one is seen to arrive
+    assert cfg.spec == ComparisonSpec(
+        train=TrainConfig(seed=2, **FULL_DOC["train"]), mtgnn=FULL_DOC["model"],
+        ar_order=2, var_order=1, mlp=MlpSpec(hidden=8, epochs=2), gru_hidden=4,
+        tcn_channels=4, tcn_blocks=1, include=("ar",))
 
     for where, keys in REFUSED_KEYS.items():
         for key in keys:
@@ -547,18 +543,24 @@ def test_compare_ar_order_beyond_the_window_is_a_recorded_data_error(tmp_path, c
     assert payload["errors"]["ar"].startswith("ShapeError: window of 8 steps is shorter than the model reads")
 
 
+@pytest.mark.parametrize("command", ["train", "compare", "analyze"])
 @pytest.mark.parametrize("baselines", [{"ar_order": "2"}, {"tcn_blocks": True},
-                                       {"include": "ar"}, {"mlp_hidden": 2.5}],
-                         ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden"])
-def test_compare_mistyped_baseline_knob_exits_2(tmp_path, capsys, baselines):
+                                       {"include": "ar"}, {"mlp_hidden": 2.5},
+                                       {"include": ["bogus"]}],
+                         ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden",
+                              "unknown_include"])
+def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, baselines, command):
+    # The run document is parsed once, so all three commands refuse it alike.
     csv_path = tmp_path / "prices.csv"
     make_dataset(csv_path)
     config = write_config(tmp_path / "run.json", csv_path,
                           baselines={"include": ["persistence", "ar"], **baselines})
-    assert main(["compare", "--config", str(config), "--out", str(tmp_path / "cmp")]) == 2
+    inputs = [str(csv_path)] if command == "analyze" else []
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "internal error" not in err
-    assert not (tmp_path / "cmp").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("knob, kind, message", [
@@ -718,6 +720,12 @@ MALFORMED_METADATA = {
     "norm_stats_without_std": lambda extra: extra["norm_stats"].pop("std"),
     "mean_of_wrong_length": lambda extra: extra["norm_stats"].update(mean=[0.0]),
     "Q_not_the_horizon": lambda extra: extra["window"].update(Q=2),
+    # an integer too large for a float, and non-finite normalization stats
+    "huge_rebase_divisor": lambda extra: extra.update(
+        rebase=[{"column": "us", "cutoff": "2020-01-02", "divisor": 10 ** 400}]),
+    "huge_mean": lambda extra: extra["norm_stats"]["mean"].__setitem__(0, 10 ** 400),
+    "nan_std": lambda extra: extra["norm_stats"]["std"].__setitem__(0, float("nan")),
+    "infinite_mean": lambda extra: extra["norm_stats"]["mean"].__setitem__(0, float("inf")),
 }
 
 

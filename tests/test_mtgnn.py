@@ -364,7 +364,8 @@ def test_checkpoint_names_stacked_parameters(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["no_shape", "no_data", "wrong_length", "outside_base64",
-                                    "not_whole_floats", "format_2_list"])
+                                    "not_whole_floats", "format_2_list", "negative_one",
+                                    "negative", "bool_dimension"])
 def test_malformed_checkpoint_entry_is_a_data_error(tmp_path, damage):
     import json
     from marketgraph import DataError
@@ -383,6 +384,12 @@ def test_malformed_checkpoint_entry_is_a_data_error(tmp_path, damage):
         entry["data"] = entry["data"][:4] + "*" + entry["data"][4:]
     elif damage == "not_whole_floats":
         entry["data"] = base64.b64encode(raw + b"\0" * 3).decode("ascii")
+    elif damage == "negative_one":  # numpy would infer the dimension
+        entry["shape"] = [-1, 1]
+    elif damage == "negative":  # numpy reads any negative dimension as -1
+        entry["shape"] = [-entry["shape"][0], 1]
+    elif damage == "bool_dimension":
+        entry["shape"] = [entry["shape"][0], True]
     else:  # the list of numbers that format 2 wrote
         entry["data"] = np.frombuffer(raw, dtype="<f8").tolist()
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -200,6 +200,18 @@ def test_only_the_init_helpers_and_the_gradient_check_make_trainable_tensors():
     assert sorted(makers) == ["autodiff.py:grad_check", "checkpoint.py:Model.bias", "checkpoint.py:Model.weight"]
 
 
+def test_the_cli_builds_the_run_specs_only_in_parse_run_config():
+    # train, compare and analyze --config read the run document through one
+    # parse, so all three accept and refuse the same documents.
+    builders = {f"{_qualified_owner(module_name, node)}:{node.func.id}"
+                for module_name, node in _src_nodes()
+                if module_name == "cli.py" and isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("ComparisonSpec", "MlpSpec", "TrainConfig")}
+    assert sorted(builders) == ["cli.py:parse_run_config:ComparisonSpec",
+                                "cli.py:parse_run_config:MlpSpec",
+                                "cli.py:parse_run_config:TrainConfig"]
+
+
 # The op functions that Tensor's operators call.
 OPERATOR_OPS = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.MatMult: "matmul",
                 ast.USub: "neg"}

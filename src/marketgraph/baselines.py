@@ -7,7 +7,7 @@ than optimization differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .autodiff import (
 from .checkpoint import Model, NeuralModel
 from .data import require_finite, window_array
 from .errors import (
-    ConfigError, DataError, DomainError, ShapeError, check_field_types, dilations, receptive_field,
+    AT_LEAST_2, POSITIVE, Checked, ConfigError, DataError, DomainError, ShapeError, dilations,
+    receptive_field,
 )
 from .optim import Adam
 
@@ -58,15 +59,9 @@ def fit_ar(series, p: int) -> tuple[float, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class ArConfig:
-    order: int
-    num_series: int
-
-    def __post_init__(self):
-        check_field_types(type(self), vars(self))
-        if self.order < 1 or self.num_series < 1:
-            raise ConfigError(f"order and num_series must be positive, "
-                              f"got {self.order} and {self.num_series}")
+class ArConfig(Checked):
+    order: int = field(metadata=POSITIVE)
+    num_series: int = field(metadata=POSITIVE)
 
 
 class ArEnsemble(Model):
@@ -140,30 +135,22 @@ def fit_var(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class MlpSpec:
+class MlpSpec(Checked):
     """Residual-correction network: one tanh hidden layer plus linear output.
 
-    The field types are checked here, their ranges by `fit_var_mlp`.
+    The field types are checked here; `fit_var_mlp` checks `epochs` and
+    `VarMlpConfig` the width.
     """
 
     hidden: int = 32
     epochs: int = 100
 
-    def __post_init__(self):
-        check_field_types(type(self), vars(self))
-
 
 @dataclass(frozen=True)
-class VarMlpConfig:
-    order: int
-    num_series: int
-    hidden: int
-
-    def __post_init__(self):
-        check_field_types(type(self), vars(self))
-        if self.order < 1 or self.num_series < 1 or self.hidden < 1:
-            raise ConfigError(f"order, num_series and hidden must be positive, "
-                              f"got {self.order}, {self.num_series} and {self.hidden}")
+class VarMlpConfig(Checked):
+    order: int = field(metadata=POSITIVE)
+    num_series: int = field(metadata=POSITIVE)
+    hidden: int = field(metadata=POSITIVE)
 
 
 class VarMlpModel(Model):
@@ -243,15 +230,10 @@ def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
 # -- gated recurrent unit ------------------------------------------------------
 
 @dataclass(frozen=True)
-class GruConfig:
-    num_series: int
-    hidden_size: int = 64
-    horizon: int = 1
-
-    def __post_init__(self):
-        check_field_types(type(self), vars(self))
-        if self.num_series < 1 or self.hidden_size < 1 or self.horizon < 1:
-            raise ConfigError("num_series, hidden_size, and horizon must be positive")
+class GruConfig(Checked):
+    num_series: int = field(metadata=POSITIVE)
+    hidden_size: int = field(default=64, metadata=POSITIVE)
+    horizon: int = field(default=1, metadata=POSITIVE)
 
 
 class GruModel(NeuralModel):
@@ -296,18 +278,11 @@ class GruModel(NeuralModel):
 # -- temporal convolutional network ---------------------------------------------
 
 @dataclass(frozen=True)
-class TcnConfig:
-    channels: int = 16
-    kernel_size: int = 2
-    num_blocks: int = 3
-    horizon: int = 1
-
-    def __post_init__(self):
-        check_field_types(type(self), vars(self))
-        if self.channels < 1 or self.num_blocks < 1 or self.horizon < 1:
-            raise ConfigError("channels, num_blocks, and horizon must be positive")
-        if self.kernel_size < 2:
-            raise ConfigError(f"kernel_size must be at least 2, got {self.kernel_size}")
+class TcnConfig(Checked):
+    channels: int = field(default=16, metadata=POSITIVE)
+    kernel_size: int = field(default=2, metadata=AT_LEAST_2)
+    num_blocks: int = field(default=3, metadata=POSITIVE)
+    horizon: int = field(default=1, metadata=POSITIVE)
 
     @property
     def receptive_field(self) -> int:

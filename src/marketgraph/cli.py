@@ -29,9 +29,7 @@ from .data import (
     atomic_write, csv_text, descriptive_stats, invert_predictions, load_csv,
     log_transform, make_windows, matrix_csv, normalize, run_pipeline,
 )
-from .errors import (
-    ConfigError, DataError, DomainError, MarketGraphError, ShapeError, check_field_types,
-)
+from .errors import ConfigError, DataError, MarketGraphError, ShapeError, check_fields
 from .graph import G7_COUNTRIES, MINT_COUNTRIES, rank_influence, read_adjacency_csv
 from .metrics import dtw_matrix, spearman_matrix
 from .mtgnn import MtgnnConfig, MtgnnModel
@@ -69,11 +67,12 @@ def _object(where: str, given, allowed: set[str]) -> dict:
     return given
 
 
-def _section(where: str, given, cls, skip=()) -> dict:
+def _section(where: str, given, cls, skip=(), bounds=True) -> dict:
     """`given`, which must be a JSON object holding only fields of the
-    dataclass `cls` (less `skip`), each of its declared type."""
+    dataclass `cls` (less `skip`), each of its declared type and, if
+    `bounds`, within its declared bound."""
     _object(where, given, {f.name for f in fields(cls)} - set(skip))
-    check_field_types(cls, given, where)
+    check_fields(cls, given, f"{where}.", bounds)
     return given
 
 
@@ -93,18 +92,21 @@ def parse_run_config(path) -> RunConfig:
     except RecursionError:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     _object("config", doc, _DOC_KEYS)
-    check_field_types(RunConfig, doc, "config")
+    check_fields(RunConfig, doc, "config.")
     split_doc = _section("split", doc.get("split", {}), SplitSpec)
     window_doc = _section("window", doc.get("window", {}), WindowSpec)
     train_doc = _section("train", doc.get("train", {}), TrainConfig, skip=("seed",))
     # The data fixes the node count and the window fixes the model's input
-    # and horizon, so the document cannot set them.
+    # and horizon, so the document cannot set them. Their ranges are checked
+    # when the model is built, so `compare` records a bad one for mtgnn alone.
     model_doc = _section("model", doc.get("model", {}), MtgnnConfig,
-                         skip=("num_nodes", "input_window", "horizon"))
+                         skip=("num_nodes", "input_window", "horizon"), bounds=False)
     baselines_doc = _object("baselines", doc.get("baselines", {}), _BASELINE_KEYS)
 
     mlp_doc = {k[len("mlp_"):]: v for k, v in baselines_doc.items() if k.startswith("mlp_")}
     knobs = {k: v for k, v in baselines_doc.items() if not k.startswith("mlp_")}
+    check_fields(MlpSpec, mlp_doc, "baselines.mlp_")
+    check_fields(ComparisonSpec, knobs, "baselines.")
     try:
         return RunConfig(
             dataset=doc.get("dataset"),
@@ -114,7 +116,7 @@ def parse_run_config(path) -> RunConfig:
             spec=ComparisonSpec(train=TrainConfig(seed=doc.get("seed", 0), **train_doc),
                                 mlp=MlpSpec(**mlp_doc), mtgnn=dict(model_doc), **knobs),
         )
-    except (DomainError, OverflowError) as exc:  # a range error, or a number too large
+    except OverflowError as exc:  # a number too large for a float
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -131,10 +133,8 @@ def _rebase_rules(doc) -> tuple[RebaseRule, ...]:
             raise ConfigError(f"{where} needs a cutoff in YYYY-MM-DD form") from None
         if "column" not in entry:
             raise ConfigError(f"{where} needs a column name")
-        divisor = float(entry.get("divisor", 100.0))
-        if not divisor > 0:
-            raise ConfigError(f"{where}.divisor must be positive, got {divisor}")
-        rules.append(RebaseRule(column=entry["column"], cutoff=cutoff, divisor=divisor))
+        rules.append(RebaseRule(column=entry["column"], cutoff=cutoff,
+                                divisor=float(entry.get("divisor", 100.0))))
     return tuple(rules)
 
 
@@ -270,7 +270,7 @@ def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[Rebase
                 raise ConfigError(f"{where} needs {', '.join(sorted(keys))}")
         return (NormStats(**extra["norm_stats"]), WindowSpec(**extra["window"]),
                 _rebase_rules(extra.get("rebase", [])))
-    except (ConfigError, DataError, DomainError, ShapeError, TypeError, ValueError,
+    except (ConfigError, DataError, ShapeError, TypeError, ValueError,
             OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise DataError(f"{path}: unusable checkpoint metadata: {exc}") from None
 

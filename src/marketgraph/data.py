@@ -14,13 +14,13 @@ import io
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError, ShapeError
+from .errors import POSITIVE, POSITIVE_FINITE, Checked, ConfigError, DataError, DomainError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -194,19 +194,19 @@ def matrix_csv(corner: str, labels: Sequence[str], matrix: np.ndarray) -> str:
 
 
 @dataclass(frozen=True)
-class RebaseRule:
+class RebaseRule(Checked):
     """Undo an exchange redenomination: divide pre-cutoff rows of one column."""
 
     column: str
     cutoff: date
-    divisor: float
+    divisor: float = field(metadata=POSITIVE_FINITE)
 
 
 def adjust_rebased_series(frame: TimeSeriesFrame, column: str, cutoff_date: date,
                           divisor: float) -> TimeSeriesFrame:
     """Divide `column` by `divisor` on every row strictly before the cutoff."""
-    if divisor <= 0:
-        raise DomainError(f"divisor must be positive, got {divisor}")
+    if not 0 < divisor < np.inf:
+        raise DomainError(f"divisor must be positive and finite, got {divisor}")
     col = frame.column_index(column)
     values = frame.values.copy()
     before = np.array([d < cutoff_date for d in frame.dates])
@@ -233,19 +233,18 @@ def log_transform(frame: TimeSeriesFrame) -> TimeSeriesFrame:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Checked):
     """Chronological train/validation/test fractions."""
 
-    train: float = 0.6
-    validation: float = 0.2
-    test: float = 0.2
+    train: float = field(default=0.6, metadata=POSITIVE)
+    validation: float = field(default=0.2, metadata=POSITIVE)
+    test: float = field(default=0.2, metadata=POSITIVE)
 
     def __post_init__(self):
-        parts = (self.train, self.validation, self.test)
-        if any(p <= 0 for p in parts):
-            raise DomainError(f"split fractions must be positive, got {parts}")
-        if abs(sum(parts) - 1.0) > 1e-9:
-            raise DomainError(f"split fractions must sum to 1, got {sum(parts)}")
+        super().__post_init__()
+        total = self.train + self.validation + self.test
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"split fractions must sum to 1, got {total}")
 
 
 def chronological_split(frame: TimeSeriesFrame, spec: SplitSpec = SplitSpec()
@@ -318,15 +317,11 @@ def invert_predictions(values: np.ndarray, stats: NormStats, axis: int = -1) -> 
 
 
 @dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(Checked):
     """Input length P and forecast horizon Q, in steps."""
 
-    P: int = 30
-    Q: int = 1
-
-    def __post_init__(self):
-        if self.P < 1 or self.Q < 1:
-            raise DomainError(f"P and Q must be at least 1, got P={self.P}, Q={self.Q}")
+    P: int = field(default=30, metadata=POSITIVE)
+    Q: int = field(default=1, metadata=POSITIVE)
 
     def count(self, rows: int) -> int:
         """rows - P - Q + 1, the windows that `rows` consecutive rows hold;

@@ -1,5 +1,7 @@
-"""Exception types shared across the toolkit, the field-type check of the
-configuration dataclasses, and the depth rules of dilated convolution stacks."""
+"""Exception types shared across the toolkit, the field type and bound check
+of the configuration dataclasses, and the depth rules of dilated convolution
+stacks."""
+import math
 from collections.abc import Iterator
 from dataclasses import fields
 
@@ -45,6 +47,16 @@ _FIELD_TYPES = {
     "None": ((type(None),), "null"),
 }
 
+# Field metadata that `check_fields` reads, as (text, test): a value the test
+# refuses "must be <text>". NaN passes no comparison, so every bound refuses it.
+POSITIVE = {"bound": ("positive", lambda v: v > 0)}
+NONNEGATIVE = {"bound": ("nonnegative", lambda v: v >= 0)}
+AT_LEAST_2 = {"bound": ("at least 2", lambda v: v >= 2)}
+POSITIVE_FINITE = {"bound": ("positive and finite", lambda v: 0 < v < math.inf)}
+NONNEGATIVE_FINITE = {"bound": ("nonnegative and finite", lambda v: 0 <= v < math.inf)}
+UNIT_INTERVAL = {"bound": ("in [0, 1]", lambda v: 0 <= v <= 1)}
+PROBABILITY = {"bound": ("in [0, 1)", lambda v: 0 <= v < 1)}
+
 
 def dilations(depth: int) -> Iterator[int]:
     """The dilation of each of `depth` stacked causal convolutions, lazily: 1, 2, 4, ..."""
@@ -69,23 +81,37 @@ def check_depth(window: int, depth: int, kernel_size: int, unit: str) -> None:
                           f"of {depth} {unit}; widen the window or drop {unit}")
 
 
-def check_field_types(cls, values, where: str = "") -> None:
+def check_fields(cls, values, prefix: str = "", bounds: bool = True) -> None:
     """ConfigError unless every entry of `values` (a mapping) that names a field
-    of the dataclass `cls` holds that field's declared type.
+    of the dataclass `cls` holds that field's declared type and, if `bounds`,
+    lies within the bound its metadata declares (`POSITIVE`, ...).
 
     The type is read from the annotation: `int`, `float`, `bool`, `str` and
     unions of them with `None`. A bool counts only for a `bool` field, and
     a `float` field also takes an int. Fields of other types are not checked.
-    `where` prefixes the field name in the message.
+    The message names the field as `prefix` followed by its name.
     """
     for f in fields(cls):
+        if f.name not in values:
+            continue
+        value, name = values[f.name], prefix + f.name
         text = getattr(f.type, "__name__", str(f.type))
         parts = [part.strip() for part in text.split("|")]
-        if f.name not in values or not all(part in _FIELD_TYPES for part in parts):
-            continue
-        value = values[f.name]
-        allowed = tuple(t for part in parts for t in _FIELD_TYPES[part][0])
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            name = f"{where}.{f.name}" if where else f.name
-            wanted = " or ".join(_FIELD_TYPES[part][1] for part in parts)
-            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        if all(part in _FIELD_TYPES for part in parts):
+            allowed = tuple(t for part in parts for t in _FIELD_TYPES[part][0])
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                wanted = " or ".join(_FIELD_TYPES[part][1] for part in parts)
+                raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        if bounds and "bound" in f.metadata:
+            wanted, holds = f.metadata["bound"]
+            if not holds(value):
+                raise ConfigError(f"{name} must be {wanted}, got {value}")
+
+
+class Checked:
+    """Base of the config dataclasses: constructing one runs `check_fields`
+    on every field. A subclass with checks that span fields or are not
+    bounds runs them after `super().__post_init__()`."""
+
+    def __post_init__(self):
+        check_fields(type(self), vars(self))

@@ -8,7 +8,7 @@ feeds a skip path into the output head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,50 +19,37 @@ from .autodiff import (
 )
 from .checkpoint import NeuralModel
 from .data import window_array
-from .errors import ConfigError, ShapeError, check_depth, check_field_types, dilations, receptive_field
+from .errors import (
+    AT_LEAST_2, NONNEGATIVE, POSITIVE, POSITIVE_FINITE, PROBABILITY, UNIT_INTERVAL, Checked,
+    ConfigError, ShapeError, check_depth, dilations, receptive_field,
+)
 from .graph import learn_adjacency
 
 
 @dataclass(frozen=True)
-class MtgnnConfig:
+class MtgnnConfig(Checked):
     """Architecture and regularization knobs; channel defaults follow the
     reference experiment setup (16/16/32 channels, dropout 0.3, depth-2
     graph convolutions, 40-dimensional node embeddings)."""
 
-    num_nodes: int
-    num_layers: int = 3
-    conv_channels: int = 16
-    residual_channels: int = 16
-    skip_channels: int = 32
-    dropout: float = 0.3
-    gc_depth: int = 2
-    embedding_dim: int = 40
-    input_window: int = 30
-    horizon: int = 1
-    retain_ratio: float = 0.05
-    kernel_size: int = 2
-    alpha: float = 3.0
+    num_nodes: int = field(metadata=AT_LEAST_2)
+    num_layers: int = field(default=3, metadata=POSITIVE)
+    conv_channels: int = field(default=16, metadata=POSITIVE)
+    residual_channels: int = field(default=16, metadata=POSITIVE)
+    skip_channels: int = field(default=32, metadata=POSITIVE)
+    dropout: float = field(default=0.3, metadata=PROBABILITY)
+    gc_depth: int = field(default=2, metadata=NONNEGATIVE)
+    embedding_dim: int = field(default=40, metadata=POSITIVE)
+    input_window: int = field(default=30, metadata=POSITIVE)
+    horizon: int = field(default=1, metadata=POSITIVE)
+    retain_ratio: float = field(default=0.05, metadata=UNIT_INTERVAL)
+    kernel_size: int = field(default=2, metadata=AT_LEAST_2)
+    alpha: float = field(default=3.0, metadata=POSITIVE_FINITE)
     k: int | None = None
     use_residual: bool = True
 
     def __post_init__(self):
-        check_field_types(type(self), vars(self))
-        if self.num_nodes < 2:
-            raise ConfigError(f"need at least 2 nodes, got {self.num_nodes}")
-        for name in ("num_layers", "conv_channels", "residual_channels",
-                     "skip_channels", "embedding_dim", "input_window", "horizon"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.gc_depth < 0:
-            raise ConfigError(f"gc_depth must be nonnegative, got {self.gc_depth}")
-        if not 0.0 <= self.retain_ratio <= 1.0:
-            raise ConfigError(f"retain_ratio must be in [0, 1], got {self.retain_ratio}")
-        if self.kernel_size < 2:
-            raise ConfigError(f"kernel_size must be at least 2, got {self.kernel_size}")
-        if not 0.0 < self.alpha < np.inf:
-            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        super().__post_init__()
         if self.k is not None and not 1 <= self.k <= self.num_nodes - 1:
             raise ConfigError(f"k={self.k} out of range for {self.num_nodes} nodes")
         check_depth(self.input_window, self.num_layers, self.kernel_size, "layers")

@@ -16,7 +16,10 @@ from .baselines import (
     fit_ar_ensemble, fit_var_mlp,
 )
 from .data import NormStats, PipelineResult, WindowSet, WindowSpec, csv_text, invert_predictions
-from .errors import ConfigError, DataError, MarketGraphError, TrainingDiverged, check_depth, check_field_types
+from .errors import (
+    NONNEGATIVE, NONNEGATIVE_FINITE, POSITIVE, POSITIVE_FINITE, Checked, ConfigError, DataError,
+    MarketGraphError, TrainingDiverged, check_depth, check_fields,
+)
 from .graph import AdjacencyMatrix
 from .metrics import METRIC_FUNCS, MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
@@ -24,31 +27,21 @@ from .optim import Adam
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Checked):
     """Optimization knobs; epoch/batch/loss defaults follow the reference
     experiment setup."""
 
-    epochs: int = 30
-    batch_size: int = 8
+    epochs: int = field(default=30, metadata=NONNEGATIVE)
+    batch_size: int = field(default=8, metadata=POSITIVE)
     loss: str = "l1"
-    learning_rate: float = 0.001
-    l2_coefficient: float = 1e-4
-    seed: int = 0
+    learning_rate: float = field(default=0.001, metadata=POSITIVE_FINITE)
+    l2_coefficient: float = field(default=1e-4, metadata=NONNEGATIVE_FINITE)
+    seed: int = field(default=0, metadata=NONNEGATIVE)
 
     def __post_init__(self):
-        check_field_types(type(self), vars(self))
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
+        super().__post_init__()
         if self.loss != "l1":
             raise ConfigError(f"only the l1 loss is supported, got {self.loss!r}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0 <= self.l2_coefficient < np.inf:
-            raise ConfigError(f"l2_coefficient must be nonnegative and finite, got {self.l2_coefficient}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -211,7 +204,9 @@ def _build_tcn(pipeline, window, spec, rng):
 
 def mtgnn_config(pipeline, window, knobs: dict) -> MtgnnConfig:
     """The graph model's config: the data fixes its node count and the window
-    its input length and horizon; `knobs` sets the rest."""
+    its input length and horizon; `knobs`, the run document's `model`
+    section, sets the rest."""
+    check_fields(MtgnnConfig, knobs, "model.")
     return MtgnnConfig(num_nodes=len(pipeline.train.columns), input_window=window.P,
                        horizon=window.Q, **knobs)
 
@@ -234,7 +229,7 @@ MODEL_BUILDERS = {
 
 
 @dataclass(frozen=True)
-class ComparisonSpec:
+class ComparisonSpec(Checked):
     """Which models to run and with what knobs; shared training protocol.
 
     The knobs' types are checked here and their ranges when each model is
@@ -252,7 +247,7 @@ class ComparisonSpec:
     include: tuple[str, ...] = tuple(MODEL_BUILDERS)
 
     def __post_init__(self):
-        check_field_types(type(self), vars(self))
+        super().__post_init__()
         if not isinstance(self.include, (list, tuple)) or not all(isinstance(k, str) for k in self.include):
             raise ConfigError(f"include must be a list of model kinds, got {self.include!r}")
         object.__setattr__(self, "include", tuple(self.include))

@@ -210,6 +210,26 @@ def test_parse_run_config_returns_a_config_or_raises_config_error(tmp_path_facto
         pass
 
 
+# One out-of-range value per section; 1e999 overflows to infinity.
+SECTION_PATHS = {
+    "train.epochs": '{"train": {"epochs": -1}}',
+    "train.learning_rate": '{"train": {"learning_rate": 1e999}}',
+    "split.train": '{"split": {"train": 0, "validation": 0.5, "test": 0.5}}',
+    "window.P": '{"window": {"P": 0}}',
+    "window.Q": '{"window": {"Q": 0}}',
+    "rebase[0].divisor": '{"rebase": [{"column": "us", "cutoff": "2020-01-10", "divisor": 1e999}]}',
+}
+
+
+@pytest.mark.parametrize("key, text", SECTION_PATHS.items(), ids=SECTION_PATHS.keys())
+def test_a_range_error_names_its_section_and_key(tmp_path, key, text):
+    path = tmp_path / "run.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(path)
+    assert str(info.value).startswith(f"{key} must be ")
+
+
 # -- analyze --------------------------------------------------------------------------
 
 
@@ -494,6 +514,22 @@ def test_an_out_of_range_model_knob(tmp_path, capsys, command, knob, message):
         assert message in payload["errors"]["mtgnn"]
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_an_out_of_range_model_knob_is_named_by_its_document_key(tmp_path, capsys, command):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path, model={**TINY_MODEL, "dropout": 1.0},
+                          baselines={"include": ["persistence", "mtgnn"]})
+    out = tmp_path / "out"
+    main([command, "--config", str(config), "--out", str(out)])
+    message = "model.dropout must be in [0, 1), got 1.0"
+    if command == "train":
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        errors = json.loads((out / "comparison.json").read_text(encoding="utf-8"))["errors"]
+        assert errors == {"mtgnn": f"ConfigError: {message}"}
+
+
 # -- compare --------------------------------------------------------------------------
 
 
@@ -544,13 +580,17 @@ def test_compare_ar_order_beyond_the_window_is_a_recorded_data_error(tmp_path, c
 
 
 @pytest.mark.parametrize("command", ["train", "compare", "analyze"])
-@pytest.mark.parametrize("baselines", [{"ar_order": "2"}, {"tcn_blocks": True},
-                                       {"include": "ar"}, {"mlp_hidden": 2.5},
-                                       {"include": ["bogus"]}],
-                         ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden",
-                              "unknown_include"])
-def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, baselines, command):
-    # The run document is parsed once, so all three commands refuse it alike.
+@pytest.mark.parametrize("baselines, named", [
+    ({"ar_order": "2"}, "baselines.ar_order must be an integer"),
+    ({"tcn_blocks": True}, "baselines.tcn_blocks must be an integer"),
+    ({"include": "ar"}, "include must be a list of model kinds"),
+    ({"mlp_hidden": 2.5}, "baselines.mlp_hidden must be an integer"),
+    ({"include": ["bogus"]}, "unknown model kind(s) in include"),
+], ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden", "unknown_include"])
+def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, baselines, named,
+                                                            command):
+    # The run document is parsed once, so all three commands refuse it alike,
+    # naming the knob as the document spells it.
     csv_path = tmp_path / "prices.csv"
     make_dataset(csv_path)
     config = write_config(tmp_path / "run.json", csv_path,
@@ -559,12 +599,12 @@ def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, ba
     out = tmp_path / "out"
     assert main([command, *inputs, "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "internal error" not in err
+    assert err.startswith(f"error: {named}") and "internal error" not in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("knob, kind, message", [
-    ({"mlp_hidden": 0}, "var_mlp", "hidden must be positive, got 1, 3 and 0"),
+    ({"mlp_hidden": 0}, "var_mlp", "hidden must be positive, got 0"),
     ({"tcn_blocks": 4}, "tcn", "input window 8 is shorter than the receptive field of 4 blocks"),
     ({"tcn_blocks": 15000}, "tcn", "input window 8 is shorter than the receptive field of 15000 blocks"),
 ], ids=["zero_mlp_hidden", "tcn_too_deep", "tcn_far_too_deep"])
@@ -882,6 +922,33 @@ def test_an_unreadable_input_exits_2_naming_it_and_leaves_no_out_dir(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path / "bad.") in err
     assert not (tmp_path / "o").exists()
+
+
+# JSON has no infinity, but 1e999 is a number that overflows to one.
+INFINITE_DIVISOR = '[{"column": "us", "cutoff": "2020-01-10", "divisor": 1e999}]'
+
+
+@pytest.mark.parametrize("command", ["analyze", "train", "forecast"])
+def test_an_infinite_rebase_divisor_exits_2_naming_it(tmp_path, capsys, command):
+    # inf passes a bare `> 0` check, and dividing by it zeroes `us` before the cutoff.
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    if command == "forecast":
+        named = Path(untrained_checkpoint(tmp_path))
+        doc = json.loads(named.read_text(encoding="utf-8"))
+        doc["extra"]["rebase"] = "REBASE"
+        argv = ["forecast", "--checkpoint", str(named), "--csv", str(csv_path)]
+    else:
+        named = write_config(tmp_path / "run.json", csv_path, rebase="REBASE")
+        doc = json.loads(named.read_text(encoding="utf-8"))
+        argv = [command, *([str(csv_path)] if command == "analyze" else []), "--config", str(named)]
+    named.write_text(json.dumps(doc).replace('"REBASE"', INFINITE_DIVISOR), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rebase[0].divisor must be positive and finite, got inf" in err
+    assert command != "forecast" or f"error: {named}: unusable checkpoint metadata" in err
+    assert not out.exists()
 
 
 # -- argparse boundary ----------------------------------------------------------------

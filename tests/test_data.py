@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marketgraph import (
-    DataError, DomainError, ShapeError, TimeSeriesFrame, WindowSpec, load_csv,
+    ConfigError, DataError, DomainError, ShapeError, TimeSeriesFrame, WindowSpec, load_csv,
     run_pipeline,
 )
 from marketgraph.data import (
@@ -257,9 +257,9 @@ def test_split_large_count_matches_expected_sizes():
 
 
 def test_split_spec_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SplitSpec(train=0.5, validation=0.2, test=0.2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         SplitSpec(train=0.0, validation=0.5, test=0.5)
 
 
@@ -347,9 +347,9 @@ def test_window_insufficient_rows():
 
 
 def test_window_spec_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         WindowSpec(P=0, Q=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         WindowSpec(P=3, Q=0)
 
 

@@ -439,6 +439,13 @@ def causal_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     sees a future sample. x is [B, C_in, N, T].
     """
     x, kernel = _lift(x), _lift(kernel)
+    out, back = _causal_conv(x, kernel, dilation)
+    return _record(out, (x, kernel), back)
+
+
+def _causal_conv(x: Tensor, kernel: Tensor, dilation: int):
+    """causal_conv1d unrecorded: its [B, C_out, N, T] output, which the caller
+    may overwrite, and the backward rule mapping its adjoint to (dx, dkernel)."""
     if dilation < 1:
         raise DomainError(f"dilation must be >= 1, got {dilation}")
     if kernel.ndim != 3 or kernel.shape[2] < 1:
@@ -452,29 +459,36 @@ def causal_conv1d(x: Tensor, kernel: Tensor, dilation: int = 1) -> Tensor:
     if kC_in != C_in:
         raise ShapeError(f"kernel expects {kC_in} input channels, data has {C_in}")
     pad = (K - 1) * dilation
-    xp = np.pad(x.data, ((0, 0), (0, 0), (0, 0), (pad, 0)))
     offs = [(K - 1 - j) * dilation for j in range(K)]
     taps = np.ascontiguousarray(np.moveaxis(kernel.data, 2, 0))  # [K, C_out, C_in]
 
-    def segment(off):
+    def padded():
+        # Built on demand, so no closure holds a padded copy of x.
+        xp = np.zeros((B, C_in, N, pad + T))
+        xp[..., pad:] = x.data
+        return xp
+
+    def segment(xp, off):
         # Tap input as [B, C_in, N*T]; the undelayed tap reads x itself.
         seg = x.data if off == pad else np.ascontiguousarray(xp[..., off:off + T])
         return seg.reshape(B, C_in, N * T)
 
-    out = taps[0] @ segment(offs[0])
+    xp = padded()
+    out = taps[0] @ segment(xp, offs[0])
     for j in range(1, K):
-        out += taps[j] @ segment(offs[j])
+        out += taps[j] @ segment(xp, offs[j])
 
     def back(g):
         g = g.reshape(B, C_out, N * T)
+        xp = padded()
         dw = np.empty_like(kernel.data)
         dxp = np.zeros_like(xp)
         for j, off in enumerate(offs):
-            dw[:, :, j] = np.matmul(g, segment(off).transpose(0, 2, 1)).sum(axis=0)
+            dw[:, :, j] = np.matmul(g, segment(xp, off).transpose(0, 2, 1)).sum(axis=0)
             dxp[..., off:off + T] += (taps[j].T @ g).reshape(B, C_in, N, T)
         return dxp[..., pad:], dw
 
-    return _record(out.reshape(B, C_out, N, T), (x, kernel), back)
+    return out.reshape(B, C_out, N, T), back
 
 
 def channel_linear(x: Tensor, w: Tensor) -> Tensor:
@@ -632,21 +646,6 @@ def gru_sequence(x: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tensor,
 
     out = np.ascontiguousarray(hs[1:].transpose(1, 2, 0))
     return _record(out, inputs, back)
-
-
-def tanh_sigmoid_gate(a: Tensor) -> Tensor:
-    """tanh(a[:, :C]) * sigmoid(a[:, C:]) for a with 2*C channels on axis 1."""
-    a = _lift(a)
-    if a.ndim < 2 or a.shape[1] % 2:
-        raise ShapeError(f"gate needs an even channel count on axis 1, got shape {a.shape}")
-    C = a.shape[1] // 2
-    f = np.tanh(a.data[:, :C])
-    s = 0.5 * (1.0 + np.tanh(0.5 * a.data[:, C:]))
-
-    def back(g):
-        return (np.concatenate((g * s * (1.0 - f * f), g * f * s * (1.0 - s)), axis=1),)
-
-    return _record(f * s, (a,), back)
 
 
 # -- verification ---------------------------------------------------------------

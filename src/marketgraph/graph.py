@@ -6,7 +6,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .autodiff import Tensor, mul, relu, tanh, transpose
+from .autodiff import Tensor, _record
 from .data import read_csv_rows
 from .errors import DataError, DomainError, ShapeError
 
@@ -46,13 +46,26 @@ def learn_adjacency(e1: Tensor, e2: Tensor, theta1: Tensor, theta2: Tensor,
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
     if not 1 <= k <= n - 1:
         raise DomainError(f"k={k} out of range for {n} nodes (max {n - 1})")
-    m1 = tanh(mul(e1 @ theta1, alpha))
-    m2 = tanh(mul(e2 @ theta2, alpha))
-    score = m1 @ transpose(m2) - m2 @ transpose(m1)
-    a0 = relu(tanh(mul(score, alpha)))
-    mask = top_k_row_mask(a0.data, k)
+    m1 = np.tanh((e1.data @ theta1.data) * alpha)
+    m2 = np.tanh((e2.data @ theta2.data) * alpha)
+    m1t, m2t = np.ascontiguousarray(m1.T), np.ascontiguousarray(m2.T)
+    t = np.tanh((m1 @ m2t - m2 @ m1t) * alpha)
+    kept = t > 0
+    a0 = np.where(kept, t, 0.0)
+    mask = top_k_row_mask(a0, k)
     np.fill_diagonal(mask, 0.0)
-    return mul(a0, Tensor(mask))
+
+    def back(g):
+        # The floats of the reverse sweep through the docstring's formula as
+        # matmul, mul, tanh, transpose, sub and relu ops, summed in its order.
+        gs = ((g * mask) * kept) * (1.0 - t * t) * alpha
+        g_m1 = np.transpose(m2.T @ -gs, (1, 0)) + gs @ m2t.T
+        g_m2 = (-gs) @ m1t.T + np.transpose(m1.T @ gs, (1, 0))
+        g_p1 = g_m1 * (1.0 - m1 * m1) * alpha
+        g_p2 = g_m2 * (1.0 - m2 * m2) * alpha
+        return g_p1 @ theta1.data.T, g_p2 @ theta2.data.T, e1.data.T @ g_p1, e2.data.T @ g_p2
+
+    return _record(a0 * mask, (e1, e2, theta1, theta2), back)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    Rng, Tensor, add_bias, causal_conv1d, channel_linear, dropout, last_step,
-    matmul, mix_hop, mul, permute, relu, row_normalize, stack_last, tanh_sigmoid_gate,
-    transpose,
+    Rng, Tensor, _causal_conv, _lift, _record, add_bias, channel_linear, dropout, last_step,
+    mix_hop, permute, relu,
 )
 from .checkpoint import NeuralModel
 from .data import window_array
 from .errors import (
     AT_LEAST_2, NONNEGATIVE, POSITIVE, POSITIVE_FINITE, PROBABILITY, UNIT_INTERVAL, Checked,
-    ConfigError, ShapeError, check_depth, dilations, receptive_field,
+    ConfigError, DomainError, ShapeError, check_depth, dilations, receptive_field,
 )
 from .graph import learn_adjacency
 
@@ -71,18 +70,40 @@ def propagation_stack(a: Tensor, depth: int, beta: float) -> Tensor:
     with its in-edges. For each in turn, P(0) = I and
     P(k) = beta*I + (1-beta)*A_norm P(k-1), so P(k) H is the k-th hop state
     of the rule H(k) = beta*H + (1-beta)*A_norm H(k-1) with H(0) = H.
+
+    One op, whose backward repeats the floats of the reverse sweep through
+    the equivalent add, transpose, row_normalize, matmul and mul ops.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"adjacency must be square, got {a.shape}")
-    eye = Tensor(np.eye(a.shape[0]))
-    mats = []
-    for a_norm in [row_normalize(a + eye), row_normalize(transpose(a) + eye)]:
-        p = eye
-        mats.append(p)
+    eye = np.eye(a.shape[0])
+    norms, mats = [], []   # per direction (A + I or A^T + I, its row sums, A_norm); P(0..depth)
+    for x in (a.data + eye, np.ascontiguousarray(np.transpose(a.data, (1, 0))) + eye):
+        s = x.sum(axis=1, keepdims=True)
+        if np.any(s <= 0):
+            raise DomainError("row_normalize requires positive row sums")
+        a_norm = x / s
+        norms.append((x, s, a_norm))
+        mats.append(eye)
         for _ in range(depth):
-            p = mul(eye, beta) + mul(matmul(a_norm, p), 1.0 - beta)
-            mats.append(p)
-    return permute(stack_last(mats), (2, 0, 1))
+            mats.append(eye * beta + (a_norm @ mats[-1]) * (1.0 - beta))
+
+    def back(g):
+        g_dirs = []
+        for d, (x, s, a_norm) in enumerate(norms):
+            first = d * (depth + 1)
+            g_p, g_norm = g[first + depth], None
+            for k in range(depth, 0, -1):
+                g_mm = g_p * (1.0 - beta)
+                term = g_mm @ mats[first + k - 1].T
+                g_norm = term if g_norm is None else g_norm + term
+                if k > 1:   # P(0) = I is a constant
+                    g_p = g[first + k - 1] + a_norm.T @ g_mm
+            g_dirs.append(g_norm / s - (g_norm * x).sum(axis=1, keepdims=True) / (s * s))
+        return (np.transpose(g_dirs[1], (1, 0)) + g_dirs[0],)
+
+    # At depth 0 every matrix is I, so the stack does not depend on a.
+    return _record(np.stack(mats), (a,) if depth else (), back)
 
 
 def _mix_hop_core(h: Tensor, props: Tensor, weights: Tensor) -> Tensor:
@@ -94,9 +115,27 @@ def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int, bias: Tensor) 
     """tanh(filter) * sigmoid(gate) from one causal, dilated convolution.
 
     x is [B, C_in, N, T]; kernel is [2C, C_in, K] and bias [2C]: rows [:C]
-    are the filter, rows [C:] the gate.
+    are the filter, rows [C:] the gate. One op, with the floats of
+    causal_conv1d, then add_bias along axis 1, then the gate.
     """
-    return tanh_sigmoid_gate(add_bias(causal_conv1d(x, kernel, dilation), bias, 1))
+    x, kernel, bias = _lift(x), _lift(kernel), _lift(bias)
+    out, conv_back = _causal_conv(x, kernel, dilation)
+    if bias.ndim != 1:
+        raise ShapeError(f"bias must be 1-D, got shape {bias.shape}")
+    if out.shape[1] != bias.shape[0]:
+        raise ShapeError(f"bias length {bias.shape[0]} does not match axis 1 of {out.shape}")
+    if out.shape[1] % 2:
+        raise ShapeError(f"gate needs an even channel count on axis 1, got shape {out.shape}")
+    C = out.shape[1] // 2
+    out += bias.data.reshape(1, 2 * C, 1, 1)
+    f = np.tanh(out[:, :C])
+    s = 0.5 * (1.0 + np.tanh(0.5 * out[:, C:]))
+
+    def back(g):
+        g = np.concatenate((g * s * (1.0 - f * f), g * f * s * (1.0 - s)), axis=1)
+        return (*conv_back(g), g.sum(axis=(0, 2, 3)))
+
+    return _record(f * s, (x, kernel, bias), back)
 
 
 class MtgnnModel(NeuralModel):

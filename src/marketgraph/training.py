@@ -168,15 +168,26 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
 # `rng` is that kind's own stream; gradient-trained kinds split it once for
 # initialization, then once for training.
 
+def _positive_knobs(**knobs: int) -> None:
+    """ConfigError naming the first knob that is not positive as the run
+    document's `baselines.<key>`. Each builder checks its own knobs, so an
+    out-of-range one fails only its model."""
+    for key, value in knobs.items():
+        if not value > 0:
+            raise ConfigError(f"baselines.{key} must be positive, got {value}")
+
+
 def _build_persistence(pipeline, window, spec, rng):
     return PersistenceModel(), None, {}
 
 
 def _build_ar(pipeline, window, spec, rng):
+    _positive_knobs(ar_order=spec.ar_order)
     return fit_ar_ensemble(pipeline.train.values, spec.ar_order), None, {"order": spec.ar_order}
 
 
 def _build_var_mlp(pipeline, window, spec, rng):
+    _positive_knobs(var_order=spec.var_order, mlp_hidden=spec.mlp.hidden)
     model = fit_var_mlp(pipeline.train.values, spec.var_order, spec.mlp, rng)
     return model, None, {"order": spec.var_order, "hidden": spec.mlp.hidden,
                          "epochs": spec.mlp.epochs}
@@ -189,6 +200,7 @@ def _train_new(model_class, config, pipeline, spec, rng) -> TrainResult:
 
 
 def _build_gru(pipeline, window, spec, rng):
+    _positive_knobs(gru_hidden=spec.gru_hidden)
     config = GruConfig(num_series=len(pipeline.train.columns), hidden_size=spec.gru_hidden,
                        horizon=window.Q)
     result = _train_new(GruModel, config, pipeline, spec, rng)
@@ -196,6 +208,7 @@ def _build_gru(pipeline, window, spec, rng):
 
 
 def _build_tcn(pipeline, window, spec, rng):
+    _positive_knobs(tcn_channels=spec.tcn_channels, tcn_blocks=spec.tcn_blocks)
     config = TcnConfig(channels=spec.tcn_channels, num_blocks=spec.tcn_blocks, horizon=window.Q)
     check_depth(window.P, config.num_blocks, config.kernel_size, "blocks")
     result = _train_new(TcnModel, config, pipeline, spec, rng)

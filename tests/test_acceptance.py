@@ -29,8 +29,8 @@ from marketgraph.data import (
     SplitSpec, adjust_rebased_series, chronological_split, compute_norm_stats,
     denormalize_values, log_transform, normalize,
 )
-from marketgraph.graph import read_adjacency_csv
-from marketgraph.mtgnn import gated_temporal_conv
+from marketgraph.graph import learn_adjacency, read_adjacency_csv
+from marketgraph.mtgnn import gated_temporal_conv, propagation_stack
 from marketgraph.synthetic import coupled_var_system
 from marketgraph.training import ComparisonSpec
 
@@ -141,6 +141,11 @@ def test_criterion_3_gradient_correctness():
     lin = Tensor(GEN.normal(size=(3, 5)))
     bias = Tensor(GEN.normal(size=5))
     adjacency = Tensor(GEN.uniform(0.1, 1.0, size=(4, 4)))
+    # The fused graph ops draw from a stream of their own, so GEN's later draws stay put.
+    fused = np.random.default_rng(3)
+    emb1, emb2 = Tensor(fused.normal(size=(4, 3))), Tensor(fused.normal(size=(4, 3)))
+    mix1, mix2 = Tensor(fused.normal(size=(3, 3))), Tensor(fused.normal(size=(3, 3)))
+    adj_probe, props_probe = Tensor(fused.normal(size=(4, 4))), Tensor(fused.normal(size=(6, 4, 4)))
 
     checks = {
         "add": (lambda t: mean((t + b) * (t + b)), a),
@@ -168,6 +173,13 @@ def test_criterion_3_gradient_correctness():
         "graph_mix_a": (lambda t: mean(graph_mix(t, x4)), adjacency),
         "graph_mix_x": (lambda t: mean(graph_mix(adjacency, t)), x4),
         "gated_conv": (lambda t: mean(gated_temporal_conv(t, gated_kern, 1, gated_bias)), x4),
+        "gated_conv_w": (lambda t: mean(gated_temporal_conv(x4, t, 2, gated_bias)), gated_kern),
+        "gated_conv_b": (lambda t: mean(gated_temporal_conv(x4, gated_kern, 2, t)), gated_bias),
+        "learn_adjacency_e": (
+            lambda t: mean(learn_adjacency(t, emb1, mix1, mix2, 2.0, 2) * adj_probe), emb2),
+        "learn_adjacency_theta": (
+            lambda t: mean(learn_adjacency(emb1, emb2, mix1, t, 2.0, 2) * adj_probe), mix2),
+        "propagation_stack": (lambda t: mean(propagation_stack(t, 2, 0.3) * props_probe), adjacency),
     }
     worst = {}
     for name, (f, x) in checks.items():

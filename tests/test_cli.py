@@ -607,7 +607,12 @@ def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, ba
     ({"mlp_hidden": 0}, "var_mlp", "hidden must be positive, got 0"),
     ({"tcn_blocks": 4}, "tcn", "input window 8 is shorter than the receptive field of 4 blocks"),
     ({"tcn_blocks": 15000}, "tcn", "input window 8 is shorter than the receptive field of 15000 blocks"),
-], ids=["zero_mlp_hidden", "tcn_too_deep", "tcn_far_too_deep"])
+    ({"ar_order": 0}, "ar", "baselines.ar_order must be positive, got 0"),
+    ({"var_order": 0}, "var_mlp", "baselines.var_order must be positive, got 0"),
+    ({"tcn_channels": 0}, "tcn", "baselines.tcn_channels must be positive, got 0"),
+    ({"gru_hidden": 0}, "gru", "baselines.gru_hidden must be positive, got 0"),
+], ids=["zero_mlp_hidden", "tcn_too_deep", "tcn_far_too_deep", "zero_ar_order", "zero_var_order",
+        "zero_tcn_channels", "zero_gru_hidden"])
 def test_compare_out_of_range_baseline_knob_is_a_recorded_config_error(tmp_path, capsys, knob,
                                                                         kind, message):
     csv_path = tmp_path / "prices.csv"

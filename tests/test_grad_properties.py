@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from marketgraph import Rng, Tape, Tensor, grad_check_params
 from marketgraph.autodiff import (
     add_bias, causal_conv1d, channel_linear, dropout, gru_sequence, mix_hop, sum_,
-    tanh_sigmoid_gate,
 )
+from marketgraph.graph import learn_adjacency
+from marketgraph.mtgnn import gated_temporal_conv, propagation_stack
+from reference_ops import tanh_sigmoid_gate
 
 dims = st.integers(1, 3)
 
@@ -76,6 +78,34 @@ def tanh_sigmoid_gate_case(draw):
 
 
 @st.composite
+def learn_adjacency_case(draw):
+    # Random draws leave each off-diagonal score away from the relu's kink and
+    # from top-k ties; the diagonal is exactly 0 under any perturbation.
+    N, d, alpha = draw(st.integers(2, 4)), draw(dims), draw(st.floats(0.5, 3.0))
+    k = draw(st.integers(1, N - 1))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    params = [leaf(gen, N, d), leaf(gen, N, d), leaf(gen, d, d), leaf(gen, d, d)]
+    return probed(gen, lambda: learn_adjacency(*params, alpha=alpha, k=k), params)
+
+
+@st.composite
+def propagation_stack_case(draw):
+    N, depth, beta = draw(dims), draw(st.integers(1, 3)), draw(st.floats(0.0, 1.0))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    a = Tensor(gen.uniform(0.0, 1.0, size=(N, N)), requires_grad=True)
+    return probed(gen, lambda: propagation_stack(a, depth, beta), [a])
+
+
+@st.composite
+def gated_temporal_conv_case(draw):
+    B, C_in, C, N = draw(st.integers(1, 2)), draw(dims), draw(dims), draw(st.integers(1, 2))
+    T, K, dilation = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x, kernel, bias = leaf(gen, B, C_in, N, T), leaf(gen, 2 * C, C_in, K), leaf(gen, 2 * C)
+    return probed(gen, lambda: gated_temporal_conv(x, kernel, dilation, bias), [x, kernel, bias])
+
+
+@st.composite
 def dropout_case(draw):
     # A fresh Rng of one seed per call draws the same mask every time.
     shape = draw(st.lists(dims, min_size=1, max_size=3))
@@ -111,6 +141,9 @@ GRAD_CASES = {
     "mix_hop": mix_hop_case(),
     "add_bias": add_bias_case(),
     "tanh_sigmoid_gate": tanh_sigmoid_gate_case(),
+    "learn_adjacency": learn_adjacency_case(),
+    "propagation_stack": propagation_stack_case(),
+    "gated_temporal_conv": gated_temporal_conv_case(),
     "dropout": dropout_case(),
     "gru_sequence": gru_sequence_case(),
     "sum_": sum_case(),

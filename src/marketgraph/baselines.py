@@ -139,10 +139,12 @@ class MlpSpec(Checked):
     """Residual-correction network: one tanh hidden layer plus linear output.
 
     The field types are checked here; `fit_var_mlp` checks `epochs` and
-    `VarMlpConfig` the width.
+    the comparison's var_mlp builder the declared bound of `hidden`.
     """
 
-    hidden: int = 32
+    check_bounds = False
+
+    hidden: int = field(default=32, metadata=POSITIVE)
     epochs: int = 100
 
 

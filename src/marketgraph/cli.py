@@ -105,8 +105,8 @@ def parse_run_config(path) -> RunConfig:
 
     mlp_doc = {k[len("mlp_"):]: v for k, v in baselines_doc.items() if k.startswith("mlp_")}
     knobs = {k: v for k, v in baselines_doc.items() if not k.startswith("mlp_")}
-    check_fields(MlpSpec, mlp_doc, "baselines.mlp_")
-    check_fields(ComparisonSpec, knobs, "baselines.")
+    check_fields(MlpSpec, mlp_doc, "baselines.mlp_", bounds=False)
+    check_fields(ComparisonSpec, knobs, "baselines.", bounds=False)
     try:
         return RunConfig(
             dataset=doc.get("dataset"),

@@ -111,7 +111,11 @@ def check_fields(cls, values, prefix: str = "", bounds: bool = True) -> None:
 class Checked:
     """Base of the config dataclasses: constructing one runs `check_fields`
     on every field. A subclass with checks that span fields or are not
-    bounds runs them after `super().__post_init__()`."""
+    bounds runs them after `super().__post_init__()`. One that sets
+    `check_bounds = False` is checked for types only; whoever uses it then
+    checks the bounds it needs."""
+
+    check_bounds = True
 
     def __post_init__(self):
-        check_fields(type(self), vars(self))
+        check_fields(type(self), vars(self), bounds=self.check_bounds)

@@ -168,13 +168,11 @@ def evaluate(model, windows: WindowSet, stats: NormStats, labels=None, *,
 # `rng` is that kind's own stream; gradient-trained kinds split it once for
 # initialization, then once for training.
 
-def _positive_knobs(**knobs: int) -> None:
-    """ConfigError naming the first knob that is not positive as the run
-    document's `baselines.<key>`. Each builder checks its own knobs, so an
-    out-of-range one fails only its model."""
-    for key, value in knobs.items():
-        if not value > 0:
-            raise ConfigError(f"baselines.{key} must be positive, got {value}")
+def _check_knobs(spec, *keys: str) -> None:
+    """ConfigError naming the first of the knobs `keys` that is out of its
+    declared range as the run document's `baselines.<key>`. Each builder
+    checks its own knobs, so an out-of-range one fails only its model."""
+    check_fields(ComparisonSpec, {key: getattr(spec, key) for key in keys}, "baselines.")
 
 
 def _build_persistence(pipeline, window, spec, rng):
@@ -182,12 +180,13 @@ def _build_persistence(pipeline, window, spec, rng):
 
 
 def _build_ar(pipeline, window, spec, rng):
-    _positive_knobs(ar_order=spec.ar_order)
+    _check_knobs(spec, "ar_order")
     return fit_ar_ensemble(pipeline.train.values, spec.ar_order), None, {"order": spec.ar_order}
 
 
 def _build_var_mlp(pipeline, window, spec, rng):
-    _positive_knobs(var_order=spec.var_order, mlp_hidden=spec.mlp.hidden)
+    _check_knobs(spec, "var_order")
+    check_fields(MlpSpec, {"hidden": spec.mlp.hidden}, "baselines.mlp_")
     model = fit_var_mlp(pipeline.train.values, spec.var_order, spec.mlp, rng)
     return model, None, {"order": spec.var_order, "hidden": spec.mlp.hidden,
                          "epochs": spec.mlp.epochs}
@@ -200,7 +199,7 @@ def _train_new(model_class, config, pipeline, spec, rng) -> TrainResult:
 
 
 def _build_gru(pipeline, window, spec, rng):
-    _positive_knobs(gru_hidden=spec.gru_hidden)
+    _check_knobs(spec, "gru_hidden")
     config = GruConfig(num_series=len(pipeline.train.columns), hidden_size=spec.gru_hidden,
                        horizon=window.Q)
     result = _train_new(GruModel, config, pipeline, spec, rng)
@@ -208,7 +207,7 @@ def _build_gru(pipeline, window, spec, rng):
 
 
 def _build_tcn(pipeline, window, spec, rng):
-    _positive_knobs(tcn_channels=spec.tcn_channels, tcn_blocks=spec.tcn_blocks)
+    _check_knobs(spec, "tcn_channels", "tcn_blocks")
     config = TcnConfig(channels=spec.tcn_channels, num_blocks=spec.tcn_blocks, horizon=window.Q)
     check_depth(window.P, config.num_blocks, config.kernel_size, "blocks")
     result = _train_new(TcnModel, config, pipeline, spec, rng)
@@ -245,17 +244,19 @@ MODEL_BUILDERS = {
 class ComparisonSpec(Checked):
     """Which models to run and with what knobs; shared training protocol.
 
-    The knobs' types are checked here and their ranges when each model is
-    fitted, so an out-of-range knob fails only its own model.
+    The knobs' types are checked here and their declared ranges when each
+    model is built, so an out-of-range knob fails only its own model.
     """
 
+    check_bounds = False
+
     train: TrainConfig = TrainConfig()
-    ar_order: int = 5
-    var_order: int = 5
+    ar_order: int = field(default=5, metadata=POSITIVE)
+    var_order: int = field(default=5, metadata=POSITIVE)
     mlp: MlpSpec = MlpSpec()
-    gru_hidden: int = 64
-    tcn_channels: int = 16
-    tcn_blocks: int = 3
+    gru_hidden: int = field(default=64, metadata=POSITIVE)
+    tcn_channels: int = field(default=16, metadata=POSITIVE)
+    tcn_blocks: int = field(default=3, metadata=POSITIVE)
     mtgnn: dict = field(default_factory=dict)
     include: tuple[str, ...] = tuple(MODEL_BUILDERS)
 

@@ -1,11 +1,13 @@
 """Time this checkout against another revision with the benchmark, in alternating pairs.
 
     python tools/bench_pairs.py --against <rev> --workload W [W ...] --seeds 1 [2027 ...]
-        --pairs N --out BENCH_<n>.json [--seconds 10] [--claim W:METRIC] [--what TEXT]
+        --pairs N --out BENCH_<n>.json [--claim W:METRIC] [--what TEXT] [--work DIR]
 
 `git archive <rev> src perfbench` unpacks the other revision into a work
-directory (local git only). For each workload and seed, N pairs of
-`perfbench/run.py --trace 0` runs follow one another, one run in each tree.
+directory (local git only), which is removed at the end unless `--work`
+names it. For each workload and seed, N pairs of `perfbench/run.py --trace 0`
+runs follow one another, one run in each tree, each for the `run_seconds`
+that BENCHMARK.json declares.
 The tree that runs first alternates from pair to pair, so a drift of the
 machine's speed falls on both sides alike. Each end-to-end metric that
 BENCHMARK.json declares, and the uncalibrated `raw_call_ms_p50`, gets both
@@ -20,31 +22,17 @@ does not repeat are kept, so several invocations can build one file.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import subprocess
 import sys
-import tarfile
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+from revision import ROOT, unpack, work_directory
+
 SIDES = ("parent", "change")
-
-
-def unpack(rev: str, work: Path) -> tuple[str, Path]:
-    """The full commit id of `rev`, and a tree holding its src/ and perfbench/."""
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
-                            capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit,
-                              "src", "perfbench"], capture_output=True, check=True).stdout
-    tree = work / f"tree-{commit[:12]}"
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(tree, filter="data")
-    return commit, tree
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -119,11 +107,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seeds", required=True, nargs="+", type=int)
     parser.add_argument("--pairs", required=True, type=int)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write or extend")
     parser.add_argument("--claim", help="WORKLOAD:METRIC to summarize per seed")
     parser.add_argument("--what", help="what the change does, recorded in the file")
-    parser.add_argument("--work", default=None, help="directory for the unpacked revision")
+    parser.add_argument("--work", default=None,
+                        help="directory for the unpacked revision, kept afterwards "
+                             "(default: a temporary one, removed at the end)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -131,18 +120,23 @@ def main(argv=None) -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
     metrics["raw_call_ms_p50"] = "lower"
-    work = Path(args.work or tempfile.mkdtemp(prefix="bench-pairs-")).resolve()
-    work.mkdir(parents=True, exist_ok=True)
-    commit, base = unpack(args.against, work)
-    trees = {"parent": base, "change": ROOT}
+    seconds = declared["run_seconds"]
+    with work_directory(args.work, "bench-pairs-") as work:
+        commit = unpack(args.against, ["src", "perfbench"], work / "parent")
+        run_pairs(args, {"parent": work / "parent", "change": ROOT}, commit, seconds, metrics)
+    return 0
 
+
+def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics: dict) -> None:
+    """Measure every workload and seed of `args` in `trees` and merge the
+    entries into `args.out`."""
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     if doc.get("parent_commit", commit) != commit:
         raise SystemExit(f"error: {out} compares against {doc['parent_commit']}, not {commit}")
     doc.update({
         "command": "python3 perfbench/run.py --workload <W> --seed <n> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "method": "tools/bench_pairs.py: alternating runs in a `git archive` of the parent "
                   "commit and in the change's checkout, one after another; the side that runs "
                   "first alternates per pair. Metrics are the calibrated values of each run's "
@@ -155,7 +149,7 @@ def main(argv=None) -> int:
     workloads = doc.setdefault("workloads", {})
     for workload in args.workload:
         for seed in args.seeds:
-            entry, env = measure(trees, workload, seed, args.pairs, args.seconds, metrics)
+            entry, env = measure(trees, workload, seed, args.pairs, seconds, metrics)
             workloads.setdefault(workload, {})[str(seed)] = entry
             doc["environment"] = env
     if args.claim:
@@ -165,7 +159,6 @@ def main(argv=None) -> int:
                                   for seed, entry in workloads[workload].items()}}
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
-    return 0
 
 
 if __name__ == "__main__":

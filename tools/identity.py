@@ -3,7 +3,8 @@
     python tools/identity.py --against <rev> [--work DIR]
 
 `git archive <rev> src` unpacks the other revision's package into the work
-directory (local git only). Both packages then run one fixed matrix of
+directory (local git only), which is removed at the end unless `--work`
+names it. Both packages then run one fixed matrix of
 `python -m marketgraph.cli` commands on the same inputs. Every artifact, and
 each command's exit code, stdout and stderr (with its output root replaced by
 `<out>`), is hashed with sha256 into `manifest.json` in the work directory.
@@ -26,21 +27,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-import tarfile
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+from revision import ROOT, unpack, work_directory
+
 KINDS = ["persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn"]
 SEEDS = {"doc_seed": None, "env_seed": "11"}
 # (name, series, days, panel seed, P, train section)
@@ -181,17 +180,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare this checkout with")
     parser.add_argument("--work", default=None,
-                        help="directory for the trees, outputs and manifest (default: a new temporary one)")
+                        help="directory for the trees, outputs and manifest, kept afterwards "
+                             "(default: a temporary one, removed at the end)")
     args = parser.parse_args(argv)
-    work = Path(args.work or tempfile.mkdtemp(prefix="identity-")).resolve()
-    work.mkdir(parents=True, exist_ok=True)
+    with work_directory(args.work, "identity-") as work:
+        return compare_trees(args.against, work, keep=args.work is not None)
 
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.against}^{{commit}}"],
-                         capture_output=True, text=True, check=True).stdout.strip()
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(work / "base", filter="data")
+
+def compare_trees(against: str, work: Path, keep: bool) -> int:
+    rev = unpack(against, ["src"], work / "base")
     matrix = write_inputs(work / "inputs")
 
     outs = {"base": work / "out-base", "change": work / "out-change"}
@@ -211,7 +208,7 @@ def main(argv=None) -> int:
     for key in differing:
         print(f"differs: {key}: {explain(key, outs['base'], outs['change'])}")
     print(f"{len(keys) - len(differing)} of {len(keys)} manifest entries identical; "
-          f"manifest: {manifest_path}")
+          + (f"manifest: {manifest_path}" if keep else "pass --work DIR to keep the manifest"))
     return 1 if differing else 0
 
 

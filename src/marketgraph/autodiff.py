@@ -133,7 +133,9 @@ class Tape:
 
     Entries are appended in execution order, which is a topological order of
     the value graph, so a single reverse sweep propagates every adjoint. The
-    sweep then drops the entries, so the intermediates can be freed.
+    sweep pops each entry before running its rule, so the arrays a later op
+    kept for its backward pass are freed as soon as that rule has run, not
+    all at once at the end.
     """
 
     def __init__(self):
@@ -160,8 +162,14 @@ class Tape:
         if loss._tape is not self:
             raise TapeError("loss was not recorded on this tape")
         self._consumed = True
+        # Keys are id()s of tensors recorded on this tape. They stay unique:
+        # a keyed tensor is the output of an entry not yet popped, which holds
+        # it until its own turn pops the key, and the sweep creates no tensors.
         adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, backward_fn in reversed(self._entries):
+        entries = self._entries
+        while entries:
+            # Rebinding these names drops the entry popped before, closure and all.
+            out, inputs, backward_fn = entries.pop()
             g = adjoints.pop(id(out), None)
             if g is None:
                 continue
@@ -173,7 +181,6 @@ class Tape:
                     if inp.grad is None:
                         inp.grad = np.zeros_like(inp.data)
                     inp.grad += gin
-        self._entries.clear()
 
 
 def _record(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -294,19 +301,26 @@ def dropout(x: Tensor, p: float, *, rng: Rng | None = None,
     """Zero each element with probability p and rescale survivors by 1/(1-p).
 
     Without an Rng (eval mode) it is the identity map, exactly. With one
-    (train mode) the mask is drawn from it and baked into the backward rule.
+    (train mode) the mask is drawn from it and baked into the backward rule,
+    which keeps it as one byte per element and rescales it on use.
     The mask is drawn `steps` wide along the trailing time axis (default: x's
-    own length) and its last x.shape[-1] columns are kept, so an input cropped
-    to its trailing steps meets the mask entries, and leaves the Rng stream,
-    of the whole window.
+    own length; at least that) and its last x.shape[-1] columns are kept, so an
+    input cropped to its trailing steps meets the mask entries, and leaves the
+    Rng stream, of the whole window.
     """
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout probability must be in [0, 1), got {p}")
+    if steps is not None and not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
+                                  and x.ndim and steps >= x.shape[-1]):
+        raise ShapeError(f"dropout steps must be an integer no less than the time length of "
+                         f"shape {x.shape}, got {steps!r}")
     if rng is None or p == 0.0:
         return x
+    if x.ndim == 0:
+        raise ShapeError("dropout in train mode needs a trailing time axis, got a scalar")
     T = x.shape[-1]
-    mask = (rng.random(x.shape[:-1] + (steps or T,))[..., -T:] >= p) / (1.0 - p)
-    return _record(x.data * mask, (x,), lambda g: (g * mask,))
+    keep = rng.random(x.shape[:-1] + (T if steps is None else steps,))[..., -T:] >= p
+    return _record(x.data * (keep / (1.0 - p)), (x,), lambda g: (g * (keep / (1.0 - p)),))
 
 
 # -- reductions and structure -------------------------------------------------
@@ -524,14 +538,9 @@ def graph_mix(a: Tensor, x: Tensor) -> Tensor:
         raise ShapeError(f"node axis of {x.shape} does not match adjacency {a.shape}")
 
     def back(g):
-        return _node_outer(g, x.data), a.data.T @ g
+        return np.tensordot(g, x.data, axes=([0, 1, 3], [0, 1, 3])), a.data.T @ g
 
     return _record(a.data @ x.data, (a, x), back)
-
-
-def _node_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum over b, c, t of g[b, c, v, t] * x[b, c, w, t], as an [M, N] matrix."""
-    return np.tensordot(g, x, axes=([0, 1, 3], [0, 1, 3]))
 
 
 def mix_hop(h: Tensor, props: Tensor, w: Tensor) -> Tensor:
@@ -540,7 +549,8 @@ def mix_hop(h: Tensor, props: Tensor, w: Tensor) -> Tensor:
     h is [B, C, N, T], props is [S, N, N] (one propagation matrix per hop),
     w is [S, C, D]; the result is [B, D, N, T]. The hop states props[k] @ h
     are recomputed in backward instead of being kept, so the tape holds no
-    copy of h beyond the input itself.
+    copy of h beyond the input itself. Backward copies h once, as the
+    [B*C*T, N] matrix that each hop's dprops product reads.
     """
     h, props, w = _lift(h), _lift(props), _lift(w)
     if h.ndim != 4:
@@ -562,13 +572,15 @@ def mix_hop(h: Tensor, props: Tensor, w: Tensor) -> Tensor:
 
     def back(g):
         gf = g.reshape(B, D, N * T)
+        ht = h.data.transpose(0, 1, 3, 2).reshape(B * C * T, N)
         dh = np.zeros_like(h.data)
         dprops = np.empty_like(props.data)
         dw = np.empty_like(w.data)
         for k in range(S):
             dw[k] = np.matmul(hop(k), gf.transpose(0, 2, 1)).sum(axis=0)
             dhop = (w.data[k] @ gf).reshape(B, C, N, T)
-            dprops[k] = _node_outer(dhop, h.data)
+            # sum over b, c, t of dhop[b, c, v, t] * h[b, c, w, t]
+            dprops[k] = np.dot(dhop.transpose(2, 0, 1, 3).reshape(N, B * C * T), ht)
             dh += props.data[k].T @ dhop
         return dh, dprops, dw
 

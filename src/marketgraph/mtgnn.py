@@ -130,10 +130,14 @@ def gated_temporal_conv(x: Tensor, kernel: Tensor, dilation: int, bias: Tensor) 
     out += bias.data.reshape(1, 2 * C, 1, 1)
     f = np.tanh(out[:, :C])
     s = 0.5 * (1.0 + np.tanh(0.5 * out[:, C:]))
+    shape = out.shape
 
     def back(g):
-        g = np.concatenate((g * s * (1.0 - f * f), g * f * s * (1.0 - s)), axis=1)
-        return (*conv_back(g), g.sum(axis=(0, 2, 3)))
+        # Filter and gate adjoints written straight into one [B, 2C, N, T] array.
+        dz = np.empty(shape)
+        np.multiply(g * s, 1.0 - f * f, out=dz[:, :C])
+        np.multiply(g * f * s, 1.0 - s, out=dz[:, C:])
+        return (*conv_back(dz), dz.sum(axis=(0, 2, 3)))
 
     return _record(f * s, (x, kernel, bias), back)
 

@@ -1,11 +1,16 @@
-"""The compositions that graph construction and the gated convolution were
-built from before each became one op, kept as the references those ops must
-match float for float.
+"""Earlier forms of ops, kept as the references the current ops must match
+float for float.
 
-Here `learn_adjacency` records 15 tape entries, `propagation_stack`
-5 + 6 * depth + 2 (19 at depth 2) and `gated_temporal_conv` 3; the fused ops
-in `marketgraph` record one each. `tanh_sigmoid_gate` is the gate op the
-reference convolution ends in.
+The compositions that graph construction and the gated convolution were
+built from before each became one op: here `learn_adjacency` records 15 tape
+entries, `propagation_stack` 5 + 6 * depth + 2 (19 at depth 2) and
+`gated_temporal_conv` 3; the fused ops in `marketgraph` record one each.
+`tanh_sigmoid_gate` is the gate op the reference convolution ends in, its
+backward concatenating the filter and gate adjoints.
+
+`mix_hop` forms each hop's dprops with `np.tensordot` (`_node_outer`), and
+`dropout` keeps its float mask; the ops in `marketgraph` copy h transposed
+once per backward and keep a bool mask.
 """
 import numpy as np
 
@@ -66,3 +71,45 @@ def propagation_stack(a, depth, beta):
 
 def gated_temporal_conv(x, kernel, dilation, bias):
     return tanh_sigmoid_gate(add_bias(causal_conv1d(x, kernel, dilation), bias, 1))
+
+
+def _node_outer(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum over b, c, t of g[b, c, v, t] * x[b, c, w, t], as an [M, N] matrix."""
+    return np.tensordot(g, x, axes=([0, 1, 3], [0, 1, 3]))
+
+
+def mix_hop(h, props, w):
+    h, props, w = _lift(h), _lift(props), _lift(w)
+    B, C, N, T = h.shape
+    S, D = props.shape[0], w.shape[2]
+
+    def hop(k):
+        return (props.data[k] @ h.data).reshape(B, C, N * T)
+
+    out = w.data[0].T @ hop(0)
+    for k in range(1, S):
+        out += w.data[k].T @ hop(k)
+
+    def back(g):
+        gf = g.reshape(B, D, N * T)
+        dh = np.zeros_like(h.data)
+        dprops = np.empty_like(props.data)
+        dw = np.empty_like(w.data)
+        for k in range(S):
+            dw[k] = np.matmul(hop(k), gf.transpose(0, 2, 1)).sum(axis=0)
+            dhop = (w.data[k] @ gf).reshape(B, C, N, T)
+            dprops[k] = _node_outer(dhop, h.data)
+            dh += props.data[k].T @ dhop
+        return dh, dprops, dw
+
+    return _record(out.reshape(B, D, N, T), (h, props, w), back)
+
+
+def dropout(x, p, *, rng=None, steps=None):
+    if not 0.0 <= p < 1.0:
+        raise DomainError(f"dropout probability must be in [0, 1), got {p}")
+    if rng is None or p == 0.0:
+        return x
+    T = x.shape[-1]
+    mask = (rng.random(x.shape[:-1] + (steps or T,))[..., -T:] >= p) / (1.0 - p)
+    return _record(x.data * mask, (x,), lambda g: (g * mask,))

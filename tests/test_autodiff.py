@@ -7,7 +7,7 @@ import pytest
 
 from marketgraph import DataError, DomainError, Rng, ShapeError, Tape, TapeError, Tensor, grad_check
 from marketgraph.autodiff import (
-    abs_, add, add_bias, causal_conv1d, channel_linear, dropout, graph_mix, last_step,
+    _record, abs_, add, add_bias, causal_conv1d, channel_linear, dropout, graph_mix, last_step,
     matmul, mean, mix_hop, mul, permute, relu, reshape, row_normalize,
     sigmoid, stack_last, sub, sum_, tanh, time_index, transpose,
 )
@@ -102,6 +102,35 @@ def test_backward_lets_go_of_the_intermediates():
     finally:
         gc.enable()
     np.testing.assert_allclose(x.grad, 2.0 * (1.0 - np.tanh(x.data ** 2) ** 2) * 2.0 * x.data)
+
+
+def test_backward_frees_each_entry_once_its_rule_has_run():
+    # Two ops; the later one's closure alone holds `kept`. By the time the
+    # earlier op's rule runs, the sweep has popped both entries and dropped
+    # the later closure, so `kept` is gone even with the cycle collector off.
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    watch, seen = [], {}
+
+    def scaled(t):
+        kept = np.full(t.shape, 3.0)
+        watch.append(weakref.ref(kept))
+        return _record(np.asarray(np.sum(t.data * kept)), (t,), lambda g: (g * kept,))
+
+    def first_back(g):
+        seen["kept_alive"] = watch[0]() is not None
+        seen["entries"] = len(tape)
+        return (2.0 * g,)
+
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = scaled(_record(2.0 * x.data, (x,), first_back))
+        assert len(tape) == 2 and watch[0]() is not None
+        tape.backward(loss)
+    finally:
+        gc.enable()
+    assert seen == {"kept_alive": False, "entries": 0}
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
 
 
 def test_backward_requires_scalar_loss():
@@ -401,6 +430,26 @@ def test_dropout_validates_probability_and_rng():
         dropout(x, 1.0, rng=Rng(0))
     with pytest.raises(DomainError):
         dropout(x, -0.1, rng=Rng(0))
+
+
+@pytest.mark.parametrize("steps", [2, -1, 0, 3, 4.0, 6.5, True, "6"])
+@pytest.mark.parametrize("rng", [None, Rng(0)], ids=["eval", "train"])
+def test_dropout_refuses_steps_short_of_the_input(steps, rng):
+    # Fewer steps than the input's 4 would crop or fail to broadcast the mask;
+    # a non-integer is no length.
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError, match="dropout steps must be an integer no less than"):
+        dropout(x, 0.5, rng=rng, steps=steps)
+
+
+def test_dropout_refuses_a_scalar_in_train_mode():
+    scalar = mean(Tensor([1.0, 2.0]))
+    assert scalar.ndim == 0
+    with pytest.raises(ShapeError, match="trailing time axis"):
+        dropout(scalar, 0.5, rng=Rng(0))
+    with pytest.raises(ShapeError, match="dropout steps"):
+        dropout(scalar, 0.5, steps=1)
+    assert dropout(scalar, 0.5) is scalar
 
 
 def test_dropout_gradient_uses_same_mask():

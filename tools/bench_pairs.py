@@ -2,6 +2,8 @@
 
     python tools/bench_pairs.py --against <rev> --workload W [W ...] --seeds 1 [2027 ...]
         --pairs N --out BENCH_<n>.json [--claim W:METRIC] [--what TEXT] [--work DIR]
+    python tools/bench_pairs.py --against <rev> --epoch --seeds 1 [2027 ...] --pairs N
+        --out BENCH_<n>.json [--work DIR]
 
 `git archive <rev> src perfbench` unpacks the other revision into a work
 directory (local git only), which is removed at the end unless `--work`
@@ -15,6 +17,12 @@ sides' runs, medians and quartiles, and the number of pairs in which this
 checkout's run was better and worse. `--claim` adds a summary of one metric
 per seed: the wins, the ratio of medians and whether the gain of the medians
 exceeds the other revision's interquartile range.
+
+With `--epoch`, each run is instead `tools/epoch.py` in a fresh process,
+importing the package of one tree: one MTGNN epoch on the criterion-7 panel
+at batch 8. Its wall seconds (`epoch_s`) and minor page faults per step
+(`minflt_per_step`) get the same pairing and summary, under `epoch` in the
+file, keyed by seed.
 
 Results are merged into `--out`: entries of an existing file that this run
 does not repeat are kept, so several invocations can build one file.
@@ -33,19 +41,42 @@ import numpy as np
 from revision import ROOT, unpack, work_directory
 
 SIDES = ("parent", "change")
+PER_SIDE = ("src_sha256", "train_loss")
+EPOCH_METRICS = {"epoch_s": "lower", "minflt_per_step": "lower"}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """The details line and the result line of one benchmark run in `tree`."""
-    env = {k: v for k, v in os.environ.items() if k != "MARKETGRAPH_SEED"}
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=tree, env=env, capture_output=True, text=True)
+def run_child(argv: list[str], tree: Path, what: str, env: dict | None = None) -> list[dict]:
+    """The JSON lines one run of `argv` in `tree` prints last (two at most)."""
+    env = {k: v for k, v in os.environ.items() if k != "MARKETGRAPH_SEED"} | (env or {})
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True,
+                          text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"error: {workload} seed {seed} in {tree} exited {proc.returncode}:\n"
+        raise SystemExit(f"error: {what} in {tree} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
-    details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
-    return details, result
+    return [json.loads(line) for line in proc.stdout.strip().splitlines()[-2:]]
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float, metrics) -> tuple[dict, dict, dict]:
+    """One benchmark run in `tree`: its metric values, operation counts and environment."""
+    details, result = run_child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                                 "--seconds", str(seconds), "--trace", "0"],
+                                tree, f"{workload} seed {seed}")
+    values = {name: (details["raw_wall"]["call_ms_p50"] if name == "raw_call_ms_p50"
+                     else result["metrics"][name]["value"]) for name in metrics}
+    counts = {"attempted": result["attempted"], "failed": result["failed"]}
+    return values, counts, details["environment"]
+
+
+def epoch_run(tree: Path, seed: int) -> tuple[dict, dict, dict]:
+    """One `tools/epoch.py` run on `tree`'s package, with as many BLAS threads
+    as the benchmark gives its runs."""
+    threads = str(len(os.sched_getaffinity(0)))
+    *_, line = run_child([str(ROOT / "tools" / "epoch.py"), "--src", str(tree / "src"),
+                          "--seed", str(seed)], tree, f"epoch seed {seed}",
+                         {var: threads for var in
+                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    return ({name: line[name] for name in EPOCH_METRICS}, {"attempted": 1, "failed": 0},
+            {"blas_threads": int(threads), "train_loss": line["train_loss"]})
 
 
 def spread(values: list[float]) -> dict:
@@ -63,30 +94,32 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     return out
 
 
-def measure(trees: dict[str, Path], workload: str, seed: int, pairs: int, seconds: float,
+def measure(run, trees: dict[str, Path], label: str, pairs: int,
             metrics: dict[str, str]) -> tuple[dict, dict]:
-    """The entry of one workload and seed, and the environment the runs reported."""
+    """The entry of `pairs` alternating pairs of `run(tree)`, and the
+    environment the runs reported. Each side records what its runs report
+    under the keys `PER_SIDE` names (the source hash, the epoch's loss bits)."""
     values = {side: {name: [] for name in metrics} for side in SIDES}
     counts = {side: {"attempted": 0, "failed": 0} for side in SIDES}
-    firsts, env, src = [], {}, {}
+    firsts, env, per_side = [], {}, {}
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         firsts.append(order[0])
         for side in order:
-            details, result = run_once(trees[side], workload, seed, seconds)
-            env = {k: v for k, v in details["environment"].items() if k not in ("commit", "src_sha256")}
-            src[side] = details["environment"]["src_sha256"]
-            counts[side]["attempted"] += result["attempted"]
-            counts[side]["failed"] += result["failed"]
+            run_values, run_counts, run_env = run(trees[side])
+            env = {k: v for k, v in run_env.items() if k not in ("commit", *PER_SIDE)}
+            per_side.update({(key, side): run_env[key] for key in PER_SIDE if key in run_env})
+            for key in counts[side]:
+                counts[side][key] += run_counts[key]
             for name in metrics:
-                value = (details["raw_wall"]["call_ms_p50"] if name == "raw_call_ms_p50"
-                         else result["metrics"][name]["value"])
-                values[side][name].append(value)
-            print(f"{workload} seed {seed} pair {pair + 1}/{pairs} {side}: "
+                values[side][name].append(run_values[name])
+            print(f"{label} pair {pair + 1}/{pairs} {side}: "
                   + ", ".join(f"{n} {values[side][n][-1]:.4g}" for n in metrics), flush=True)
-    entry = {"pairs": pairs, "first": firsts, "operations": counts, "src_sha256": src,
-             "metrics": {name: compare(values["parent"][name], values["change"][name], better)
-                         for name, better in metrics.items()}}
+    entry = {"pairs": pairs, "first": firsts, "operations": counts}
+    for (key, side), value in per_side.items():
+        entry.setdefault(key, {})[side] = value
+    entry["metrics"] = {name: compare(values["parent"][name], values["change"][name], better)
+                        for name, better in metrics.items()}
     return entry, env
 
 
@@ -104,7 +137,10 @@ def claim_summary(entry: dict, metric: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare this checkout with")
-    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--workload", nargs="+", default=[])
+    parser.add_argument("--epoch", action="store_true",
+                        help="time one criterion-7 MTGNN epoch per run (tools/epoch.py) "
+                             "instead of benchmark workloads")
     parser.add_argument("--seeds", required=True, nargs="+", type=int)
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write or extend")
@@ -116,6 +152,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if bool(args.workload) == args.epoch:
+        parser.error("give either --workload or --epoch")
+    if args.epoch and args.claim:
+        parser.error("--claim summarizes a workload metric; --epoch runs no workload")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
@@ -149,9 +189,17 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
     workloads = doc.setdefault("workloads", {})
     for workload in args.workload:
         for seed in args.seeds:
-            entry, env = measure(trees, workload, seed, args.pairs, seconds, metrics)
+            entry, env = measure(lambda tree: bench_run(tree, workload, seed, seconds, metrics),
+                                 trees, f"{workload} seed {seed}", args.pairs, metrics)
             workloads.setdefault(workload, {})[str(seed)] = entry
             doc["environment"] = env
+    if args.epoch:
+        epoch = doc.setdefault("epoch", {})
+        epoch["command"] = "python3 tools/epoch.py --src <tree>/src --seed <n>"
+        for seed in args.seeds:
+            epoch[str(seed)], epoch["environment"] = measure(
+                lambda tree: epoch_run(tree, seed), trees, f"epoch seed {seed}", args.pairs,
+                EPOCH_METRICS)
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric,

@@ -10,9 +10,27 @@ from .data import TimeSeriesFrame
 from .errors import DataError, DomainError, ShapeError
 
 
+def _as_float(a) -> np.ndarray:
+    """`a` as a float64 array; a cell that is not a number is a DataError."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"metrics need numeric input: {exc}") from None
+
+
+def _as_series(a) -> np.ndarray:
+    """`a` as a finite 1-D float64 array."""
+    a = _as_float(a)
+    if a.ndim != 1:
+        raise ShapeError(f"expected a 1-D series, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DataError("metrics need finite inputs")
+    return a
+
+
 def _as_pair(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    y_hat = np.asarray(y_hat, dtype=np.float64).reshape(-1)
+    y = _as_float(y).reshape(-1)
+    y_hat = _as_float(y_hat).reshape(-1)
     if y.size == 0:
         raise ShapeError("empty series")
     if y.shape != y_hat.shape:
@@ -85,8 +103,7 @@ def _rank_correlation(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) 
 
 def spearman(x, y) -> float:
     """Rank correlation (Pearson correlation of average ranks)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    x, y = _as_series(x), _as_series(y)
     if x.shape != y.shape:
         raise ShapeError(f"length mismatch: {x.shape} vs {y.shape}")
     return _rank_correlation(_centered_ranks(x), _centered_ranks(y))
@@ -112,12 +129,13 @@ def _dtw_wavefront(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Warping distances of P pairs at once: x is [P, n], y is [P, m] -> [P].
 
     The cost table is swept by anti-diagonals d = i + j, every pair in step.
-    A diagonal is held by row i in column i + 1 of a [P, n + 1] buffer whose
-    column 0 is a permanent inf pad, so on diagonal d, prev[i + 1] is the
-    left neighbor (i, j - 1), prev[i] the upper one (i - 1, j) and prev2[i]
-    the upper-left one (i - 1, j - 1). Each diagonal writes only its band of
-    rows. The band's last row never decreases, so the cells past it are still
-    the initial inf; the stale cells before it are never read.
+    A diagonal is held by row i + 1 of an [n + 1, P] buffer whose row 0 is a
+    permanent inf pad, so on diagonal d, prev[i + 1] is the left neighbor
+    (i, j - 1), prev[i] the upper one (i - 1, j) and prev2[i] the upper-left
+    one (i - 1, j - 1). With the pair axis last, a diagonal's band of rows is
+    one contiguous block, written in place. The band's last row never
+    decreases, so the rows past it are still the initial inf; the stale rows
+    before it are never read.
     """
     num_pairs, n = x.shape
     m = y.shape[1]
@@ -125,20 +143,23 @@ def _dtw_wavefront(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ShapeError("dynamic time warping needs nonempty series")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DataError("dynamic time warping needs finite inputs")
-    y_rev = y[:, ::-1]  # y[d - i] for i = lo..hi is one slice of y_rev
-    prev2, prev, cur = (np.full((num_pairs, n + 1), np.inf) for _ in range(3))
+    xt = np.ascontiguousarray(x.T)
+    yt = np.ascontiguousarray(y[:, ::-1].T)  # y[d - i] for i = lo..hi is one slice of yt
+    prev2, prev, cur = (np.full((n + 1, num_pairs), np.inf) for _ in range(3))
+    best = np.empty((n, num_pairs))
     for d in range(n + m - 1):
         lo = max(0, d - m + 1)
         hi = min(n - 1, d)
-        local = np.abs(x[:, lo:hi + 1] - y_rev[:, m - 1 - d + lo:m - d + hi])
-        if d == 0:
-            cur[:, 1] = local[:, 0]
-        else:
-            best = np.minimum(prev[:, lo + 1:hi + 2],
-                              np.minimum(prev[:, lo:hi + 1], prev2[:, lo:hi + 1]))
-            cur[:, lo + 1:hi + 2] = local + best
+        band = cur[lo + 1:hi + 2]
+        np.subtract(xt[lo:hi + 1], yt[m - 1 - d + lo:m - d + hi], out=band)
+        np.abs(band, out=band)
+        if d:
+            step = best[:hi + 1 - lo]
+            np.minimum(prev[lo:hi + 1], prev2[lo:hi + 1], out=step)
+            np.minimum(prev[lo + 1:hi + 2], step, out=step)
+            band += step
         prev2, prev, cur = prev, cur, prev2
-    return prev[:, n]
+    return prev[n]
 
 
 def dtw_distance(x, y) -> float:
@@ -147,8 +168,7 @@ def dtw_distance(x, y) -> float:
     Unconstrained window, both endpoints anchored; one pair of the batched
     wavefront that `dtw_matrix` runs.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    x, y = _as_series(x), _as_series(y)
     return float(_dtw_wavefront(x[None, :], y[None, :])[0])
 
 
@@ -218,8 +238,7 @@ class MetricsReport:
 def per_series_metrics(y_true: np.ndarray, y_pred: np.ndarray,
                        labels: Sequence[str]) -> dict[str, dict[str, float]]:
     """All four metrics for each series; inputs are [steps, N] matrices."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
+    y_true, y_pred = _as_float(y_true), _as_float(y_pred)
     if y_true.ndim != 2 or y_true.shape != y_pred.shape:
         raise ShapeError(f"expected matching [steps, N] matrices, got {y_true.shape} and {y_pred.shape}")
     if y_true.shape[1] != len(labels):

@@ -11,6 +11,10 @@ backward concatenating the filter and gate adjoints.
 `mix_hop` forms each hop's dprops with `np.tensordot` (`_node_outer`), and
 `dropout` keeps its float mask; the ops in `marketgraph` copy h transposed
 once per backward and keep a bool mask.
+
+`dtw_wavefront` holds the warping-distance diagonals pairs first, [P, n + 1],
+and builds each diagonal from temporaries; `marketgraph.metrics` holds them
+pair axis last and writes each diagonal in place.
 """
 import numpy as np
 
@@ -113,3 +117,22 @@ def dropout(x, p, *, rng=None, steps=None):
     T = x.shape[-1]
     mask = (rng.random(x.shape[:-1] + (steps or T,))[..., -T:] >= p) / (1.0 - p)
     return _record(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+def dtw_wavefront(x, y):
+    num_pairs, n = x.shape
+    m = y.shape[1]
+    y_rev = y[:, ::-1]
+    prev2, prev, cur = (np.full((num_pairs, n + 1), np.inf) for _ in range(3))
+    for d in range(n + m - 1):
+        lo = max(0, d - m + 1)
+        hi = min(n - 1, d)
+        local = np.abs(x[:, lo:hi + 1] - y_rev[:, m - 1 - d + lo:m - d + hi])
+        if d == 0:
+            cur[:, 1] = local[:, 0]
+        else:
+            best = np.minimum(prev[:, lo + 1:hi + 2],
+                              np.minimum(prev[:, lo:hi + 1], prev2[:, lo:hi + 1]))
+            cur[:, lo + 1:hi + 2] = local + best
+        prev2, prev, cur = prev, cur, prev2
+    return prev[:, n]

@@ -9,8 +9,9 @@ from marketgraph import (
     spearman, spearman_matrix,
 )
 from marketgraph.data import matrix_csv
-from marketgraph.metrics import MetricsReport, average_ranks, per_series_metrics
+from marketgraph.metrics import MetricsReport, _dtw_wavefront, average_ranks, per_series_metrics
 from conftest import build_frame
+from reference_ops import dtw_wavefront as pairs_first_wavefront
 
 T = 1e-12
 
@@ -109,6 +110,15 @@ def test_metric_input_validation():
         rmse(np.array([1.0]), np.array([np.inf]))
 
 
+def test_metrics_refuse_a_cell_that_is_not_a_number():
+    calls = [(f, (["a", "1"], [1.0, 2.0])) for f in (rse, rmse, mae, mape)]
+    calls += [(spearman, ([1.0, 2.0, 3.0], [1.0, "b", 3.0])), (dtw_distance, (["a"], [1.0])),
+              (mae, ([{}], [1.0])), (per_series_metrics, ([["a"]], [[1.0]], ["s"]))]
+    for fn, args in calls:
+        with pytest.raises(DataError, match="numeric"):
+            fn(*args)
+
+
 # -- average ranks and Spearman ------------------------------------------------
 
 def test_average_ranks_plain_and_tied():
@@ -147,6 +157,24 @@ def test_spearman_range_and_validation():
         spearman(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(DataError):
         spearman(np.ones(5), np.arange(5.0))
+
+
+def test_spearman_refuses_nonfinite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="finite"):
+            spearman([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="finite"):
+            spearman([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
+
+def test_spearman_and_dtw_distance_refuse_input_that_is_not_one_series():
+    for fn, args in ((dtw_distance, ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])),
+                     (dtw_distance, ([1.0, 2.0], [[1.0], [2.0]])),
+                     (dtw_distance, (1.0, [1.0])),
+                     (spearman, ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0, 3.0, 4.0])),
+                     (spearman, ([1.0, 2.0, 3.0], np.arange(3.0)[:, None]))):
+        with pytest.raises(ShapeError, match="1-D"):
+            fn(*args)
 
 
 def average_ranks_reference(x):
@@ -251,6 +279,31 @@ def test_dtw_matches_reference_dp():
        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
 def test_dtw_distance_equals_reference_dp_exactly(x, y):
     assert dtw_distance(x, y) == dtw_reference(x, y)
+
+
+def assert_same_bytes_as_pairs_first(x, y):
+    out, ref = _dtw_wavefront(x, y), pairs_first_wavefront(x, y)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+# Few distinct values, signed zeros among them, so that ties between the
+# three neighbours and repeated steps are common.
+dtw_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]), st.floats(-1e6, 1e6))
+dtw_lengths = st.one_of(st.just(1), st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), dtw_lengths, dtw_lengths, st.data())
+def test_dtw_wavefront_gives_the_bytes_of_the_pairs_first_layout(P, n, m, data):
+    x = np.array(data.draw(st.lists(dtw_values, min_size=P * n, max_size=P * n))).reshape(P, n)
+    y = np.array(data.draw(st.lists(dtw_values, min_size=P * m, max_size=P * m))).reshape(P, m)
+    assert_same_bytes_as_pairs_first(x, y)
+
+
+def test_dtw_wavefront_gives_the_bytes_of_the_pairs_first_layout_at_benchmark_shape():
+    gen = np.random.default_rng(24)
+    assert_same_bytes_as_pairs_first(gen.normal(size=(15, 600)), gen.normal(size=(15, 600)))
 
 
 def test_dtw_matrix_cells_equal_pairwise_distance():

@@ -6,7 +6,9 @@
         --out BENCH_<n>.json [--work DIR]
 
 `git archive <rev> src perfbench` unpacks the other revision into a work
-directory (local git only), which is removed at the end unless `--work`
+directory (local git only), and this checkout's working-tree `src` and
+`perfbench` are copied beside it, so that both sides run from the same
+place on disk. The work directory is removed at the end unless `--work`
 names it. For each workload and seed, N pairs of `perfbench/run.py --trace 0`
 runs follow one another, one run in each tree, each for the `run_seconds`
 that BENCHMARK.json declares.
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -163,7 +166,11 @@ def main(argv=None) -> int:
     seconds = declared["run_seconds"]
     with work_directory(args.work, "bench-pairs-") as work:
         commit = unpack(args.against, ["src", "perfbench"], work / "parent")
-        run_pairs(args, {"parent": work / "parent", "change": ROOT}, commit, seconds, metrics)
+        for part in ("src", "perfbench"):
+            shutil.copytree(ROOT / part, work / "change" / part,
+                            ignore=shutil.ignore_patterns("__pycache__"), dirs_exist_ok=True)
+        run_pairs(args, {"parent": work / "parent", "change": work / "change"}, commit,
+                  seconds, metrics)
     return 0
 
 
@@ -178,10 +185,10 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
         "command": "python3 perfbench/run.py --workload <W> --seed <n> "
                    f"--seconds {seconds:g} --trace 0",
         "method": "tools/bench_pairs.py: alternating runs in a `git archive` of the parent "
-                  "commit and in the change's checkout, one after another; the side that runs "
-                  "first alternates per pair. Metrics are the calibrated values of each run's "
-                  "last stdout line; raw_call_ms_p50 is the uncalibrated median wall time of "
-                  "the main call.",
+                  "commit and in a copy of the change's working tree beside it, one after "
+                  "another; the side that runs first alternates per pair. Metrics are the "
+                  "calibrated values of each run's last stdout line; raw_call_ms_p50 is the "
+                  "uncalibrated median wall time of the main call.",
         "parent_commit": commit,
     })
     if args.what:

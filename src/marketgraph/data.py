@@ -83,10 +83,11 @@ def _parse_date(text: str, where: str) -> date:
 
 
 def read_csv_rows(path) -> list[list[str]]:
-    """The cells of every row of the CSV file at `path`; DataError naming the
-    path for text that is not UTF-8 or that the csv module refuses."""
+    """The cells of every row of the CSV file at `path`, a leading UTF-8
+    byte-order mark skipped; DataError naming the path for text that is not
+    UTF-8 or that the csv module refuses."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -103,10 +104,45 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
         raise DataError(f"{path}: header must be 'date,<name1>,...', got {rows[0]!r}")
     columns, width = tuple(header[1:]), len(header)
 
+    try:
+        dates, matrix = _convert_columns(rows[1:], width)
+        dropped = 0
+    except ValueError:
+        # Only a file the bulk conversion cannot take pays for the row loop,
+        # the one place that drops incomplete rows and names a bad line.
+        dates, matrix, dropped = _convert_rows(path, rows[1:], width)
+    if any(d1 >= d2 for d1, d2 in zip(dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates, matrix = [dates[i] for i in order], matrix[order]
+        for d1, d2 in zip(dates, dates[1:]):
+            if d1 == d2:
+                raise DataError(f"{path}: duplicate date {d1.isoformat()}")
+    if len(dates) < 2:
+        raise DataError(f"{path}: fewer than 2 usable rows after dropping incomplete ones")
+    return TimeSeriesFrame(tuple(dates), columns, matrix), dropped
+
+
+def _convert_columns(body: list[list[str]], width: int) -> tuple[list[date], np.ndarray]:
+    """The dates and values of `body`, converted a column at a time with the
+    row loop's own conversions; ValueError if a row has other than `width`
+    cells or any cell does not convert."""
+    if any(len(row) != width for row in body):
+        raise ValueError("ragged rows")
+    cells = list(zip(*body)) or [()] * width
+    dates = list(map(date.fromisoformat, map(str.strip, cells[0])))
+    matrix = np.empty((len(dates), width - 1))
+    for j, column in enumerate(cells[1:]):
+        matrix[:, j] = np.fromiter(map(float, column), np.float64, len(dates))
+    return dates, matrix
+
+
+def _convert_rows(path, body: list[list[str]], width: int) -> tuple[list[date], np.ndarray, int]:
+    """The dates and values of `body` row by row, and the count of rows
+    dropped for a blank value cell; DataError naming the first bad line."""
     dates: list[date] = []
     values: list[float] = []  # row after row; one flat list keeps no per-row list alive
     dropped = 0
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(body, start=2):
         try:
             if len(row) != width:
                 raise ValueError("wrong cell count")
@@ -132,17 +168,7 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
         else:
             dates.append(day)
             values += vals
-
-    matrix = np.array(values).reshape(len(dates), len(columns))
-    if any(d1 >= d2 for d1, d2 in zip(dates, dates[1:])):
-        order = sorted(range(len(dates)), key=dates.__getitem__)
-        dates, matrix = [dates[i] for i in order], matrix[order]
-        for d1, d2 in zip(dates, dates[1:]):
-            if d1 == d2:
-                raise DataError(f"{path}: duplicate date {d1.isoformat()}")
-    if len(dates) < 2:
-        raise DataError(f"{path}: fewer than 2 usable rows after dropping incomplete ones")
-    return TimeSeriesFrame(tuple(dates), columns, matrix), dropped
+    return dates, np.array(values).reshape(len(dates), width - 1), dropped
 
 
 def load_csv(path) -> TimeSeriesFrame:

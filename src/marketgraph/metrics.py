@@ -71,8 +71,9 @@ METRIC_FUNCS = {"rse": rse, "rmse": rmse, "mae": mae, "mape": mape}
 
 
 def average_ranks(x) -> np.ndarray:
-    """1-based ranks; tied values share the average of their positions."""
-    x = np.asarray(x, dtype=np.float64)
+    """1-based ranks of a finite 1-D series; tied values share the average of
+    their positions."""
+    x = _as_series(x)
     order = np.argsort(x, kind="stable")
     sorted_x = x[order]
     # A tie run spans sorted positions start..end; every member gets the mean position.

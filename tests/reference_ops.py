@@ -15,14 +15,21 @@ once per backward and keep a bool mask.
 `dtw_wavefront` holds the warping-distance diagonals pairs first, [P, n + 1],
 and builds each diagonal from temporaries; `marketgraph.metrics` holds them
 pair axis last and writes each diagonal in place.
+
+`parse_csv` converts a price CSV one row at a time, every file through the
+row loop; `marketgraph.data._parse_csv` converts a file whose rows all
+convert a column at a time and leaves the loop to the rest.
 """
+from datetime import date
+
 import numpy as np
 
 from marketgraph.autodiff import (
     Tensor, _lift, _record, add_bias, causal_conv1d, matmul, mul, permute, relu,
     row_normalize, stack_last, tanh, transpose,
 )
-from marketgraph.errors import DomainError, ShapeError
+from marketgraph.data import TimeSeriesFrame, _parse_date, read_csv_rows
+from marketgraph.errors import DataError, DomainError, ShapeError
 from marketgraph.graph import top_k_row_mask
 
 
@@ -136,3 +143,52 @@ def dtw_wavefront(x, y):
             cur[:, lo + 1:hi + 2] = local + best
         prev2, prev, cur = prev, cur, prev2
     return prev[:, n]
+
+
+def parse_csv(path):
+    rows = read_csv_rows(path)
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if len(header) < 2 or header[0].lower() != "date":
+        raise DataError(f"{path}: header must be 'date,<name1>,...', got {rows[0]!r}")
+    columns, width = tuple(header[1:]), len(header)
+
+    dates = []
+    values = []
+    dropped = 0
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != width:
+                raise ValueError("wrong cell count")
+            vals = list(map(float, row[1:]))
+            day = date.fromisoformat(row[0].strip())
+        except ValueError:
+            if not row or all(not c.strip() for c in row):
+                continue
+            where = f"{path}: line {lineno}"
+            if len(row) != width:
+                raise DataError(f"{where} has {len(row)} cells, expected {width}") from None
+            if any(not c.strip() for c in row[1:]):
+                dropped += 1
+                continue
+            _parse_date(row[0], where)
+            for cell in row[1:]:
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"{where}: unparseable number {cell!r}") from None
+        else:
+            dates.append(day)
+            values += vals
+
+    matrix = np.array(values).reshape(len(dates), len(columns))
+    if any(d1 >= d2 for d1, d2 in zip(dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates, matrix = [dates[i] for i in order], matrix[order]
+        for d1, d2 in zip(dates, dates[1:]):
+            if d1 == d2:
+                raise DataError(f"{path}: duplicate date {d1.isoformat()}")
+    if len(dates) < 2:
+        raise DataError(f"{path}: fewer than 2 usable rows after dropping incomplete ones")
+    return TimeSeriesFrame(tuple(dates), columns, matrix), dropped

@@ -13,11 +13,12 @@ from marketgraph import (
     run_pipeline,
 )
 from marketgraph.data import (
-    NormStats, SplitSpec, adjust_rebased_series, chronological_split,
+    NormStats, SplitSpec, _convert_rows, _parse_csv, adjust_rebased_series, chronological_split,
     compute_norm_stats, denormalize_values, descriptive_stats, frame_hash,
     invert_predictions, log_transform, make_windows, normalize,
 )
 from marketgraph.graph import read_adjacency_csv
+import reference_ops
 from conftest import build_frame, write_frame_csv
 
 D = datetime.date
@@ -198,6 +199,108 @@ def test_any_csv_text_reads_as_a_table_or_raises_data_error(tmp_path_factory, do
             read(path)
         except DataError:
             pass
+
+
+def test_a_leading_byte_order_mark_is_skipped_in_a_price_panel(tmp_path):
+    text = "date,a,b\n2020-01-01,1,10\n2020-01-02,2,20\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    want, got = load_csv(tmp_path / "plain.csv"), load_csv(tmp_path / "bom.csv")
+    assert got.columns == want.columns == ("a", "b")
+    assert got.dates == want.dates
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_a_leading_byte_order_mark_is_skipped_in_an_adjacency_file(tmp_path):
+    text = "node,a,b\na,0,0.25\nb,0.5,0\n"
+    (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+    want, got = read_adjacency_csv(tmp_path / "plain.csv"), read_adjacency_csv(tmp_path / "bom.csv")
+    assert got.labels == want.labels == ("a", "b")
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+# Cells that convert, also with spaces, underscores, quotes, signs or a non-finite value.
+GOOD_NUMBERS = mostly(st.floats(0.01, 1e6).map(repr) | st.integers(1, 10**6).map(str),
+                      st.sampled_from(["1_0", "2_500.25", " 7 ", "\t8", '"3.5"', '" 4 "', "+4e1",
+                                       "nan", "inf"]))
+BAD_DAYS = st.sampled_from(["", " ", "2020-13-01", "2020-02-30", "01/02/2020", "x", '"2020-01"'])
+BAD_NUMBERS = st.sampled_from(["", " ", "x", "1.2.3", "--1", "1__0", "_1", '"1,5"', '""'])
+ROW_FAULTS = ["blank_line", "spaces_line", "blank_cells", "cell_count", "bad_date", "bad_number"]
+
+
+@st.composite
+def price_csv_texts(draw):
+    """CSV text laid out as a price panel, its dates in any order and one in
+    four times one repeated: clean in half the documents, else with some rows
+    faulty; LF or CRLF line endings."""
+    width = draw(st.integers(2, 4))
+    faulty = draw(st.booleans())
+    days = draw(st.lists(st.dates(D(2020, 1, 1), D(2020, 3, 31)), max_size=10, unique=True))
+    if days and draw(st.integers(0, 3)) == 0:
+        days[draw(st.integers(0, len(days) - 1))] = draw(st.sampled_from(days))
+    lines = [",".join(["date", *"abc"[:width - 1]])]
+    for day in days:
+        first = draw(st.sampled_from([day.isoformat(), f" {day.isoformat()} ", f'"{day.isoformat()}"']))
+        cells = [first, *(draw(GOOD_NUMBERS) for _ in range(width - 1))]
+        fault = draw(st.sampled_from(["none"] * 3 + ROW_FAULTS)) if faulty else "none"
+        if fault == "blank_line":
+            cells = []
+        elif fault == "spaces_line":
+            cells = [" " * draw(st.integers(1, 3))]
+        elif fault == "blank_cells":
+            for at in draw(st.sets(st.integers(0, width - 1), min_size=1)):
+                cells[at] = draw(st.sampled_from(["", " "]))
+        elif fault == "cell_count":
+            cells = cells[:draw(st.integers(1, width - 1))] if draw(st.booleans()) else [*cells, "1"]
+        elif fault == "bad_date":
+            cells[0] = draw(BAD_DAYS)
+        elif fault == "bad_number":
+            cells[draw(st.integers(1, width - 1))] = draw(BAD_NUMBERS)
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return (end.join(lines) + draw(st.sampled_from([end, ""]))).encode("utf-8")
+
+
+def parse_outcome(parse, path):
+    """What `parse` makes of the file: its DataError's message, or the dates,
+    columns, value bytes and dropped count with the values themselves."""
+    try:
+        frame, dropped = parse(path)
+    except DataError as exc:
+        return str(exc), None
+    return (frame.dates, frame.columns, frame.values.shape, frame.values.tobytes(), dropped), frame.values
+
+
+@settings(max_examples=400, deadline=None)
+@given(document=price_csv_texts())
+@example(document=b"date,a,b\n")
+@example(document=b"date,a,b\r\n2020-01-02,1_0, 2 \r\n2020-01-01,\"3\",4\r\n")
+@example(document=b"date,a\n2020-01-01,1\n\n2020-01-02,2\n")
+def test_parse_csv_equals_the_row_loop(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("parse") / "d.csv"
+    path.write_bytes(document)
+    (want, want_values), (got, got_values) = (parse_outcome(parse, path)
+                                              for parse in (reference_ops.parse_csv, _parse_csv))
+    assert got == want
+    if want_values is not None:
+        assert np.array_equal(got_values, want_values)
+
+
+def test_the_row_loop_runs_only_for_a_file_the_columns_cannot_take(tmp_path, monkeypatch):
+    clean = tmp_path / "clean.csv"
+    clean.write_bytes(b'date,a,b\r\n 2020-01-03 ,"3",3_0\r\n2020-01-01,1, 1e1 \r\n2020-01-02,2,20\r\n')
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_bytes(b"date,a,b\n2020-01-01,1,10\n\n2020-01-02,2,20\n")
+    loops = []
+    monkeypatch.setattr("marketgraph.data._convert_rows",
+                        lambda path, *args: loops.append(path) or _convert_rows(path, *args))
+    for path, days in ((clean, 3), (ragged, 2)):
+        frame = load_csv(path)
+        assert frame.dates == tuple(D(2020, 1, day) for day in range(1, days + 1))
+        assert frame.values.tolist() == [[day, 10.0 * day] for day in range(1, days + 1)]
+    assert loops == [ragged]
 
 
 # -- rebasing ----------------------------------------------------------------------

@@ -200,6 +200,15 @@ def test_average_ranks_equal_loop_reference_on_many_ties():
     assert average_ranks([]).shape == (0,)
 
 
+def test_average_ranks_refuses_input_that_is_not_one_finite_series():
+    for bad in (2.0, [[1.0, 2.0], [3.0, 4.0]], np.zeros((3, 1))):
+        with pytest.raises(ShapeError, match="1-D"):
+            average_ranks(bad)
+    for bad in (["a", "b"], [np.nan, 1.0, np.nan], [1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(DataError):
+            average_ranks(bad)
+
+
 def test_spearman_matrix_cells_equal_pairwise_spearman():
     values = np.random.default_rng(12).normal(size=(45, 5))
     values[:, 3] = np.round(values[:, 3])  # a column with ties

@@ -20,8 +20,12 @@ and 11 series x 2000 days at P=30. Each panel is run with the document's seed
 and with MARKETGRAPH_SEED set: `analyze` with and without `--config`;
 `train` and `compare` over all six model kinds at Q=1 and Q=2; `forecast`
 from each trained checkpoint at `--steps` 0, 1, 256 and omitted; and
-`influence` on each learned adjacency. Commands run one at a time with one
-BLAS thread. The exit status is 0 when every manifest entry agrees.
+`influence` on each learned adjacency. The small panel is also written
+irregularly (`irregular_panel`), so that loading it takes the row loop rather
+than the column-at-a-time conversion; it runs through `analyze`, and through
+`forecast` from the small panel's checkpoints at `--steps` 1 and omitted.
+Commands run one at a time with one BLAS thread. The exit status is 0 when
+every manifest entry agrees.
 """
 from __future__ import annotations
 
@@ -54,6 +58,17 @@ DECODE = ("import sys, numpy\n"
           "numpy.savez(sys.argv[2], **load_checkpoint(sys.argv[1]).params)\n")
 
 
+def irregular_panel(columns, rows) -> str:
+    """CSV text of a panel's rows that only the row loop of `load_csv` takes:
+    CRLF line endings, the first ten rows moved to the end, one quoted cell,
+    one blank line, and one row with a blank cell, which loading drops."""
+    lines = [["date", *columns], *rows[10:], *rows[:10]]
+    lines[3] = [lines[3][0], f'"{lines[3][1]}"', *lines[3][2:]]
+    lines[40] = [*lines[40][:-1], ""]
+    lines.insert(80, [])
+    return "".join(",".join(cells) + "\r\n" for cells in lines)
+
+
 def write_inputs(inputs: Path) -> list[tuple[str, list[str], str | None]]:
     """Write the panels and run documents, and return the matrix as
     (case, argv, MARKETGRAPH_SEED or None); `{out}` in an argv stands for
@@ -67,8 +82,12 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str], str | None]]:
     for name, series, days, seed, P, train in PANELS:
         frame = coupled_var_system(num_nodes=series, steps=days, seed=seed).frame
         csv_path = str(inputs / f"{name}.csv")
-        rows = ([day.isoformat(), *map(repr, row.tolist())] for day, row in zip(frame.dates, frame.values))
+        rows = [[day.isoformat(), *map(repr, row.tolist())] for day, row in zip(frame.dates, frame.values)]
         Path(csv_path).write_text(csv_text(["date", *frame.columns], rows), encoding="utf-8")
+        irregular = name == "small"
+        irregular_path = str(inputs / f"{name}_irregular.csv")
+        if irregular:
+            Path(irregular_path).write_text(irregular_panel(frame.columns, rows), encoding="utf-8")
         rebase = ([{"column": frame.columns[0], "cutoff": frame.dates[120].isoformat(), "divisor": 10.0}]
                   if name == "small" else [])
         configs = {}
@@ -93,6 +112,13 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str], str | None]]:
                         f"{run}/checkpoint.json", "--csv", csv_path,
                         *(["--steps", steps] if steps else []), "--out", "{case}")
                 add(f"influence_q{Q}", "influence", f"{run}/adjacency.csv")
+                if irregular:
+                    for steps in ("1", None):
+                        add(f"irregular_forecast_q{Q}_steps_{steps or 'all'}", "forecast",
+                            "--checkpoint", f"{run}/checkpoint.json", "--csv", irregular_path,
+                            *(["--steps", steps] if steps else []), "--out", "{case}")
+            if irregular:
+                add("irregular_analyze", "analyze", irregular_path, "--out", "{case}")
     return matrix
 
 

@@ -18,8 +18,8 @@ from .autodiff import (
 from .checkpoint import Model, NeuralModel
 from .data import require_finite, window_array
 from .errors import (
-    AT_LEAST_2, POSITIVE, Checked, ConfigError, DataError, DomainError, ShapeError, dilations,
-    receptive_field,
+    AT_LEAST_2, NONNEGATIVE, POSITIVE, Checked, DataError, DomainError, ShapeError, check_fields,
+    dilations, receptive_field,
 )
 from .optim import Adam
 
@@ -138,14 +138,15 @@ def fit_var(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 class MlpSpec(Checked):
     """Residual-correction network: one tanh hidden layer plus linear output.
 
-    The field types are checked here; `fit_var_mlp` checks `epochs` and
-    the comparison's var_mlp builder the declared bound of `hidden`.
+    The field types are checked here and the declared bounds by `fit_var_mlp`;
+    the comparison's var_mlp builder checks them first, naming each
+    `baselines.mlp_<field>`.
     """
 
     check_bounds = False
 
     hidden: int = field(default=32, metadata=POSITIVE)
-    epochs: int = 100
+    epochs: int = field(default=100, metadata=NONNEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -202,8 +203,7 @@ def fit_var_mlp(values: np.ndarray, var_order: int, spec: MlpSpec = MlpSpec(),
                 rng: Rng | None = None) -> VarMlpModel:
     """VAR by least squares, then an MLP fitted to the VAR residuals (Adam at
     a learning rate of 0.001, l1, batches of 32)."""
-    if spec.epochs < 0:
-        raise ConfigError(f"epochs must be nonnegative, got {spec.epochs}")
+    check_fields(MlpSpec, vars(spec))
     values = np.asarray(values, dtype=np.float64)
     rng = rng or Rng(0)
     intercept, coef = fit_var(values, var_order)

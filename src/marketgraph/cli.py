@@ -201,9 +201,7 @@ def cmd_analyze(args) -> int:
 
 def _checkpoint_extra(pipeline, cfg: RunConfig) -> dict:
     return {
-        "labels": list(pipeline.train.columns),
         "norm_stats": pipeline.report["norm_stats"],
-        "window": {"P": cfg.window.P, "Q": cfg.window.Q},
         "rebase": [{"column": r.column, "cutoff": r.cutoff.isoformat(), "divisor": r.divisor}
                    for r in cfg.rebase],
     }
@@ -258,18 +256,16 @@ def cmd_influence(args) -> int:
     return 0
 
 
-def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[RebaseRule, ...]]:
-    """The normalization, window and rebasing that `train` stores in a
-    checkpoint; any problem with them is a DataError naming the checkpoint."""
+def _forecast_metadata(extra, path) -> tuple[NormStats, tuple[RebaseRule, ...]]:
+    """The normalization and rebasing that `train` stores in a checkpoint;
+    any problem with them is a DataError naming the checkpoint."""
     try:
-        if not isinstance(extra, dict) or not {"norm_stats", "window"} <= set(extra):
-            raise ConfigError("needs norm_stats and window; re-train with the current tooling")
-        for where, cls in (("norm_stats", NormStats), ("window", WindowSpec)):
-            keys = {f.name for f in fields(cls)}
-            if set(_section(where, extra[where], cls)) != keys:
-                raise ConfigError(f"{where} needs {', '.join(sorted(keys))}")
-        return (NormStats(**extra["norm_stats"]), WindowSpec(**extra["window"]),
-                _rebase_rules(extra.get("rebase", [])))
+        if not isinstance(extra, dict) or "norm_stats" not in extra:
+            raise ConfigError("needs norm_stats; re-train with the current tooling")
+        keys = {f.name for f in fields(NormStats)}
+        if set(_section("norm_stats", extra["norm_stats"], NormStats)) != keys:
+            raise ConfigError(f"norm_stats needs {', '.join(sorted(keys))}")
+        return NormStats(**extra["norm_stats"]), _rebase_rules(extra.get("rebase", []))
     except (ConfigError, DataError, ShapeError, TypeError, ValueError,
             OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise DataError(f"{path}: unusable checkpoint metadata: {exc}") from None
@@ -278,14 +274,9 @@ def _forecast_metadata(extra, path) -> tuple[NormStats, WindowSpec, tuple[Rebase
 def cmd_forecast(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = MtgnnModel.from_checkpoint(ckpt, args.checkpoint)
-    stats, window, rebase = _forecast_metadata(ckpt.extra, args.checkpoint)
+    stats, rebase = _forecast_metadata(ckpt.extra, args.checkpoint)
+    window = WindowSpec(P=model.config.input_window, Q=model.config.horizon)
     P, Q = window.P, window.Q
-    if P != model.config.input_window:
-        raise DataError(f"{args.checkpoint}: window P={P} but the model reads "
-                        f"{model.config.input_window} step(s)")
-    if Q != model.config.horizon:
-        raise DataError(f"{args.checkpoint}: window Q={Q} but the model forecasts "
-                        f"{model.config.horizon} step(s)")
 
     # Every row is rebased, logged and normalized, so a bad value anywhere
     # raises; only the trailing rows the forecast reads are windowed.

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import logging
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -110,7 +111,7 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
     except ValueError:
         # Only a file the bulk conversion cannot take pays for the row loop,
         # the one place that drops incomplete rows and names a bad line.
-        dates, matrix, dropped = _convert_rows(path, rows[1:], width)
+        dates, matrix, dropped = _convert_rows(path, rows[1:], columns)
     if any(d1 >= d2 for d1, d2 in zip(dates, dates[1:])):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates, matrix = [dates[i] for i in order], matrix[order]
@@ -125,7 +126,7 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
 def _convert_columns(body: list[list[str]], width: int) -> tuple[list[date], np.ndarray]:
     """The dates and values of `body`, converted a column at a time with the
     row loop's own conversions; ValueError if a row has other than `width`
-    cells or any cell does not convert."""
+    cells or any cell does not convert to a date or a finite number."""
     if any(len(row) != width for row in body):
         raise ValueError("ragged rows")
     cells = list(zip(*body)) or [()] * width
@@ -133,21 +134,26 @@ def _convert_columns(body: list[list[str]], width: int) -> tuple[list[date], np.
     matrix = np.empty((len(dates), width - 1))
     for j, column in enumerate(cells[1:]):
         matrix[:, j] = np.fromiter(map(float, column), np.float64, len(dates))
+    if not np.isfinite(matrix).all():
+        raise ValueError("non-finite cell")
     return dates, matrix
 
 
-def _convert_rows(path, body: list[list[str]], width: int) -> tuple[list[date], np.ndarray, int]:
+def _convert_rows(path, body: list[list[str]],
+                  columns: tuple[str, ...]) -> tuple[list[date], np.ndarray, int]:
     """The dates and values of `body` row by row, and the count of rows
     dropped for a blank value cell; DataError naming the first bad line."""
     dates: list[date] = []
     values: list[float] = []  # row after row; one flat list keeps no per-row list alive
-    dropped = 0
+    dropped, width = 0, len(columns) + 1
     for lineno, row in enumerate(body, start=2):
         try:
             if len(row) != width:
                 raise ValueError("wrong cell count")
             vals = list(map(float, row[1:]))
             day = date.fromisoformat(row[0].strip())
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("non-finite cell")
         except ValueError:
             # Only a row that fails pays for the checks, in their order of precedence.
             if not row or all(not c.strip() for c in row):
@@ -160,11 +166,13 @@ def _convert_rows(path, body: list[list[str]], width: int) -> tuple[list[date], 
                 dropped += 1
                 continue
             _parse_date(row[0], where)  # a bad date is named before a bad number
-            for cell in row[1:]:
+            for name, cell in zip(columns, row[1:]):
                 try:
-                    float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise DataError(f"{where}: unparseable number {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{where}: non-finite number {cell!r} in column {name!r}")
         else:
             dates.append(day)
             values += vals

@@ -33,15 +33,10 @@ class TrainConfig(Checked):
 
     epochs: int = field(default=30, metadata=NONNEGATIVE)
     batch_size: int = field(default=8, metadata=POSITIVE)
-    loss: str = "l1"
+    loss: str = field(default="l1", metadata={"bound": ("l1", lambda v: v == "l1")})
     learning_rate: float = field(default=0.001, metadata=POSITIVE_FINITE)
     l2_coefficient: float = field(default=1e-4, metadata=NONNEGATIVE_FINITE)
     seed: int = field(default=0, metadata=NONNEGATIVE)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.loss != "l1":
-            raise ConfigError(f"only the l1 loss is supported, got {self.loss!r}")
 
 
 @dataclass
@@ -186,7 +181,7 @@ def _build_ar(pipeline, window, spec, rng):
 
 def _build_var_mlp(pipeline, window, spec, rng):
     _check_knobs(spec, "var_order")
-    check_fields(MlpSpec, {"hidden": spec.mlp.hidden}, "baselines.mlp_")
+    check_fields(MlpSpec, vars(spec.mlp), "baselines.mlp_")
     model = fit_var_mlp(pipeline.train.values, spec.var_order, spec.mlp, rng)
     return model, None, {"order": spec.var_order, "hidden": spec.mlp.hidden,
                          "epochs": spec.mlp.epochs}
@@ -263,11 +258,11 @@ class ComparisonSpec(Checked):
     def __post_init__(self):
         super().__post_init__()
         if not isinstance(self.include, (list, tuple)) or not all(isinstance(k, str) for k in self.include):
-            raise ConfigError(f"include must be a list of model kinds, got {self.include!r}")
+            raise ConfigError(f"baselines.include must be a list of model kinds, got {self.include!r}")
         object.__setattr__(self, "include", tuple(self.include))
         bad = set(self.include) - set(MODEL_BUILDERS)
         if bad:
-            raise ConfigError(f"unknown model kind(s) in include: {sorted(bad)}")
+            raise ConfigError(f"unknown model kind(s) in baselines.include: {sorted(bad)}")
 
 
 @dataclass

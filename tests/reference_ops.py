@@ -18,8 +18,11 @@ pair axis last and writes each diagonal in place.
 
 `parse_csv` converts a price CSV one row at a time, every file through the
 row loop; `marketgraph.data._parse_csv` converts a file whose rows all
-convert a column at a time and leaves the loop to the rest.
+convert a column at a time and leaves the loop to the rest. Both refuse a
+`nan` or `inf` cell at its place among the number cells, naming its line
+and column.
 """
+import math
 from datetime import date
 
 import numpy as np
@@ -163,6 +166,8 @@ def parse_csv(path):
                 raise ValueError("wrong cell count")
             vals = list(map(float, row[1:]))
             day = date.fromisoformat(row[0].strip())
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("non-finite cell")
         except ValueError:
             if not row or all(not c.strip() for c in row):
                 continue
@@ -173,11 +178,13 @@ def parse_csv(path):
                 dropped += 1
                 continue
             _parse_date(row[0], where)
-            for cell in row[1:]:
+            for name, cell in zip(columns, row[1:]):
                 try:
-                    float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise DataError(f"{where}: unparseable number {cell!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"{where}: non-finite number {cell!r} in column {name!r}")
         else:
             dates.append(day)
             values += vals

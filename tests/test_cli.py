@@ -328,8 +328,11 @@ def test_train_writes_checkpoint_history_adjacency_report(tmp_path, capsys):
 
     ckpt = json.loads((out / "checkpoint.json").read_text(encoding="utf-8"))
     assert ckpt["kind"] == "mtgnn"
-    assert ckpt["extra"]["labels"] == ["us", "uk", "jp"]
-    assert ckpt["extra"]["window"] == {"P": 8, "Q": 1}
+    # The window is the model's own input window and horizon; the series names
+    # are the normalization statistics' columns.
+    assert set(ckpt["extra"]) == {"norm_stats", "rebase"}
+    assert (ckpt["config"]["input_window"], ckpt["config"]["horizon"]) == (8, 1)
+    assert ckpt["extra"]["norm_stats"]["columns"] == ["us", "uk", "jp"]
 
 
 def test_train_is_reproducible_at_the_artifact_level(tmp_path, capsys):
@@ -583,9 +586,9 @@ def test_compare_ar_order_beyond_the_window_is_a_recorded_data_error(tmp_path, c
 @pytest.mark.parametrize("baselines, named", [
     ({"ar_order": "2"}, "baselines.ar_order must be an integer"),
     ({"tcn_blocks": True}, "baselines.tcn_blocks must be an integer"),
-    ({"include": "ar"}, "include must be a list of model kinds"),
+    ({"include": "ar"}, "baselines.include must be a list of model kinds"),
     ({"mlp_hidden": 2.5}, "baselines.mlp_hidden must be an integer"),
-    ({"include": ["bogus"]}, "unknown model kind(s) in include"),
+    ({"include": ["bogus"]}, "unknown model kind(s) in baselines.include"),
 ], ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden", "unknown_include"])
 def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, baselines, named,
                                                             command):
@@ -611,8 +614,9 @@ def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, ba
     ({"var_order": 0}, "var_mlp", "baselines.var_order must be positive, got 0"),
     ({"tcn_channels": 0}, "tcn", "baselines.tcn_channels must be positive, got 0"),
     ({"gru_hidden": 0}, "gru", "baselines.gru_hidden must be positive, got 0"),
+    ({"mlp_epochs": -1}, "var_mlp", "baselines.mlp_epochs must be nonnegative, got -1"),
 ], ids=["zero_mlp_hidden", "tcn_too_deep", "tcn_far_too_deep", "zero_ar_order", "zero_var_order",
-        "zero_tcn_channels", "zero_gru_hidden"])
+        "zero_tcn_channels", "zero_gru_hidden", "negative_mlp_epochs"])
 def test_compare_out_of_range_baseline_knob_is_a_recorded_config_error(tmp_path, capsys, knob,
                                                                         kind, message):
     csv_path = tmp_path / "prices.csv"
@@ -743,28 +747,33 @@ def test_forecast_actuals_match_source_prices(trained_run, tmp_path, capsys):
             np.testing.assert_allclose(actual, source[row[0]], rtol=1e-9)
 
 
-def test_forecast_does_not_need_the_checkpoint_labels(trained_run, tmp_path, capsys):
-    # The series names come from the CSV header; `train` still records them.
-    csv_path, checkpoint = trained_run
-    argv = ["forecast", "--csv", str(csv_path), "--steps", "5"]
-    assert main([*argv, "--checkpoint", str(checkpoint), "--out", str(tmp_path / "a")]) == 0
-    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
-    del doc["extra"]["labels"]
-    unlabelled = tmp_path / "unlabelled.json"
-    unlabelled.write_text(json.dumps(doc), encoding="utf-8")
-    assert main([*argv, "--checkpoint", str(unlabelled), "--out", str(tmp_path / "b")]) == 0
+def test_forecast_does_not_need_the_checkpoint_labels(tmp_path, capsys):
+    # A checkpoint whose `extra` also holds the window and the series names,
+    # as older ones do, forecasts byte for byte as one without them.
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    for Q in (1, 2):
+        config = write_config(tmp_path / "run.json", csv_path, window={"P": 8, "Q": Q})
+        checkpoint = tmp_path / f"run{Q}" / "checkpoint.json"
+        assert main(["train", "--config", str(config), "--out", str(checkpoint.parent)]) == 0
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        doc["extra"].update(labels=["us", "uk", "jp"], window={"P": 8, "Q": Q})
+        older = checkpoint.with_name("older.json")
+        older.write_text(json.dumps(doc), encoding="utf-8")
+        written = []
+        for path in (checkpoint, older):
+            out = tmp_path / f"fc{Q}_{path.stem}"
+            assert main(["forecast", "--checkpoint", str(path), "--csv", str(csv_path),
+                         "--steps", "5", "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(written[0]) == 4 and written[0] == written[1]
     capsys.readouterr()
-    assert ((tmp_path / "b" / "forecast.csv").read_bytes()
-            == (tmp_path / "a" / "forecast.csv").read_bytes())
 
 
 MALFORMED_METADATA = {
-    "window_without_P": lambda extra: extra["window"].pop("P"),
-    "str_P": lambda extra: extra["window"].update(P="3"),
     "rebase_without_cutoff": lambda extra: extra.update(rebase=[{"column": "us", "divisor": 2.0}]),
     "norm_stats_without_std": lambda extra: extra["norm_stats"].pop("std"),
     "mean_of_wrong_length": lambda extra: extra["norm_stats"].update(mean=[0.0]),
-    "Q_not_the_horizon": lambda extra: extra["window"].update(Q=2),
     # an integer too large for a float, and non-finite normalization stats
     "huge_rebase_divisor": lambda extra: extra.update(
         rebase=[{"column": "us", "cutoff": "2020-01-02", "divisor": 10 ** 400}]),
@@ -786,29 +795,6 @@ def test_forecast_malformed_checkpoint_metadata_exits_2(trained_run, tmp_path, c
     err = capsys.readouterr().err
     assert "error:" in err and "internal error" not in err
     assert str(checkpoint) in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("P", [5, 20, 40])
-def test_forecast_window_p_other_than_the_input_window_exits_2(tmp_path, capsys, P):
-    # `train` writes P equal to the model's input window, here 30 steps of
-    # which three layers read the last 8. Before, P=5 exited 1 without naming
-    # the checkpoint, and P=20 and P=40 forecast.
-    csv_path = tmp_path / "prices.csv"
-    make_dataset(csv_path, rows=200)
-    config = write_config(tmp_path / "run.json", csv_path, window={"P": 30, "Q": 1},
-                          model={**TINY_MODEL, "num_layers": 3})
-    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
-    checkpoint = tmp_path / "run" / "checkpoint.json"
-    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
-    doc["extra"]["window"]["P"] = P
-    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
-    capsys.readouterr()
-    out = tmp_path / "fc"
-    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"error: {checkpoint}: window P={P} but the model reads 30 step(s)" in err
     assert not out.exists()
 
 
@@ -899,7 +885,6 @@ def untrained_checkpoint(d):
     config = MtgnnConfig(num_nodes=3, input_window=8, **TINY_MODEL)
     path = d / "checkpoint.json"
     MtgnnModel(config, Rng(0)).save(path, extra={
-        "labels": ["us", "uk", "jp"], "window": {"P": 8, "Q": 1},
         "norm_stats": {"columns": ["us", "uk", "jp"], "mean": [0.0] * 3, "std": [1.0] * 3}})
     return str(path)
 

@@ -36,6 +36,7 @@ BOUNDS = [
     (TrainConfig, {}, "learning_rate", [TINY, BIG], [0, -TINY, NAN, INF, -INF]),
     (TrainConfig, {}, "l2_coefficient", [0, BIG], [-TINY, NAN, INF, -INF]),
     (TrainConfig, {}, "seed", [0], [-1]),
+    (TrainConfig, {}, "loss", ["l1"], ["l2", "L1", " l1"]),
     (ArConfig, {"order": 1, "num_series": 1}, "order", *SIZE),
     (ArConfig, {"order": 1, "num_series": 1}, "num_series", *SIZE),
     *((VarMlpConfig, {"order": 1, "num_series": 1, "hidden": 1}, name, *SIZE)
@@ -58,6 +59,7 @@ DEFERRED = [
     *((ComparisonSpec, {}, name, *SIZE)
       for name in ("ar_order", "var_order", "gru_hidden", "tcn_channels", "tcn_blocks")),
     (MlpSpec, {}, "hidden", *SIZE),
+    (MlpSpec, {}, "epochs", [0], [-1]),
 ]
 
 
@@ -78,8 +80,9 @@ def test_each_deferred_bound_is_declared_but_not_checked_at_construction(cls, ot
         assert getattr(cls(**{**others, name: value}), name) == value
     for value in accepted:
         check_fields(cls, {name: value})
+    wanted = cls.__dataclass_fields__[name].metadata["bound"][0]
     for value in refused:
-        with pytest.raises(ConfigError, match=f"^{name} must be positive, got {value}$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be {wanted}, got {value}$"):
             check_fields(cls, {name: value})
 
 

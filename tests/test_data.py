@@ -303,6 +303,22 @@ def test_the_row_loop_runs_only_for_a_file_the_columns_cannot_take(tmp_path, mon
     assert loops == [ragged]
 
 
+@pytest.mark.parametrize("row, named", [
+    ("2020-01-02,2,nan", "non-finite number 'nan' in column 'b'"),
+    ('2020-01-02, -inf ,"NaN"', "non-finite number ' -inf ' in column 'a'"),
+    ("2020-01-02,inf,x", "non-finite number 'inf' in column 'a'"),
+    ("2020-01-02,x,inf", "unparseable number 'x'"),
+    ("2020-01-32,nan,20", "unparseable date '2020-01-32'"),
+], ids=["nan", "first_of_two", "before_a_bad_number", "after_a_bad_number", "bad_date"])
+def test_a_non_finite_price_cell_is_refused_at_its_place_naming_line_and_column(tmp_path, row, named):
+    # A non-finite cell takes its turn among the number cells, after the date.
+    path = tmp_path / "p.csv"
+    path.write_text(f"date,a,b\n2020-01-01,1,10\n{row}\n2020-01-03,3,30\n", encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}: line 3: {named}")
+
+
 # -- rebasing ----------------------------------------------------------------------
 
 def test_rebasing_divides_only_before_cutoff():

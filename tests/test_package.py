@@ -1,4 +1,4 @@
-"""The package's export list, and the names the benchmark's tracer wraps."""
+"""The package's export list, and the names the benchmark calls and its tracer wraps."""
 import ast
 import importlib
 import importlib.util
@@ -34,6 +34,18 @@ def test_every_traced_target_exists():
     missing += [f"{mod}.{cls}.{name}" for mod, cls, name in tracer.METHODS
                 if name not in vars(getattr(importlib.import_module(f"marketgraph.{mod}"), cls, object))]
     assert missing == []
+
+
+def test_every_package_name_the_benchmark_calls_exists():
+    # The workloads call `mg.<module>.<name>` and the tracer's backward replay
+    # `ad.<name>`, such as `ad.sum_`, which no traced target lists.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    workloads = re.findall(r"\bmg\.(\w+)\.(\w+)", (bench / "workloads.py").read_text(encoding="utf-8"))
+    replayed = re.findall(r"\bad\.(\w+)", (bench / "tracer.py").read_text(encoding="utf-8"))
+    assert workloads and "sum_" in replayed
+    missing = [f"{mod}.{name}" for mod, name in {*workloads, *(("autodiff", n) for n in replayed)}
+               if not hasattr(importlib.import_module(f"marketgraph.{mod}"), name)]
+    assert sorted(missing) == []
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

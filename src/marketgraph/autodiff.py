@@ -365,12 +365,6 @@ def permute(a: Tensor, axes) -> Tensor:
     return _record(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return permute(a, (1, 0))
-
-
 def time_index(a: Tensor, t: int) -> Tensor:
     """Select step t of the trailing time axis, dropping that axis."""
     a = _lift(a)

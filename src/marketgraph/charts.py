@@ -6,11 +6,15 @@ user-provided strings are XML-escaped before embedding.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .errors import ShapeError
+
+
+def escape(text: str) -> str:
+    """`text` with `&`, `<` and `>` written as XML entities, as element text needs."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:

@@ -5,6 +5,9 @@ so a run is reproducible from one file; flags cover paths and small
 overrides only. Every artifact is written through `data.atomic_write` and
 echoed to stdout as a manifest line. Exit codes: 0 success, 1 runtime/model
 failure, 2 usage/config error or an unusable input path or checkpoint.
+
+Each command imports the modules it runs when it runs, so `analyze` never
+loads the autodiff core and `influence` none of the models.
 """
 from __future__ import annotations
 
@@ -20,29 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Rng
-from .baselines import MlpSpec
-from .charts import svg_heatmap, svg_line_chart
-from .checkpoint import load_checkpoint
 from .data import (
     NormStats, PipelineResult, RebaseRule, SplitSpec, WindowSpec, apply_rebase_rules,
     atomic_write, csv_text, descriptive_stats, invert_predictions, load_csv,
-    log_transform, make_windows, matrix_csv, normalize, run_pipeline,
+    log_transform, make_windows, matrix_csv, normalize, run_pipeline, trace_csv,
 )
 from .errors import ConfigError, DataError, MarketGraphError, ShapeError, check_fields
-from .graph import G7_COUNTRIES, MINT_COUNTRIES, rank_influence, read_adjacency_csv
-from .metrics import dtw_matrix, spearman_matrix
-from .mtgnn import MtgnnConfig, MtgnnModel
-from .training import (
-    MODEL_BUILDERS, ComparisonSpec, TrainConfig, evaluate, history_csv,
-    mtgnn_config, run_comparison, trace_csv,
-)
 
 _DOC_KEYS = {"dataset", "seed", "split", "window", "rebase", "train", "model", "baselines"}
-# The scalar knobs of ComparisonSpec, with MlpSpec's fields under an "mlp_"
-# prefix; the other sections of the document set its train and mtgnn fields.
-_BASELINE_KEYS = ({f.name for f in fields(ComparisonSpec)} - {"train", "mlp", "mtgnn"}
-                  | {f"mlp_{f.name}" for f in fields(MlpSpec)})
 
 
 @dataclass
@@ -82,6 +70,10 @@ def _not_a_number(name: str):
 
 def parse_run_config(path) -> RunConfig:
     """The run document at `path`; every problem with it is a ConfigError."""
+    from .baselines import MlpSpec
+    from .mtgnn import MtgnnConfig
+    from .training import ComparisonSpec, TrainConfig
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_not_a_number)
@@ -101,7 +93,11 @@ def parse_run_config(path) -> RunConfig:
     # when the model is built, so `compare` records a bad one for mtgnn alone.
     model_doc = _section("model", doc.get("model", {}), MtgnnConfig,
                          skip=("num_nodes", "input_window", "horizon"), bounds=False)
-    baselines_doc = _object("baselines", doc.get("baselines", {}), _BASELINE_KEYS)
+    # The scalar knobs of ComparisonSpec, with MlpSpec's fields under an "mlp_"
+    # prefix; the other sections of the document set its train and mtgnn fields.
+    baseline_keys = ({f.name for f in fields(ComparisonSpec)} - {"train", "mlp", "mtgnn"}
+                     | {f"mlp_{f.name}" for f in fields(MlpSpec)})
+    baselines_doc = _object("baselines", doc.get("baselines", {}), baseline_keys)
 
     mlp_doc = {k[len("mlp_"):]: v for k, v in baselines_doc.items() if k.startswith("mlp_")}
     knobs = {k: v for k, v in baselines_doc.items() if not k.startswith("mlp_")}
@@ -179,6 +175,9 @@ def _run_pipeline(args) -> tuple[RunConfig, ComparisonSpec, PipelineResult]:
 # -- commands ------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .charts import svg_heatmap
+    from .metrics import dtw_matrix, spearman_matrix
+
     frame = load_csv(args.csv)
     if args.config:
         frame = apply_rebase_rules(frame, parse_run_config(args.config).rebase)
@@ -208,6 +207,9 @@ def _checkpoint_extra(pipeline, cfg: RunConfig) -> dict:
 
 
 def cmd_train(args) -> int:
+    from .autodiff import Rng
+    from .training import MODEL_BUILDERS, evaluate, history_csv, mtgnn_config
+
     cfg, spec, pipeline = _run_pipeline(args)
     mtgnn_config(pipeline, cfg.window, spec.mtgnn)  # an out-of-range knob fails before --out exists
     out = _out_dir(args.out)
@@ -232,6 +234,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .training import run_comparison
+
     cfg, spec, pipeline = _run_pipeline(args)
     out = _out_dir(args.out)
 
@@ -246,6 +250,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_influence(args) -> int:
+    from .graph import G7_COUNTRIES, MINT_COUNTRIES, rank_influence, read_adjacency_csv
+
     adj = read_adjacency_csv(args.adjacency)
     group = None
     if args.group:
@@ -256,31 +262,44 @@ def cmd_influence(args) -> int:
     return 0
 
 
-def _forecast_metadata(extra, path) -> tuple[NormStats, tuple[RebaseRule, ...]]:
-    """The normalization and rebasing that `train` stores in a checkpoint;
-    any problem with them is a DataError naming the checkpoint."""
+def _forecast_metadata(extra, path, num_nodes: int) -> tuple[NormStats, tuple[RebaseRule, ...]]:
+    """The normalization and rebasing that `train` stores in a checkpoint
+    whose model has `num_nodes` series; any problem with them is a DataError
+    naming the checkpoint."""
     try:
         if not isinstance(extra, dict) or "norm_stats" not in extra:
             raise ConfigError("needs norm_stats; re-train with the current tooling")
         keys = {f.name for f in fields(NormStats)}
         if set(_section("norm_stats", extra["norm_stats"], NormStats)) != keys:
             raise ConfigError(f"norm_stats needs {', '.join(sorted(keys))}")
-        return NormStats(**extra["norm_stats"]), _rebase_rules(extra.get("rebase", []))
+        stats = NormStats(**extra["norm_stats"])
+        if len(stats.columns) != num_nodes:
+            raise ConfigError(f"norm_stats covers {len(stats.columns)} series, "
+                              f"the model was fitted on {num_nodes}")
+        return stats, _rebase_rules(extra.get("rebase", []))
     except (ConfigError, DataError, ShapeError, TypeError, ValueError,
             OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise DataError(f"{path}: unusable checkpoint metadata: {exc}") from None
 
 
 def cmd_forecast(args) -> int:
+    from .charts import svg_line_chart
+    from .checkpoint import load_checkpoint
+    from .mtgnn import MtgnnModel
+
     ckpt = load_checkpoint(args.checkpoint)
     model = MtgnnModel.from_checkpoint(ckpt, args.checkpoint)
-    stats, rebase = _forecast_metadata(ckpt.extra, args.checkpoint)
+    stats, rebase = _forecast_metadata(ckpt.extra, args.checkpoint, model.config.num_nodes)
     window = WindowSpec(P=model.config.input_window, Q=model.config.horizon)
     P, Q = window.P, window.Q
 
+    frame = load_csv(args.csv)
+    if frame.columns != stats.columns:
+        raise DataError(f"{args.csv} holds the series {', '.join(frame.columns)}, but "
+                        f"{args.checkpoint} was trained on {', '.join(stats.columns)}")
     # Every row is rebased, logged and normalized, so a bad value anywhere
     # raises; only the trailing rows the forecast reads are windowed.
-    frame = normalize(log_transform(apply_rebase_rules(load_csv(args.csv), rebase)), stats)
+    frame = normalize(log_transform(apply_rebase_rules(frame, rebase)), stats)
     labels = frame.columns
     if args.steps == 0:
         empty = np.zeros((0, len(labels)))

@@ -227,6 +227,21 @@ def matrix_csv(corner: str, labels: Sequence[str], matrix: np.ndarray) -> str:
     return csv_text([corner, *labels], rows)
 
 
+def trace_csv(dates, labels, actual: np.ndarray, predicted: np.ndarray) -> str:
+    """Actual and predicted values as CSV text: one row per date, and a
+    `<label>_actual` and `<label>_predicted` column per series (`repr`)."""
+    actual = np.asarray(actual)
+    predicted = np.asarray(predicted)
+    if actual.shape != predicted.shape or actual.shape != (len(dates), len(labels)):
+        raise DataError(f"trace shapes {actual.shape}/{predicted.shape} do not match "
+                        f"{len(dates)} dates x {len(labels)} series")
+    header = ["date", *(f"{label}_{part}" for label in labels for part in ("actual", "predicted"))]
+    rows = ([d.isoformat() if hasattr(d, "isoformat") else str(d),
+             *(repr(float(v)) for pair in zip(a, p) for v in pair)]
+            for d, a, p in zip(dates, actual, predicted))
+    return csv_text(header, rows)
+
+
 @dataclass(frozen=True)
 class RebaseRule(Checked):
     """Undo an exchange redenomination: divide pre-cutoff rows of one column."""

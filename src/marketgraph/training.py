@@ -366,16 +366,3 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
 def history_csv(history: list[dict]) -> str:
     rows = ([row["epoch"], repr(row["train_loss"]), repr(row["val_loss"])] for row in history)
     return csv_text(["epoch", "train_loss", "val_loss"], rows)
-
-
-def trace_csv(dates, labels, actual: np.ndarray, predicted: np.ndarray) -> str:
-    actual = np.asarray(actual)
-    predicted = np.asarray(predicted)
-    if actual.shape != predicted.shape or actual.shape != (len(dates), len(labels)):
-        raise DataError(f"trace shapes {actual.shape}/{predicted.shape} do not match "
-                        f"{len(dates)} dates x {len(labels)} series")
-    header = ["date", *(f"{label}_{part}" for label in labels for part in ("actual", "predicted"))]
-    rows = ([d.isoformat() if hasattr(d, "isoformat") else str(d),
-             *(repr(float(v)) for pair in zip(a, p) for v in pair)]
-            for d, a, p in zip(dates, actual, predicted))
-    return csv_text(header, rows)

@@ -6,7 +6,8 @@ built from before each became one op: here `learn_adjacency` records 15 tape
 entries, `propagation_stack` 5 + 6 * depth + 2 (19 at depth 2) and
 `gated_temporal_conv` 3; the fused ops in `marketgraph` record one each.
 `tanh_sigmoid_gate` is the gate op the reference convolution ends in, its
-backward concatenating the filter and gate adjoints.
+backward concatenating the filter and gate adjoints. `transpose`, a
+matrix `permute`, is what the reference graph construction transposes with.
 
 `mix_hop` forms each hop's dprops with `np.tensordot` (`_node_outer`), and
 `dropout` keeps its float mask; the ops in `marketgraph` copy h transposed
@@ -21,19 +22,30 @@ row loop; `marketgraph.data._parse_csv` converts a file whose rows all
 convert a column at a time and leaves the loop to the rest. Both refuse a
 `nan` or `inf` cell at its place among the number cells, naming its line
 and column.
+
+`escape` is the standard library's XML text escape, which
+`marketgraph.charts.escape` writes out so that drawing a chart does not
+import `xml.sax`.
 """
 import math
 from datetime import date
+from xml.sax.saxutils import escape  # noqa: F401 - the reference for charts.escape
 
 import numpy as np
 
 from marketgraph.autodiff import (
     Tensor, _lift, _record, add_bias, causal_conv1d, matmul, mul, permute, relu,
-    row_normalize, stack_last, tanh, transpose,
+    row_normalize, stack_last, tanh,
 )
 from marketgraph.data import TimeSeriesFrame, _parse_date, read_csv_rows
 from marketgraph.errors import DataError, DomainError, ShapeError
 from marketgraph.graph import top_k_row_mask
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.ndim != 2:
+        raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+    return permute(a, (1, 0))
 
 
 def tanh_sigmoid_gate(a: Tensor) -> Tensor:

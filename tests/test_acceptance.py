@@ -23,7 +23,6 @@ from marketgraph import (
 from marketgraph.autodiff import (
     abs_, add_bias, causal_conv1d, channel_linear, graph_mix, last_step, matmul,
     mean, permute, relu, reshape, row_normalize, sigmoid, stack_last, tanh, time_index,
-    transpose,
 )
 from marketgraph.data import (
     SplitSpec, adjust_rebased_series, chronological_split, compute_norm_stats,
@@ -33,6 +32,7 @@ from marketgraph.graph import learn_adjacency, read_adjacency_csv
 from marketgraph.mtgnn import gated_temporal_conv, propagation_stack
 from marketgraph.synthetic import coupled_var_system
 from marketgraph.training import ComparisonSpec
+from reference_ops import transpose
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GEN = np.random.default_rng(2024)

@@ -9,9 +9,9 @@ from marketgraph import DataError, DomainError, Rng, ShapeError, Tape, TapeError
 from marketgraph.autodiff import (
     _record, abs_, add, add_bias, causal_conv1d, channel_linear, dropout, graph_mix, last_step,
     matmul, mean, mix_hop, mul, permute, relu, reshape, row_normalize,
-    sigmoid, stack_last, sub, sum_, tanh, time_index, transpose,
+    sigmoid, stack_last, sub, sum_, tanh, time_index,
 )
-from reference_ops import tanh_sigmoid_gate
+from reference_ops import tanh_sigmoid_gate, transpose
 
 GEN = np.random.default_rng(99)
 

@@ -798,6 +798,38 @@ def test_forecast_malformed_checkpoint_metadata_exits_2(trained_run, tmp_path, c
     assert not out.exists()
 
 
+def test_forecast_on_other_series_names_the_checkpoint_the_csv_and_both_series(trained_run, tmp_path,
+                                                                               capsys):
+    csv_path, checkpoint = trained_run
+    other = tmp_path / "renamed.csv"
+    text = csv_path.read_text(encoding="utf-8")
+    other.write_text(text.replace("date,us,", "date,de,", 1), encoding="utf-8")
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(other),
+                 "--out", str(tmp_path / "fc")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {other} holds the series de, uk, jp, but {checkpoint} "
+                   "was trained on us, uk, jp\n")
+    assert not (tmp_path / "fc").exists()
+
+
+def test_forecast_refuses_norm_stats_narrower_than_the_model(trained_run, tmp_path, capsys):
+    # A CSV that matches the stats must not get as far as the model.
+    csv_path, checkpoint = trained_run
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    stats = doc["extra"]["norm_stats"]
+    doc["extra"]["norm_stats"] = {key: values[:2] for key, values in stats.items()}
+    checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                              for line in csv_path.read_text(encoding="utf-8").splitlines()),
+                      encoding="utf-8")
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(narrow),
+                 "--out", str(tmp_path / "fc")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {checkpoint}: unusable checkpoint metadata: norm_stats covers 2 series, "
+        "the model was fitted on 3\n")
+
+
 FULL_ROWS, FULL_P = 90, 8  # make_dataset's and write_config's defaults
 
 

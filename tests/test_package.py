@@ -1,10 +1,18 @@
-"""The package's export list, and the names the benchmark calls and its tracer wraps."""
+"""The package's export list, what each command imports, and the names the
+benchmark calls and its tracer wraps."""
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+from conftest import build_frame, write_frame_csv
 
 import marketgraph
 
@@ -15,6 +23,63 @@ def test_star_import_resolves_every_exported_name():
     missing = [name for name in marketgraph.__all__ if name not in namespace]
     assert not missing
     assert len(set(marketgraph.__all__)) == len(marketgraph.__all__)
+
+
+def modules_loaded_by(code: str, *argv) -> set[str]:
+    """The modules a fresh interpreter holds after running `code` with
+    `argv` as its arguments."""
+    src = str(Path(marketgraph.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    child = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    return set(json.loads(child.stdout.splitlines()[-1]))
+
+
+RUN_CLI = "import sys\nfrom marketgraph.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def write_prices(path) -> Path:
+    gen = np.random.default_rng(3)
+    values = 100.0 * np.exp(np.cumsum(gen.normal(0, 0.01, size=(40, 3)), axis=0))
+    write_frame_csv(build_frame(values, columns=["us", "uk", "jp"]), path)
+    return path
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = modules_loaded_by("import marketgraph")
+    assert "marketgraph" in loaded
+    assert sorted(m for m in loaded if m.startswith("marketgraph.")) == []
+
+
+def test_dir_names_every_exported_name_and_submodule():
+    modules = {path.stem for path in Path(marketgraph.__file__).parent.glob("*.py")} - {"__init__"}
+    assert {*marketgraph.__all__, *modules} <= set(dir(marketgraph))
+
+
+def test_analyze_loads_no_model_code(tmp_path):
+    # nor xml.sax, which would bring in urllib, http and email to escape three characters
+    loaded = modules_loaded_by(RUN_CLI, "analyze", write_prices(tmp_path / "p.csv"),
+                               "--out", tmp_path / "out")
+    assert {"marketgraph.metrics", "marketgraph.charts"} <= loaded
+    unloaded = ["xml.sax"] + [f"marketgraph.{m}" for m in (
+        "autodiff", "training", "mtgnn", "baselines", "checkpoint", "optim", "graph")]
+    assert [m for m in unloaded if m in loaded] == []
+
+
+def test_forecast_loads_no_training_code(tmp_path):
+    from marketgraph.mtgnn import MtgnnConfig, MtgnnModel
+    config = MtgnnConfig(num_nodes=3, input_window=8, num_layers=2, conv_channels=4,
+                         residual_channels=4, skip_channels=4, embedding_dim=4, k=2)
+    checkpoint = tmp_path / "checkpoint.json"
+    MtgnnModel(config, marketgraph.Rng(0)).save(checkpoint, extra={
+        "norm_stats": {"columns": ["us", "uk", "jp"], "mean": [4.6] * 3, "std": [1.0] * 3}})
+    loaded = modules_loaded_by(RUN_CLI, "forecast", "--checkpoint", checkpoint, "--csv",
+                               write_prices(tmp_path / "p.csv"), "--steps", 2,
+                               "--out", tmp_path / "out")
+    assert {"marketgraph.mtgnn", "marketgraph.charts"} <= loaded
+    unloaded = [f"marketgraph.{m}" for m in ("training", "baselines", "metrics", "optim")]
+    assert [m for m in unloaded if m in loaded] == []
 
 
 def load_tracer():

@@ -18,9 +18,9 @@ from marketgraph import (
     run_pipeline, train,
 )
 from marketgraph.baselines import GruConfig, MlpSpec, TcnConfig
-from marketgraph.data import NormStats, WindowSet, invert_predictions, make_windows
+from marketgraph.data import NormStats, WindowSet, invert_predictions, make_windows, trace_csv
 from marketgraph.metrics import MetricsReport
-from marketgraph.training import ComparisonSpec, history_csv, trace_csv
+from marketgraph.training import ComparisonSpec, history_csv
 
 GEN = np.random.default_rng(77)
 

@@ -14,10 +14,10 @@ runs follow one another, one run in each tree, each for the `run_seconds`
 that BENCHMARK.json declares.
 The tree that runs first alternates from pair to pair, so a drift of the
 machine's speed falls on both sides alike. Each end-to-end metric that
-BENCHMARK.json declares, and the uncalibrated `raw_call_ms_p50`, gets both
-sides' runs, medians and quartiles, and the number of pairs in which this
-checkout's run was better and worse. `--claim` adds a summary of one metric
-per seed: the wins, the ratio of medians and whether the gain of the medians
+BENCHMARK.json declares, and the uncalibrated `raw_call_ms_p50` and
+`raw_setup_s`, gets both sides' runs, medians and quartiles, and the number
+of pairs in which this checkout's run was better and worse. `--claim` adds a
+summary of one metric per seed: the wins, the ratio of medians and whether the gain of the medians
 exceeds the other revision's interquartile range.
 
 With `--epoch`, each run is instead `tools/epoch.py` in a fresh process,
@@ -46,6 +46,8 @@ from revision import ROOT, unpack, work_directory
 SIDES = ("parent", "change")
 PER_SIDE = ("src_sha256", "train_loss")
 EPOCH_METRICS = {"epoch_s": "lower", "minflt_per_step": "lower"}
+# Uncalibrated figures recorded beside the calibrated metrics: name -> key in a run's raw_wall.
+RAW_WALL = {"raw_call_ms_p50": "call_ms_p50", "raw_setup_s": "setup_s"}
 
 
 def run_child(argv: list[str], tree: Path, what: str, env: dict | None = None) -> list[dict]:
@@ -64,7 +66,7 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, metrics) -> 
     details, result = run_child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                                  "--seconds", str(seconds), "--trace", "0"],
                                 tree, f"{workload} seed {seed}")
-    values = {name: (details["raw_wall"]["call_ms_p50"] if name == "raw_call_ms_p50"
+    values = {name: (details["raw_wall"][RAW_WALL[name]] if name in RAW_WALL
                      else result["metrics"][name]["value"]) for name in metrics}
     counts = {"attempted": result["attempted"], "failed": result["failed"]}
     return values, counts, details["environment"]
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    metrics["raw_call_ms_p50"] = "lower"
+    metrics.update(dict.fromkeys(RAW_WALL, "lower"))
     seconds = declared["run_seconds"]
     with work_directory(args.work, "bench-pairs-") as work:
         commit = unpack(args.against, ["src", "perfbench"], work / "parent")
@@ -188,7 +190,8 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
                   "commit and in a copy of the change's working tree beside it, one after "
                   "another; the side that runs first alternates per pair. Metrics are the "
                   "calibrated values of each run's last stdout line; raw_call_ms_p50 is the "
-                  "uncalibrated median wall time of the main call.",
+                  "uncalibrated median wall time of the main call, and raw_setup_s that of "
+                  "the workload's set-up.",
         "parent_commit": commit,
     })
     if args.what:

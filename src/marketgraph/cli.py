@@ -6,8 +6,8 @@ overrides only. Every artifact is written through `data.atomic_write` and
 echoed to stdout as a manifest line. Exit codes: 0 success, 1 runtime/model
 failure, 2 usage/config error or an unusable input path or checkpoint.
 
-Each command imports the modules it runs when it runs, so `analyze` never
-loads the autodiff core and `influence` none of the models.
+Each command imports the modules it runs when it runs, so neither `analyze`
+nor `influence` loads the autodiff core or any model.
 """
 from __future__ import annotations
 

@@ -96,8 +96,32 @@ def read_csv_rows(path) -> list[list[str]]:
         raise DataError(f"{path}: unreadable CSV ({exc})") from None
 
 
+def _plain_lines(path) -> list[str]:
+    """The lines of the CSV file at `path` if numpy's reader can take its body,
+    else []: UTF-8 text with two or more body lines, each with the header's
+    comma count, none longer than the csv module's field limit, and none of
+    the characters below."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return []
+    # Blank lines at the end, which the row loop skips, are cut off.
+    lines = text.rstrip("\r\n").splitlines()
+    commas = lines[0].count(",") if len(lines) > 2 else 0
+    # A quote needs the csv module, which refuses a NUL; numpy strips \x1c-\x1f around
+    # a number as space and float() does not; and splitlines() also breaks lines at
+    # \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029, where csv.reader does not.
+    if (not commas or any(map(text.__contains__, '"\0\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029'))
+            or any(line.count(",") != commas for line in lines)
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return []
+    return lines
+
+
 def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
-    rows = read_csv_rows(path)
+    lines = _plain_lines(path)
+    rows = [lines[0].split(",")] if lines else read_csv_rows(path)
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -106,12 +130,20 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
     columns, width = tuple(header[1:]), len(header)
 
     try:
-        dates, matrix = _convert_columns(rows[1:], width)
+        if not lines:
+            raise ValueError("not a plain file")
+        # numpy reads a cell with PyOS_string_to_double, as float() does, or refuses it.
+        matrix = np.loadtxt(lines[1:], delimiter=",", comments=None, usecols=range(1, width),
+                            dtype=np.float64, ndmin=2)
+        firsts = [line.partition(",")[0] for line in lines[1:]]
+        dates = list(map(date.fromisoformat, map(str.strip, firsts)))
+        if not np.isfinite(matrix).all():
+            raise ValueError("non-finite cell")
         dropped = 0
     except ValueError:
-        # Only a file the bulk conversion cannot take pays for the row loop,
+        # Only a file numpy's reader cannot take pays for the row loop,
         # the one place that drops incomplete rows and names a bad line.
-        dates, matrix, dropped = _convert_rows(path, rows[1:], columns)
+        dates, matrix, dropped = _convert_rows(path, (read_csv_rows(path) if lines else rows)[1:], columns)
     if any(d1 >= d2 for d1, d2 in zip(dates, dates[1:])):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates, matrix = [dates[i] for i in order], matrix[order]
@@ -121,22 +153,6 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
     if len(dates) < 2:
         raise DataError(f"{path}: fewer than 2 usable rows after dropping incomplete ones")
     return TimeSeriesFrame(tuple(dates), columns, matrix), dropped
-
-
-def _convert_columns(body: list[list[str]], width: int) -> tuple[list[date], np.ndarray]:
-    """The dates and values of `body`, converted a column at a time with the
-    row loop's own conversions; ValueError if a row has other than `width`
-    cells or any cell does not convert to a date or a finite number."""
-    if any(len(row) != width for row in body):
-        raise ValueError("ragged rows")
-    cells = list(zip(*body)) or [()] * width
-    dates = list(map(date.fromisoformat, map(str.strip, cells[0])))
-    matrix = np.empty((len(dates), width - 1))
-    for j, column in enumerate(cells[1:]):
-        matrix[:, j] = np.fromiter(map(float, column), np.float64, len(dates))
-    if not np.isfinite(matrix).all():
-        raise ValueError("non-finite cell")
-    return dates, matrix
 
 
 def _convert_rows(path, body: list[list[str]],

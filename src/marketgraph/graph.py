@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .autodiff import Tensor, _record
 from .data import read_csv_rows
 from .errors import DataError, DomainError, ShapeError
+
+if TYPE_CHECKING:  # `influence` reads and ranks adjacency files without the autodiff core
+    from .autodiff import Tensor
 
 G7_COUNTRIES = ("Italy", "France", "UK", "Germany", "US", "Canada", "Japan")
 MINT_COUNTRIES = ("Mexico", "Indonesia", "Nigeria", "Türkiye")
@@ -38,6 +40,7 @@ def learn_adjacency(e1: Tensor, e2: Tensor, theta1: Tensor, theta2: Tensor,
     through a constant 0/1 mask; gradients flow only through the retained
     entries.
     """
+    from .autodiff import _record
     n, d = e1.shape if e1.ndim == 2 else (0, 0)
     if e1.ndim != 2 or e2.shape != e1.shape or theta1.shape != (d, d) or theta2.shape != (d, d):
         raise ShapeError(f"need two equal [N, d] embeddings and two [d, d] mixing matrices, got "

@@ -18,8 +18,8 @@ and builds each diagonal from temporaries; `marketgraph.metrics` holds them
 pair axis last and writes each diagonal in place.
 
 `parse_csv` converts a price CSV one row at a time, every file through the
-row loop; `marketgraph.data._parse_csv` converts a file whose rows all
-convert a column at a time and leaves the loop to the rest. Both refuse a
+row loop; `marketgraph.data._parse_csv` hands a plain file to numpy's C
+text reader and leaves the loop to the rest. Both refuse a
 `nan` or `inf` cell at its place among the number cells, naming its line
 and column.
 

@@ -221,12 +221,21 @@ def test_a_leading_byte_order_mark_is_skipped_in_an_adjacency_file(tmp_path):
     assert got.values.tobytes() == want.values.tobytes()
 
 
-# Cells that convert, also with spaces, underscores, quotes, signs or a non-finite value.
+# Cells that convert, also with spaces (Unicode ones too), underscores, signs, non-ASCII
+# digits, more digits than a double holds (two of them ties that round to even), a
+# subnormal, an overflow or a non-finite value.
 GOOD_NUMBERS = mostly(st.floats(0.01, 1e6).map(repr) | st.integers(1, 10**6).map(str),
-                      st.sampled_from(["1_0", "2_500.25", " 7 ", "\t8", '"3.5"', '" 4 "', "+4e1",
-                                       "nan", "inf"]))
+                      st.sampled_from(["1_0", "2_500.25", " 7 ", "\t8", "+4e1", "nan", "inf",
+                                       "infinity", "1e400", "-0", "5e-324", "\xa05", "6\u2003",
+                                       "\x0b7\x0b", "9\x85", "\u0661\u0662", "9007199254740993",
+                                       "1.00000000000000011102230246251565404236316680908203125",
+                                       "0.1000000000000000055511151231257827021181583404541015626",
+                                       "123456789012345678901234567890.123456789"]))
 BAD_DAYS = st.sampled_from(["", " ", "2020-13-01", "2020-02-30", "01/02/2020", "x", '"2020-01"'])
-BAD_NUMBERS = st.sampled_from(["", " ", "x", "1.2.3", "--1", "1__0", "_1", '"1,5"', '""'])
+# float() refuses \x1c-\x1f around a number, which Python's isspace() and numpy call space.
+BAD_NUMBERS = st.sampled_from(["", " ", "x", "1.2.3", "--1", "1__0", "_1", '"1,5"', '""',
+                               "\x1c8", "9\x1f", "5\xa06", "0x10", "1e", "\u00bd", "\u00b2",
+                               "\u0661\u066b\u0665", "#1"])
 ROW_FAULTS = ["blank_line", "spaces_line", "blank_cells", "cell_count", "bad_date", "bad_number"]
 
 
@@ -234,16 +243,22 @@ ROW_FAULTS = ["blank_line", "spaces_line", "blank_cells", "cell_count", "bad_dat
 def price_csv_texts(draw):
     """CSV text laid out as a price panel, its dates in any order and one in
     four times one repeated: clean in half the documents, else with some rows
-    faulty; LF or CRLF line endings."""
+    faulty; in half the documents some cells are quoted and a header name
+    may hold a comma; one in four ends every line with a comma; LF, CRLF or
+    lone CR line ends."""
     width = draw(st.integers(2, 4))
-    faulty = draw(st.booleans())
+    faulty, quoted = draw(st.booleans()), draw(st.booleans())
+    trail = draw(st.sampled_from(["", "", "", ","]))
     days = draw(st.lists(st.dates(D(2020, 1, 1), D(2020, 3, 31)), max_size=10, unique=True))
     if days and draw(st.integers(0, 3)) == 0:
         days[draw(st.integers(0, len(days) - 1))] = draw(st.sampled_from(days))
-    lines = [",".join(["date", *"abc"[:width - 1]])]
+    names = [f'"{name},{name}"' if quoted and draw(st.booleans()) else name for name in "abc"[:width - 1]]
+    lines = [",".join(["date", *names]) + trail]
     for day in days:
-        first = draw(st.sampled_from([day.isoformat(), f" {day.isoformat()} ", f'"{day.isoformat()}"']))
+        first = draw(st.sampled_from([day.isoformat(), f" {day.isoformat()} "]))
         cells = [first, *(draw(GOOD_NUMBERS) for _ in range(width - 1))]
+        if quoted:
+            cells = [f'"{cell}"' if draw(st.booleans()) else cell for cell in cells]
         fault = draw(st.sampled_from(["none"] * 3 + ROW_FAULTS)) if faulty else "none"
         if fault == "blank_line":
             cells = []
@@ -258,8 +273,8 @@ def price_csv_texts(draw):
             cells[0] = draw(BAD_DAYS)
         elif fault == "bad_number":
             cells[draw(st.integers(1, width - 1))] = draw(BAD_NUMBERS)
-        lines.append(",".join(cells))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+        lines.append(",".join(cells) + (trail if cells else ""))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return (end.join(lines) + draw(st.sampled_from([end, ""]))).encode("utf-8")
 
 
@@ -278,6 +293,8 @@ def parse_outcome(parse, path):
 @example(document=b"date,a,b\n")
 @example(document=b"date,a,b\r\n2020-01-02,1_0, 2 \r\n2020-01-01,\"3\",4\r\n")
 @example(document=b"date,a\n2020-01-01,1\n\n2020-01-02,2\n")
+@example(document=b"date,a\n2020-01-01,1\n2020-01-02," + b"1" * 131_073 + b"\n")
+@example(document=b"date,a,b\r2020-01-02, 2 ,20\r2020-01-01,1,1e1\r")
 def test_parse_csv_equals_the_row_loop(tmp_path_factory, document):
     path = tmp_path_factory.mktemp("parse") / "d.csv"
     path.write_bytes(document)
@@ -289,18 +306,22 @@ def test_parse_csv_equals_the_row_loop(tmp_path_factory, document):
 
 
 def test_the_row_loop_runs_only_for_a_file_the_columns_cannot_take(tmp_path, monkeypatch):
-    clean = tmp_path / "clean.csv"
-    clean.write_bytes(b'date,a,b\r\n 2020-01-03 ,"3",3_0\r\n2020-01-01,1, 1e1 \r\n2020-01-02,2,20\r\n')
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_bytes(b"date,a,b\n2020-01-01,1,10\n\n2020-01-02,2,20\n")
+    # Clean panels with CRLF, LF (after a byte-order mark) or lone CR line ends, padded
+    # cells and blank lines at the end take numpy's reader; quoted or ragged ones do not.
+    clean = b"date,a,b\n 2020-01-03 , 3,30\n2020-01-01,1, 1e1 \n2020-01-02,2,20\n\n"
+    files = {"crlf": (clean.replace(b"\n", b"\r\n"), 3), "bom": (b"\xef\xbb\xbf" + clean, 3),
+             "cr": (clean.replace(b"\n", b"\r"), 3),
+             "quoted": (b'date,a,b\n2020-01-02,2,20\n2020-01-01,"1",10\n', 2),
+             "ragged": (b"date,a,b\n2020-01-01,1,10\n\n2020-01-02,2,20\n", 2)}
     loops = []
     monkeypatch.setattr("marketgraph.data._convert_rows",
-                        lambda path, *args: loops.append(path) or _convert_rows(path, *args))
-    for path, days in ((clean, 3), (ragged, 2)):
-        frame = load_csv(path)
+                        lambda path, *args: loops.append(path.stem) or _convert_rows(path, *args))
+    for name, (text, days) in files.items():
+        (tmp_path / f"{name}.csv").write_bytes(text)
+        frame = load_csv(tmp_path / f"{name}.csv")
         assert frame.dates == tuple(D(2020, 1, day) for day in range(1, days + 1))
         assert frame.values.tolist() == [[day, 10.0 * day] for day in range(1, days + 1)]
-    assert loops == [ragged]
+    assert loops == ["quoted", "ragged"]
 
 
 @pytest.mark.parametrize("row, named", [

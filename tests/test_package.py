@@ -82,6 +82,15 @@ def test_forecast_loads_no_training_code(tmp_path):
     assert [m for m in unloaded if m in loaded] == []
 
 
+def test_influence_loads_no_autodiff(tmp_path):
+    adjacency = tmp_path / "adjacency.csv"
+    adjacency.write_text("node,us,uk,jp\nus,0,0.5,0\nuk,0.25,0,0.5\njp,0,0.75,0\n", encoding="utf-8")
+    loaded = modules_loaded_by(RUN_CLI, "influence", adjacency)
+    assert "marketgraph.graph" in loaded
+    unloaded = [f"marketgraph.{m}" for m in ("autodiff", "mtgnn", "training", "checkpoint", "optim")]
+    assert [m for m in unloaded if m in loaded] == []
+
+
 def load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

@@ -22,7 +22,7 @@ and with MARKETGRAPH_SEED set: `analyze` with and without `--config`;
 from each trained checkpoint at `--steps` 0, 1, 256 and omitted; and
 `influence` on each learned adjacency. The small panel is also written
 irregularly (`irregular_panel`), so that loading it takes the row loop rather
-than the column-at-a-time conversion; it runs through `analyze`, and through
+than numpy's reader; it runs through `analyze`, and through
 `forecast` from the small panel's checkpoints at `--steps` 1 and omitted.
 Commands run one at a time with one BLAS thread. The exit status is 0 when
 every manifest entry agrees.

@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # The submodule that defines each exported name.
 _HOME = {name: module for module, names in (
-    ("autodiff", ("Rng", "Tape", "Tensor", "grad_check", "grad_check_params")),
+    ("autodiff", ("Tape", "Tensor", "grad_check", "grad_check_params")),
     ("baselines", ("GruModel", "PersistenceModel", "TcnModel", "fit_ar_ensemble", "fit_var_mlp")),
     ("data", ("TimeSeriesFrame", "WindowSpec", "load_csv", "run_pipeline")),
     ("errors", ("ConfigError", "DataError", "DomainError", "MarketGraphError", "ShapeError",
@@ -25,11 +25,12 @@ _HOME = {name: module for module, names in (
                  "spearman_matrix")),
     ("mtgnn", ("MtgnnConfig", "MtgnnModel")),
     ("optim", ("Adam",)),
+    ("rng", ("Rng",)),
     ("synthetic", ("edge_precision",)),
     ("training", ("TrainConfig", "evaluate", "run_comparison", "train")),
 ) for name in names}
 _SUBMODULES = ("autodiff", "baselines", "charts", "checkpoint", "cli", "data", "errors", "graph",
-               "metrics", "mtgnn", "optim", "synthetic", "training")
+               "metrics", "mtgnn", "optim", "rng", "synthetic", "training")
 
 __all__ = [
     "Adam", "ConfigError", "DataError", "DomainError", "GruModel",

@@ -8,9 +8,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Rng, Tensor
+from .autodiff import Tensor
 from .data import atomic_write, window_array
 from .errors import ConfigError, DataError, ShapeError
+from .rng import Rng
 
 FORMAT_VERSION = 3
 

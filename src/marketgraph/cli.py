@@ -207,7 +207,7 @@ def _checkpoint_extra(pipeline, cfg: RunConfig) -> dict:
 
 
 def cmd_train(args) -> int:
-    from .autodiff import Rng
+    from .rng import Rng
     from .training import MODEL_BUILDERS, evaluate, history_csv, mtgnn_config
 
     cfg, spec, pipeline = _run_pipeline(args)

@@ -13,9 +13,9 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .autodiff import Rng
 from .data import TimeSeriesFrame
 from .errors import DomainError
+from .rng import Rng
 
 
 @dataclass(frozen=True)

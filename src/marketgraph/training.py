@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Rng, Tape, Tensor, abs_, mean
+from .autodiff import Tape, Tensor, abs_, mean
 from .baselines import (
     GruConfig, GruModel, MlpSpec, PersistenceModel, TcnConfig, TcnModel,
     fit_ar_ensemble, fit_var_mlp,
@@ -24,6 +24,7 @@ from .graph import AdjacencyMatrix
 from .metrics import METRIC_FUNCS, MetricsReport, per_series_metrics
 from .mtgnn import MtgnnConfig, MtgnnModel
 from .optim import Adam
+from .rng import Rng
 
 
 @dataclass(frozen=True)

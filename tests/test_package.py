@@ -91,6 +91,16 @@ def test_influence_loads_no_autodiff(tmp_path):
     assert [m for m in unloaded if m in loaded] == []
 
 
+def test_synthetic_loads_no_autodiff():
+    # Every benchmark set-up builds a synthetic panel; seeding it needs only Rng.
+    loaded = modules_loaded_by("from marketgraph.synthetic import coupled_var_system\n"
+                               "coupled_var_system(6, 40, seed=0)")
+    assert {"marketgraph.synthetic", "marketgraph.rng"} <= loaded
+    unloaded = [f"marketgraph.{m}" for m in ("autodiff", "mtgnn", "training", "checkpoint")]
+    assert [m for m in unloaded if m in loaded] == []
+    assert marketgraph.Rng is marketgraph.autodiff.Rng is marketgraph.rng.Rng
+
+
 def load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)

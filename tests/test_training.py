@@ -1,5 +1,6 @@
 """Training loop, evaluation wiring, and the model comparison driver."""
 import csv
+import gc
 import io
 import os
 import subprocess
@@ -13,7 +14,7 @@ from conftest import build_frame
 
 import marketgraph
 from marketgraph import (
-    ConfigError, DataError, GruModel, MtgnnConfig, Rng, TcnModel, TrainConfig,
+    ConfigError, DataError, GruModel, MtgnnConfig, MtgnnModel, Rng, TcnModel, TrainConfig,
     TrainingDiverged, WindowSpec, evaluate, mae, mape, rmse, rse, run_comparison,
     run_pipeline, train,
 )
@@ -144,6 +145,23 @@ def test_training_is_bit_identical_across_blas_thread_counts():
                                text=True, timeout=300, check=True)
         weights.append(child.stdout)
     assert weights[0] and weights[0] == weights[1]
+
+
+def test_training_and_evaluation_leave_no_reference_cycles():
+    # Reference counting alone frees the tape and the tensors of every step,
+    # so the cyclic collector has nothing to find after an epoch.
+    pipeline = toy_pipeline()
+    config = MtgnnConfig(num_nodes=3, input_window=8, num_layers=2, conv_channels=4,
+                         residual_channels=4, skip_channels=4, embedding_dim=4, k=2)
+    gc.collect()
+    gc.disable()
+    try:
+        result = train(MtgnnModel(config, Rng(5)), pipeline.train_windows,
+                       pipeline.validation_windows, TrainConfig(epochs=1, batch_size=8, seed=5))
+        evaluate(result.model, pipeline.test_windows, pipeline.stats)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_returned_weights_are_the_best_validation_epoch():

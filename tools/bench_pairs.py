@@ -13,12 +13,20 @@ names it. For each workload and seed, N pairs of `perfbench/run.py --trace 0`
 runs follow one another, one run in each tree, each for the `run_seconds`
 that BENCHMARK.json declares.
 The tree that runs first alternates from pair to pair, so a drift of the
-machine's speed falls on both sides alike. Each end-to-end metric that
-BENCHMARK.json declares, and the uncalibrated `raw_call_ms_p50` and
-`raw_setup_s`, gets both sides' runs, medians and quartiles, and the number
-of pairs in which this checkout's run was better and worse. `--claim` adds a
-summary of one metric per seed: the wins, the ratio of medians and whether the gain of the medians
-exceeds the other revision's interquartile range.
+machine's speed falls on both sides alike. Both runs of a pair get one
+extra environment variable, `BENCH_PAIRS_PAD`, whose length cycles through
+`PAD_BYTES` from pair to pair, and each entry records the length of each
+pair. The size of the environment shifts where a process's memory lands,
+and that alone has moved `train_mtgnn`'s `call_ms_p50` by up to 18%; the
+rotation keeps one tree from holding a lucky layout in every run while the
+other holds an unlucky one.
+
+Each end-to-end metric that BENCHMARK.json declares, and the uncalibrated
+`raw_call_ms_p50` and `raw_setup_s`, gets both sides' runs, medians and
+quartiles, and the number of pairs in which this checkout's run was better
+and worse. `--claim` adds a summary of one metric per seed: the wins, the
+ratio of medians and whether the gain of the medians exceeds the other
+revision's interquartile range.
 
 With `--epoch`, each run is instead `tools/epoch.py` in a fresh process,
 importing the package of one tree: one MTGNN epoch on the criterion-7 panel
@@ -48,6 +56,8 @@ PER_SIDE = ("src_sha256", "train_loss")
 EPOCH_METRICS = {"epoch_s": "lower", "minflt_per_step": "lower"}
 # Uncalibrated figures recorded beside the calibrated metrics: name -> key in a run's raw_wall.
 RAW_WALL = {"raw_call_ms_p50": "call_ms_p50", "raw_setup_s": "setup_s"}
+# Lengths of the environment variable PAD_VAR, in bytes, one per pair in turn.
+PAD_VAR, PAD_BYTES = "BENCH_PAIRS_PAD", (0, 8, 24, 56)
 
 
 def run_child(argv: list[str], tree: Path, what: str, env: dict | None = None) -> list[dict]:
@@ -61,25 +71,27 @@ def run_child(argv: list[str], tree: Path, what: str, env: dict | None = None) -
     return [json.loads(line) for line in proc.stdout.strip().splitlines()[-2:]]
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float, metrics) -> tuple[dict, dict, dict]:
-    """One benchmark run in `tree`: its metric values, operation counts and environment."""
+def bench_run(tree: Path, env: dict, workload: str, seed: int, seconds: float,
+              metrics) -> tuple[dict, dict, dict]:
+    """One benchmark run in `tree` with `env` added to the environment: its
+    metric values, operation counts and environment."""
     details, result = run_child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                                  "--seconds", str(seconds), "--trace", "0"],
-                                tree, f"{workload} seed {seed}")
+                                tree, f"{workload} seed {seed}", env)
     values = {name: (details["raw_wall"][RAW_WALL[name]] if name in RAW_WALL
                      else result["metrics"][name]["value"]) for name in metrics}
     counts = {"attempted": result["attempted"], "failed": result["failed"]}
     return values, counts, details["environment"]
 
 
-def epoch_run(tree: Path, seed: int) -> tuple[dict, dict, dict]:
-    """One `tools/epoch.py` run on `tree`'s package, with as many BLAS threads
-    as the benchmark gives its runs."""
+def epoch_run(tree: Path, env: dict, seed: int) -> tuple[dict, dict, dict]:
+    """One `tools/epoch.py` run on `tree`'s package with `env` added to the
+    environment, and as many BLAS threads as the benchmark gives its runs."""
     threads = str(len(os.sched_getaffinity(0)))
     *_, line = run_child([str(ROOT / "tools" / "epoch.py"), "--src", str(tree / "src"),
                           "--seed", str(seed)], tree, f"epoch seed {seed}",
-                         {var: threads for var in
-                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+                         env | {var: threads for var in
+                                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     return ({name: line[name] for name in EPOCH_METRICS}, {"attempted": 1, "failed": 0},
             {"blas_threads": int(threads), "train_loss": line["train_loss"]})
 
@@ -101,17 +113,19 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 def measure(run, trees: dict[str, Path], label: str, pairs: int,
             metrics: dict[str, str]) -> tuple[dict, dict]:
-    """The entry of `pairs` alternating pairs of `run(tree)`, and the
-    environment the runs reported. Each side records what its runs report
-    under the keys `PER_SIDE` names (the source hash, the epoch's loss bits)."""
+    """The entry of `pairs` alternating pairs of `run(tree, env)`, and the
+    environment the runs reported. Both runs of a pair add the same `PAD_VAR`
+    to the environment. Each side records what its runs report under the
+    keys `PER_SIDE` names (the source hash, the epoch's loss bits)."""
     values = {side: {name: [] for name in metrics} for side in SIDES}
     counts = {side: {"attempted": 0, "failed": 0} for side in SIDES}
-    firsts, env, per_side = [], {}, {}
+    firsts, pads, env, per_side = [], [], {}, {}
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         firsts.append(order[0])
+        pads.append(PAD_BYTES[pair % len(PAD_BYTES)])
         for side in order:
-            run_values, run_counts, run_env = run(trees[side])
+            run_values, run_counts, run_env = run(trees[side], {PAD_VAR: "x" * pads[-1]})
             env = {k: v for k, v in run_env.items() if k not in ("commit", *PER_SIDE)}
             per_side.update({(key, side): run_env[key] for key in PER_SIDE if key in run_env})
             for key in counts[side]:
@@ -120,7 +134,7 @@ def measure(run, trees: dict[str, Path], label: str, pairs: int,
                 values[side][name].append(run_values[name])
             print(f"{label} pair {pair + 1}/{pairs} {side}: "
                   + ", ".join(f"{n} {values[side][n][-1]:.4g}" for n in metrics), flush=True)
-    entry = {"pairs": pairs, "first": firsts, "operations": counts}
+    entry = {"pairs": pairs, "first": firsts, f"{PAD_VAR}_bytes": pads, "operations": counts}
     for (key, side), value in per_side.items():
         entry.setdefault(key, {})[side] = value
     entry["metrics"] = {name: compare(values["parent"][name], values["change"][name], better)
@@ -188,7 +202,9 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
                    f"--seconds {seconds:g} --trace 0",
         "method": "tools/bench_pairs.py: alternating runs in a `git archive` of the parent "
                   "commit and in a copy of the change's working tree beside it, one after "
-                  "another; the side that runs first alternates per pair. Metrics are the "
+                  "another; the side that runs first alternates per pair, and both runs of a pair "
+                  f"add {PAD_VAR} to the environment, its length in bytes cycling through "
+                  f"{list(PAD_BYTES)} per pair ({PAD_VAR}_bytes). Metrics are the "
                   "calibrated values of each run's last stdout line; raw_call_ms_p50 is the "
                   "uncalibrated median wall time of the main call, and raw_setup_s that of "
                   "the workload's set-up.",
@@ -199,7 +215,8 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
     workloads = doc.setdefault("workloads", {})
     for workload in args.workload:
         for seed in args.seeds:
-            entry, env = measure(lambda tree: bench_run(tree, workload, seed, seconds, metrics),
+            entry, env = measure(lambda tree, pad: bench_run(tree, pad, workload, seed, seconds,
+                                                             metrics),
                                  trees, f"{workload} seed {seed}", args.pairs, metrics)
             workloads.setdefault(workload, {})[str(seed)] = entry
             doc["environment"] = env
@@ -208,8 +225,8 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
         epoch["command"] = "python3 tools/epoch.py --src <tree>/src --seed <n>"
         for seed in args.seeds:
             epoch[str(seed)], epoch["environment"] = measure(
-                lambda tree: epoch_run(tree, seed), trees, f"epoch seed {seed}", args.pairs,
-                EPOCH_METRICS)
+                lambda tree, pad: epoch_run(tree, pad, seed), trees, f"epoch seed {seed}",
+                args.pairs, EPOCH_METRICS)
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric,

@@ -6,7 +6,11 @@ selection. All randomness descends from a single seed.
 """
 from __future__ import annotations
 
+import ctypes
+import os
+import pickle
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -264,6 +268,9 @@ class ComparisonSpec(Checked):
         bad = set(self.include) - set(MODEL_BUILDERS)
         if bad:
             raise ConfigError(f"unknown model kind(s) in baselines.include: {sorted(bad)}")
+        repeated = sorted({kind for kind in self.include if self.include.count(kind) > 1})
+        if repeated:
+            raise ConfigError(f"baselines.include lists {', '.join(repeated)} more than once")
 
 
 @dataclass
@@ -335,26 +342,40 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
 
     A model that fails with a toolkit error or a singular linear system is
     recorded under `errors` and the rest still run; any other exception is a
-    bug and propagates.
+    bug and propagates. The models may be fitted in forked children
+    (`_fit_kinds`); each draws only from its own stream, so the result is the
+    same either way.
     """
     labels = pipeline.train.columns
     root = Rng(spec.train.seed)
     # Fixed spawn order keeps per-model streams stable however `include` is set.
     streams = {name: root.split() for name in MODEL_BUILDERS}
 
-    reports: dict[str, MetricsReport] = {}
-    errors: dict[str, str] = {}
-    histories: dict[str, list[dict]] = {}
-    for name in spec.include:
+    def fit(name):
+        """(history or None, report or None, recorded error or None) of one kind."""
+        history = None
         try:
             model, result, report_config = MODEL_BUILDERS[name](pipeline, window_spec, spec,
                                                                 streams[name])
             if result is not None:
-                histories[name] = result.history
-            reports[name] = evaluate(model, pipeline.test_windows, pipeline.stats, labels,
-                                     seed=spec.train.seed, config=report_config).report
+                history = result.history
+            return history, evaluate(model, pipeline.test_windows, pipeline.stats, labels,
+                                     seed=spec.train.seed, config=report_config).report, None
         except (MarketGraphError, np.linalg.LinAlgError) as exc:
-            errors[name] = f"{type(exc).__name__}: {exc}"
+            return history, None, f"{type(exc).__name__}: {exc}"
+
+    reports: dict[str, MetricsReport] = {}
+    errors: dict[str, str] = {}
+    histories: dict[str, list[dict]] = {}
+    outcomes = _fit_kinds(spec.include, fit)
+    for name in spec.include:
+        history, report, error = outcomes[name]
+        if history is not None:
+            histories[name] = history
+        if error is None:
+            reports[name] = report
+        else:
+            errors[name] = error
 
     series = tuple(labels)
     return ComparisonResult(
@@ -362,6 +383,124 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
         flags=_rank_flags(series, {name: r.per_series for name, r in reports.items()}),
         price_flags=_rank_flags(series, {name: r.price_per_series for name, r in reports.items()}),
         histories=histories)
+
+
+@cache
+def _openblas_threads():
+    """`(get, set)` for the thread count of the OpenBLAS that numpy loaded, or
+    None. numpy's wheels bundle it as `numpy.libs/libscipy_openblas64_-*.so`;
+    `/proc/self/maps` names the file this process really mapped."""
+    try:
+        with open("/proc/self/maps", "rb") as maps:
+            paths = sorted({os.fsdecode(line.split(maxsplit=5)[5].strip()) for line in maps
+                            if b"libscipy_openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def _comparison_workers(kinds: int) -> int:
+    """How many children `_fit_kinds` forks for `kinds` model kinds: one per
+    usable core beyond this process's, fewer than `kinds`, and none without
+    `os.fork` or a control of OpenBLAS's thread count, without which the
+    processes' BLAS threads would oversubscribe the cores."""
+    if not hasattr(os, "fork") or _openblas_threads() is None:
+        return 0
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(0, min(cores or 1, kinds) - 1)
+
+
+def _claim(claims: int, kinds: tuple[str, ...], fit, outcomes: dict):
+    """Fit each kind claimed from the pipe `claims`, one byte (an index into
+    `kinds`) at a time, into `outcomes` until the pipe is empty. An exception
+    from `fit` ends the claiming and is returned as `(kind, exception)`."""
+    while claim := os.read(claims, 1):
+        kind = kinds[claim[0]]
+        try:
+            outcomes[kind] = fit(kind)
+        except Exception as exc:
+            return kind, exc
+    return None
+
+
+def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
+    """`fit(kind)` for every kind, fitted by this process and by
+    `_comparison_workers` forked children, all claiming from one queue in
+    `kinds` order.
+
+    While a child runs, OpenBLAS is pinned to one thread in every process, so
+    that the processes do not contend for the cores, and this process's count
+    is restored afterwards. Each child sends its outcomes back once the queue
+    is empty. A kind whose fit raised (see `_claim`), or which a dead child
+    held, has no outcome; once every child is reaped this process fits such
+    kinds itself, in `kinds` order, so the first such exception propagates
+    from here just as it would in a sequential run.
+    """
+    outcomes, children, sent = {}, [], None
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(len(kinds))))
+    os.close(fill)
+    workers = _comparison_workers(len(kinds))
+    pin = _openblas_threads() if workers else None  # (get, set) of the BLAS thread count
+    threads = pin[0]() if pin else None
+    try:
+        if pin:
+            pin[1](1)
+        for _ in range(workers):
+            fd, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(out)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(fd)
+                    for _, pipe in children:
+                        pipe.close()
+                    mine = {}
+                    _claim(claims, kinds, fit, mine)
+                    sending = memoryview(pickle.dumps(mine))
+                    while sending:
+                        sending = sending[os.write(out, sending):]
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(out)
+            children.append((pid, open(fd, "rb")))
+        failed = _claim(claims, kinds, fit, outcomes)
+        sent = [pipe.read() for _, pipe in children]
+    finally:
+        os.close(claims)
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if sent is None:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+        if pin:
+            pin[1](threads)
+    for data, status in zip(sent, statuses):
+        if status == 0:
+            outcomes.update(pickle.loads(data))
+    for kind in kinds:
+        if kind not in outcomes:
+            if failed and failed[0] == kind:
+                raise failed[1]
+            outcomes[kind] = fit(kind)
+    return outcomes
 
 
 def history_csv(history: list[dict]) -> str:

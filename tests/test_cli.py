@@ -589,7 +589,9 @@ def test_compare_ar_order_beyond_the_window_is_a_recorded_data_error(tmp_path, c
     ({"include": "ar"}, "baselines.include must be a list of model kinds"),
     ({"mlp_hidden": 2.5}, "baselines.mlp_hidden must be an integer"),
     ({"include": ["bogus"]}, "unknown model kind(s) in baselines.include"),
-], ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden", "unknown_include"])
+    ({"include": ["ar", "ar"]}, "baselines.include lists ar more than once"),
+], ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden", "unknown_include",
+        "repeated_include"])
 def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, baselines, named,
                                                             command):
     # The run document is parsed once, so all three commands refuse it alike,

@@ -2,6 +2,7 @@
 import csv
 import gc
 import io
+import json
 import os
 import subprocess
 import sys
@@ -145,6 +146,36 @@ def test_training_is_bit_identical_across_blas_thread_counts():
                                text=True, timeout=300, check=True)
         weights.append(child.stdout)
     assert weights[0] and weights[0] == weights[1]
+
+
+# Runs the benchmark's five compared kinds and prints the comparison as JSON.
+_COMPARE_CHILD = """
+import json
+import sys
+from marketgraph import TrainConfig, WindowSpec, run_comparison, run_pipeline
+from marketgraph.synthetic import coupled_var_system
+from marketgraph.training import ComparisonSpec
+pipeline = run_pipeline(coupled_var_system(num_nodes=4, steps=160, seed=3).frame, WindowSpec(P=8, Q=1))
+spec = ComparisonSpec(train=TrainConfig(epochs=2, batch_size=8, seed=5), gru_hidden=8,
+                      tcn_channels=4, tcn_blocks=2,
+                      include=("persistence", "ar", "var_mlp", "gru", "tcn"))
+sys.stdout.write(json.dumps(run_comparison(pipeline, WindowSpec(P=8, Q=1), spec).to_dict()))
+"""
+
+
+def test_comparison_is_bit_identical_across_blas_thread_counts():
+    # With OpenBLAS at 2 threads the kinds are fitted with it pinned to one
+    # thread per process; at 1 thread nothing changes. The reports must match.
+    src = str(Path(marketgraph.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", _COMPARE_CHILD], env=env, capture_output=True,
+                               text=True, timeout=300, check=True)
+        outputs.append(child.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+    assert set(json.loads(outputs[0])["models"]) == {"persistence", "ar", "var_mlp", "gru", "tcn"}
 
 
 def test_training_and_evaluation_leave_no_reference_cycles():
@@ -362,6 +393,177 @@ def test_comparison_records_divergence(monkeypatch):
     assert result.errors == {"ar": "TrainingDiverged: non-finite loss at epoch 3"}
 
 
+# -- comparison workers ---------------------------------------------------------------
+#
+# `_comparison_workers` is the one place that sets how many children
+# `run_comparison` forks; `_claim` is the loop in which every process takes
+# kinds from the queue. A `_claim` that claims nothing in the test's own
+# process leaves every kind to the children.
+
+ALL_KINDS = ("persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn")
+TINY_MTGNN = {"num_layers": 2, "conv_channels": 4, "residual_channels": 4, "skip_channels": 4,
+              "embedding_dim": 4, "k": 2}
+
+
+def all_kinds_spec(**knobs):
+    return ComparisonSpec(train=TrainConfig(epochs=2, batch_size=16, seed=4), gru_hidden=8,
+                          tcn_channels=4, tcn_blocks=2, mtgnn=TINY_MTGNN, include=ALL_KINDS,
+                          mlp=MlpSpec(hidden=4, epochs=3), **knobs)
+
+
+def children_fit_everything(monkeypatch, workers=1):
+    """Fork `workers` children and let them claim every kind; return the
+    list of kinds this process evaluated itself."""
+    import marketgraph.training as training
+
+    parent, real_claim, real_evaluate = os.getpid(), training._claim, training.evaluate
+    evaluated_here = []
+
+    def claim(*args):
+        return None if os.getpid() == parent else real_claim(*args)
+
+    def evaluate_(model, *args, **kwargs):
+        if os.getpid() == parent:
+            evaluated_here.append(model)
+        return real_evaluate(model, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: workers)
+    monkeypatch.setattr(training, "_claim", claim)
+    monkeypatch.setattr(training, "evaluate", evaluate_)
+    return evaluated_here
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sequential(monkeypatch, spec):
+    import marketgraph.training as training
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "_comparison_workers", lambda kinds: 0)
+        return run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+
+
+def test_comparison_with_workers_matches_a_sequential_run(monkeypatch):
+    spec = all_kinds_spec()
+    alone = sequential(monkeypatch, spec)
+    assert set(alone.reports) == set(ALL_KINDS) and alone.errors == {}
+    assert set(alone.histories) == {"gru", "tcn", "mtgnn"}
+    # as many children as this machine's cores call for, then children for every kind
+    shared = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert_no_child_left()
+    evaluated_here = children_fit_everything(monkeypatch, workers=2)
+    farmed = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert_no_child_left()
+    assert evaluated_here == []
+    for result in (shared, farmed):
+        assert list(result.reports) == list(ALL_KINDS)
+        assert json.dumps(result.to_dict()) == json.dumps(alone.to_dict())
+        assert result.histories == alone.histories
+        assert result.render_markdown() == alone.render_markdown()
+
+
+def test_comparison_records_a_bad_order_fitted_in_a_worker(monkeypatch):
+    spec = all_kinds_spec(ar_order=0)
+    alone = sequential(monkeypatch, spec)
+    evaluated_here = children_fit_everything(monkeypatch)
+    result = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert_no_child_left()
+    assert evaluated_here == []
+    assert result.errors == alone.errors == {
+        "ar": "ConfigError: baselines.ar_order must be positive, got 0"}
+    assert list(result.reports) == [kind for kind in ALL_KINDS if kind != "ar"]
+    assert json.dumps(result.to_dict()) == json.dumps(alone.to_dict())
+
+
+def test_comparison_refits_a_kind_whose_worker_raised_and_propagates(monkeypatch):
+    import marketgraph.training as training
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in a model")
+
+    evaluated_here = children_fit_everything(monkeypatch)
+    monkeypatch.setattr(training, "fit_ar_ensemble", broken)
+    spec = ComparisonSpec(train=TrainConfig(epochs=1, seed=0), include=("persistence", "ar", "tcn"))
+    with pytest.raises(TypeError, match="bug in a model") as raised:
+        run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert_no_child_left()
+    # the child sent persistence and stopped at ar; this process fitted ar
+    # again, which raised in its own frames
+    assert evaluated_here == []
+    assert raised.traceback[-1].name == "broken"
+
+
+def test_comparison_refits_every_kind_of_a_worker_that_died(monkeypatch):
+    import marketgraph.training as training
+
+    spec = all_kinds_spec()
+    alone = sequential(monkeypatch, spec)
+    parent, real_fit = os.getpid(), training.fit_var_mlp
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_fit(*args, **kwargs)
+
+    evaluated_here = children_fit_everything(monkeypatch)
+    monkeypatch.setattr(training, "fit_var_mlp", dies_in_a_child)
+    result = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert_no_child_left()
+    # the child fitted persistence and ar before it died; none of it is kept
+    assert len(evaluated_here) == len(ALL_KINDS)
+    assert json.dumps(result.to_dict()) == json.dumps(alone.to_dict())
+    assert result.histories == alone.histories
+
+
+class Interrupt(BaseException):
+    """Stands in for a Ctrl-C that lands in the parent while a child fits."""
+
+
+def test_comparison_kills_and_reaps_its_workers_on_an_interrupt(monkeypatch):
+    import marketgraph.training as training
+
+    parent, real_claim = os.getpid(), training._claim
+
+    def claim(*args):
+        if os.getpid() == parent:
+            raise Interrupt
+        return real_claim(*args)
+
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: 2)
+    monkeypatch.setattr(training, "_claim", claim)
+    with pytest.raises(Interrupt):
+        run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), all_kinds_spec())
+    assert_no_child_left()
+
+
+def test_comparison_restores_the_blas_thread_count(monkeypatch):
+    import marketgraph.training as training
+
+    control = training._openblas_threads()
+    if control is None:
+        pytest.skip("numpy's OpenBLAS exposes no thread-count control here")
+    get_threads, set_threads = control
+    before = get_threads()
+    seen = []
+    real_evaluate = training.evaluate
+
+    def evaluate_(*args, **kwargs):
+        seen.append(get_threads())
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: 1)
+    monkeypatch.setattr(training, "evaluate", evaluate_)
+    try:
+        set_threads(2)
+        run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), all_kinds_spec())
+        assert seen and set(seen) == {1}  # pinned while the child ran
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
 def test_comparison_streams_do_not_depend_on_include_subset():
     pipeline = toy_pipeline()
     cfg = TrainConfig(epochs=1, batch_size=16, seed=5)
@@ -406,6 +608,11 @@ def test_comparison_markdown_marks_best_and_second():
 def test_comparison_spec_rejects_unknown_models():
     with pytest.raises(ConfigError):
         ComparisonSpec(include=("persistence", "arima"))
+
+
+def test_comparison_spec_rejects_a_kind_listed_twice():
+    with pytest.raises(ConfigError, match=r"baselines\.include lists ar more than once"):
+        ComparisonSpec(include=("ar", "persistence", "ar"))
 
 
 @pytest.mark.parametrize("field,value", [("ar_order", "2"), ("var_order", 2.0), ("gru_hidden", None),

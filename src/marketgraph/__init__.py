@@ -32,16 +32,7 @@ _HOME = {name: module for module, names in (
 _SUBMODULES = ("autodiff", "baselines", "charts", "checkpoint", "cli", "data", "errors", "graph",
                "metrics", "mtgnn", "optim", "rng", "synthetic", "training")
 
-__all__ = [
-    "Adam", "ConfigError", "DataError", "DomainError", "GruModel",
-    "MarketGraphError", "MtgnnConfig", "MtgnnModel", "PersistenceModel", "Rng",
-    "ShapeError", "Tape", "TapeError", "TcnModel", "Tensor", "TimeSeriesFrame",
-    "TrainConfig", "TrainingDiverged", "WindowSpec", "dtw_distance",
-    "dtw_matrix", "edge_precision", "evaluate", "fit_ar_ensemble",
-    "fit_var_mlp", "grad_check", "grad_check_params", "load_csv", "mae", "mape",
-    "out_degree", "rank_influence", "rmse", "rse", "run_comparison",
-    "run_pipeline", "spearman", "spearman_matrix", "train",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

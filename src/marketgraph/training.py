@@ -388,24 +388,18 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
 @cache
 def _openblas_threads():
     """`(get, set)` for the thread count of the OpenBLAS that numpy loaded, or
-    None. numpy's wheels bundle it as `numpy.libs/libscipy_openblas64_-*.so`;
-    `/proc/self/maps` names the file this process really mapped."""
+    None. numpy's wheels link it as `scipy_openblas64_`; a handle on numpy's
+    core extension resolves symbols through that extension's dependencies, so
+    it reaches the library this process really loaded."""
     try:
-        with open("/proc/self/maps", "rb") as maps:
-            paths = sorted({os.fsdecode(line.split(maxsplit=5)[5].strip()) for line in maps
-                            if b"libscipy_openblas" in line})
-    except OSError:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 def _comparison_workers(kinds: int) -> int:
@@ -419,17 +413,16 @@ def _comparison_workers(kinds: int) -> int:
     return max(0, min(cores or 1, kinds) - 1)
 
 
-def _claim(claims: int, kinds: tuple[str, ...], fit, outcomes: dict):
+def _claim(claims: int, kinds: tuple[str, ...], fit, outcomes: dict) -> None:
     """Fit each kind claimed from the pipe `claims`, one byte (an index into
-    `kinds`) at a time, into `outcomes` until the pipe is empty. An exception
-    from `fit` ends the claiming and is returned as `(kind, exception)`."""
+    `kinds`) at a time, into `outcomes` until the pipe is empty. A fit that
+    raises ends the claiming and leaves its kind without an outcome."""
     while claim := os.read(claims, 1):
         kind = kinds[claim[0]]
         try:
             outcomes[kind] = fit(kind)
-        except Exception as exc:
-            return kind, exc
-    return None
+        except Exception:
+            return
 
 
 def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
@@ -440,10 +433,11 @@ def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
     While a child runs, OpenBLAS is pinned to one thread in every process, so
     that the processes do not contend for the cores, and this process's count
     is restored afterwards. Each child sends its outcomes back once the queue
-    is empty. A kind whose fit raised (see `_claim`), or which a dead child
-    held, has no outcome; once every child is reaped this process fits such
-    kinds itself, in `kinds` order, so the first such exception propagates
-    from here just as it would in a sequential run.
+    is empty. One rule covers every kind left without an outcome, whether
+    its fit raised in any process (see `_claim`) or a dead child held it:
+    once every child is reaped, this process fits it again, in `kinds`
+    order, so the first exception propagates from here just as it would in
+    a sequential run.
     """
     outcomes, children, sent = {}, [], None
     claims, fill = os.pipe()
@@ -479,7 +473,7 @@ def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
                     os._exit(status)
             os.close(out)
             children.append((pid, open(fd, "rb")))
-        failed = _claim(claims, kinds, fit, outcomes)
+        _claim(claims, kinds, fit, outcomes)
         sent = [pipe.read() for _, pipe in children]
     finally:
         os.close(claims)
@@ -497,8 +491,6 @@ def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
             outcomes.update(pickle.loads(data))
     for kind in kinds:
         if kind not in outcomes:
-            if failed and failed[0] == kind:
-                raise failed[1]
             outcomes[kind] = fit(kind)
     return outcomes
 

@@ -495,6 +495,66 @@ def test_comparison_refits_a_kind_whose_worker_raised_and_propagates(monkeypatch
     assert raised.traceback[-1].name == "broken"
 
 
+def test_comparison_refits_a_kind_whose_fit_raised_in_this_process(monkeypatch):
+    import marketgraph.training as training
+
+    parent, real_claim = os.getpid(), training._claim
+    control = training._openblas_threads()
+    before = control[0]() if control else None
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(os.getpid())
+        raise TypeError("bug in a model")
+
+    def claim(*args):
+        # the child claims nothing, so this process fits every kind while it runs
+        return real_claim(*args) if os.getpid() == parent else None
+
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: 1)
+    monkeypatch.setattr(training, "_claim", claim)
+    monkeypatch.setattr(training, "fit_ar_ensemble", broken)
+    spec = ComparisonSpec(train=TrainConfig(epochs=1, seed=0), include=("persistence", "ar", "tcn"))
+    with pytest.raises(TypeError, match="bug in a model") as raised:
+        run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert_no_child_left()
+    # ar was claimed and raised, then fitted again once the child was reaped
+    assert raised.traceback[-1].name == "broken"
+    assert calls == [parent, parent]
+    if control:
+        assert control[0]() == before
+
+
+def test_the_blas_control_reaches_the_library_numpy_mapped():
+    import ctypes
+
+    import marketgraph.training as training
+
+    control = training._openblas_threads()
+    if control is None:
+        pytest.skip("numpy's OpenBLAS exposes no thread-count control here")
+    try:
+        with open("/proc/self/maps", "rb") as maps:
+            paths = sorted({os.fsdecode(line.split(maxsplit=5)[5].strip()) for line in maps
+                            if b"numpy.libs/libscipy_openblas" in line})
+    except OSError:
+        pytest.skip("/proc/self/maps cannot be read here")
+    if not paths:
+        pytest.skip("numpy's OpenBLAS is not bundled under numpy.libs here")
+    # the reference: the mapped file itself, opened without loading it again
+    reference = ctypes.CDLL(paths[0], mode=os.RTLD_NOLOAD).scipy_openblas_get_num_threads64_
+    reference.argtypes, reference.restype = [], ctypes.c_int
+    get_threads, set_threads = control
+    before = get_threads()
+    try:
+        assert reference() == before
+        for count in (1, 2):
+            set_threads(count)
+            assert reference() == count
+    finally:
+        set_threads(before)
+
+
 def test_comparison_refits_every_kind_of_a_worker_that_died(monkeypatch):
     import marketgraph.training as training
 

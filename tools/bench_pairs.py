@@ -2,8 +2,8 @@
 
     python tools/bench_pairs.py --against <rev> --workload W [W ...] --seeds 1 [2027 ...]
         --pairs N --out BENCH_<n>.json [--claim W:METRIC] [--what TEXT] [--work DIR]
-    python tools/bench_pairs.py --against <rev> --epoch --seeds 1 [2027 ...] --pairs N
-        --out BENCH_<n>.json [--work DIR]
+    python tools/bench_pairs.py --against <rev> --epoch [--compare] --seeds 1 [2027 ...]
+        --pairs N --out BENCH_<n>.json [--work DIR]
 
 `git archive <rev> src perfbench` unpacks the other revision into a work
 directory (local git only), and this checkout's working-tree `src` and
@@ -32,7 +32,9 @@ With `--epoch`, each run is instead `tools/epoch.py` in a fresh process,
 importing the package of one tree: one MTGNN epoch on the criterion-7 panel
 at batch 8. Its wall seconds (`epoch_s`) and minor page faults per step
 (`minflt_per_step`) get the same pairing and summary, under `epoch` in the
-file, keyed by seed.
+file, keyed by seed. `--compare` passes through to `tools/epoch.py`: each
+run times one default `run_comparison` of all six kinds on that panel
+instead, and its `compare_s` is recorded the same way under `compare`.
 
 Results are merged into `--out`: entries of an existing file that this run
 does not repeat are kept, so several invocations can build one file.
@@ -52,8 +54,9 @@ import numpy as np
 from revision import ROOT, unpack, work_directory
 
 SIDES = ("parent", "change")
-PER_SIDE = ("src_sha256", "train_loss")
+PER_SIDE = ("src_sha256", "train_loss", "result_sha256")
 EPOCH_METRICS = {"epoch_s": "lower", "minflt_per_step": "lower"}
+COMPARE_METRICS = {"compare_s": "lower"}
 # Uncalibrated figures recorded beside the calibrated metrics: name -> key in a run's raw_wall.
 RAW_WALL = {"raw_call_ms_p50": "call_ms_p50", "raw_setup_s": "setup_s"}
 # Lengths of the environment variable PAD_VAR, in bytes, one per pair in turn.
@@ -84,16 +87,19 @@ def bench_run(tree: Path, env: dict, workload: str, seed: int, seconds: float,
     return values, counts, details["environment"]
 
 
-def epoch_run(tree: Path, env: dict, seed: int) -> tuple[dict, dict, dict]:
-    """One `tools/epoch.py` run on `tree`'s package with `env` added to the
-    environment, and as many BLAS threads as the benchmark gives its runs."""
+def epoch_run(tree: Path, env: dict, seed: int, compare: bool) -> tuple[dict, dict, dict]:
+    """One `tools/epoch.py` run (with `--compare` if `compare`) on `tree`'s
+    package with `env` added to the environment, and as many BLAS threads as
+    the benchmark gives its runs."""
     threads = str(len(os.sched_getaffinity(0)))
     *_, line = run_child([str(ROOT / "tools" / "epoch.py"), "--src", str(tree / "src"),
-                          "--seed", str(seed)], tree, f"epoch seed {seed}",
+                          "--seed", str(seed), *(["--compare"] if compare else [])],
+                         tree, f"epoch seed {seed}",
                          env | {var: threads for var in
                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    return ({name: line[name] for name in EPOCH_METRICS}, {"attempted": 1, "failed": 0},
-            {"blas_threads": int(threads), "train_loss": line["train_loss"]})
+    metrics = COMPARE_METRICS if compare else EPOCH_METRICS
+    return ({name: line[name] for name in metrics}, {"attempted": 1, "failed": 0},
+            {"blas_threads": int(threads)} | {k: line[k] for k in PER_SIDE if k in line})
 
 
 def spread(values: list[float]) -> dict:
@@ -160,6 +166,9 @@ def main(argv=None) -> int:
     parser.add_argument("--epoch", action="store_true",
                         help="time one criterion-7 MTGNN epoch per run (tools/epoch.py) "
                              "instead of benchmark workloads")
+    parser.add_argument("--compare", action="store_true",
+                        help="with --epoch: time one default run_comparison of all six kinds "
+                             "per run (tools/epoch.py --compare) instead")
     parser.add_argument("--seeds", required=True, nargs="+", type=int)
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write or extend")
@@ -173,6 +182,8 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if bool(args.workload) == args.epoch:
         parser.error("give either --workload or --epoch")
+    if args.compare and not args.epoch:
+        parser.error("--compare goes with --epoch")
     if args.epoch and args.claim:
         parser.error("--claim summarizes a workload metric; --epoch runs no workload")
 
@@ -221,12 +232,14 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
             workloads.setdefault(workload, {})[str(seed)] = entry
             doc["environment"] = env
     if args.epoch:
-        epoch = doc.setdefault("epoch", {})
-        epoch["command"] = "python3 tools/epoch.py --src <tree>/src --seed <n>"
+        key, timed = ("compare", COMPARE_METRICS) if args.compare else ("epoch", EPOCH_METRICS)
+        section = doc.setdefault(key, {})
+        section["command"] = ("python3 tools/epoch.py --src <tree>/src --seed <n>"
+                              + (" --compare" if args.compare else ""))
         for seed in args.seeds:
-            epoch[str(seed)], epoch["environment"] = measure(
-                lambda tree, pad: epoch_run(tree, pad, seed), trees, f"epoch seed {seed}",
-                args.pairs, EPOCH_METRICS)
+            section[str(seed)], section["environment"] = measure(
+                lambda tree, pad: epoch_run(tree, pad, seed, args.compare), trees,
+                f"{key} seed {seed}", args.pairs, timed)
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric,

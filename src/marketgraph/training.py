@@ -465,9 +465,8 @@ def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
                         pipe.close()
                     mine = {}
                     _claim(claims, kinds, fit, mine)
-                    sending = memoryview(pickle.dumps(mine))
-                    while sending:
-                        sending = sending[os.write(out, sending):]
+                    with os.fdopen(out, "wb") as sending:
+                        pickle.dump(mine, sending)
                     status = 0
                 finally:
                     os._exit(status)

@@ -772,6 +772,59 @@ def test_forecast_does_not_need_the_checkpoint_labels(tmp_path, capsys):
     capsys.readouterr()
 
 
+# make_dataset's 90 daily rows start on 2020-01-01, so the rule divides the first 45.
+REBASE_US = {"column": "us", "cutoff": "2020-02-15", "divisor": 7.0}
+
+
+def divided_by_hand(raw, path):
+    """`raw` with every pre-cutoff `us` cell divided as REBASE_US says."""
+    header, *rows = raw.read_text(encoding="utf-8").splitlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            day, us, *rest = row.split(",")
+            if day < REBASE_US["cutoff"]:
+                us = repr(float(us) / REBASE_US["divisor"])
+            fh.write(",".join([day, us, *rest]) + "\n")
+    return path
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_a_rebase_rule_acts_as_the_same_division_made_in_the_csv(tmp_path, capsys):
+    raw = tmp_path / "prices.csv"
+    make_dataset(raw)
+    divided = divided_by_hand(raw, tmp_path / "divided.csv")
+    config = write_config(tmp_path / "run.json", raw, rebase=[REBASE_US])
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    checkpoint = tmp_path / "run" / "checkpoint.json"
+    doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+    assert doc["extra"]["rebase"] == [REBASE_US]
+    report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    hashes = {stage["stage"]: stage["hash"] for stage in report["pipeline"]["stages"]}
+    assert hashes["adjust"] != hashes["load"]
+
+    # the checkpoint's rule on the raw CSV, and no rule on the divided one
+    doc["extra"]["rebase"] = []
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc), encoding="utf-8")
+    for ckpt, csv_path, out in ((checkpoint, raw, "fc_rule"), (plain, divided, "fc_hand")):
+        assert main(["forecast", "--checkpoint", str(ckpt), "--csv", str(csv_path),
+                     "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "fc_rule" / "forecast.csv").read_bytes()
+            == (tmp_path / "fc_hand" / "forecast.csv").read_bytes())
+
+    assert main(["analyze", str(raw), "--config", str(config),
+                 "--out", str(tmp_path / "an_rule")]) == 0
+    assert main(["analyze", str(divided), "--out", str(tmp_path / "an_hand")]) == 0
+    assert_same_files(tmp_path / "an_rule", tmp_path / "an_hand")
+
+
 MALFORMED_METADATA = {
     "rebase_without_cutoff": lambda extra: extra.update(rebase=[{"column": "us", "divisor": 2.0}]),
     "norm_stats_without_std": lambda extra: extra["norm_stats"].pop("std"),
@@ -923,6 +976,18 @@ def untrained_checkpoint(d):
     return str(path)
 
 
+def bad_checkpoint(d, text):
+    """The argv of a `forecast` from the checkpoint bad.json holding `text`,
+    or, if `text` is a function, an untrained checkpoint's document it damaged."""
+    if callable(text):
+        doc = json.loads(Path(untrained_checkpoint(d)).read_text(encoding="utf-8"))
+        text(doc)
+        text = json.dumps(doc)
+    (d / "bad.json").write_text(text, encoding="utf-8")
+    return ["forecast", "--checkpoint", str(d / "bad.json"), "--csv", prices(d),
+            "--out", str(d / "o")]
+
+
 # Each builds, inside directory d, the argv of a command given an input its
 # reader refuses outright, always named bad.csv or bad.json.
 UNREADABLE_INPUTS = {
@@ -937,6 +1002,12 @@ UNREADABLE_INPUTS = {
     "forecast_checkpoint_deeply_nested": lambda d: [
         "forecast", "--checkpoint", deeply_nested(d / "bad.json"), "--csv", prices(d),
         "--out", str(d / "o")],
+    "forecast_checkpoint_not_json": lambda d: bad_checkpoint(d, "{not json"),
+    "forecast_checkpoint_not_an_object": lambda d: bad_checkpoint(d, "[]"),
+    "forecast_checkpoint_without_params": lambda d: bad_checkpoint(
+        d, lambda doc: doc.pop("params")),
+    "forecast_checkpoint_params_not_an_object": lambda d: bad_checkpoint(
+        d, lambda doc: doc.update(params=[])),
 }
 
 
@@ -973,6 +1044,32 @@ def test_an_infinite_rebase_divisor_exits_2_naming_it(tmp_path, capsys, command)
     assert err.startswith("error: ") and "rebase[0].divisor must be positive and finite, got inf" in err
     assert command != "forecast" or f"error: {named}: unusable checkpoint metadata" in err
     assert not out.exists()
+
+
+# -- runtime failures -----------------------------------------------------------------
+
+
+def test_a_diverging_train_exits_1_and_writes_no_checkpoint_or_report(tmp_path, capsys):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path,
+                          train={"epochs": 2, "batch_size": 16, "learning_rate": 1e80})
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert "error: non-finite loss at epoch 1" in capsys.readouterr().err.splitlines()
+    assert not (out / "checkpoint.json").exists() and not (out / "report.json").exists()
+
+
+def test_an_unexpected_exception_exits_1_as_an_internal_error(capsys, monkeypatch):
+    import marketgraph.graph
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(marketgraph.graph, "rank_influence", boom)
+    assert main(["influence", str(FIXTURES / "g7_mint_adjacency.csv")]) == 1
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err.splitlines()
 
 
 # -- argparse boundary ----------------------------------------------------------------

@@ -598,6 +598,37 @@ def test_comparison_kills_and_reaps_its_workers_on_an_interrupt(monkeypatch):
     assert_no_child_left()
 
 
+def test_comparison_fits_every_kind_here_when_a_fork_fails(monkeypatch):
+    import errno
+
+    import marketgraph.training as training
+
+    spec = all_kinds_spec()
+    alone = sequential(monkeypatch, spec)
+    control = training._openblas_threads()
+    before = control[0]() if control else None
+    forks = []
+
+    def fork():
+        forks.append(os.getpid())
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: 1)
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        if control:
+            control[1](2)
+        result = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+        assert control is None or control[0]() == 2
+    finally:
+        if control:
+            control[1](before)
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+    assert json.dumps(result.to_dict()) == json.dumps(alone.to_dict())
+    assert result.histories == alone.histories
+
+
 def test_comparison_restores_the_blas_thread_count(monkeypatch):
     import marketgraph.training as training
 

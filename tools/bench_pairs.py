@@ -1,17 +1,20 @@
-"""Time this checkout against another revision with the benchmark, in alternating pairs.
+"""Time this checkout against another revision, in alternating pairs.
 
     python tools/bench_pairs.py --against <rev> --workload W [W ...] --seeds 1 [2027 ...]
         --pairs N --out BENCH_<n>.json [--claim W:METRIC] [--what TEXT] [--work DIR]
-    python tools/bench_pairs.py --against <rev> --epoch [--compare] --seeds 1 [2027 ...]
-        --pairs N --out BENCH_<n>.json [--work DIR]
 
 `git archive <rev> src perfbench` unpacks the other revision into a work
 directory (local git only), and this checkout's working-tree `src` and
 `perfbench` are copied beside it, so that both sides run from the same
 place on disk. The work directory is removed at the end unless `--work`
-names it. For each workload and seed, N pairs of `perfbench/run.py --trace 0`
-runs follow one another, one run in each tree, each for the `run_seconds`
-that BENCHMARK.json declares.
+names it. For each workload and seed, N pairs of runs follow one another,
+one run in each tree. A run of a workload BENCHMARK.json declares is
+`perfbench/run.py --trace 0` for the `run_seconds` it declares. `epoch` and
+`compare` run `tools/epoch.py` (without and with its `--compare`) on one
+tree's package in a fresh process: one MTGNN epoch on the criterion-7 panel
+at batch 8 (`epoch_s`, `minflt_per_step`), or one default `run_comparison`
+of all six kinds on that panel (`compare_s`). Other names are refused.
+
 The tree that runs first alternates from pair to pair, so a drift of the
 machine's speed falls on both sides alike. Both runs of a pair get one
 extra environment variable, `BENCH_PAIRS_PAD`, whose length cycles through
@@ -21,20 +24,14 @@ and that alone has moved `train_mtgnn`'s `call_ms_p50` by up to 18%; the
 rotation keeps one tree from holding a lucky layout in every run while the
 other holds an unlucky one.
 
-Each end-to-end metric that BENCHMARK.json declares, and the uncalibrated
-`raw_call_ms_p50` and `raw_setup_s`, gets both sides' runs, medians and
-quartiles, and the number of pairs in which this checkout's run was better
-and worse. `--claim` adds a summary of one metric per seed: the wins, the
-ratio of medians and whether the gain of the medians exceeds the other
-revision's interquartile range.
-
-With `--epoch`, each run is instead `tools/epoch.py` in a fresh process,
-importing the package of one tree: one MTGNN epoch on the criterion-7 panel
-at batch 8. Its wall seconds (`epoch_s`) and minor page faults per step
-(`minflt_per_step`) get the same pairing and summary, under `epoch` in the
-file, keyed by seed. `--compare` passes through to `tools/epoch.py`: each
-run times one default `run_comparison` of all six kinds on that panel
-instead, and its `compare_s` is recorded the same way under `compare`.
+Each metric (for a declared workload, each end-to-end metric BENCHMARK.json
+declares, and the uncalibrated `raw_call_ms_p50` and `raw_setup_s`) gets
+both sides' runs, medians and quartiles, and the number of pairs in which
+this checkout's run was better and worse, in the entry
+`workloads/<name>/<seed>` with the environment its runs reported.
+`--claim` adds a summary of one metric per seed: the wins, the ratio of
+medians and whether the gain of the medians exceeds the other revision's
+interquartile range.
 
 Results are merged into `--out`: entries of an existing file that this run
 does not repeat are kept, so several invocations can build one file.
@@ -47,6 +44,7 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +53,9 @@ from revision import ROOT, unpack, work_directory
 
 SIDES = ("parent", "change")
 PER_SIDE = ("src_sha256", "train_loss", "result_sha256")
-EPOCH_METRICS = {"epoch_s": "lower", "minflt_per_step": "lower"}
-COMPARE_METRICS = {"compare_s": "lower"}
+# Workloads timed by tools/epoch.py instead of the benchmark: name -> its metrics.
+TOOL_WORKLOADS = {"epoch": {"epoch_s": "lower", "minflt_per_step": "lower"},
+                  "compare": {"compare_s": "lower"}}
 # Uncalibrated figures recorded beside the calibrated metrics: name -> key in a run's raw_wall.
 RAW_WALL = {"raw_call_ms_p50": "call_ms_p50", "raw_setup_s": "setup_s"}
 # Lengths of the environment variable PAD_VAR, in bytes, one per pair in turn.
@@ -87,18 +86,17 @@ def bench_run(tree: Path, env: dict, workload: str, seed: int, seconds: float,
     return values, counts, details["environment"]
 
 
-def epoch_run(tree: Path, env: dict, seed: int, compare: bool) -> tuple[dict, dict, dict]:
-    """One `tools/epoch.py` run (with `--compare` if `compare`) on `tree`'s
-    package with `env` added to the environment, and as many BLAS threads as
-    the benchmark gives its runs."""
+def epoch_run(tree: Path, env: dict, workload: str, seed: int) -> tuple[dict, dict, dict]:
+    """One `tools/epoch.py` run for `workload`, `epoch` or `compare`, on
+    `tree`'s package with `env` added to the environment, and as many BLAS
+    threads as the benchmark gives its runs."""
     threads = str(len(os.sched_getaffinity(0)))
     *_, line = run_child([str(ROOT / "tools" / "epoch.py"), "--src", str(tree / "src"),
-                          "--seed", str(seed), *(["--compare"] if compare else [])],
-                         tree, f"epoch seed {seed}",
+                          "--seed", str(seed), *(["--compare"] if workload == "compare" else [])],
+                         tree, f"{workload} seed {seed}",
                          env | {var: threads for var in
                                 ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    metrics = COMPARE_METRICS if compare else EPOCH_METRICS
-    return ({name: line[name] for name in metrics}, {"attempted": 1, "failed": 0},
+    return ({name: line[name] for name in TOOL_WORKLOADS[workload]}, {"attempted": 1, "failed": 0},
             {"blas_threads": int(threads)} | {k: line[k] for k in PER_SIDE if k in line})
 
 
@@ -118,8 +116,8 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def measure(run, trees: dict[str, Path], label: str, pairs: int,
-            metrics: dict[str, str]) -> tuple[dict, dict]:
-    """The entry of `pairs` alternating pairs of `run(tree, env)`, and the
+            metrics: dict[str, str]) -> dict:
+    """The entry of `pairs` alternating pairs of `run(tree, env)`, with the
     environment the runs reported. Both runs of a pair add the same `PAD_VAR`
     to the environment. Each side records what its runs report under the
     keys `PER_SIDE` names (the source hash, the epoch's loss bits)."""
@@ -145,7 +143,8 @@ def measure(run, trees: dict[str, Path], label: str, pairs: int,
         entry.setdefault(key, {})[side] = value
     entry["metrics"] = {name: compare(values["parent"][name], values["change"][name], better)
                         for name, better in metrics.items()}
-    return entry, env
+    entry["environment"] = env
+    return entry
 
 
 def claim_summary(entry: dict, metric: str) -> dict:
@@ -162,13 +161,8 @@ def claim_summary(entry: dict, metric: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare this checkout with")
-    parser.add_argument("--workload", nargs="+", default=[])
-    parser.add_argument("--epoch", action="store_true",
-                        help="time one criterion-7 MTGNN epoch per run (tools/epoch.py) "
-                             "instead of benchmark workloads")
-    parser.add_argument("--compare", action="store_true",
-                        help="with --epoch: time one default run_comparison of all six kinds "
-                             "per run (tools/epoch.py --compare) instead")
+    parser.add_argument("--workload", required=True, nargs="+",
+                        help=f"BENCHMARK.json workloads, or {' or '.join(TOOL_WORKLOADS)}")
     parser.add_argument("--seeds", required=True, nargs="+", type=int)
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write or extend")
@@ -180,14 +174,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if bool(args.workload) == args.epoch:
-        parser.error("give either --workload or --epoch")
-    if args.compare and not args.epoch:
-        parser.error("--compare goes with --epoch")
-    if args.epoch and args.claim:
-        parser.error("--claim summarizes a workload metric; --epoch runs no workload")
-
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    unknown = set(args.workload) - {w["name"] for w in declared["workloads"]} - set(TOOL_WORKLOADS)
+    if unknown:
+        parser.error(f"unknown workload {', '.join(sorted(unknown))}")
     metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
     metrics.update(dict.fromkeys(RAW_WALL, "lower"))
     seconds = declared["run_seconds"]
@@ -210,7 +200,8 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
         raise SystemExit(f"error: {out} compares against {doc['parent_commit']}, not {commit}")
     doc.update({
         "command": "python3 perfbench/run.py --workload <W> --seed <n> "
-                   f"--seconds {seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0; for epoch and compare: "
+                   "python3 tools/epoch.py --src <tree>/src --seed <n> [--compare]",
         "method": "tools/bench_pairs.py: alternating runs in a `git archive` of the parent "
                   "commit and in a copy of the change's working tree beside it, one after "
                   "another; the side that runs first alternates per pair, and both runs of a pair "
@@ -225,21 +216,12 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
         doc["what"] = args.what
     workloads = doc.setdefault("workloads", {})
     for workload in args.workload:
+        run = (epoch_run if workload in TOOL_WORKLOADS
+               else partial(bench_run, seconds=seconds, metrics=metrics))
         for seed in args.seeds:
-            entry, env = measure(lambda tree, pad: bench_run(tree, pad, workload, seed, seconds,
-                                                             metrics),
-                                 trees, f"{workload} seed {seed}", args.pairs, metrics)
-            workloads.setdefault(workload, {})[str(seed)] = entry
-            doc["environment"] = env
-    if args.epoch:
-        key, timed = ("compare", COMPARE_METRICS) if args.compare else ("epoch", EPOCH_METRICS)
-        section = doc.setdefault(key, {})
-        section["command"] = ("python3 tools/epoch.py --src <tree>/src --seed <n>"
-                              + (" --compare" if args.compare else ""))
-        for seed in args.seeds:
-            section[str(seed)], section["environment"] = measure(
-                lambda tree, pad: epoch_run(tree, pad, seed, args.compare), trees,
-                f"{key} seed {seed}", args.pairs, timed)
+            workloads.setdefault(workload, {})[str(seed)] = measure(
+                lambda tree, pad: run(tree, pad, workload, seed), trees,
+                f"{workload} seed {seed}", args.pairs, TOOL_WORKLOADS.get(workload, metrics))
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric,

@@ -97,10 +97,10 @@ def read_csv_rows(path) -> list[list[str]]:
 
 
 def _plain_lines(path) -> list[str]:
-    """The lines of the CSV file at `path` if numpy's reader can take its body,
-    else []: UTF-8 text with two or more body lines, each with the header's
-    comma count, none longer than the csv module's field limit, and none of
-    the characters below."""
+    """The lines of the CSV file at `path`, each of which, split at its commas,
+    is its csv.reader row, or []: UTF-8 text with two or more body lines, each
+    with the header's comma count, none longer than the csv module's field
+    limit, and none of the characters below."""
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8-sig")
@@ -141,9 +141,11 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
             raise ValueError("non-finite cell")
         dropped = 0
     except ValueError:
-        # Only a file numpy's reader cannot take pays for the row loop,
-        # the one place that drops incomplete rows and names a bad line.
-        dates, matrix, dropped = _convert_rows(path, (read_csv_rows(path) if lines else rows)[1:], columns)
+        # Only a file numpy's reader cannot take pays for the row loop, which drops
+        # incomplete rows and names a bad line. A plain file has no character where
+        # splitting at commas and csv.reader part ways, so its lines are not re-read.
+        body = [line.split(",") for line in lines[1:]] if lines else rows[1:]
+        dates, matrix, dropped = _convert_rows(path, body, columns)
     if any(d1 >= d2 for d1, d2 in zip(dates, dates[1:])):
         order = sorted(range(len(dates)), key=dates.__getitem__)
         dates, matrix = [dates[i] for i in order], matrix[order]
@@ -155,43 +157,29 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
     return TimeSeriesFrame(tuple(dates), columns, matrix), dropped
 
 
-def _convert_rows(path, body: list[list[str]],
-                  columns: tuple[str, ...]) -> tuple[list[date], np.ndarray, int]:
+def _convert_rows(path, body: list[list[str]], columns) -> tuple[list[date], np.ndarray, int]:
     """The dates and values of `body` row by row, and the count of rows
     dropped for a blank value cell; DataError naming the first bad line."""
-    dates: list[date] = []
-    values: list[float] = []  # row after row; one flat list keeps no per-row list alive
+    dates, values = [], []  # values row after row: one flat list keeps no per-row list alive
     dropped, width = 0, len(columns) + 1
     for lineno, row in enumerate(body, start=2):
-        try:
-            if len(row) != width:
-                raise ValueError("wrong cell count")
-            vals = list(map(float, row[1:]))
-            day = date.fromisoformat(row[0].strip())
-            if not all(map(math.isfinite, vals)):
-                raise ValueError("non-finite cell")
-        except ValueError:
-            # Only a row that fails pays for the checks, in their order of precedence.
-            if not row or all(not c.strip() for c in row):
-                continue
-            where = f"{path}: line {lineno}"
-            if len(row) != width:
-                raise DataError(f"{where} has {len(row)} cells, expected {width}") from None
-            # A blank cell never converts: its row is dropped, whatever its date.
-            if any(not c.strip() for c in row[1:]):
-                dropped += 1
-                continue
-            _parse_date(row[0], where)  # a bad date is named before a bad number
-            for name, cell in zip(columns, row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{where}: unparseable number {cell!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"{where}: non-finite number {cell!r} in column {name!r}")
-        else:
-            dates.append(day)
-            values += vals
+        if not any(map(str.strip, row)):
+            continue
+        where = f"{path}: line {lineno}"
+        if len(row) != width:
+            raise DataError(f"{where} has {len(row)} cells, expected {width}")
+        if not all(map(str.strip, row[1:])):  # a blank value cell drops its row, whatever its date
+            dropped += 1
+            continue
+        dates.append(_parse_date(row[0], where))  # a bad date is named before a bad number
+        for name, cell in zip(columns, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{where}: unparseable number {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{where}: non-finite number {cell!r} in column {name!r}")
+            values.append(value)
     return dates, np.array(values).reshape(len(dates), width - 1), dropped
 
 

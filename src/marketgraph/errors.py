@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit, the field type and bound check
 of the configuration dataclasses, and the depth rules of dilated convolution
 stacks."""
-import math
+import sys
 from collections.abc import Iterator
 from dataclasses import fields
 
@@ -49,11 +49,12 @@ _FIELD_TYPES = {
 
 # Field metadata that `check_fields` reads, as (text, test): a value the test
 # refuses "must be <text>". NaN passes no comparison, so every bound refuses it.
+# A finite bound ends at the largest float, so an int too large for one fails it.
 POSITIVE = {"bound": ("positive", lambda v: v > 0)}
 NONNEGATIVE = {"bound": ("nonnegative", lambda v: v >= 0)}
 AT_LEAST_2 = {"bound": ("at least 2", lambda v: v >= 2)}
-POSITIVE_FINITE = {"bound": ("positive and finite", lambda v: 0 < v < math.inf)}
-NONNEGATIVE_FINITE = {"bound": ("nonnegative and finite", lambda v: 0 <= v < math.inf)}
+POSITIVE_FINITE = {"bound": ("positive and finite", lambda v: 0 < v <= sys.float_info.max)}
+NONNEGATIVE_FINITE = {"bound": ("nonnegative and finite", lambda v: 0 <= v <= sys.float_info.max)}
 UNIT_INTERVAL = {"bound": ("in [0, 1]", lambda v: 0 <= v <= 1)}
 PROBABILITY = {"bound": ("in [0, 1)", lambda v: 0 <= v < 1)}
 

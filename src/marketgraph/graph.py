@@ -152,4 +152,7 @@ def read_adjacency_csv(path) -> AdjacencyMatrix:
             values[i] = [float(cell) for cell in row[1:]]
         except ValueError as exc:
             raise DataError(f"{path}: row {i + 2}: {exc}") from None
-    return AdjacencyMatrix(labels=labels, values=values)
+    try:
+        return AdjacencyMatrix(labels=labels, values=values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -5,6 +5,7 @@ import csv
 import errno
 import io
 import json
+import math
 import re
 from dataclasses import replace
 from datetime import date
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from marketgraph import ConfigError, MtgnnConfig, MtgnnModel, Rng, TrainConfig, WindowSpec
 from marketgraph.baselines import MlpSpec
 from marketgraph.cli import RunConfig, main, parse_run_config
-from marketgraph.data import RebaseRule, SplitSpec
+from marketgraph.data import RebaseRule, SplitSpec, matrix_csv
 from marketgraph.synthetic import coupled_var_system
 from marketgraph.training import ComparisonSpec
 
@@ -432,6 +433,7 @@ MALFORMED_CONFIGS = {
     "rebase_number": {"rebase": 5},
     "rebase_entry_number": {"rebase": [5]},
     "rebase_str_divisor": {"rebase": [{"column": "us", "cutoff": "2020-01-10", "divisor": "x"}]},
+    "rebase_without_column": {"rebase": [{"cutoff": "2020-01-10"}]},
     "dataset_number": {"dataset": 5},
     "window_zero_P": {"window": {"P": 0, "Q": 1}},
     "split_zero_train": {"split": {"train": 0.0, "validation": 0.5, "test": 0.5}},
@@ -457,28 +459,35 @@ def test_malformed_run_config_exits_2(tmp_path, capsys, command, overrides):
 
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_a_panel_too_short_to_window_leaves_no_out_dir(tmp_path, capsys, command):
-    csv_path = tmp_path / "prices.csv"
-    write_frame_csv(coupled_var_system(num_nodes=3, steps=40, seed=1).frame, csv_path)
-    config = write_config(tmp_path / "run.json", csv_path, window={"P": 30, "Q": 1})
-    out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
+    frame = coupled_var_system(num_nodes=3, steps=40, seed=1).frame
+    for rows, message in [(40, "24 rows cannot fit a window of P+Q=31"),
+                          (2, "need at least 3 rows to split, have 2"),
+                          (4, "split of 4 rows leaves an empty partition (2/0/2)")]:
+        csv_path = tmp_path / f"prices_{rows}.csv"
+        write_frame_csv(frame.slice_rows(0, rows), csv_path)
+        config = write_config(tmp_path / "run.json", csv_path, window={"P": 30, "Q": 1})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("field", ["learning_rate", "l2_coefficient"])
 def test_an_infinite_rate_leaves_no_out_dir(tmp_path, capsys, command, field):
-    # JSON has no infinity, but 1e999 is a number that overflows to one
+    # JSON has no infinity, but 1e999 is a number that overflows to one, and
+    # an integer can be too large to convert to a float
     csv_path = tmp_path / "prices.csv"
     make_dataset(csv_path)
     config = write_config(tmp_path / "run.json", csv_path, train={"epochs": 1, field: 7.5})
-    config.write_text(config.read_text(encoding="utf-8").replace("7.5", "1e999"), encoding="utf-8")
-    out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{field} must be" in err
-    assert not out.exists()
+    text = config.read_text(encoding="utf-8")
+    for number in ("1e999", "1" + "0" * 400):
+        config.write_text(text.replace("7.5", number), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be" in err
+        assert not out.exists()
 
 
 OUT_OF_RANGE_MODEL_KNOBS = {
@@ -488,6 +497,7 @@ OUT_OF_RANGE_MODEL_KNOBS = {
     "negative_alpha": ({"alpha": -1.0}, "alpha must be positive and finite, got -1.0"),
     "zero_alpha": ({"alpha": 0}, "alpha must be positive and finite, got 0"),
     "infinite_alpha": ({"alpha": 7.5}, "alpha must be positive and finite, got inf"),
+    "huge_alpha": ({"alpha": 10 ** 400}, f"alpha must be positive and finite, got {10 ** 400}"),
 }
 
 
@@ -826,6 +836,7 @@ def test_a_rebase_rule_acts_as_the_same_division_made_in_the_csv(tmp_path, capsy
 
 
 MALFORMED_METADATA = {
+    "extra_without_norm_stats": lambda extra: extra.pop("norm_stats"),
     "rebase_without_cutoff": lambda extra: extra.update(rebase=[{"column": "us", "divisor": 2.0}]),
     "norm_stats_without_std": lambda extra: extra["norm_stats"].pop("std"),
     "mean_of_wrong_length": lambda extra: extra["norm_stats"].update(mean=[0.0]),
@@ -988,6 +999,13 @@ def bad_checkpoint(d, text):
             "--out", str(d / "o")]
 
 
+def bad_adjacency(d, labels, weights):
+    """The argv of an `influence` on bad.csv, the graph of `weights` over `labels`."""
+    (d / "bad.csv").write_text(matrix_csv("node", list(labels), np.array(weights, dtype=float)),
+                               encoding="utf-8")
+    return ["influence", str(d / "bad.csv")]
+
+
 # Each builds, inside directory d, the argv of a command given an input its
 # reader refuses outright, always named bad.csv or bad.json.
 UNREADABLE_INPUTS = {
@@ -1008,6 +1026,13 @@ UNREADABLE_INPUTS = {
         d, lambda doc: doc.pop("params")),
     "forecast_checkpoint_params_not_an_object": lambda d: bad_checkpoint(
         d, lambda doc: doc.update(params=[])),
+    "forecast_checkpoint_huge_alpha": lambda d: bad_checkpoint(
+        d, lambda doc: doc["config"].update(alpha=10 ** 400)),
+    "analyze_csv_empty": lambda d: ["analyze", taken(d / "bad.csv"), "--out", str(d / "o")],
+    "influence_adjacency_nan_weight": lambda d: bad_adjacency(d, "ab", [[0, math.nan], [1, 0]]),
+    "influence_adjacency_negative_weight": lambda d: bad_adjacency(d, "ab", [[0, -1], [1, 0]]),
+    "influence_adjacency_self_edge": lambda d: bad_adjacency(d, "ab", [[1, 0], [0, 0]]),
+    "influence_adjacency_repeated_label": lambda d: bad_adjacency(d, "aa", [[0, 1], [1, 0]]),
 }
 
 

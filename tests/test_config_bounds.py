@@ -1,5 +1,6 @@
 """The bound of every config field, at its edges: the last value accepted and
-the first refused on each side, plus NaN and the infinities for float rates."""
+the first refused on each side, plus NaN, the infinities and an integer too
+large for a float for float rates."""
 import math
 import sys
 from dataclasses import fields
@@ -15,6 +16,7 @@ from marketgraph.mtgnn import MtgnnConfig
 from marketgraph.training import ComparisonSpec, TrainConfig
 
 TINY, BIG, NAN, INF = math.ulp(0.0), sys.float_info.max, math.nan, math.inf
+HUGE = 10 ** 400  # an int, as JSON may hold, too large to convert to a float
 BELOW_1, ABOVE_1 = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
 SIZE = ([1], [0])  # a count that must be positive
 
@@ -30,11 +32,11 @@ BOUNDS = [
     (MtgnnConfig, {"num_nodes": 3}, "gc_depth", [0], [-1]),
     (MtgnnConfig, {"num_nodes": 3}, "retain_ratio", [0, 1.0], [-TINY, ABOVE_1, NAN, INF, -INF]),
     (MtgnnConfig, {"num_nodes": 3}, "kernel_size", [2], [1]),
-    (MtgnnConfig, {"num_nodes": 3}, "alpha", [TINY, BIG], [0, -TINY, NAN, INF, -INF]),
+    (MtgnnConfig, {"num_nodes": 3}, "alpha", [TINY, BIG], [0, -TINY, NAN, INF, -INF, HUGE]),
     (TrainConfig, {}, "epochs", [0], [-1]),
     (TrainConfig, {}, "batch_size", *SIZE),
-    (TrainConfig, {}, "learning_rate", [TINY, BIG], [0, -TINY, NAN, INF, -INF]),
-    (TrainConfig, {}, "l2_coefficient", [0, BIG], [-TINY, NAN, INF, -INF]),
+    (TrainConfig, {}, "learning_rate", [TINY, BIG], [0, -TINY, NAN, INF, -INF, HUGE]),
+    (TrainConfig, {}, "l2_coefficient", [0, BIG], [-TINY, NAN, INF, -INF, HUGE]),
     (TrainConfig, {}, "seed", [0], [-1]),
     (TrainConfig, {}, "loss", ["l1"], ["l2", "L1", " l1"]),
     (ArConfig, {"order": 1, "num_series": 1}, "order", *SIZE),
@@ -50,7 +52,7 @@ BOUNDS = [
     (WindowSpec, {}, "P", *SIZE),
     (WindowSpec, {}, "Q", *SIZE),
     (RebaseRule, {"column": "us", "cutoff": date(2020, 1, 1)}, "divisor", [TINY, BIG],
-     [0, -TINY, NAN, INF, -INF]),
+     [0, -TINY, NAN, INF, -INF, HUGE]),
 ]
 IDS = [f"{cls.__name__}.{name}" for cls, _, name, _, _ in BOUNDS]
 # Bounds that construction leaves to the comparison's builder of each model,

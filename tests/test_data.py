@@ -15,7 +15,7 @@ from marketgraph import (
 from marketgraph.data import (
     NormStats, SplitSpec, _convert_rows, _parse_csv, adjust_rebased_series, chronological_split,
     compute_norm_stats, denormalize_values, descriptive_stats, frame_hash,
-    invert_predictions, log_transform, make_windows, normalize,
+    invert_predictions, log_transform, make_windows, normalize, read_csv_rows,
 )
 from marketgraph.graph import read_adjacency_csv
 import reference_ops
@@ -307,21 +307,27 @@ def test_parse_csv_equals_the_row_loop(tmp_path_factory, document):
 
 def test_the_row_loop_runs_only_for_a_file_the_columns_cannot_take(tmp_path, monkeypatch):
     # Clean panels with CRLF, LF (after a byte-order mark) or lone CR line ends, padded
-    # cells and blank lines at the end take numpy's reader; quoted or ragged ones do not.
+    # cells and blank lines at the end take numpy's reader; quoted, ragged or holiday
+    # (a blank value cell) ones do not. Only the quoted and ragged ones are re-read by
+    # the csv module: the holiday panel's lines are plain.
     clean = b"date,a,b\n 2020-01-03 , 3,30\n2020-01-01,1, 1e1 \n2020-01-02,2,20\n\n"
     files = {"crlf": (clean.replace(b"\n", b"\r\n"), 3), "bom": (b"\xef\xbb\xbf" + clean, 3),
              "cr": (clean.replace(b"\n", b"\r"), 3),
              "quoted": (b'date,a,b\n2020-01-02,2,20\n2020-01-01,"1",10\n', 2),
-             "ragged": (b"date,a,b\n2020-01-01,1,10\n\n2020-01-02,2,20\n", 2)}
-    loops = []
+             "ragged": (b"date,a,b\n2020-01-01,1,10\n\n2020-01-02,2,20\n", 2),
+             "holiday": (b"date,a,b\n2020-01-02,2,20\n2020-01-05,,50\n2020-01-01,1,10\n", 2)}
+    loops, reads = [], []
     monkeypatch.setattr("marketgraph.data._convert_rows",
                         lambda path, *args: loops.append(path.stem) or _convert_rows(path, *args))
+    monkeypatch.setattr("marketgraph.data.read_csv_rows",
+                        lambda path: reads.append(path.stem) or read_csv_rows(path))
     for name, (text, days) in files.items():
         (tmp_path / f"{name}.csv").write_bytes(text)
         frame = load_csv(tmp_path / f"{name}.csv")
         assert frame.dates == tuple(D(2020, 1, day) for day in range(1, days + 1))
         assert frame.values.tolist() == [[day, 10.0 * day] for day in range(1, days + 1)]
-    assert loops == ["quoted", "ragged"]
+    assert loops == ["quoted", "ragged", "holiday"]
+    assert reads == ["quoted", "ragged"]
 
 
 @pytest.mark.parametrize("row, named", [

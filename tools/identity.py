@@ -21,9 +21,11 @@ and with MARKETGRAPH_SEED set: `analyze` with and without `--config`;
 `train` and `compare` over all six model kinds at Q=1 and Q=2; `forecast`
 from each trained checkpoint at `--steps` 0, 1, 256 and omitted; and
 `influence` on each learned adjacency. The small panel is also written
-irregularly (`irregular_panel`), so that loading it takes the row loop rather
-than numpy's reader; it runs through `analyze`, and through
-`forecast` from the small panel's checkpoints at `--steps` 1 and omitted.
+twice more so that loading it takes the row loop rather than numpy's reader:
+irregularly (`irregular_panel`), which the csv module reads, and with
+holiday gaps (`holiday_panel`), a plain file whose lines are split at their
+commas. Each runs through `analyze`, and through `forecast` from the small
+panel's checkpoints at `--steps` 1 and omitted.
 Commands run one at a time with one BLAS thread. The exit status is 0 when
 every manifest entry agrees.
 """
@@ -69,6 +71,17 @@ def irregular_panel(columns, rows) -> str:
     return "".join(",".join(cells) + "\r\n" for cells in lines)
 
 
+def holiday_panel(columns, rows) -> str:
+    """CSV text of a panel's rows, as `csv_text` writes them, with one blank
+    value cell in every seventh row, a different column each time: a plain
+    file that numpy's reader refuses, so that its lines go to the row loop,
+    which drops those rows."""
+    lines = [["date", *columns], *(list(row) for row in rows)]
+    for i in range(7, len(lines), 7):
+        lines[i][1 + i // 7 % len(columns)] = ""
+    return "".join(",".join(cells) + "\r\n" for cells in lines)
+
+
 def write_inputs(inputs: Path) -> list[tuple[str, list[str], str | None]]:
     """Write the panels and run documents, and return the matrix as
     (case, argv, MARKETGRAPH_SEED or None); `{out}` in an argv stands for
@@ -84,10 +97,11 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str], str | None]]:
         csv_path = str(inputs / f"{name}.csv")
         rows = [[day.isoformat(), *map(repr, row.tolist())] for day, row in zip(frame.dates, frame.values)]
         Path(csv_path).write_text(csv_text(["date", *frame.columns], rows), encoding="utf-8")
-        irregular = name == "small"
-        irregular_path = str(inputs / f"{name}_irregular.csv")
-        if irregular:
-            Path(irregular_path).write_text(irregular_panel(frame.columns, rows), encoding="utf-8")
+        variants = {}
+        if name == "small":  # other spellings of the panel, each loaded by the row loop
+            for variant, write in (("irregular", irregular_panel), ("holiday", holiday_panel)):
+                variants[variant] = str(inputs / f"{name}_{variant}.csv")
+                Path(variants[variant]).write_text(write(frame.columns, rows), encoding="utf-8")
         rebase = ([{"column": frame.columns[0], "cutoff": frame.dates[120].isoformat(), "divisor": 10.0}]
                   if name == "small" else [])
         configs = {}
@@ -112,13 +126,13 @@ def write_inputs(inputs: Path) -> list[tuple[str, list[str], str | None]]:
                         f"{run}/checkpoint.json", "--csv", csv_path,
                         *(["--steps", steps] if steps else []), "--out", "{case}")
                 add(f"influence_q{Q}", "influence", f"{run}/adjacency.csv")
-                if irregular:
+                for variant, variant_path in variants.items():
                     for steps in ("1", None):
-                        add(f"irregular_forecast_q{Q}_steps_{steps or 'all'}", "forecast",
-                            "--checkpoint", f"{run}/checkpoint.json", "--csv", irregular_path,
+                        add(f"{variant}_forecast_q{Q}_steps_{steps or 'all'}", "forecast",
+                            "--checkpoint", f"{run}/checkpoint.json", "--csv", variant_path,
                             *(["--steps", steps] if steps else []), "--out", "{case}")
-            if irregular:
-                add("irregular_analyze", "analyze", irregular_path, "--out", "{case}")
+            for variant, variant_path in variants.items():
+                add(f"{variant}_analyze", "analyze", variant_path, "--out", "{case}")
     return matrix
 
 

@@ -183,18 +183,17 @@ def cmd_analyze(args) -> int:
     frame = load_csv(args.csv)
     if args.config:
         frame = apply_rebase_rules(frame, parse_run_config(args.config).rebase)
+    # All three tables first, so a refused statistic leaves no --out behind.
+    stats = descriptive_stats(frame)
+    spearman = spearman_matrix(frame)
+    warped = dtw_matrix(frame)
     out = _out_dir(args.out)
 
-    stats = descriptive_stats(frame)
     keys = ("size", "mean", "median", "std", "min", "max", "skewness", "kurtosis")
     rows = ([name, *(repr(stats[name][k]) for k in keys)] for name in frame.columns)
     _emit(out / "descriptive_stats.csv", csv_text(["series", *keys], rows))
-
-    spearman = spearman_matrix(frame)
     _emit(out / "spearman.csv", matrix_csv("series", frame.columns, spearman))
     _emit(out / "spearman.svg", svg_heatmap(frame.columns, spearman, "Rank correlation"))
-
-    warped = dtw_matrix(frame)
     _emit(out / "dtw.csv", matrix_csv("series", frame.columns, warped))
     _emit(out / "dtw.svg", svg_heatmap(frame.columns, warped, "Warping distance (z-scored)"))
     return 0

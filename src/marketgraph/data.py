@@ -69,8 +69,17 @@ class TimeSeriesFrame:
 
 def frame_hash(frame: TimeSeriesFrame) -> str:
     """Content hash covering dates, column names, and every value bit."""
+    return _dated_hash(frame, _date_text(frame.dates))
+
+
+def _date_text(dates: tuple[date, ...]) -> bytes:
+    return "|".join(d.isoformat() for d in dates).encode()
+
+
+def _dated_hash(frame: TimeSeriesFrame, date_text: bytes) -> str:
+    """`frame_hash` of `frame`, given `_date_text` of its dates."""
     h = hashlib.sha256()
-    h.update("|".join(d.isoformat() for d in frame.dates).encode())
+    h.update(date_text)
     h.update("|".join(frame.columns).encode())
     h.update(frame.values.tobytes())
     return h.hexdigest()
@@ -433,11 +442,12 @@ def make_windows(frame: TimeSeriesFrame, spec: WindowSpec) -> WindowSet:
     """Slide a (P in, Q out) window over one split, one window per start row.
 
     Splits are windowed independently, so no sample ever straddles a split
-    boundary. The count is rows - P - Q + 1.
+    boundary. The count is rows - P - Q + 1. Both stacks are read-only views
+    of `frame.values`, not copies: x[m, n, t] is values[m + t, n].
     """
     spec.count(frame.num_rows)
     spans = np.lib.stride_tricks.sliding_window_view(frame.values, spec.P + spec.Q, axis=0)  # [count, N, span]
-    return WindowSet(x=spans[..., :spec.P].copy(), y=spans[..., spec.P:].copy())
+    return WindowSet(x=spans[..., :spec.P], y=spans[..., spec.P:])
 
 
 def descriptive_stats(frame: TimeSeriesFrame) -> dict[str, dict[str, float]]:
@@ -498,17 +508,21 @@ def run_pipeline(source, window_spec: WindowSpec, split_spec: SplitSpec = SplitS
         frame, dropped = _parse_csv(source)
         origin = str(source)
 
-    stages: list[dict] = [{"stage": "load", "hash": frame_hash(frame)}]
+    # Adjust, log and normalize change values only, so the dates of the whole
+    # frame and of the train split are each formatted once.
+    dates = _date_text(frame.dates)
+    stages: list[dict] = [{"stage": "load", "hash": _dated_hash(frame, dates)}]
     frame = apply_rebase_rules(frame, rebase_rules)
-    stages.append({"stage": "adjust", "hash": frame_hash(frame)})
+    stages.append({"stage": "adjust", "hash": _dated_hash(frame, dates)})
     frame = log_transform(frame)
-    stages.append({"stage": "log", "hash": frame_hash(frame)})
+    stages.append({"stage": "log", "hash": _dated_hash(frame, dates)})
 
     train, val, test = chronological_split(frame, split_spec)
-    stages.append({"stage": "split", "hash": frame_hash(train)})
+    train_dates = _date_text(train.dates)
+    stages.append({"stage": "split", "hash": _dated_hash(train, train_dates)})
     stats = compute_norm_stats(train)
     train_n, val_n, test_n = (normalize(f, stats) for f in (train, val, test))
-    stages.append({"stage": "normalize", "hash": frame_hash(train_n)})
+    stages.append({"stage": "normalize", "hash": _dated_hash(train_n, train_dates)})
 
     windows = tuple(make_windows(f, window_spec) for f in (train_n, val_n, test_n))
     digest = hashlib.sha256()

@@ -147,7 +147,7 @@ class MtgnnModel(NeuralModel):
 
     kind = "mtgnn"
     config_class = MtgnnConfig
-    predict_chunk = 64
+    predict_chunk = 32
 
     def __init__(self, config: MtgnnConfig, rng: Rng):
         super().__init__(config)

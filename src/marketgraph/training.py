@@ -265,6 +265,8 @@ class ComparisonSpec(Checked):
         if not isinstance(self.include, (list, tuple)) or not all(isinstance(k, str) for k in self.include):
             raise ConfigError(f"baselines.include must be a list of model kinds, got {self.include!r}")
         object.__setattr__(self, "include", tuple(self.include))
+        if not self.include:
+            raise ConfigError("baselines.include must name at least one model kind")
         bad = set(self.include) - set(MODEL_BUILDERS)
         if bad:
             raise ConfigError(f"unknown model kind(s) in baselines.include: {sorted(bad)}")

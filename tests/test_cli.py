@@ -258,6 +258,21 @@ def test_analyze_missing_csv_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values, columns, message", [
+    ([[1.0, 2.0], [2.0, 3.5]], ["a", "b"], "rank correlation needs at least 3 observations"),
+    ([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]], ["a", "b"],
+     "constant column 'a': skewness/kurtosis undefined"),
+], ids=["two_rows", "constant_column"])
+def test_analyze_writes_nothing_when_a_statistic_is_refused(tmp_path, capsys, values, columns,
+                                                            message):
+    csv_path = tmp_path / "prices.csv"
+    write_frame_csv(build_frame(values, columns=columns), csv_path)
+    out = tmp_path / "analysis"
+    assert main(["analyze", str(csv_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 # -- influence ------------------------------------------------------------------------
 
 
@@ -600,8 +615,9 @@ def test_compare_ar_order_beyond_the_window_is_a_recorded_data_error(tmp_path, c
     ({"mlp_hidden": 2.5}, "baselines.mlp_hidden must be an integer"),
     ({"include": ["bogus"]}, "unknown model kind(s) in baselines.include"),
     ({"include": ["ar", "ar"]}, "baselines.include lists ar more than once"),
+    ({"include": []}, "baselines.include must name at least one model kind"),
 ], ids=["str_order", "bool_blocks", "include_string", "float_mlp_hidden", "unknown_include",
-        "repeated_include"])
+        "repeated_include", "empty_include"])
 def test_every_run_command_refuses_a_mistyped_baseline_knob(tmp_path, capsys, baselines, named,
                                                             command):
     # The run document is parsed once, so all three commands refuse it alike,

@@ -486,6 +486,36 @@ def test_window_shapes():
     assert len(ws) == 15
 
 
+def assert_read_only_views(ws, frame, spec):
+    """`ws` shares `frame.values`' memory, refuses writes, and equals one
+    copied slice per start row bit for bit."""
+    P, Q = spec.P, spec.Q
+    starts = range(frame.num_rows - P - Q + 1)
+    copied_x = np.stack([frame.values[s:s + P].T for s in starts])
+    copied_y = np.stack([frame.values[s + P:s + P + Q].T for s in starts])
+    assert np.shares_memory(ws.x, frame.values) and np.shares_memory(ws.y, frame.values)
+    for stack, copied in ((ws.x, copied_x), (ws.y, copied_y)):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0.0
+        assert stack.shape == copied.shape and stack.tobytes() == copied.tobytes()
+
+
+def test_windows_are_read_only_views_of_the_frame():
+    frame = build_frame(np.random.default_rng(4).normal(size=(20, 3)) + 9.0)
+    spec = WindowSpec(P=5, Q=2)
+    assert_read_only_views(make_windows(frame, spec), frame, spec)
+
+
+def test_pipeline_window_sets_are_read_only_views_of_their_splits(small_prices):
+    spec = WindowSpec(P=8, Q=2)
+    result = run_pipeline(small_prices, spec)
+    for ws, frame in ((result.train_windows, result.train),
+                      (result.validation_windows, result.validation),
+                      (result.test_windows, result.test)):
+        assert_read_only_views(ws, frame, spec)
+
+
 def test_window_insufficient_rows():
     frame = build_frame(np.arange(4.0)[:, None] + 1.0)
     with pytest.raises(DataError):
@@ -621,6 +651,15 @@ def test_pipeline_stage_order_and_report(small_prices, tmp_path):
     assert len(set(hashes[1:])) == len(hashes[1:])
     assert result.report["split"]["train_rows"] == result.train.num_rows
     assert result.report["window"]["P"] == 8
+
+
+def test_pipeline_stage_hashes_are_frame_hashes_of_each_stage(small_prices):
+    result = run_pipeline(small_prices, WindowSpec(P=8, Q=1))
+    logged = log_transform(small_prices)
+    train_rows = result.train.num_rows
+    expected = [frame_hash(small_prices), frame_hash(small_prices), frame_hash(logged),
+                frame_hash(logged.slice_rows(0, train_rows)), frame_hash(result.train)]
+    assert [s["hash"] for s in result.report["stages"][:5]] == expected
 
 
 def test_pipeline_normalization_uses_train_stats_only(small_prices):

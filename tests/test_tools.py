@@ -51,6 +51,39 @@ def test_measure_alternates_sides_cycles_pads_and_counts_wins(bench_pairs):
     assert entry["environment"] == {"cpu": "x"}
 
 
+def test_bench_run_pairs_the_details_line_figures_rates_higher_and_times_lower(bench_pairs,
+                                                                              monkeypatch):
+    # change's backtest is faster (more windows/s) and its next-day call slower
+    figures = {"parent": {"windows": 3000.0, "next_ms": 20.0},
+               "change": {"windows": 3500.0, "next_ms": 21.0}}
+
+    def run_child(argv, tree, what, env):
+        fig = figures[tree.name]
+        details = {"environment": {"python": "3"}, "raw_wall": {"call_ms_p50": 30.0},
+                   "figures": {"next_day_calls": 20,
+                               "forecast_next_ms_p50": {"value": fig["next_ms"], "unit": "ms"},
+                               "forecast_next_ms_p90": {"value": 40.0, "unit": "ms"},
+                               "forecast_windows_per_s": {"value": fig["windows"],
+                                                          "unit": "windows/s"}}}
+        result = {"attempted": 21, "failed": 0,
+                  "metrics": {"peak_rss_mb": {"value": 50.0, "unit": "MB"}}}
+        return [details, result]
+
+    monkeypatch.setattr(bench_pairs, "run_child", run_child)
+    metrics = {"peak_rss_mb": "lower", "raw_call_ms_p50": "lower"}
+    entry = bench_pairs.measure(
+        lambda tree, env: bench_pairs.bench_run(tree, env, "forecast", 1, 20, metrics),
+        TREES, "forecast", 2, metrics)
+    assert list(entry["metrics"]) == ["peak_rss_mb", "raw_call_ms_p50", "forecast_windows_per_s",
+                                      "forecast_next_ms_p50"]
+    rate = entry["metrics"]["forecast_windows_per_s"]
+    next_ms = entry["metrics"]["forecast_next_ms_p50"]
+    assert (rate["change_wins"], rate["change_losses"]) == (2, 0)
+    assert rate["change"]["runs"] == [3500.0, 3500.0] and rate["parent"]["median"] == 3000.0
+    assert (next_ms["change_wins"], next_ms["change_losses"]) == (0, 2)
+    assert entry["metrics"]["raw_call_ms_p50"]["parent"]["runs"] == [30.0, 30.0]
+
+
 def test_run_pairs_puts_every_workload_under_workloads_and_claims_any(bench_pairs, tmp_path,
                                                                       monkeypatch):
     def epoch_run(tree, env, workload, seed):

@@ -25,10 +25,12 @@ rotation keeps one tree from holding a lucky layout in every run while the
 other holds an unlucky one.
 
 Each metric (for a declared workload, each end-to-end metric BENCHMARK.json
-declares, and the uncalibrated `raw_call_ms_p50` and `raw_setup_s`) gets
-both sides' runs, medians and quartiles, and the number of pairs in which
-this checkout's run was better and worse, in the entry
-`workloads/<name>/<seed>` with the environment its runs reported.
+declares, the uncalibrated `raw_call_ms_p50` and `raw_setup_s`, and the
+figures of the run's details line that `FIGURES` names) gets both sides'
+runs, medians and quartiles, and the number of pairs in which this
+checkout's run was better and worse, in the entry `workloads/<name>/<seed>`
+with the environment its runs reported. A figure whose unit ends in `/s` is
+a rate and counts as better higher; every other metric as better lower.
 `--claim` adds a summary of one metric per seed: the wins, the ratio of
 medians and whether the gain of the medians exceeds the other revision's
 interquartile range.
@@ -58,6 +60,9 @@ TOOL_WORKLOADS = {"epoch": {"epoch_s": "lower", "minflt_per_step": "lower"},
                   "compare": {"compare_s": "lower"}}
 # Uncalibrated figures recorded beside the calibrated metrics: name -> key in a run's raw_wall.
 RAW_WALL = {"raw_call_ms_p50": "call_ms_p50", "raw_setup_s": "setup_s"}
+# Unbounded figures of a benchmark run's details line, recorded beside the end-to-end metrics.
+FIGURES = ("forecast_windows_per_s", "forecast_next_ms_p50", "train_windows_per_s", "analyze_s",
+           "compare_s")
 # Lengths of the environment variable PAD_VAR, in bytes, one per pair in turn.
 PAD_VAR, PAD_BYTES = "BENCH_PAIRS_PAD", (0, 8, 24, 56)
 
@@ -76,12 +81,15 @@ def run_child(argv: list[str], tree: Path, what: str, env: dict | None = None) -
 def bench_run(tree: Path, env: dict, workload: str, seed: int, seconds: float,
               metrics) -> tuple[dict, dict, dict]:
     """One benchmark run in `tree` with `env` added to the environment: its
-    metric values, operation counts and environment."""
+    metric values, then its `FIGURES` as the details line gives them
+    ({"value", "unit"}), operation counts and environment."""
     details, result = run_child(["perfbench/run.py", "--workload", workload, "--seed", str(seed),
                                  "--seconds", str(seconds), "--trace", "0"],
                                 tree, f"{workload} seed {seed}", env)
     values = {name: (details["raw_wall"][RAW_WALL[name]] if name in RAW_WALL
                      else result["metrics"][name]["value"]) for name in metrics}
+    figures = details["figures"]
+    values.update((name, figures[name]) for name in FIGURES if figures.get(name) is not None)
     counts = {"attempted": result["attempted"], "failed": result["failed"]}
     return values, counts, details["environment"]
 
@@ -120,7 +128,12 @@ def measure(run, trees: dict[str, Path], label: str, pairs: int,
     """The entry of `pairs` alternating pairs of `run(tree, env)`, with the
     environment the runs reported. Both runs of a pair add the same `PAD_VAR`
     to the environment. Each side records what its runs report under the
-    keys `PER_SIDE` names (the source hash, the epoch's loss bits)."""
+    keys `PER_SIDE` names (the source hash, the epoch's loss bits).
+
+    `metrics` gives the direction of each value a run returns as a number;
+    a run may also return figures as {"value", "unit"}: a rate (a unit
+    ending in /s) is better higher, any other figure lower."""
+    better = dict(metrics)
     values = {side: {name: [] for name in metrics} for side in SIDES}
     counts = {side: {"attempted": 0, "failed": 0} for side in SIDES}
     firsts, pads, env, per_side = [], [], {}, {}
@@ -134,15 +147,18 @@ def measure(run, trees: dict[str, Path], label: str, pairs: int,
             per_side.update({(key, side): run_env[key] for key in PER_SIDE if key in run_env})
             for key in counts[side]:
                 counts[side][key] += run_counts[key]
-            for name in metrics:
-                values[side][name].append(run_values[name])
+            for name, value in run_values.items():
+                if isinstance(value, dict):
+                    better.setdefault(name, "higher" if value["unit"].endswith("/s") else "lower")
+                    value = value["value"]
+                values[side].setdefault(name, []).append(value)
             print(f"{label} pair {pair + 1}/{pairs} {side}: "
-                  + ", ".join(f"{n} {values[side][n][-1]:.4g}" for n in metrics), flush=True)
+                  + ", ".join(f"{n} {v[-1]:.4g}" for n, v in values[side].items()), flush=True)
     entry = {"pairs": pairs, "first": firsts, f"{PAD_VAR}_bytes": pads, "operations": counts}
     for (key, side), value in per_side.items():
         entry.setdefault(key, {})[side] = value
-    entry["metrics"] = {name: compare(values["parent"][name], values["change"][name], better)
-                        for name, better in metrics.items()}
+    entry["metrics"] = {name: compare(values["parent"][name], values["change"][name], direction)
+                        for name, direction in better.items()}
     entry["environment"] = env
     return entry
 
@@ -208,8 +224,9 @@ def run_pairs(args, trees: dict[str, Path], commit: str, seconds: float, metrics
                   f"add {PAD_VAR} to the environment, its length in bytes cycling through "
                   f"{list(PAD_BYTES)} per pair ({PAD_VAR}_bytes). Metrics are the "
                   "calibrated values of each run's last stdout line; raw_call_ms_p50 is the "
-                  "uncalibrated median wall time of the main call, and raw_setup_s that of "
-                  "the workload's set-up.",
+                  "uncalibrated median wall time of the main call, raw_setup_s that of "
+                  f"the workload's set-up, and {', '.join(FIGURES)} are the figures of each "
+                  "run's details line (better higher for a unit ending in /s, else lower).",
         "parent_commit": commit,
     })
     if args.what:

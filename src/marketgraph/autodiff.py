@@ -152,13 +152,19 @@ class Tape:
                     inp.grad += gin
 
 
+def _recording(inputs: Sequence[Tensor]) -> Tape | None:
+    """The tape an op on `inputs` is recorded on, or None."""
+    tape = _tapes.stack[-1]
+    recorded = tape is not None and not tape._consumed and any(
+        t.requires_grad or t._tape is tape for t in inputs)
+    return tape if recorded else None
+
+
 def _record(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     out = Tensor._from_op(out_data)
-    tape = _tapes.stack[-1]
-    if tape is not None and not tape._consumed:
-        if any(t.requires_grad or t._tape is tape for t in inputs):
-            out._tape = tape
-            tape._entries.append((out, tuple(inputs), backward_fn))
+    if (tape := _recording(inputs)) is not None:
+        out._tape = tape
+        tape._entries.append((out, tuple(inputs), backward_fn))
     return out
 
 
@@ -563,7 +569,9 @@ def gru_sequence(x: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tensor,
         h' = (1 - z) * h + z * c
     with the input projections of all P steps taken in one product. Backward
     runs backpropagation through time in one reverse loop and then forms each
-    weight gradient as one product over the stacked [P*B] rows.
+    weight gradient as one product over the stacked [P*B] rows. Off a tape
+    (every `predict_windows`) only the states are kept, not the per-step
+    gate, candidate and reset-state arrays that backward reads.
     """
     inputs = tuple(_lift(t) for t in (x, h0, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h))
     x, h0, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = inputs
@@ -586,14 +594,15 @@ def gru_sequence(x: Tensor, h0: Tensor, w_z: Tensor, u_z: Tensor, b_z: Tensor,
     proj = (xs @ w).reshape(P, B, 3 * H)
     hs = np.empty((P + 1, B, H))   # hs[t] is the state before step t
     hs[0] = h0.data
-    zrs = np.empty((P, B, 2 * H))
-    cs, rhs = np.empty((P, B, H)), np.empty((P, B, H))
+    steps = 1 if _recording(inputs) is None else P  # off a tape no backward reads the gates
+    zrs = np.empty((steps, B, 2 * H))
+    cs, rhs = np.empty((steps, B, H)), np.empty((steps, B, H))
     for t in range(P):
-        h = hs[t]
-        zr = zrs[t] = 0.5 * (1.0 + np.tanh(0.5 * ((proj[t, :, :2 * H] + h @ u_zr) + b_zr)))
+        h, s = hs[t], t % steps
+        zr = zrs[s] = 0.5 * (1.0 + np.tanh(0.5 * ((proj[t, :, :2 * H] + h @ u_zr) + b_zr)))
         z = zr[:, :H]
-        rh = rhs[t] = zr[:, H:] * h
-        c = cs[t] = np.tanh((proj[t, :, 2 * H:] + rh @ u_h.data) + b_h.data)
+        rh = rhs[s] = zr[:, H:] * h
+        c = cs[s] = np.tanh((proj[t, :, 2 * H:] + rh @ u_h.data) + b_h.data)
         hs[t + 1] = (1.0 - z) * h + z * c
 
     def back(g):

@@ -298,6 +298,12 @@ def cmd_forecast(args) -> int:
     if frame.columns != stats.columns:
         raise DataError(f"{args.csv} holds the series {', '.join(frame.columns)}, but "
                         f"{args.checkpoint} was trained on {', '.join(stats.columns)}")
+    charts = {}
+    for label in frame.columns:
+        name = f"forecast_{_safe_name(label)}.svg"
+        if (other := charts.setdefault(name, label)) != label:
+            raise DataError(f"{args.csv}: the series {other!r} and {label!r} would both be "
+                            f"charted as {name}")
     # Every row is rebased, logged and normalized, so a bad value anywhere
     # raises; only the trailing rows the forecast reads are windowed.
     frame = normalize(log_transform(apply_rebase_rules(frame, rebase)), stats)
@@ -325,8 +331,8 @@ def cmd_forecast(args) -> int:
     out = _out_dir(args.out)
     _emit(out / "forecast.csv", trace_csv(dates, labels, actual_price, pred_price))
     date_labels = [d.isoformat() for d in dates]
-    for j, label in enumerate(labels):
-        _emit(out / f"forecast_{_safe_name(label)}.svg",
+    for j, (name, label) in enumerate(charts.items()):
+        _emit(out / name,
               svg_line_chart(date_labels, {"actual": actual_price[:, j], "predicted": pred_price[:, j]},
                              title=str(label)))
     return 0

@@ -525,10 +525,10 @@ def run_pipeline(source, window_spec: WindowSpec, split_spec: SplitSpec = SplitS
     stages.append({"stage": "normalize", "hash": _dated_hash(train_n, train_dates)})
 
     windows = tuple(make_windows(f, window_spec) for f in (train_n, val_n, test_n))
-    digest = hashlib.sha256()
-    for ws in windows:
-        digest.update(ws.x.tobytes())
-        digest.update(ws.y.tobytes())
+    digest = hashlib.sha256()  # over each stack's C-order bytes, a block of windows at a time
+    for stack in (s for ws in windows for s in (ws.x, ws.y)):
+        for i in range(0, len(stack), 64):
+            digest.update(np.ascontiguousarray(stack[i:i + 64]))
     stages.append({"stage": "window", "hash": digest.hexdigest()})
 
     result = PipelineResult(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import ctypes
 import os
 import pickle
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
@@ -238,6 +239,8 @@ MODEL_BUILDERS = {
     "tcn": _build_tcn,
     "mtgnn": _build_mtgnn,
 }
+# The order `_fit_kinds` queues the kinds in: costliest fit first.
+FIT_COST_ORDER = ("mtgnn", "gru", "tcn", "var_mlp", "ar", "persistence")
 
 
 @dataclass(frozen=True)
@@ -344,9 +347,9 @@ def run_comparison(pipeline: PipelineResult, window_spec: WindowSpec,
 
     A model that fails with a toolkit error or a singular linear system is
     recorded under `errors` and the rest still run; any other exception is a
-    bug and propagates. The models may be fitted in forked children
-    (`_fit_kinds`); each draws only from its own stream, so the result is the
-    same either way.
+    bug and propagates. The models are fitted costliest first, maybe in
+    forked children (`_fit_kinds`); each draws only from its own stream, so
+    the result, in `include` order, is the same in any order and process.
     """
     labels = pipeline.train.columns
     root = Rng(spec.train.seed)
@@ -415,35 +418,43 @@ def _comparison_workers(kinds: int) -> int:
     return max(0, min(cores or 1, kinds) - 1)
 
 
-def _claim(claims: int, kinds: tuple[str, ...], fit, outcomes: dict) -> None:
-    """Fit each kind claimed from the pipe `claims`, one byte (an index into
-    `kinds`) at a time, into `outcomes` until the pipe is empty. A fit that
-    raises ends the claiming and leaves its kind without an outcome."""
-    while claim := os.read(claims, 1):
-        kind = kinds[claim[0]]
-        try:
+def _claim(claims: int, queue: tuple[str, ...]) -> str | None:
+    """The kind claimed from the pipe `claims`, one byte (an index into
+    `queue`), or None once the pipe is empty."""
+    claim = os.read(claims, 1)
+    return queue[claim[0]] if claim else None
+
+
+def _fit_claims(kind: str | None, claims: int, queue: tuple[str, ...], fit, outcomes: dict) -> None:
+    """Fit `kind`, then each kind claimed from `claims`, into `outcomes`. A
+    fit that raises leaves its kind without an outcome, and the claiming goes
+    on, so the kinds queued after it are fitted as they would be without it."""
+    while kind is not None:
+        with suppress(Exception):
             outcomes[kind] = fit(kind)
-        except Exception:
-            return
+        kind = _claim(claims, queue)
 
 
 def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
     """`fit(kind)` for every kind, fitted by this process and by
     `_comparison_workers` forked children, all claiming from one queue in
-    `kinds` order.
+    `FIT_COST_ORDER`. This process claims the first, costliest kind before it
+    forks, so it fits the critical path on its own heap: a just-forked child
+    pays copy-on-write page faults on its first fits.
 
     While a child runs, OpenBLAS is pinned to one thread in every process, so
     that the processes do not contend for the cores, and this process's count
     is restored afterwards. Each child sends its outcomes back once the queue
     is empty. One rule covers every kind left without an outcome, whether
-    its fit raised in any process (see `_claim`) or a dead child held it:
-    once every child is reaped, this process fits it again, in `kinds`
+    its fit raised in any process (see `_fit_claims`) or a dead child held
+    it: once every child is reaped, this process fits it again, in `kinds`
     order, so the first exception propagates from here just as it would in
     a sequential run.
     """
+    queue = tuple(sorted(kinds, key=FIT_COST_ORDER.index))
     outcomes, children, sent = {}, [], None
     claims, fill = os.pipe()
-    os.write(fill, bytes(range(len(kinds))))
+    os.write(fill, bytes(range(len(queue))))
     os.close(fill)
     workers = _comparison_workers(len(kinds))
     pin = _openblas_threads() if workers else None  # (get, set) of the BLAS thread count
@@ -451,6 +462,7 @@ def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
     try:
         if pin:
             pin[1](1)
+        first = _claim(claims, queue)
         for _ in range(workers):
             fd, out = os.pipe()
             try:
@@ -466,7 +478,7 @@ def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
                     for _, pipe in children:
                         pipe.close()
                     mine = {}
-                    _claim(claims, kinds, fit, mine)
+                    _fit_claims(_claim(claims, queue), claims, queue, fit, mine)
                     with os.fdopen(out, "wb") as sending:
                         pickle.dump(mine, sending)
                     status = 0
@@ -474,7 +486,7 @@ def _fit_kinds(kinds: tuple[str, ...], fit) -> dict:
                     os._exit(status)
             os.close(out)
             children.append((pid, open(fd, "rb")))
-        _claim(claims, kinds, fit, outcomes)
+        _fit_claims(first, claims, queue, fit, outcomes)
         sent = [pipe.read() for _, pipe in children]
     finally:
         os.close(claims)

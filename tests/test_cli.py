@@ -688,6 +688,24 @@ def test_forecast_round_trip(trained_run, tmp_path, capsys):
     assert np.isfinite(values).all() and (values > 0).all()
 
 
+@pytest.mark.parametrize("steps", ["4", "0"])
+def test_forecast_refuses_two_series_with_one_chart_name_before_writing(tmp_path, capsys, steps):
+    # `a b` and `a_b` would both be charted as forecast_a_b.svg
+    csv_path = tmp_path / "prices.csv"
+    write_frame_csv(build_frame(make_dataset(csv_path).values, columns=["a b", "a_b", "c"]),
+                    csv_path)
+    config = write_config(tmp_path / "run.json", csv_path)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fc"
+    assert main(["forecast", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                 "--csv", str(csv_path), "--steps", steps, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert str(csv_path) in captured.err and "forecast_a_b.svg" in captured.err
+    assert "'a b'" in captured.err and "'a_b'" in captured.err
+
+
 def test_forecast_zero_steps_writes_header_only(trained_run, tmp_path, capsys):
     csv_path, checkpoint = trained_run
     out = tmp_path / "fc0"

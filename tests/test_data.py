@@ -1,5 +1,6 @@
 """CSV loading, rebasing, transforms, splitting, normalization, windowing."""
 import datetime
+import hashlib
 import logging
 import re
 
@@ -660,6 +661,19 @@ def test_pipeline_stage_hashes_are_frame_hashes_of_each_stage(small_prices):
     expected = [frame_hash(small_prices), frame_hash(small_prices), frame_hash(logged),
                 frame_hash(logged.slice_rows(0, train_rows)), frame_hash(result.train)]
     assert [s["hash"] for s in result.report["stages"][:5]] == expected
+
+
+def test_pipeline_window_hash_is_sha256_over_each_stack_in_c_order():
+    # long enough that the train stacks span several blocks of windows, the last one partial
+    gen = np.random.default_rng(3)
+    frame = build_frame(100.0 * np.exp(np.cumsum(gen.normal(0.0, 0.01, size=(400, 3)), axis=0)))
+    result = run_pipeline(frame, WindowSpec(P=8, Q=2))
+    assert len(result.train_windows) > 64 * 3
+    digest = hashlib.sha256()
+    for ws in (result.train_windows, result.validation_windows, result.test_windows):
+        digest.update(np.array(ws.x, order="C").tobytes())
+        digest.update(np.array(ws.y, order="C").tobytes())
+    assert result.report["stages"][-1] == {"stage": "window", "hash": digest.hexdigest()}
 
 
 def test_pipeline_normalization_uses_train_stats_only(small_prices):

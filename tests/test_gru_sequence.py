@@ -80,6 +80,36 @@ def test_a_training_batch_records_a_handful_of_tape_entries(case, horizon):
     assert all(p.grad is not None for p in model.parameters())
 
 
+@settings(max_examples=30, deadline=None)
+@given(cases())
+def test_states_are_the_same_bytes_on_and_off_a_tape(case):
+    x, h0, weights = case
+    plain = gru_sequence(x, h0, *weights)
+    tape = Tape()
+    with tape:
+        taped = gru_sequence(x, h0, *weights)
+    assert len(tape) == 1 and plain._tape is None
+    assert taped.data.tobytes() == plain.data.tobytes()
+
+
+def test_prediction_keeps_no_per_step_gate_arrays():
+    # 256 windows of 6 series over 30 steps at hidden size 64: the [P, B, 3H]
+    # input projections (11.8 MB) and the states (8 MB with their copy) stay;
+    # the per-step gate, candidate and reset-state stacks (15.7 MB) do not.
+    import tracemalloc
+
+    model = GruModel(GruConfig(num_series=6, hidden_size=64), Rng(3))
+    x = np.random.default_rng(0).normal(size=(256, 6, 30))
+    model.predict_windows(x)
+    tracemalloc.start()
+    try:
+        model.predict_windows(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_rejects_mismatched_shapes():
     N, H = 2, 3
     h0 = Tensor(np.zeros((1, H)))

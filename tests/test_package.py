@@ -338,3 +338,9 @@ def test_every_op_that_records_on_the_tape_has_a_gradient_check():
     drawn = {key.value for key in _dict_assigned(tests / "test_grad_properties.py", "GRAD_CASES").keys}
     assert len(recording) > 20
     assert sorted(recording - fixed - drawn) == []
+
+
+def test_the_fit_cost_order_is_a_permutation_of_the_model_kinds():
+    from marketgraph.training import FIT_COST_ORDER, MODEL_BUILDERS
+
+    assert sorted(FIT_COST_ORDER) == sorted(MODEL_BUILDERS)

@@ -111,6 +111,55 @@ def test_run_pairs_puts_every_workload_under_workloads_and_claims_any(bench_pair
         "parent_iqr": 0.0, "ratio_of_medians": 0.8, "gain_exceeds_parent_iqr": True}}}
 
 
+def test_epoch_run_records_where_the_faults_of_a_comparison_went(bench_pairs, monkeypatch):
+    argvs = []
+
+    def run_child(argv, tree, what, env):
+        argvs.append(argv)
+        return [{"compare_s": 3.5, "kinds": 6, "minflt_self": 4000, "minflt_children": 9000,
+                 "result_sha256": "ab"}]
+
+    monkeypatch.setattr(bench_pairs, "run_child", run_child)
+    values, counts, env = bench_pairs.epoch_run(Path("tree"), {}, "compare", 1)
+    assert argvs[0][-1] == "--compare"
+    assert values == {"compare_s": 3.5, "minflt_self": 4000, "minflt_children": 9000}
+    assert counts == {"attempted": 1, "failed": 0}
+    assert env["result_sha256"] == "ab"
+    assert bench_pairs.TOOL_WORKLOADS["compare"] == {
+        "compare_s": "lower", "minflt_self": "lower", "minflt_children": "lower"}
+
+
+def test_epoch_compare_prints_the_fault_deltas_of_this_process_and_its_children(monkeypatch,
+                                                                                 capsys):
+    import resource
+
+    import marketgraph
+
+    spec = importlib.util.spec_from_file_location("epoch", TOOLS / "epoch.py")
+    epoch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(epoch)
+    # each getrusage call reads 10 more faults for this process, 100 more for its children
+    reads = {resource.RUSAGE_SELF: 0, resource.RUSAGE_CHILDREN: 0}
+
+    def getrusage(who):
+        reads[who] += 1
+        return Namespace(ru_minflt=reads[who] * (10 if who == resource.RUSAGE_SELF else 100))
+
+    class Result:
+        def to_dict(self):
+            return {"models": {}}
+
+    monkeypatch.setattr(sys, "path", [*sys.path])  # main puts --src first
+    monkeypatch.setattr(epoch.resource, "getrusage", getrusage)
+    monkeypatch.setattr(marketgraph, "run_comparison", lambda *args: Result())
+    monkeypatch.setattr(marketgraph, "run_pipeline", lambda *args: None)
+    assert epoch.main(["--compare", "--src", str(TOOLS.parent / "src")]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert (line["minflt_self"], line["minflt_children"]) == (10, 100)
+    assert line["kinds"] == 6 and set(line) == {"compare_s", "kinds", "minflt_self",
+                                                 "minflt_children", "result_sha256"}
+
+
 def test_main_refuses_an_unknown_workload_before_unpacking(bench_pairs, tmp_path, monkeypatch,
                                                            capsys):
     def unpack(*args):

@@ -6,12 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import date
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import build_frame
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import marketgraph
 from marketgraph import (
@@ -596,6 +600,108 @@ def test_comparison_kills_and_reaps_its_workers_on_an_interrupt(monkeypatch):
     with pytest.raises(Interrupt):
         run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), all_kinds_spec())
     assert_no_child_left()
+
+
+def test_comparison_kills_and_reaps_a_worker_when_an_interrupt_lands_after_the_fork(monkeypatch):
+    import marketgraph.training as training
+
+    parent, real_claim = os.getpid(), training._claim
+    claims = []
+
+    def claim(*args):
+        # this process's first claim comes before the fork; its second after it
+        if os.getpid() == parent:
+            claims.append(real_claim(*args))
+            if len(claims) == 2:
+                raise Interrupt
+            return claims[-1]
+        return real_claim(*args)
+
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: 1)
+    monkeypatch.setattr(training, "_claim", claim)
+    spec = ComparisonSpec(train=TrainConfig(epochs=1, seed=0),
+                          include=("persistence", "ar", "gru"))
+    with pytest.raises(Interrupt):
+        run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert claims[0] == "gru"
+    assert_no_child_left()
+
+
+def fitted_by(monkeypatch, tmp_path) -> Path:
+    """Make every builder append `<kind> <pid>` to the returned file in the
+    process that runs it."""
+    import marketgraph.training as training
+
+    log = tmp_path / "fits.txt"
+    for kind, build in training.MODEL_BUILDERS.items():
+        def logged(*args, kind=kind, build=build):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{kind} {os.getpid()}\n")
+            return build(*args)
+        monkeypatch.setitem(training.MODEL_BUILDERS, kind, logged)
+    return log
+
+
+@pytest.mark.parametrize("include, costliest", [
+    (("persistence", "ar", "var_mlp"), "var_mlp"),
+    (("gru", "persistence", "tcn", "ar"), "gru"),
+    (("tcn", "ar", "persistence"), "tcn"),
+    (("persistence", "tcn", "mtgnn", "gru"), "mtgnn"),
+])
+def test_this_process_fits_the_costliest_included_kind(monkeypatch, tmp_path, include, costliest):
+    import marketgraph.training as training
+
+    log = fitted_by(monkeypatch, tmp_path)
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: 1)
+    spec = replace(all_kinds_spec(), include=include)
+    result = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), spec)
+    assert_no_child_left()
+    fits = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert sorted(kind for kind, _ in fits) == sorted(include)  # each kind fitted once
+    # the first kind this process fitted
+    assert next(kind for kind, pid in fits if pid == str(os.getpid())) == costliest
+    assert list(result.reports) == list(include)
+
+
+def test_without_workers_the_kinds_are_fitted_costliest_first(monkeypatch, tmp_path):
+    import marketgraph.training as training
+
+    log = fitted_by(monkeypatch, tmp_path)
+    monkeypatch.setattr(training, "_comparison_workers", lambda kinds: 0)
+    run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1),
+                   replace(all_kinds_spec(), include=("persistence", "gru", "ar", "tcn")))
+    order = [line.split()[0] for line in log.read_text(encoding="utf-8").splitlines()]
+    assert order == ["gru", "tcn", "ar", "persistence"]
+
+
+@cache
+def every_kind_alone() -> dict:
+    """Each kind's report JSON and history from a sequential run of all kinds."""
+    import marketgraph.training as training
+
+    workers, training._comparison_workers = training._comparison_workers, lambda kinds: 0
+    try:
+        result = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1), all_kinds_spec())
+    finally:
+        training._comparison_workers = workers
+    return {kind: (json.dumps(report.to_dict()), result.histories.get(kind))
+            for kind, report in result.reports.items()}
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.permutations(ALL_KINDS))
+def test_any_include_order_gives_each_kind_the_same_report_in_include_order(include):
+    result = run_comparison(toy_pipeline(), WindowSpec(P=8, Q=1),
+                            replace(all_kinds_spec(), include=tuple(include)))
+    assert_no_child_left()
+    assert list(result.reports) == list(include)
+    assert list(result.to_dict()["models"]) == list(include)
+    assert [line[2:].split(" |")[0] for line in result.render_markdown().splitlines()
+            if line.startswith("| ") and not line.startswith("| model")][:len(include)] \
+        == list(include)
+    alone = every_kind_alone()
+    for kind, report in result.reports.items():
+        assert (json.dumps(report.to_dict()), result.histories.get(kind)) == alone[kind]
 
 
 def test_comparison_fits_every_kind_here_when_a_fork_fails(monkeypatch):

@@ -13,7 +13,9 @@ one run in each tree. A run of a workload BENCHMARK.json declares is
 `compare` run `tools/epoch.py` (without and with its `--compare`) on one
 tree's package in a fresh process: one MTGNN epoch on the criterion-7 panel
 at batch 8 (`epoch_s`, `minflt_per_step`), or one default `run_comparison`
-of all six kinds on that panel (`compare_s`). Other names are refused.
+of all six kinds on that panel (`compare_s`, and the minor page faults of
+the calling process and of its workers, `minflt_self` and
+`minflt_children`). Other names are refused.
 
 The tree that runs first alternates from pair to pair, so a drift of the
 machine's speed falls on both sides alike. Both runs of a pair get one
@@ -57,7 +59,8 @@ SIDES = ("parent", "change")
 PER_SIDE = ("src_sha256", "train_loss", "result_sha256")
 # Workloads timed by tools/epoch.py instead of the benchmark: name -> its metrics.
 TOOL_WORKLOADS = {"epoch": {"epoch_s": "lower", "minflt_per_step": "lower"},
-                  "compare": {"compare_s": "lower"}}
+                  "compare": {"compare_s": "lower", "minflt_self": "lower",
+                              "minflt_children": "lower"}}
 # Uncalibrated figures recorded beside the calibrated metrics: name -> key in a run's raw_wall.
 RAW_WALL = {"raw_call_ms_p50": "call_ms_p50", "raw_setup_s": "setup_s"}
 # Unbounded figures of a benchmark run's details line, recorded beside the end-to-end metrics.

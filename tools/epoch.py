@@ -16,8 +16,13 @@ training loss, whose bits tell whether two trees trained alike.
 With `--compare` it times instead one `run_comparison` of every model kind
 with the default `ComparisonSpec` at `COMPARE_EPOCHS` epochs, on the same
 panel, as `marketgraph compare` runs it (forked workers included). It prints
-the wall seconds (`compare_s`) and the sha256 of the result's `to_dict()`
-JSON, which tells whether two trees compared alike.
+the wall seconds (`compare_s`), the sha256 of the result's `to_dict()`
+JSON, which tells whether two trees compared alike, and where the minor
+page faults of the comparison went: `minflt_self`, those this process took,
+and `minflt_children`, those its forked workers took (the `ru_minflt`
+deltas of `getrusage` for `RUSAGE_SELF` and `RUSAGE_CHILDREN`; a child's
+count is added once it is reaped, which `run_comparison` does before it
+returns).
 """
 from __future__ import annotations
 
@@ -55,11 +60,15 @@ def main(argv=None) -> int:
         from marketgraph.training import ComparisonSpec
 
         spec = ComparisonSpec(train=TrainConfig(epochs=COMPARE_EPOCHS, seed=args.seed))
+        who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        faults = [resource.getrusage(w).ru_minflt for w in who]
         start = time.perf_counter()
         result = run_comparison(pipeline, window, spec)
         seconds = time.perf_counter() - start
+        faults = [resource.getrusage(w).ru_minflt - f for w, f in zip(who, faults)]
         digest = hashlib.sha256(json.dumps(result.to_dict()).encode()).hexdigest()
         print(json.dumps({"compare_s": seconds, "kinds": len(spec.include),
+                          "minflt_self": faults[0], "minflt_children": faults[1],
                           "result_sha256": digest}))
         return 0
     root = Rng(args.seed)

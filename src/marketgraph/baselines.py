@@ -72,9 +72,8 @@ class ArEnsemble(Model):
 
     def __init__(self, config: ArConfig, rng: Rng | None = None):
         super().__init__(config)
-        self.per_series = [(self.register(f"series{j}.intercept", Tensor(np.zeros(1))),
-                            self.register(f"series{j}.coeffs", Tensor(np.zeros(config.order))))
-                           for j in range(config.num_series)]
+        self.per_series = [(self.bias(f"series{j}.intercept", 1),
+                            self.bias(f"series{j}.coeffs", config.order)) for j in range(config.num_series)]
 
     def predict_windows(self, x: np.ndarray, horizon: int = 1) -> np.ndarray:
         order = self.config.order
@@ -169,8 +168,8 @@ class VarMlpModel(Model):
     def __init__(self, config: VarMlpConfig, rng: Rng):
         super().__init__(config)
         p, n, h = config.order, config.num_series, config.hidden
-        self.intercept = self.register("var.intercept", Tensor(np.zeros(n)))
-        self.coef = self.register("var.coef", Tensor(np.zeros((p, n, n))))
+        self.intercept = self.bias("var.intercept", n)
+        self.coef = self.bias("var.coef", (p, n, n))
         self.w1 = self.weight(rng.split(), "mlp.w1", (n * p, h), n * p)
         self.b1 = self.bias("mlp.b1", h)
         self.w2 = self.bias("mlp.w2", (h, n))

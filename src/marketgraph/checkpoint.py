@@ -86,7 +86,7 @@ class Model:
 
     A subclass sets `kind` and `config_class` (a dataclass whose fields are
     the checkpoint's `config`), takes `(config, rng)` in its constructor and
-    creates every parameter where it registers it, in checkpoint order;
+    makes every parameter with `weight` or `bias`, in checkpoint order;
     `from_checkpoint` checks each against the file before its array is made.
     """
 
@@ -98,30 +98,29 @@ class Model:
         self.config = config
         self._params: dict[str, Tensor] = {}
 
-    def _claim(self, name: str, shape: tuple) -> None:
+    def _claim(self, name: str, shape) -> tuple:
+        """`shape` as a tuple, once `name` is checked against this model and the file it loads."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         if self._saved is not None and name not in self._saved:
             raise ShapeError(f"{name}: not in the checkpoint")
-        if self._saved is not None and np.shape(self._saved[name]) != tuple(shape):
-            raise ShapeError(f"{name}: shape {np.shape(self._saved[name])} does not match {tuple(shape)}")
-
-    def register(self, name: str, t: Tensor) -> Tensor:
-        self._claim(name, t.shape)
-        self._params[name] = t
-        return t
+        if self._saved is not None and np.shape(self._saved[name]) != shape:
+            raise ShapeError(f"{name}: shape {np.shape(self._saved[name])} does not match {shape}")
+        return shape
 
     def weight(self, init: Rng, name: str, shape: tuple, fan_in: int) -> Tensor:
-        """A N(0, 1/fan_in) draw from `init`, registered under `name`; zeros
-        while `from_checkpoint` builds the model, since the file's values
-        replace them."""
-        self._claim(name, shape)
+        """A N(0, 1/fan_in) draw from `init` under `name`; zeros while
+        `from_checkpoint` builds the model, since the file's values replace
+        them."""
+        shape = self._claim(name, shape)
         data = np.zeros(shape) if self._saved is not None else init.normal(shape, 1.0 / np.sqrt(fan_in))
-        return self.register(name, Tensor(data, requires_grad=True))
+        t = self._params[name] = Tensor(data, requires_grad=True)
+        return t
 
     def bias(self, name: str, shape) -> Tensor:
-        self._claim(name, (shape,) if isinstance(shape, int) else shape)
-        return self.register(name, Tensor(np.zeros(shape), requires_grad=True))
+        t = self._params[name] = Tensor(np.zeros(self._claim(name, shape)), requires_grad=True)
+        return t
 
     def parameters(self) -> list[Tensor]:
         return list(self._params.values())

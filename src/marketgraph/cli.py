@@ -141,9 +141,12 @@ def _resolve_seed(config_seed: int) -> int:
     if env is None or env == "":
         return config_seed
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
-        raise ConfigError(f"MARKETGRAPH_SEED must be an integer, got {env!r}") from None
+        seed = -1
+    if seed < 0:  # refused here, so that the error names the variable rather than the document
+        raise ConfigError(f"MARKETGRAPH_SEED must be a nonnegative integer, got {env!r}")
+    return seed
 
 
 def _emit(path: Path, text: str) -> None:
@@ -255,9 +258,11 @@ def cmd_influence(args) -> int:
 
     adj = read_adjacency_csv(args.adjacency)
     group = None
-    if args.group:
+    if args.group is not None:
         presets = {"g7": G7_COUNTRIES, "mint": MINT_COUNTRIES}
         group = presets.get(args.group.lower()) or [s.strip() for s in args.group.split(",")]
+        if "" in group:
+            raise ConfigError(f"--group has an empty entry: {args.group!r}")
     for label, degree in rank_influence(adj, hops=args.hops, group=group):
         print(f"{label}\t{degree}")
     return 0
@@ -292,7 +297,6 @@ def cmd_forecast(args) -> int:
     model = MtgnnModel.from_checkpoint(ckpt, args.checkpoint)
     stats, rebase = _forecast_metadata(ckpt.extra, args.checkpoint, model.config.num_nodes)
     window = WindowSpec(P=model.config.input_window, Q=model.config.horizon)
-    P, Q = window.P, window.Q
 
     frame = load_csv(args.csv)
     if frame.columns != stats.columns:
@@ -304,8 +308,7 @@ def cmd_forecast(args) -> int:
         if (other := charts.setdefault(name, label)) != label:
             raise DataError(f"{args.csv}: the series {other!r} and {label!r} would both be "
                             f"charted as {name}")
-    # Every row is rebased, logged and normalized, so a bad value anywhere
-    # raises; only the trailing rows the forecast reads are windowed.
+    # Every row is rebased, logged and normalized, so a bad value anywhere raises.
     frame = normalize(log_transform(apply_rebase_rules(frame, rebase)), stats)
     labels = frame.columns
     if args.steps == 0:
@@ -313,20 +316,19 @@ def cmd_forecast(args) -> int:
         _emit(_out_dir(args.out) / "forecast.csv", trace_csv([], labels, empty, empty))
         return 0
 
-    positions = window.count(frame.num_rows)
+    windows = make_windows(frame, window)
+    positions = len(windows)
     steps = positions if args.steps is None else args.steps
     if steps < 0:
         raise ConfigError(f"steps must be nonnegative, got {steps}")
     if steps > positions:
         raise DataError(f"only {positions} forecast positions available, {steps} requested")
-    tail = frame.slice_rows(frame.num_rows - (steps + P + Q - 1), frame.num_rows)
-    windows = make_windows(tail, window)
-    y = windows.y[:, :, 0]
-    pred = model.predict_windows(windows.x, horizon=Q)[:, :, 0]
+    y = windows.y[-steps:, :, 0]
+    pred = model.predict_windows(windows.x[-steps:], horizon=window.Q)[:, :, 0]
 
     actual_price = invert_predictions(y, stats)
     pred_price = invert_predictions(pred, stats)
-    dates = tail.dates[P:P + steps]  # the first target of each window
+    dates = frame.dates[window.P + positions - steps:window.P + positions]  # each window's first target
 
     out = _out_dir(args.out)
     _emit(out / "forecast.csv", trace_csv(dates, labels, actual_price, pred_price))

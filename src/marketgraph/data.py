@@ -163,6 +163,8 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
                 raise DataError(f"{path}: duplicate date {d1.isoformat()}")
     if len(dates) < 2:
         raise DataError(f"{path}: fewer than 2 usable rows after dropping incomplete ones")
+    if dropped:
+        log.info("%s: dropped %d row(s) with missing cells", path, dropped)
     return TimeSeriesFrame(tuple(dates), columns, matrix), dropped
 
 
@@ -199,10 +201,7 @@ def load_csv(path) -> TimeSeriesFrame:
     with any blank cell are dropped (count logged; the pipeline report also
     records it).
     """
-    frame, dropped = _parse_csv(path)
-    if dropped:
-        log.info("%s: dropped %d row(s) with missing cells", path, dropped)
-    return frame
+    return _parse_csv(path)[0]
 
 
 @contextmanager
@@ -359,23 +358,21 @@ def normalize(frame: TimeSeriesFrame, stats: NormStats) -> TimeSeriesFrame:
     return TimeSeriesFrame(frame.dates, frame.columns, (frame.values - stats.mean) / stats.std)
 
 
-def denormalize_values(values: np.ndarray, stats: NormStats, axis: int = -1) -> np.ndarray:
-    """Undo z-scoring on a bare array whose `axis` runs over the columns."""
+def denormalize_values(values: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Undo z-scoring on a bare array whose last axis runs over the columns."""
     values = np.asarray(values, dtype=np.float64)
-    if values.shape[axis] != len(stats.columns):
-        raise ShapeError(f"axis {axis} has extent {values.shape[axis]}, stats cover {len(stats.columns)} columns")
-    view = [1] * values.ndim
-    view[axis] = len(stats.columns)
-    return values * stats.std.reshape(view) + stats.mean.reshape(view)
+    if values.shape[-1:] != stats.mean.shape:
+        raise ShapeError(f"last axis of {values.shape} does not match {len(stats.columns)} stats columns")
+    return values * stats.std + stats.mean
 
 
-def invert_predictions(values: np.ndarray, stats: NormStats, axis: int = -1) -> np.ndarray:
+def invert_predictions(values: np.ndarray, stats: NormStats) -> np.ndarray:
     """Map model outputs back to price scale: exp after de-normalization.
 
     The forward chain is log then normalize, so inversion composes the two
     inverses in the opposite order.
     """
-    return np.exp(denormalize_values(values, stats, axis))
+    return np.exp(denormalize_values(values, stats))
 
 
 @dataclass(frozen=True)

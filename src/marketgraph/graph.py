@@ -117,7 +117,7 @@ def out_degree(adj: AdjacencyMatrix, hops: int = 1) -> np.ndarray:
 
 def rank_influence(adj: AdjacencyMatrix, hops: int = 1,
                    group: Iterable[str] | None = None) -> list[tuple[str, int]]:
-    """Nodes of `group` (default: all) ranked by out-degree, descending.
+    """Nodes of `group` (default: all; each label once) ranked by out-degree, descending.
 
     Ties are broken by lexicographic label order so the ranking is stable.
     """
@@ -130,6 +130,9 @@ def rank_influence(adj: AdjacencyMatrix, hops: int = 1,
         unknown = [g for g in chosen if g not in by_label]
         if unknown:
             raise DataError(f"unknown node label(s): {', '.join(unknown)}")
+        repeated = sorted({g for g in chosen if chosen.count(g) > 1})
+        if repeated:
+            raise DataError(f"group lists {', '.join(repeated)} more than once")
     return sorted(((lbl, by_label[lbl]) for lbl in chosen), key=lambda it: (-it[1], it[0]))
 
 

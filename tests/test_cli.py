@@ -20,7 +20,11 @@ from hypothesis import strategies as st
 from marketgraph import ConfigError, MtgnnConfig, MtgnnModel, Rng, TrainConfig, WindowSpec
 from marketgraph.baselines import MlpSpec
 from marketgraph.cli import RunConfig, main, parse_run_config
-from marketgraph.data import RebaseRule, SplitSpec, matrix_csv
+from marketgraph.checkpoint import load_checkpoint
+from marketgraph.data import (
+    NormStats, RebaseRule, SplitSpec, invert_predictions, load_csv, log_transform, make_windows,
+    matrix_csv, normalize, trace_csv,
+)
 from marketgraph.synthetic import coupled_var_system
 from marketgraph.training import ComparisonSpec
 
@@ -308,6 +312,22 @@ def test_influence_explicit_label_list(capsys):
     assert {line.split("\t")[0] for line in lines} == {"US", "UK"}
 
 
+def test_influence_refuses_a_label_listed_twice_naming_it(capsys):
+    assert main(["influence", str(FIXTURES / "g7_mint_adjacency.csv"),
+                 "--group", "US,UK,US"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group lists US more than once\n"
+
+
+@pytest.mark.parametrize("group", [" , ", "US,,UK", ""])
+def test_influence_refuses_an_empty_group_entry_naming_the_option(capsys, group):
+    assert main(["influence", str(FIXTURES / "g7_mint_adjacency.csv"), "--group", group]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --group has an empty entry: {group!r}\n"
+
+
 def test_influence_unknown_label_exits_2(capsys):
     assert main(["influence", str(FIXTURES / "g7_mint_adjacency.csv"),
                  "--group", "Atlantis"]) == 2
@@ -419,7 +439,21 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setenv("MARKETGRAPH_SEED", "-1")
     assert main(["train", "--config", str(config), "--out", str(tmp_path / "run3")]) == 2
-    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert "MARKETGRAPH_SEED must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_negative_seed_env_is_refused_naming_the_variable_before_out_exists(tmp_path, capsys,
+                                                                           monkeypatch, command):
+    csv_path = tmp_path / "prices.csv"
+    make_dataset(csv_path)
+    config = write_config(tmp_path / "run.json", csv_path)
+    monkeypatch.setenv("MARKETGRAPH_SEED", "-3")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: MARKETGRAPH_SEED must be a nonnegative integer, got '-3'\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_train_bad_config_and_missing_dataset_exit_2(tmp_path, capsys):
@@ -954,12 +988,30 @@ def full_forecast(tmp_path_factory):
 @example(steps=1)
 @example(steps=FULL_ROWS - FULL_P)
 def test_forecast_steps_writes_the_last_rows_of_the_full_forecast(full_forecast, tmp_path_factory, steps):
-    # Only the trailing windows are built; the rows they give must not move.
+    # A shorter forecast writes the same rows as the trailing ones of the full one.
     csv_path, checkpoint, lines = full_forecast
     out = tmp_path_factory.mktemp("steps")
     assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
                  "--steps", str(steps), "--out", str(out)]) == 0
     assert (out / "forecast.csv").read_bytes() == b"".join([lines[0], *lines[-steps:]])
+
+
+@pytest.mark.parametrize("steps", [1, (FULL_ROWS - FULL_P) // 2, FULL_ROWS - FULL_P])
+def test_forecast_steps_predicts_the_last_windows_of_the_whole_normalized_frame(full_forecast, tmp_path,
+                                                                                steps):
+    csv_path, checkpoint, _ = full_forecast
+    ckpt = load_checkpoint(checkpoint)
+    model = MtgnnModel.from_checkpoint(ckpt, checkpoint)
+    stats = NormStats(**ckpt.extra["norm_stats"])
+    frame = normalize(log_transform(load_csv(csv_path)), stats)  # the run has no rebase rule
+    windows = make_windows(frame, WindowSpec(P=FULL_P, Q=1))
+    pred = invert_predictions(model.predict_windows(windows.x[-steps:])[:, :, 0], stats)
+    actual = invert_predictions(windows.y[-steps:, :, 0], stats)
+    expected = trace_csv(frame.dates[FULL_P:][-steps:], frame.columns, actual, pred)
+    out = tmp_path / "fc"
+    assert main(["forecast", "--checkpoint", str(checkpoint), "--csv", str(csv_path),
+                 "--steps", str(steps), "--out", str(out)]) == 0
+    assert (out / "forecast.csv").read_bytes() == expected.encode()
 
 
 def not_utf8(path):

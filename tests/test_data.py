@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from marketgraph import (
     ConfigError, DataError, DomainError, ShapeError, TimeSeriesFrame, WindowSpec, load_csv,
@@ -67,6 +68,22 @@ def test_load_drops_incomplete_rows(tmp_path, caplog):
         frame = load_csv(path)
     assert frame.num_rows == 2
     assert any("2" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.mark.parametrize("entry", ["load_csv", "run_pipeline"])
+def test_both_csv_entries_log_the_dropped_rows_once(tmp_path, caplog, entry):
+    path = tmp_path / "d.csv"
+    gen = np.random.default_rng(8)
+    write_frame_csv(build_frame(np.exp(np.cumsum(gen.normal(0, 0.01, (200, 2)), axis=0))), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[50] = lines[50].rsplit(",", 1)[0] + ",\n"  # one blank cell
+    path.write_text("".join(lines), encoding="utf-8")
+    with caplog.at_level(logging.INFO, logger="marketgraph.data"):
+        if entry == "load_csv":
+            assert load_csv(path).num_rows == 199
+        else:
+            assert run_pipeline(path, WindowSpec(P=5, Q=1)).report["input"]["dropped_rows"] == 1
+    assert [r.getMessage() for r in caplog.records] == [f"{path}: dropped 1 row(s) with missing cells"]
 
 
 def test_load_duplicate_date_names_the_date(tmp_path):
@@ -452,9 +469,24 @@ def test_stats_column_mismatch_rejected():
 def test_denormalize_values_trailing_axis():
     stats = NormStats(columns=("a", "b"), mean=np.array([1.0, 2.0]),
                       std=np.array([3.0, 4.0]))
-    z = np.array([[[1.0], [1.0]]])  # [B=1, N=2, Q=1]
-    out = denormalize_values(z, stats, axis=1)
-    np.testing.assert_allclose(out[0, :, 0], [4.0, 6.0])
+    z = np.array([[[1.0, 1.0]]])  # [B=1, Q=1, N=2]
+    out = denormalize_values(z, stats)
+    np.testing.assert_allclose(out[0, 0, :], [4.0, 6.0])
+    with pytest.raises(ShapeError, match="last axis"):  # the series must come last
+        denormalize_values(z.transpose(0, 2, 1), stats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_invert_predictions_is_exp_of_last_axis_denormalization(data, n):
+    finite = st.floats(-10.0, 10.0)
+    mean = data.draw(hnp.arrays(np.float64, n, elements=finite))
+    std = data.draw(hnp.arrays(np.float64, n, elements=st.floats(0.01, 10.0)))
+    lead = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    v = data.draw(hnp.arrays(np.float64, (*lead, n), elements=finite))
+    out = invert_predictions(v, NormStats(tuple(f"s{j}" for j in range(n)), mean, std))
+    expected = np.exp(v * std + mean)
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
 
 def test_invert_predictions_is_exp_of_denormalized():

@@ -51,6 +51,27 @@ def test_measure_alternates_sides_cycles_pads_and_counts_wins(bench_pairs):
     assert entry["environment"] == {"cpu": "x"}
 
 
+def test_src_lines_counts_the_package_modules_as_wc_does_and_measure_records_both_sides(
+        bench_pairs, tmp_path):
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for side, tree in trees.items():
+        package = tree / "src" / "marketgraph"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n\ny = 2\n", encoding="utf-8")
+        # change's b.py ends without a newline: wc counts 2 lines, not 3
+        (package / "b.py").write_text("z = 3\nw = 4\nv = 5" if side == "change" else "z = 3\n",
+                                      encoding="utf-8")
+        (package / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+        (package / "sub" / "c.py").write_text("not counted\n", encoding="utf-8")
+        (tree / "src" / "other.py").write_text("not counted\n", encoding="utf-8")
+    assert (bench_pairs.src_lines(trees["parent"]), bench_pairs.src_lines(trees["change"])) == (4, 5)
+    assert bench_pairs.src_lines(tmp_path / "missing") == 0
+
+    entry = bench_pairs.measure(lambda tree, env: ({"ms": 1.0}, {"attempted": 1, "failed": 0}, {}),
+                                trees, "w", 1, {"ms": "lower"})
+    assert entry["src_lines"] == {"parent": 4, "change": 5}
+
+
 def test_bench_run_pairs_the_details_line_figures_rates_higher_and_times_lower(bench_pairs,
                                                                               monkeypatch):
     # change's backtest is faster (more windows/s) and its next-day call slower

@@ -33,9 +33,10 @@ runs, medians and quartiles, and the number of pairs in which this
 checkout's run was better and worse, in the entry `workloads/<name>/<seed>`
 with the environment its runs reported. A figure whose unit ends in `/s` is
 a rate and counts as better higher; every other metric as better lower.
-`--claim` adds a summary of one metric per seed: the wins, the ratio of
-medians and whether the gain of the medians exceeds the other revision's
-interquartile range.
+Each entry also records both trees' `src/marketgraph/*.py` line counts
+(`src_lines`). `--claim` adds a summary of one metric per seed: the wins,
+the ratio of medians and whether the gain of the medians exceeds the other
+revision's interquartile range.
 
 Results are merged into `--out`: entries of an existing file that this run
 does not repeat are kept, so several invocations can build one file.
@@ -53,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from revision import ROOT, unpack, work_directory
+from revision import ROOT, src_lines, unpack, work_directory
 
 SIDES = ("parent", "change")
 PER_SIDE = ("src_sha256", "train_loss", "result_sha256")
@@ -130,7 +131,8 @@ def measure(run, trees: dict[str, Path], label: str, pairs: int,
             metrics: dict[str, str]) -> dict:
     """The entry of `pairs` alternating pairs of `run(tree, env)`, with the
     environment the runs reported. Both runs of a pair add the same `PAD_VAR`
-    to the environment. Each side records what its runs report under the
+    to the environment. Each side records the line count of its
+    `src/marketgraph/*.py` (`src_lines`) and what its runs report under the
     keys `PER_SIDE` names (the source hash, the epoch's loss bits).
 
     `metrics` gives the direction of each value a run returns as a number;
@@ -157,7 +159,8 @@ def measure(run, trees: dict[str, Path], label: str, pairs: int,
                 values[side].setdefault(name, []).append(value)
             print(f"{label} pair {pair + 1}/{pairs} {side}: "
                   + ", ".join(f"{n} {v[-1]:.4g}" for n, v in values[side].items()), flush=True)
-    entry = {"pairs": pairs, "first": firsts, f"{PAD_VAR}_bytes": pads, "operations": counts}
+    entry = {"pairs": pairs, "first": firsts, f"{PAD_VAR}_bytes": pads, "operations": counts,
+             "src_lines": {side: src_lines(trees[side]) for side in SIDES}}
     for (key, side), value in per_side.items():
         entry.setdefault(key, {})[side] = value
     entry["metrics"] = {name: compare(values["parent"][name], values["change"][name], direction)

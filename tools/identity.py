@@ -7,7 +7,9 @@ directory (local git only), which is removed at the end unless `--work`
 names it. Both packages then run one fixed matrix of
 `python -m marketgraph.cli` commands on the same inputs. Every artifact, and
 each command's exit code, stdout and stderr (with its output root replaced by
-`<out>`), is hashed with sha256 into `manifest.json` in the work directory.
+`<out>`), is hashed with sha256 into `manifest.json` in the work directory,
+beside both trees' `src/marketgraph/*.py` line counts, which the summary
+also prints.
 Checkpoints are also decoded, each by its own tree's loader, and every
 parameter's float64 bytes hashed, so a change of file format or entry order
 reads apart from a change of value. For a differing text artifact whose
@@ -44,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from revision import ROOT, unpack, work_directory
+from revision import ROOT, src_lines, unpack, work_directory
 
 KINDS = ["persistence", "ar", "var_mlp", "gru", "tcn", "mtgnn"]
 SEEDS = {"doc_seed": None, "env_seed": "11"}
@@ -232,19 +234,21 @@ def compare_trees(against: str, work: Path, keep: bool) -> int:
     matrix = write_inputs(work / "inputs")
 
     outs = {"base": work / "out-base", "change": work / "out-change"}
-    manifests = {}
-    for label, src in (("base", work / "base" / "src"), ("change", ROOT / "src")):
+    manifests, lines = {}, {}
+    for label, tree in (("base", work / "base"), ("change", ROOT)):
         outs[label].mkdir()
-        seconds = run_tree(src, outs[label], matrix)
+        seconds = run_tree(tree / "src", outs[label], matrix)
         manifests[label] = hash_tree(outs[label])
+        lines[label] = src_lines(tree)
         print(f"{label} ({rev[:10] if label == 'base' else 'this checkout'}): "
-              f"{len(matrix)} commands in {seconds:.1f} s")
+              f"{len(matrix)} commands in {seconds:.1f} s; src/ {lines[label]} lines")
 
     keys = sorted(set(manifests["base"]) | set(manifests["change"]))
     differing = [k for k in keys if manifests["base"].get(k) != manifests["change"].get(k)]
     manifest_path = work / "manifest.json"
-    manifest_path.write_text(json.dumps({"against": rev, "commands": len(matrix), **manifests,
-                                         "differing": differing}, indent=1), encoding="utf-8")
+    manifest_path.write_text(json.dumps({"against": rev, "commands": len(matrix), "src_lines": lines,
+                                         **manifests, "differing": differing}, indent=1),
+                             encoding="utf-8")
     for key in differing:
         print(f"differs: {key}: {explain(key, outs['base'], outs['change'])}")
     print(f"{len(keys) - len(differing)} of {len(keys)} manifest entries identical; "

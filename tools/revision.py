@@ -1,4 +1,5 @@
-"""Helpers the tools share: unpack another git revision, and a work directory.
+"""Helpers the tools share: unpack another git revision, count a tree's
+package lines, and a work directory.
 
 Only the local repository is read; nothing is fetched.
 """
@@ -24,6 +25,11 @@ def unpack(rev: str, paths: list[str], dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of `src/marketgraph/*.py` under `tree`, as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in sorted(Path(tree).glob("src/marketgraph/*.py")))
 
 
 @contextmanager

@@ -282,7 +282,11 @@ def _forecast_metadata(extra, path, num_nodes: int) -> tuple[NormStats, tuple[Re
         if len(stats.columns) != num_nodes:
             raise ConfigError(f"norm_stats covers {len(stats.columns)} series, "
                               f"the model was fitted on {num_nodes}")
-        return stats, _rebase_rules(extra.get("rebase", []))
+        rebase = _rebase_rules(extra.get("rebase", []))
+        for i, rule in enumerate(rebase):
+            if rule.column not in stats.columns:
+                raise ConfigError(f"rebase[{i}].column {rule.column!r} is not a series of the panel")
+        return stats, rebase
     except (ConfigError, DataError, ShapeError, TypeError, ValueError,
             OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise DataError(f"{path}: unusable checkpoint metadata: {exc}") from None

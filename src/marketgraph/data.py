@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import POSITIVE, POSITIVE_FINITE, Checked, ConfigError, DataError, DomainError, ShapeError
+from .errors import POSITIVE, POSITIVE_FINITE, Checked, ConfigError, DataError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -56,12 +56,6 @@ class TimeSeriesFrame:
     @property
     def num_series(self) -> int:
         return len(self.columns)
-
-    def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise DataError(f"unknown column {name!r}") from None
 
     def slice_rows(self, start: int, stop: int) -> "TimeSeriesFrame":
         return TimeSeriesFrame(self.dates[start:stop], self.columns, self.values[start:stop].copy())
@@ -137,6 +131,9 @@ def _parse_csv(path) -> tuple[TimeSeriesFrame, int]:
     if len(header) < 2 or header[0].lower() != "date":
         raise DataError(f"{path}: header must be 'date,<name1>,...', got {rows[0]!r}")
     columns, width = tuple(header[1:]), len(header)
+    if len(set(columns)) != len(columns):
+        repeated = next(name for i, name in enumerate(columns) if name in columns[:i])
+        raise DataError(f"{path}: the header names {repeated!r} more than once")
 
     try:
         if not lines:
@@ -263,22 +260,14 @@ class RebaseRule(Checked):
     divisor: float = field(metadata=POSITIVE_FINITE)
 
 
-def adjust_rebased_series(frame: TimeSeriesFrame, column: str, cutoff_date: date,
-                          divisor: float) -> TimeSeriesFrame:
-    """Divide `column` by `divisor` on every row strictly before the cutoff."""
-    if not 0 < divisor < np.inf:
-        raise DomainError(f"divisor must be positive and finite, got {divisor}")
-    col = frame.column_index(column)
-    values = frame.values.copy()
-    before = np.array([d < cutoff_date for d in frame.dates])
-    values[before, col] /= divisor
-    return TimeSeriesFrame(frame.dates, frame.columns, values)
-
-
 def apply_rebase_rules(frame: TimeSeriesFrame, rules: Sequence[RebaseRule]) -> TimeSeriesFrame:
-    """`frame` with every rule applied, in order."""
-    for rule in rules:
-        frame = adjust_rebased_series(frame, rule.column, rule.cutoff, rule.divisor)
+    """`frame` with each rule, in order, dividing its column on the leading rows dated before its cutoff."""
+    for i, rule in enumerate(rules):
+        if rule.column not in frame.columns:
+            raise DataError(f"rebase[{i}].column {rule.column!r} is not a series of the panel")
+        values = frame.values.copy()
+        values[:sum(d < rule.cutoff for d in frame.dates), frame.columns.index(rule.column)] /= rule.divisor
+        frame = TimeSeriesFrame(frame.dates, frame.columns, values)
     return frame
 
 
@@ -297,9 +286,9 @@ def log_transform(frame: TimeSeriesFrame) -> TimeSeriesFrame:
 class SplitSpec(Checked):
     """Chronological train/validation/test fractions."""
 
-    train: float = field(default=0.6, metadata=POSITIVE)
-    validation: float = field(default=0.2, metadata=POSITIVE)
-    test: float = field(default=0.2, metadata=POSITIVE)
+    train: float = field(default=0.6, metadata=POSITIVE_FINITE)
+    validation: float = field(default=0.2, metadata=POSITIVE_FINITE)
+    test: float = field(default=0.2, metadata=POSITIVE_FINITE)
 
     def __post_init__(self):
         super().__post_init__()
@@ -348,31 +337,22 @@ class NormStats:
             raise DataError(f"zero-variance column {bad!r} cannot be normalized")
 
 
-def compute_norm_stats(frame: TimeSeriesFrame) -> NormStats:
-    return NormStats(frame.columns, frame.values.mean(axis=0), frame.values.std(axis=0))
-
-
 def normalize(frame: TimeSeriesFrame, stats: NormStats) -> TimeSeriesFrame:
     if frame.columns != stats.columns:
         raise DataError("frame columns do not match normalization stats")
     return TimeSeriesFrame(frame.dates, frame.columns, (frame.values - stats.mean) / stats.std)
 
 
-def denormalize_values(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Undo z-scoring on a bare array whose last axis runs over the columns."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1:] != stats.mean.shape:
-        raise ShapeError(f"last axis of {values.shape} does not match {len(stats.columns)} stats columns")
-    return values * stats.std + stats.mean
-
-
 def invert_predictions(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Map model outputs back to price scale: exp after de-normalization.
+    """Map model outputs, the series on their last axis, to prices: exp after de-normalization.
 
     The forward chain is log then normalize, so inversion composes the two
     inverses in the opposite order.
     """
-    return np.exp(denormalize_values(values, stats))
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[-1:] != stats.mean.shape:
+        raise ShapeError(f"last axis of {values.shape} does not match {len(stats.columns)} stats columns")
+    return np.exp(values * stats.std + stats.mean)
 
 
 @dataclass(frozen=True)
@@ -381,13 +361,6 @@ class WindowSpec(Checked):
 
     P: int = field(default=30, metadata=POSITIVE)
     Q: int = field(default=1, metadata=POSITIVE)
-
-    def count(self, rows: int) -> int:
-        """rows - P - Q + 1, the windows that `rows` consecutive rows hold;
-        DataError when not one fits."""
-        if rows < self.P + self.Q:
-            raise DataError(f"{rows} rows cannot fit a window of P+Q={self.P + self.Q}")
-        return rows - self.P - self.Q + 1
 
 
 @dataclass(frozen=True)
@@ -442,7 +415,8 @@ def make_windows(frame: TimeSeriesFrame, spec: WindowSpec) -> WindowSet:
     boundary. The count is rows - P - Q + 1. Both stacks are read-only views
     of `frame.values`, not copies: x[m, n, t] is values[m + t, n].
     """
-    spec.count(frame.num_rows)
+    if frame.num_rows < spec.P + spec.Q:
+        raise DataError(f"{frame.num_rows} rows cannot fit a window of P+Q={spec.P + spec.Q}")
     spans = np.lib.stride_tricks.sliding_window_view(frame.values, spec.P + spec.Q, axis=0)  # [count, N, span]
     return WindowSet(x=spans[..., :spec.P], y=spans[..., spec.P:])
 
@@ -517,7 +491,7 @@ def run_pipeline(source, window_spec: WindowSpec, split_spec: SplitSpec = SplitS
     train, val, test = chronological_split(frame, split_spec)
     train_dates = _date_text(train.dates)
     stages.append({"stage": "split", "hash": _dated_hash(train, train_dates)})
-    stats = compute_norm_stats(train)
+    stats = NormStats(train.columns, train.values.mean(axis=0), train.values.std(axis=0))
     train_n, val_n, test_n = (normalize(f, stats) for f in (train, val, test))
     stages.append({"stage": "normalize", "hash": _dated_hash(train_n, train_dates)})
 

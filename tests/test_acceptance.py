@@ -25,8 +25,8 @@ from marketgraph.autodiff import (
     mean, permute, relu, reshape, row_normalize, sigmoid, stack_last, tanh, time_index,
 )
 from marketgraph.data import (
-    SplitSpec, adjust_rebased_series, chronological_split, compute_norm_stats,
-    denormalize_values, log_transform, normalize,
+    NormStats, RebaseRule, SplitSpec, apply_rebase_rules, chronological_split,
+    invert_predictions, log_transform, normalize,
 )
 from marketgraph.graph import learn_adjacency, read_adjacency_csv
 from marketgraph.mtgnn import gated_temporal_conv, propagation_stack
@@ -219,7 +219,7 @@ def test_criterion_4_pipeline_arithmetic():
 
     # rebasing divides strictly-pre-cutoff rows only
     cutoff = frame.dates[10]
-    adjusted = adjust_rebased_series(frame, frame.columns[0], cutoff, 100.0)
+    adjusted = apply_rebase_rules(frame, [RebaseRule(frame.columns[0], cutoff, 100.0)])
     np.testing.assert_allclose(adjusted.values[:10, 0], frame.values[:10, 0] / 100.0,
                                rtol=0, atol=0)
     np.testing.assert_array_equal(adjusted.values[10:, 0], frame.values[10:, 0])
@@ -228,9 +228,9 @@ def test_criterion_4_pipeline_arithmetic():
     # transform round-trips
     logged = log_transform(frame)
     np.testing.assert_allclose(np.exp(logged.values), frame.values, atol=1e-12, rtol=0)
-    stats = compute_norm_stats(logged)
+    stats = NormStats(logged.columns, logged.values.mean(axis=0), logged.values.std(axis=0))
     normalized = normalize(logged, stats)
-    np.testing.assert_allclose(denormalize_values(normalized.values, stats), logged.values,
+    np.testing.assert_allclose(np.log(invert_predictions(normalized.values, stats)), logged.values,
                                atol=1e-9, rtol=0)
 
     # windows never straddle split boundaries: poison everything outside the
@@ -445,7 +445,7 @@ def test_criterion_9_conditional_real_data_reproduction():
     # the affected column is the one whose raw maximum is off the charts
     raw_max = frame.values.max(axis=0)
     bist_column = frame.columns[int(np.argmax(raw_max))]
-    frame = adjust_rebased_series(frame, bist_column, date(2020, 7, 27), 100.0)
+    frame = apply_rebase_rules(frame, [RebaseRule(bist_column, date(2020, 7, 27), 100.0)])
 
     # match each column to a reference row by mean, then pin mean/min/max
     matched = {}

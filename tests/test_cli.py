@@ -215,11 +215,13 @@ def test_parse_run_config_returns_a_config_or_raises_config_error(tmp_path_facto
         pass
 
 
-# One out-of-range value per section; 1e999 overflows to infinity.
+# One out-of-range value per section, two for split; 1e999 overflows to infinity.
 SECTION_PATHS = {
     "train.epochs": '{"train": {"epochs": -1}}',
     "train.learning_rate": '{"train": {"learning_rate": 1e999}}',
     "split.train": '{"split": {"train": 0, "validation": 0.5, "test": 0.5}}',
+    # an integer too large for a float, which the sum of the fractions cannot take
+    "split.validation": '{"split": {"validation": 1' + "0" * 400 + '}}',
     "window.P": '{"window": {"P": 0}}',
     "window.Q": '{"window": {"Q": 0}}',
     "rebase[0].divisor": '{"rebase": [{"column": "us", "cutoff": "2020-01-10", "divisor": 1e999}]}',
@@ -906,6 +908,8 @@ def test_a_rebase_rule_acts_as_the_same_division_made_in_the_csv(tmp_path, capsy
 MALFORMED_METADATA = {
     "extra_without_norm_stats": lambda extra: extra.pop("norm_stats"),
     "rebase_without_cutoff": lambda extra: extra.update(rebase=[{"column": "us", "divisor": 2.0}]),
+    "rebase_on_unknown_series": lambda extra: extra.update(
+        rebase=[{"column": "zz", "cutoff": "2020-01-02", "divisor": 2.0}]),
     "norm_stats_without_std": lambda extra: extra["norm_stats"].pop("std"),
     "mean_of_wrong_length": lambda extra: extra["norm_stats"].update(mean=[0.0]),
     # an integer too large for a float, and non-finite normalization stats
@@ -1134,9 +1138,10 @@ def test_an_unreadable_input_exits_2_naming_it_and_leaves_no_out_dir(tmp_path, c
 INFINITE_DIVISOR = '[{"column": "us", "cutoff": "2020-01-10", "divisor": 1e999}]'
 
 
-@pytest.mark.parametrize("command", ["analyze", "train", "forecast"])
-def test_an_infinite_rebase_divisor_exits_2_naming_it(tmp_path, capsys, command):
-    # inf passes a bare `> 0` check, and dividing by it zeroes `us` before the cutoff.
+def refused_rebase(tmp_path, capsys, command, rules: str) -> str:
+    """The stderr of `command` run with the JSON `rules` as its rebase rules,
+    in its run document or, for forecast, its checkpoint, which must exit 2
+    before --out is made."""
     csv_path = tmp_path / "prices.csv"
     make_dataset(csv_path)
     if command == "forecast":
@@ -1148,13 +1153,29 @@ def test_an_infinite_rebase_divisor_exits_2_naming_it(tmp_path, capsys, command)
         named = write_config(tmp_path / "run.json", csv_path, rebase="REBASE")
         doc = json.loads(named.read_text(encoding="utf-8"))
         argv = [command, *([str(csv_path)] if command == "analyze" else []), "--config", str(named)]
-    named.write_text(json.dumps(doc).replace('"REBASE"', INFINITE_DIVISOR), encoding="utf-8")
+    named.write_text(json.dumps(doc).replace('"REBASE"', rules), encoding="utf-8")
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "rebase[0].divisor must be positive and finite, got inf" in err
-    assert command != "forecast" or f"error: {named}: unusable checkpoint metadata" in err
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert command != "forecast" or err.startswith(f"error: {named}: unusable checkpoint metadata")
+    return err
+
+
+@pytest.mark.parametrize("command", ["analyze", "train", "forecast"])
+def test_an_infinite_rebase_divisor_exits_2_naming_it(tmp_path, capsys, command):
+    # inf passes a bare `> 0` check, and dividing by it zeroes `us` before the cutoff.
+    err = refused_rebase(tmp_path, capsys, command, INFINITE_DIVISOR)
+    assert "rebase[0].divisor must be positive and finite, got inf" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "train", "forecast"])
+def test_a_rebase_rule_on_a_missing_series_exits_2_naming_its_key(tmp_path, capsys, command):
+    rules = ('[{"column": "us", "cutoff": "2020-01-10", "divisor": 2},'
+             ' {"column": "zz", "cutoff": "2020-01-10", "divisor": 2}]')
+    err = refused_rebase(tmp_path, capsys, command, rules)
+    assert err.endswith("rebase[1].column 'zz' is not a series of the panel\n")
 
 
 # -- runtime failures -----------------------------------------------------------------

@@ -47,7 +47,8 @@ BOUNDS = [
     *((TcnConfig, {}, name, *SIZE) for name in ("channels", "num_blocks", "horizon")),
     (TcnConfig, {}, "kernel_size", [2], [1]),
     # the other two fractions sum to 1, and 1 + TINY rounds to 1
-    *((SplitSpec, {"train": 0.5, "validation": 0.5, "test": 0.5}, name, [TINY], [0, -TINY])
+    *((SplitSpec, {"train": 0.5, "validation": 0.5, "test": 0.5}, name, [TINY],
+       [0, -TINY, NAN, INF, -INF, HUGE])
       for name in ("train", "validation", "test")),
     (WindowSpec, {}, "P", *SIZE),
     (WindowSpec, {}, "Q", *SIZE),
@@ -97,5 +98,5 @@ def test_the_table_lists_every_bounded_field():
 
 def test_a_nan_split_fraction_is_refused():
     # No comparison with NaN holds, so the sum check alone would let it through.
-    with pytest.raises(ConfigError, match="^train must be positive, got nan$"):
+    with pytest.raises(ConfigError, match="^train must be positive and finite, got nan$"):
         SplitSpec(train=NAN, validation=0.2, test=0.2)

@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from marketgraph import (
-    ConfigError, DataError, DomainError, ShapeError, TimeSeriesFrame, WindowSpec, load_csv,
-    run_pipeline,
+    ConfigError, DataError, ShapeError, TimeSeriesFrame, WindowSpec, load_csv, run_pipeline,
 )
 from marketgraph.data import (
-    NormStats, SplitSpec, _convert_rows, _parse_csv, adjust_rebased_series, chronological_split,
-    compute_norm_stats, denormalize_values, descriptive_stats, frame_hash,
-    invert_predictions, log_transform, make_windows, normalize, read_csv_rows,
+    NormStats, RebaseRule, SplitSpec, WindowSet, _convert_rows, _parse_csv, apply_rebase_rules,
+    chronological_split, descriptive_stats, frame_hash, invert_predictions, log_transform,
+    make_windows, matrix_csv, normalize, read_csv_rows,
 )
 from marketgraph.graph import read_adjacency_csv
 import reference_ops
@@ -91,6 +90,16 @@ def test_load_duplicate_date_names_the_date(tmp_path):
     path.write_text("date,x\n2020-01-01,1\n2020-01-01,2\n", encoding="utf-8")
     with pytest.raises(DataError, match="2020-01-01"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("header", ["date,a,b,a", 'date,"a",b, a '], ids=["plain", "quoted"])
+def test_load_repeated_series_name_names_the_file_and_the_series(tmp_path, header):
+    path = tmp_path / "d.csv"
+    path.write_text(f"{header}\n2020-01-01,1,2,3\n2020-01-02,4,5,6\n2020-01-03,7,8,9\n",
+                    encoding="utf-8")
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: the header names 'a' more than once"
 
 
 def test_load_requires_two_usable_rows(tmp_path):
@@ -369,25 +378,28 @@ def test_a_non_finite_price_cell_is_refused_at_its_place_naming_line_and_column(
 def test_rebasing_divides_only_before_cutoff():
     frame = build_frame(np.array([[97000.0], [98000.0], [990.0], [1000.0]]),
                         columns=("idx",), start=D(2020, 7, 25))
-    out = adjust_rebased_series(frame, "idx", D(2020, 7, 27), 100.0)
+    out = apply_rebase_rules(frame, [RebaseRule("idx", D(2020, 7, 27), 100.0)])
     np.testing.assert_allclose(out.values[:, 0], [970.0, 980.0, 990.0, 1000.0])
     # the cutoff day itself is untouched
     assert out.values[2, 0] == 990.0
 
 
-def test_rebasing_validates_column_and_divisor():
+def test_rebasing_validates_column():
     frame = build_frame(np.array([[100.0], [200.0]]), columns=("idx",))
-    out = adjust_rebased_series(frame, "idx", D(2020, 1, 2), 10.0)
+    good = RebaseRule("idx", D(2020, 1, 2), 10.0)
+    out = apply_rebase_rules(frame, [good])
     np.testing.assert_allclose(out.values[:, 0], [10.0, 200.0])
-    with pytest.raises(DataError):
-        adjust_rebased_series(frame, "nope", D(2020, 1, 2), 10.0)
-    with pytest.raises(DomainError):
-        adjust_rebased_series(frame, "idx", D(2020, 1, 2), 0.0)
+    # a rule on a missing series is named by its place among the rules
+    for rules, named in (([RebaseRule("nope", D(2020, 1, 2), 10.0)], "rebase[0].column 'nope'"),
+                         ([good, RebaseRule("zz", D(2020, 1, 2), 10.0)], "rebase[1].column 'zz'")):
+        with pytest.raises(DataError) as info:
+            apply_rebase_rules(frame, rules)
+        assert str(info.value) == f"{named} is not a series of the panel"
 
 
 def test_rebasing_touches_single_column_only():
     frame = build_frame(np.array([[100.0, 5.0], [200.0, 6.0]]))
-    out = adjust_rebased_series(frame, "s0", D(2020, 1, 2), 100.0)
+    out = apply_rebase_rules(frame, [RebaseRule("s0", D(2020, 1, 2), 100.0)])
     np.testing.assert_allclose(out.values[:, 1], [5.0, 6.0])
 
 
@@ -439,7 +451,7 @@ def test_split_preserves_order_and_count():
 def test_normalize_train_statistics():
     gen = np.random.default_rng(5)
     frame = build_frame(gen.normal(3.0, 2.0, size=(40, 2)))
-    stats = compute_norm_stats(frame)
+    stats = NormStats(frame.columns, frame.values.mean(axis=0), frame.values.std(axis=0))
     normed = normalize(frame, stats)
     np.testing.assert_allclose(normed.values.mean(axis=0), [0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(normed.values.std(axis=0), [1.0, 1.0], atol=1e-12)
@@ -448,15 +460,15 @@ def test_normalize_train_statistics():
 def test_normalize_round_trip():
     gen = np.random.default_rng(6)
     frame = build_frame(gen.normal(3.0, 2.0, size=(30, 3)))
-    stats = compute_norm_stats(frame)
-    back = denormalize_values(normalize(frame, stats).values, stats)
+    stats = NormStats(frame.columns, frame.values.mean(axis=0), frame.values.std(axis=0))
+    back = np.log(invert_predictions(normalize(frame, stats).values, stats))
     np.testing.assert_allclose(back, frame.values, atol=1e-9)
 
 
 def test_constant_column_rejected():
     frame = build_frame(np.hstack([np.ones((5, 1)), np.arange(5.0)[:, None]]))
     with pytest.raises(DataError, match="s0"):
-        compute_norm_stats(frame)
+        NormStats(frame.columns, frame.values.mean(axis=0), frame.values.std(axis=0))
 
 
 def test_stats_column_mismatch_rejected():
@@ -466,14 +478,14 @@ def test_stats_column_mismatch_rejected():
         normalize(frame, stats)
 
 
-def test_denormalize_values_trailing_axis():
+def test_invert_predictions_trailing_axis():
     stats = NormStats(columns=("a", "b"), mean=np.array([1.0, 2.0]),
                       std=np.array([3.0, 4.0]))
     z = np.array([[[1.0, 1.0]]])  # [B=1, Q=1, N=2]
-    out = denormalize_values(z, stats)
+    out = np.log(invert_predictions(z, stats))
     np.testing.assert_allclose(out[0, 0, :], [4.0, 6.0])
     with pytest.raises(ShapeError, match="last axis"):  # the series must come last
-        denormalize_values(z.transpose(0, 2, 1), stats)
+        invert_predictions(z.transpose(0, 2, 1), stats)
 
 
 @settings(max_examples=60, deadline=None)
@@ -549,6 +561,16 @@ def test_pipeline_window_sets_are_read_only_views_of_their_splits(small_prices):
         assert_read_only_views(ws, frame, spec)
 
 
+def test_window_set_refuses_stacks_that_are_not_paired_windows():
+    x = np.zeros((4, 2, 3))
+    for y in (np.zeros((4, 2)), np.zeros((4, 2, 1, 1))):
+        with pytest.raises(ShapeError, match=r"\[count, N, P\]"):
+            WindowSet(x=x, y=y)
+    for y in (np.zeros((3, 2, 1)), np.zeros((4, 1, 1))):
+        with pytest.raises(ShapeError, match="inconsistent"):
+            WindowSet(x=x, y=y)
+
+
 def test_window_insufficient_rows():
     frame = build_frame(np.arange(4.0)[:, None] + 1.0)
     with pytest.raises(DataError):
@@ -594,6 +616,17 @@ def test_descriptive_stats_constant_column_rejected():
     frame = build_frame(np.ones((5, 1)), columns=("v",))
     with pytest.raises(DataError):
         descriptive_stats(frame)
+
+
+def test_descriptive_stats_need_two_rows():
+    with pytest.raises(DataError, match="at least 2 rows"):
+        descriptive_stats(build_frame(np.array([[1.0]]), columns=("v",)))
+
+
+def test_matrix_csv_refuses_a_matrix_that_is_not_square_over_its_labels():
+    for matrix in (np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(2)):
+        with pytest.raises(ShapeError, match="does not match 2 labels"):
+            matrix_csv("node", ["a", "b"], matrix)
 
 
 # -- stage hashing ----------------------------------------------------------------------

@@ -108,6 +108,12 @@ def test_metric_input_validation():
         mae(np.array([np.nan]), np.array([1.0]))
     with pytest.raises(DataError):
         rmse(np.array([1.0]), np.array([np.inf]))
+    with pytest.raises(ShapeError, match="matching"):
+        per_series_metrics(np.ones((3, 2)), np.ones((3, 1)), ("a", "b"))
+    with pytest.raises(ShapeError, match="matching"):
+        per_series_metrics(np.ones(3), np.ones(3), ("a",))
+    with pytest.raises(ShapeError, match="labels"):
+        per_series_metrics(np.ones((3, 2)), np.ones((3, 2)), ("a",))
 
 
 def test_metrics_refuse_a_cell_that_is_not_a_number():

@@ -244,6 +244,16 @@ def test_divergence_aborts_with_epoch():
     assert err.value.epoch >= 1
 
 
+def test_a_non_finite_validation_loss_aborts_with_its_epoch():
+    # Every training step stays finite; only the validation forecast is NaN.
+    windows = small_windows()
+    model = fresh_model()
+    model.predict_windows = lambda x: np.full((len(x), x.shape[1], 1), np.nan)
+    with pytest.raises(TrainingDiverged) as err:
+        train(model, windows, windows, TrainConfig(epochs=3, seed=1))
+    assert err.value.epoch == 1
+
+
 def test_empty_window_sets_rejected():
     windows = small_windows()
     empty = WindowSet(x=np.zeros((0, 2, 8)), y=np.zeros((0, 2, 1)))
